@@ -25,7 +25,7 @@ from repro.experiments.fig5_throughput import (
     N_SHARDS,
     _BootstrapAccuracy,
     _LearnGaussian,
-    _make_stream,
+    make_stream,
     run_fig5c,
     run_fig5f,
 )
@@ -39,13 +39,17 @@ SHARDED_WORKERS = 4
 def _bench_records(result, workers):
     """ThroughputResult -> BENCH_fig5.json records.
 
-    Schema: ``{config, path, workers, layout, tuples_per_sec}`` with
-    ``path`` in {per-tuple, batched, sharded}, ``workers`` the number of
-    processes executing tuples (1 for the single-process paths, never
-    null), and ``layout`` the batch representation fed to the engine —
-    "tuple" on the per-tuple path, "columnar" on the batched and
-    sharded paths (see ``measure_throughput(layout=...)``).
+    Schema: ``{config, path, workers, cpus, layout, tuples_per_sec}``
+    with ``path`` in {per-tuple, batched, sharded}, ``workers`` the
+    number of processes executing tuples (1 for the single-process
+    paths, never null), ``cpus`` the CPUs available to the measuring
+    process (``available_cpus()``; fewer CPUs than workers means the
+    sharded row was oversubscribed), and ``layout`` the batch
+    representation fed to the engine — "tuple" on the per-tuple path,
+    "columnar" on the batched and sharded paths (see
+    ``measure_throughput(layout=...)``).
     """
+    cpus = available_cpus()
     records = []
     for name, tput in result.throughputs.items():
         if "(sharded" in name:
@@ -59,6 +63,7 @@ def _bench_records(result, workers):
                 "config": config,
                 "path": path,
                 "workers": w,
+                "cpus": cpus,
                 "layout": "tuple" if path == "per-tuple" else "columnar",
                 "tuples_per_sec": tput,
             }
@@ -140,6 +145,7 @@ def test_fig5_sharded_throughput(benchmark, results_dir):
         expected_layout = "tuple" if r["path"] == "per-tuple" else "columnar"
         assert r["layout"] == expected_layout, r
         assert r["workers"] == (workers if r["path"] == "sharded" else 1), r
+        assert r["cpus"] == available_cpus(), r
         assert r["tuples_per_sec"] > 0, r
 
     if available_cpus() < workers:
@@ -182,7 +188,7 @@ def test_fig5c_sharded_equivalence_across_worker_counts():
     path end to end.  Tuples are compared by per-element pickle bytes
     (whole-list pickles differ in memoization structure across paths).
     """
-    tuples = _make_stream(400, seed=3)
+    tuples = make_stream(400, seed=3)
 
     def run(workers):
         pipeline = _fig5c_bootstrap_collect_pipeline()

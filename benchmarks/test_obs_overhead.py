@@ -24,7 +24,7 @@ from repro.experiments.fig5_throughput import (
     WINDOW_SIZE,
     _AnalyticAccuracy,
     _LearnGaussian,
-    _make_stream,
+    make_stream,
 )
 from repro.streams.engine import Pipeline
 from repro.streams.operators import CountingSink, SlidingGaussianAverage
@@ -91,7 +91,7 @@ def _bare_pipeline() -> Pipeline:
 
 
 def test_disabled_mode_overhead_under_5_percent(benchmark, results_dir):
-    tuples = _make_stream(N_ITEMS, seed=11)
+    tuples = make_stream(N_ITEMS, seed=11)
 
     def measure(rounds: int) -> tuple[float, float]:
         bare = 0.0
@@ -138,7 +138,7 @@ def test_disabled_mode_overhead_under_5_percent(benchmark, results_dir):
 
 def test_disabled_mode_sink_identical(results_dir):
     """Sanity alongside the timing claim: same tuples reach the sink."""
-    tuples = _make_stream(500, seed=12)
+    tuples = make_stream(500, seed=12)
     bare = _bare_pipeline()
     instrumented = _analytic_pipeline()
     bare.run(tuples)

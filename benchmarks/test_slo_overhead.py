@@ -22,7 +22,7 @@ import pickle
 
 from benchmarks.conftest import save_result
 from benchmarks.test_trace_overhead import _fig5c_pipeline, _strip
-from repro.experiments.fig5_throughput import _make_stream
+from repro.experiments.fig5_throughput import make_stream
 from repro.obs.alerts import AlertLog
 from repro.obs.slo import parse_rule
 from repro.obs.timeseries import TelemetryConfig, TelemetryRecorder
@@ -48,7 +48,7 @@ def _bare_pipeline() -> Pipeline:
 
 
 def test_no_telemetry_overhead_under_5_percent(benchmark, results_dir):
-    tuples = _make_stream(N_ITEMS, seed=31)
+    tuples = make_stream(N_ITEMS, seed=31)
 
     def measure(rounds: int) -> tuple[float, float]:
         bare = 0.0
@@ -121,7 +121,7 @@ def test_no_telemetry_overhead_under_5_percent(benchmark, results_dir):
 
 
 def test_output_byte_identical_with_telemetry_on_vs_off():
-    tuples = _make_stream(600, seed=32)
+    tuples = make_stream(600, seed=32)
     plain = _fig5c_pipeline(sink=CollectSink)
     recorded = _fig5c_pipeline(sink=CollectSink)
     recorded.attach_telemetry(
@@ -135,7 +135,7 @@ def test_output_byte_identical_with_telemetry_on_vs_off():
 
 
 def test_frame_and_alert_exports_stay_strict(tmp_path):
-    tuples = _make_stream(600, seed=33)
+    tuples = make_stream(600, seed=33)
     recorder = TelemetryRecorder(TelemetryConfig(frame_interval=128))
     pipeline = _fig5c_pipeline()
     pipeline.attach_telemetry(recorder)

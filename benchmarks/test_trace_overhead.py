@@ -26,7 +26,7 @@ from repro.experiments.fig5_throughput import (
     WINDOW_SIZE,
     _AnalyticAccuracy,
     _LearnGaussian,
-    _make_stream,
+    make_stream,
 )
 from repro.obs.export import validate_chrome_trace, write_chrome_trace
 from repro.obs.trace import TraceConfig, Tracer
@@ -96,7 +96,7 @@ def _bare_pipeline() -> Pipeline:
 
 
 def test_no_tracer_overhead_under_5_percent(benchmark, results_dir):
-    tuples = _make_stream(N_ITEMS, seed=21)
+    tuples = make_stream(N_ITEMS, seed=21)
 
     def measure(rounds: int) -> tuple[float, float]:
         bare = 0.0
@@ -166,7 +166,7 @@ def test_no_tracer_overhead_under_5_percent(benchmark, results_dir):
 
 
 def test_output_byte_identical_with_tracer_on_vs_off():
-    tuples = _make_stream(600, seed=22)
+    tuples = make_stream(600, seed=22)
     plain = _fig5c_pipeline(sink=CollectSink)
     traced = _fig5c_pipeline(sink=CollectSink)
     traced.attach_trace(Tracer(TraceConfig()))
@@ -178,7 +178,7 @@ def test_output_byte_identical_with_tracer_on_vs_off():
 
 
 def test_exported_trace_passes_schema_check(tmp_path):
-    tuples = _make_stream(600, seed=23)
+    tuples = make_stream(600, seed=23)
     tracer = Tracer(TraceConfig())
     pipeline = _fig5c_pipeline()
     pipeline.attach_trace(tracer)

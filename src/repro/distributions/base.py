@@ -52,7 +52,8 @@ class Distribution(abc.ABC):
         return 1.0 - self.cdf(threshold)
 
     def prob_less(self, threshold: float) -> float:
-        """P[X < threshold] (equals the cdf for continuous distributions)."""
+        """P[X < threshold] (equals the cdf for continuous distributions;
+        distributions with point masses override it)."""
         return self.cdf(threshold)
 
     def is_deterministic(self) -> bool:
@@ -89,6 +90,9 @@ class Deterministic(Distribution):
 
     def cdf(self, x: float) -> float:
         return 1.0 if x >= self.value else 0.0
+
+    def prob_less(self, threshold: float) -> float:
+        return 1.0 if threshold > self.value else 0.0
 
     def is_deterministic(self) -> bool:
         return True

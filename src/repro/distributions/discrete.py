@@ -68,6 +68,12 @@ class DiscreteDistribution(Distribution):
             return 0.0
         return float(self._cum[idx - 1])
 
+    def prob_less(self, threshold: float) -> float:
+        idx = int(np.searchsorted(self.support, threshold, side="left"))
+        if idx == 0:
+            return 0.0
+        return float(self._cum[idx - 1])
+
     def prob_of(self, value: float) -> float:
         """Point mass P[X = value] (0.0 for values outside the support)."""
         idx = int(np.searchsorted(self.support, value))

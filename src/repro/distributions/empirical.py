@@ -58,6 +58,12 @@ class EmpiricalDistribution(Distribution):
     def cdf(self, x: float) -> float:
         return float(np.searchsorted(self._sorted, x, side="right")) / self.size
 
+    def prob_less(self, threshold: float) -> float:
+        return (
+            float(np.searchsorted(self._sorted, threshold, side="left"))
+            / self.size
+        )
+
     def quantile(self, q: float) -> float:
         """Empirical quantile (linear interpolation between order stats)."""
         if not 0.0 <= q <= 1.0:

@@ -49,6 +49,11 @@ class GaussianDistribution(Distribution):
         z = (x - self.mu) / math.sqrt(2.0 * self.sigma2)
         return 0.5 * math.erfc(-z)
 
+    def prob_less(self, threshold: float) -> float:
+        if self.sigma2 == 0.0:  # a point mass at mu
+            return 1.0 if threshold > self.mu else 0.0
+        return self.cdf(threshold)
+
     def quantile(self, q: float) -> float:
         """Inverse cdf."""
         if not 0.0 <= q <= 1.0:

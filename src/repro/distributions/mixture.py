@@ -78,5 +78,13 @@ class MixtureDistribution(Distribution):
             sum(w * c.cdf(x) for w, c in zip(self.weights, self.components))
         )
 
+    def prob_less(self, threshold: float) -> float:
+        return float(
+            sum(
+                w * c.prob_less(threshold)
+                for w, c in zip(self.weights, self.components)
+            )
+        )
+
     def __repr__(self) -> str:
         return f"MixtureDistribution({len(self.components)} components)"

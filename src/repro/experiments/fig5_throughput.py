@@ -61,7 +61,14 @@ from repro.streams.operators import (
 from repro.streams.throughput import measure_throughput
 from repro.streams.tuples import UncertainTuple
 
-__all__ = ["ThroughputResult", "run_fig5c", "run_fig5f"]
+__all__ = [
+    "ThroughputResult",
+    "fig5c_pipelines",
+    "fig5f_pipelines",
+    "make_stream",
+    "run_fig5c",
+    "run_fig5f",
+]
 
 RAW_POINTS_PER_ITEM = 20
 WINDOW_SIZE = 1000
@@ -95,7 +102,7 @@ class ThroughputResult:
         }
 
 
-def _make_stream(
+def make_stream(
     n_items: int, seed: int, mean: float = 100.0, std: float = 10.0
 ) -> list[UncertainTuple]:
     """Stream items carrying 20 raw data points each (paper §V-C).
@@ -634,6 +641,71 @@ def _measure_all(
     return ThroughputResult(label, throughputs)
 
 
+def _fig5_pipeline(*stages: Callable[[], Operator]) -> Callable[[], Pipeline]:
+    """Factory for learn -> sliding AVG -> ``stages`` -> counting sink."""
+
+    def build() -> Pipeline:
+        return Pipeline(
+            [
+                _LearnGaussian("points", "value"),
+                SlidingGaussianAverage("value", WINDOW_SIZE),
+                *(stage() for stage in stages),
+                CountingSink(),
+            ]
+        )
+
+    return build
+
+
+def _configurations(
+    pipelines: dict[str, Callable[[], Pipeline]],
+    batch_size: int,
+    workers: int | None,
+) -> dict[str, tuple]:
+    """Every pipeline on the per-tuple path, then "(batched)", then —
+    with ``workers`` — "(sharded xW)"; see :func:`_measure_all`."""
+    configurations: dict[str, tuple] = {
+        name: (factory, None) for name, factory in pipelines.items()
+    }
+    for name, factory in pipelines.items():
+        configurations[f"{name} (batched)"] = (factory, batch_size)
+    if workers is not None:
+        for name, factory in pipelines.items():
+            configurations[f"{name} (sharded x{workers})"] = (
+                factory, batch_size, workers,
+            )
+    return configurations
+
+
+def fig5c_pipelines(
+    seed: int = 0,
+    target_ci_width: float | None = None,
+    target_relative_width: float | None = None,
+) -> dict[str, Callable[[], Pipeline]]:
+    """Figure 5(c) configurations: label -> fresh-pipeline factory.
+
+    A width target adds "bootstrap adaptive", the bootstrap stage with
+    early-stopping draws.
+    """
+    pipelines = {
+        "QP only": _fig5_pipeline(),
+        "analytic": _fig5_pipeline(lambda: _AnalyticAccuracy("avg")),
+        "bootstrap": _fig5_pipeline(
+            lambda: _BootstrapAccuracy("avg", seed=seed)
+        ),
+    }
+    if target_ci_width is not None or target_relative_width is not None:
+        pipelines["bootstrap adaptive"] = _fig5_pipeline(
+            lambda: _BootstrapAccuracy(
+                "avg",
+                seed=seed,
+                target_ci_width=target_ci_width,
+                target_relative_width=target_relative_width,
+            )
+        )
+    return pipelines
+
+
 def run_fig5c(
     seed: int = 0,
     n_items: int = 4000,
@@ -663,67 +735,12 @@ def run_fig5c(
     bootstrap stage with early-stopping draws, for a direct
     fixed-vs-adaptive throughput comparison.
     """
-    tuples = _make_stream(n_items, seed)
-
-    def base() -> list[Operator]:
-        return [
-            _LearnGaussian("points", "value"),
-            SlidingGaussianAverage("value", WINDOW_SIZE),
-        ]
-
-    def qp_only() -> Pipeline:
-        return Pipeline(base() + [CountingSink()])
-
-    def with_analytic() -> Pipeline:
-        return Pipeline(base() + [_AnalyticAccuracy("avg"), CountingSink()])
-
-    def with_bootstrap() -> Pipeline:
-        return Pipeline(
-            base() + [_BootstrapAccuracy("avg", seed=seed), CountingSink()]
-        )
-
-    def with_adaptive() -> Pipeline:
-        return Pipeline(
-            base()
-            + [
-                _BootstrapAccuracy(
-                    "avg",
-                    seed=seed,
-                    target_ci_width=target_ci_width,
-                    target_relative_width=target_relative_width,
-                ),
-                CountingSink(),
-            ]
-        )
-
-    adaptive = target_ci_width is not None or target_relative_width is not None
-    configurations: dict[str, tuple] = {
-        "QP only": (qp_only, None),
-        "analytic": (with_analytic, None),
-        "bootstrap": (with_bootstrap, None),
-    }
-    if adaptive:
-        configurations["bootstrap adaptive"] = (with_adaptive, None)
-    configurations["QP only (batched)"] = (qp_only, batch_size)
-    configurations["analytic (batched)"] = (with_analytic, batch_size)
-    configurations["bootstrap (batched)"] = (with_bootstrap, batch_size)
-    if adaptive:
-        configurations["bootstrap adaptive (batched)"] = (
-            with_adaptive, batch_size,
-        )
-    if workers is not None:
-        suffix = f"(sharded x{workers})"
-        configurations[f"QP only {suffix}"] = (qp_only, batch_size, workers)
-        configurations[f"analytic {suffix}"] = (
-            with_analytic, batch_size, workers,
-        )
-        configurations[f"bootstrap {suffix}"] = (
-            with_bootstrap, batch_size, workers,
-        )
-        if adaptive:
-            configurations[f"bootstrap adaptive {suffix}"] = (
-                with_adaptive, batch_size, workers,
-            )
+    tuples = make_stream(n_items, seed)
+    configurations = _configurations(
+        fig5c_pipelines(seed, target_ci_width, target_relative_width),
+        batch_size,
+        workers,
+    )
     return _measure_all(
         "Figure 5(c): throughput with accuracy computation",
         configurations,
@@ -866,6 +883,16 @@ class _CoupledPTest(Operator):
         super().process_many(tuples)
 
 
+def fig5f_pipelines() -> dict[str, Callable[[], Pipeline]]:
+    """Figure 5(f) configurations: label -> fresh-pipeline factory."""
+    return {
+        "no predicate": _fig5_pipeline(),
+        "mTest": _fig5_pipeline(lambda: _CoupledMTest("avg", 99.0)),
+        "mdTest": _fig5_pipeline(lambda: _CoupledMdTest("avg")),
+        "pTest": _fig5_pipeline(lambda: _CoupledPTest("avg", 99.0, 0.8)),
+    }
+
+
 def run_fig5f(
     seed: int = 0,
     n_items: int = 4000,
@@ -883,46 +910,8 @@ def run_fig5f(
     process-pool path when ``workers`` is given — with an optional
     per-stage metrics breakdown under ``fig5f.{configuration}``.
     """
-    tuples = _make_stream(n_items, seed)
-
-    def base() -> list[Operator]:
-        return [
-            _LearnGaussian("points", "value"),
-            SlidingGaussianAverage("value", WINDOW_SIZE),
-        ]
-
-    def no_pred() -> Pipeline:
-        return Pipeline(base() + [CountingSink()])
-
-    def with_mtest() -> Pipeline:
-        return Pipeline(base() + [_CoupledMTest("avg", 99.0), CountingSink()])
-
-    def with_mdtest() -> Pipeline:
-        return Pipeline(base() + [_CoupledMdTest("avg"), CountingSink()])
-
-    def with_ptest() -> Pipeline:
-        return Pipeline(
-            base() + [_CoupledPTest("avg", 99.0, 0.8), CountingSink()]
-        )
-
-    configurations: dict[str, tuple] = {
-        "no predicate": (no_pred, None),
-        "mTest": (with_mtest, None),
-        "mdTest": (with_mdtest, None),
-        "pTest": (with_ptest, None),
-        "no predicate (batched)": (no_pred, batch_size),
-        "mTest (batched)": (with_mtest, batch_size),
-        "mdTest (batched)": (with_mdtest, batch_size),
-        "pTest (batched)": (with_ptest, batch_size),
-    }
-    if workers is not None:
-        suffix = f"(sharded x{workers})"
-        configurations[f"no predicate {suffix}"] = (
-            no_pred, batch_size, workers,
-        )
-        configurations[f"mTest {suffix}"] = (with_mtest, batch_size, workers)
-        configurations[f"mdTest {suffix}"] = (with_mdtest, batch_size, workers)
-        configurations[f"pTest {suffix}"] = (with_ptest, batch_size, workers)
+    tuples = make_stream(n_items, seed)
+    configurations = _configurations(fig5f_pipelines(), batch_size, workers)
     return _measure_all(
         "Figure 5(f): throughput with significance predicates",
         configurations,

@@ -279,9 +279,9 @@ def _tail_probability(dist: Distribution, op: str, c: float) -> float:
     if op == ">":
         return dist.prob_greater(c)
     if op == ">=":
-        # Continuous distributions: P[X >= c] == P[X > c]; discrete ones
-        # are handled by the Monte-Carlo path upstream when it matters.
-        return dist.prob_greater(c)
+        # 1 - P[X < c] keeps the point mass at c (exact values, discrete
+        # and empirical distributions); for continuous ones it is P[X > c].
+        return 1.0 - dist.prob_less(c)
     if op == "<":
         return dist.prob_less(c)
     if op == "<=":

@@ -31,6 +31,16 @@ class TestDeterministic:
         assert d.prob_greater(2.0) == 0.0
         assert d.prob_less(3.0) == 1.0
 
+    def test_prob_less_is_strict_at_the_atom(self):
+        d = Deterministic(2.0)
+        assert d.prob_less(2.0) == 0.0
+        assert d.prob_less(2.001) == 1.0
+        # A zero-variance Gaussian is the same point mass.
+        point = GaussianDistribution(2.0, 0.0)
+        assert point.prob_less(2.0) == 0.0
+        assert point.prob_less(2.001) == 1.0
+        assert GaussianDistribution(2.0, 1.0).prob_less(2.0) == 0.5
+
     def test_is_deterministic_flag(self):
         assert Deterministic(1.0).is_deterministic()
         assert not GaussianDistribution(0, 1).is_deterministic()

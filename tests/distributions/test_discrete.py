@@ -66,3 +66,13 @@ class TestSampling:
         d = DiscreteDistribution([0.0, 1.0], [0.25, 0.75])
         samples = d.sample(rng, 40_000)
         assert samples.mean() == pytest.approx(0.75, abs=0.01)
+
+
+class TestStrictLowerTail:
+    def test_prob_less_excludes_the_point_mass(self):
+        d = DiscreteDistribution([1.0, 2.0, 3.0], [0.2, 0.3, 0.5])
+        assert d.prob_less(1.0) == 0.0
+        assert d.prob_less(2.0) == pytest.approx(0.2)
+        assert d.cdf(2.0) == pytest.approx(0.5)
+        assert d.prob_less(2.5) == d.cdf(2.5)
+        assert d.prob_less(9.0) == 1.0

@@ -76,3 +76,12 @@ class TestSampling:
         e = EmpiricalDistribution(rng.normal(7, 2, 500))
         samples = e.sample(rng, 100_000)
         assert samples.mean() == pytest.approx(e.mean(), abs=0.05)
+
+
+class TestStrictLowerTail:
+    def test_prob_less_excludes_ties(self):
+        d = EmpiricalDistribution([1.0, 2.0, 2.0, 4.0])
+        assert d.prob_less(2.0) == 0.25
+        assert d.cdf(2.0) == 0.75
+        assert d.prob_less(1.0) == 0.0
+        assert d.prob_less(5.0) == 1.0

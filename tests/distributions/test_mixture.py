@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.distributions.base import Deterministic
 from repro.distributions.gaussian import GaussianDistribution
 from repro.distributions.mixture import MixtureDistribution
 from repro.errors import DistributionError
@@ -88,3 +89,12 @@ class TestCdfAndSampling:
         samples = m.sample(rng, 100_000)
         assert samples.mean() == pytest.approx(m.mean(), abs=0.05)
         assert samples.var() == pytest.approx(m.variance(), rel=0.05)
+
+
+class TestStrictLowerTail:
+    def test_prob_less_weights_component_point_masses(self):
+        mixture = MixtureDistribution(
+            [Deterministic(1.0), GaussianDistribution(1.0, 4.0)], [0.5, 0.5]
+        )
+        assert mixture.prob_less(1.0) == pytest.approx(0.25)
+        assert mixture.cdf(1.0) == pytest.approx(0.75)

@@ -17,7 +17,7 @@ from repro.distributions.gaussian import GaussianDistribution
 from repro.experiments.fig5_throughput import (
     _AnalyticAccuracy,
     _LearnGaussian,
-    _make_stream,
+    make_stream,
 )
 from repro.streams.columnar import ColumnarBatch
 from repro.streams.engine import Pipeline
@@ -83,7 +83,7 @@ class TestFig5cWorkload:
         # The 240x20 points matrix is large enough per shard to cross
         # the shared-memory threshold, so multi-worker rounds exercise
         # the SharedSpec transport end to end.
-        tuples = _make_stream(240, seed=11)
+        tuples = make_stream(240, seed=11)
 
         def run(workers):
             sink = _fig5c_pipeline().run_sharded(
@@ -101,7 +101,7 @@ class TestFig5cWorkload:
     def test_matches_legacy_tuple_transport(self, monkeypatch):
         # Forcing as_columnar to fail in the sharded driver reinstates
         # the pickled-tuple-list transport; sinks must not change.
-        tuples = _make_stream(160, seed=2)
+        tuples = make_stream(160, seed=2)
         columnar = _element_bytes(
             _fig5c_pipeline()
             .run_sharded(tuples, n_workers=1, n_shards=N_SHARDS, seed=5)
@@ -120,7 +120,7 @@ class TestFig5cWorkload:
         assert columnar == legacy
 
     def test_merged_sink_stays_columnar(self):
-        tuples = _make_stream(120, seed=3)
+        tuples = make_stream(120, seed=3)
         pipeline = _fig5c_pipeline()
         sink = pipeline.run_sharded(
             tuples, n_workers=1, n_shards=N_SHARDS, seed=5

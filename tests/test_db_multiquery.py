@@ -235,3 +235,45 @@ class TestInsertManyFastPaths:
         )
         db.insert_many("s", [{"x": 1.0}, {"x": 2.0}, {"x": 3.0}])
         assert hits == [2.0, 3.0]
+
+
+class TestExactBoundaryComparisons:
+    """``>=`` keeps and ``<`` drops rows exactly equal to the constant."""
+
+    ROWS = [34.0, 35.0, 36.0, 35.0, 34.5]
+
+    def _matches(self, shared: bool, batched: bool) -> dict[str, list]:
+        db = StreamDatabase(shared_subplans=shared)
+        db.create_stream("t")
+        hits: dict[str, list] = {}
+        queries = {
+            "ge": "SELECT x FROM t WHERE x >= 35",
+            "lt": "SELECT x FROM t WHERE x < 35",
+            "le_flipped": "SELECT x FROM t WHERE 35 <= x",
+            "gt_flipped": "SELECT x FROM t WHERE 35 > x",
+        }
+        for name, text in queries.items():
+            hits[name] = []
+            db.register_continuous(
+                name,
+                text,
+                lambda r, name=name: hits[name].append(
+                    r.value("x").distribution.mean()
+                ),
+            )
+        rows = [{"x": value} for value in self.ROWS]
+        if batched:
+            db.insert_many("t", rows)
+        else:
+            for row in rows:
+                db.insert("t", row)
+        return hits
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_rows_equal_to_the_constant(self, shared, batched):
+        hits = self._matches(shared, batched)
+        assert hits["ge"] == [35.0, 36.0, 35.0]
+        assert hits["le_flipped"] == [35.0, 36.0, 35.0]
+        assert hits["lt"] == [34.0, 34.5]
+        assert hits["gt_flipped"] == [34.0, 34.5]
