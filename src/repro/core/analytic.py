@@ -226,13 +226,9 @@ def proportion_intervals_wald(
     scalar or a per-element array (broadcast against ``p_vec``).
     """
     _check_confidence(confidence)
-    p = _as_proportions(p_vec)
-    n_arr = _as_sizes(n)
-    z = _z_upper((1.0 - confidence) / 2.0)
-    half = z * np.sqrt(p * (1.0 - p) / n_arr)
-    low = np.minimum(np.maximum(p - half, 0.0), 1.0)
-    high = np.maximum(np.minimum(p + half, 1.0), low)
-    return low, high
+    return _wald_kernel(
+        _as_proportions(p_vec), _as_sizes(n), _z_upper((1.0 - confidence) / 2.0)
+    )
 
 
 def proportion_intervals_wilson(
@@ -242,9 +238,25 @@ def proportion_intervals_wilson(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized Equation (2): Wilson score intervals, clamped to [0, 1]."""
     _check_confidence(confidence)
-    p = _as_proportions(p_vec)
-    n_arr = _as_sizes(n)
-    z = _z_upper((1.0 - confidence) / 2.0)
+    return _wilson_kernel(
+        _as_proportions(p_vec), _as_sizes(n), _z_upper((1.0 - confidence) / 2.0)
+    )
+
+
+def _wald_kernel(
+    p: np.ndarray, n_arr: np.ndarray, z: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Equation (1) over validated proportions and sizes."""
+    half = z * np.sqrt(p * (1.0 - p) / n_arr)
+    low = np.minimum(np.maximum(p - half, 0.0), 1.0)
+    high = np.maximum(np.minimum(p + half, 1.0), low)
+    return low, high
+
+
+def _wilson_kernel(
+    p: np.ndarray, n_arr: np.ndarray, z: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Equation (2) over validated proportions and sizes."""
     z2 = z * z
     center = p + z2 / (2.0 * n_arr)
     half = z * np.sqrt(p * (1.0 - p) / n_arr + z2 / (4.0 * n_arr * n_arr))
@@ -264,11 +276,14 @@ def bin_height_intervals(
     Computes both interval families and selects per element with
     :func:`numpy.where` using the same validity rule as the scalar
     :func:`bin_height_interval` (``n·p >= 4 and n·(1−p) >= 4`` → Wald).
+    Inputs are validated once, then both kernels run on them.
     """
+    _check_confidence(confidence)
     p = _as_proportions(p_vec)
     n_arr = _as_sizes(n)
-    wald_lo, wald_hi = proportion_intervals_wald(p, n, confidence)
-    wils_lo, wils_hi = proportion_intervals_wilson(p, n, confidence)
+    z = _z_upper((1.0 - confidence) / 2.0)
+    wald_lo, wald_hi = _wald_kernel(p, n_arr, z)
+    wils_lo, wils_hi = _wilson_kernel(p, n_arr, z)
     use_wald = (n_arr * p >= WALD_VALIDITY_COUNT) & (
         n_arr * (1.0 - p) >= WALD_VALIDITY_COUNT
     )
@@ -281,23 +296,33 @@ def histogram_accuracy(
     histogram: HistogramDistribution,
     n: int,
     confidence: float = 0.95,
+    bin_eps: float = 0.0,
 ) -> tuple[BinInterval, ...]:
     """Per-bin accuracy of a histogram learned from a sample of size n.
 
     Returns the generalised representation ``{(b_i, p_i1, p_i2, c_i)}``
     of §II-B as a tuple of :class:`BinInterval`.  All bins are computed
     in one pass through :func:`bin_height_intervals`.
+
+    ``bin_eps`` widens every interval by ``±bin_eps`` and clamps it to
+    [0, 1] before the bins are built — element for element what
+    :meth:`AccuracyInfo.widened` does to built bins, without building
+    them twice (the sketch learners' synopsis error).
     """
     _check_sample_size(n)
+    if bin_eps < 0:
+        raise AccuracyError(f"bin widening must be >= 0, got {bin_eps}")
     lows, highs = bin_height_intervals(histogram.probabilities, n, confidence)
-    edges = histogram.edges
+    if bin_eps:
+        # ConfidenceInterval.clamped(0, 1), in array form.
+        lows = np.minimum(np.maximum(lows - bin_eps, 0.0), 1.0)
+        highs = np.maximum(np.minimum(highs + bin_eps, 1.0), lows)
+    edges = histogram.edges.tolist()
     return tuple(
         BinInterval(
-            float(edges[i]),
-            float(edges[i + 1]),
-            ConfidenceInterval(float(lows[i]), float(highs[i]), confidence),
+            edges[i], edges[i + 1], ConfidenceInterval(low, high, confidence)
         )
-        for i in range(lows.size)
+        for i, (low, high) in enumerate(zip(lows.tolist(), highs.tolist()))
     )
 
 
@@ -543,6 +568,7 @@ def accuracy_from_stats(
     n: int,
     confidence: float = 0.95,
     histogram: HistogramDistribution | None = None,
+    bin_eps: float = 0.0,
 ) -> AccuracyInfo:
     """Accuracy info from pre-computed sufficient statistics.
 
@@ -551,7 +577,8 @@ def accuracy_from_stats(
     materialises the observation array, so it builds accuracy from the
     statistics directly.  Given the statistics of the same sample this
     is identical to :func:`accuracy_from_sample` — both reuse the
-    memoized Lemma 1/2 interval kernels above.
+    memoized Lemma 1/2 interval kernels above.  ``bin_eps`` widens the
+    per-bin intervals (see :func:`histogram_accuracy`).
     """
     n = _check_sample_size(n, minimum=2)
     if sample_variance < 0:
@@ -563,7 +590,7 @@ def accuracy_from_stats(
     info_var = variance_interval(sample_variance, n, confidence)
     bins: tuple[BinInterval, ...] = ()
     if histogram is not None:
-        bins = histogram_accuracy(histogram, n, confidence)
+        bins = histogram_accuracy(histogram, n, confidence, bin_eps)
     return AccuracyInfo(
         mean=info_mean,
         variance=info_var,

@@ -33,6 +33,8 @@ provenance.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.core.accuracy import AccuracyInfo
@@ -101,16 +103,22 @@ class _SketchLearner(Learner):
             raise LearningError(
                 f"accuracy requires a window fill >= 2, got {n}"
             )
-        base = accuracy_from_stats(
-            mean, variance, n, confidence, self._accuracy_histogram(state)
-        )
         stale = state.staleness
         value_span = state.value_range
         bin_eps = min(self._shape_epsilon(state) + stale, 1.0)
+        # Bin intervals are widened by ``bin_eps`` in array form while
+        # they are built; ``widened`` then covers mean and variance only.
+        base = accuracy_from_stats(
+            mean,
+            variance,
+            n,
+            confidence,
+            self._accuracy_histogram(state),
+            bin_eps=bin_eps,
+        )
         return base.widened(
             mean_eps=stale * value_span,
             variance_eps=stale * value_span * value_span,
-            bin_eps=bin_eps,
             synopsis_error=bin_eps,
         )
 
@@ -123,6 +131,14 @@ class _SketchLearner(Learner):
     ) -> "HistogramDistribution | None":
         """Histogram handed to Lemma 1 for per-bin intervals, if any."""
         return None
+
+
+@functools.lru_cache(maxsize=64)
+def _equi_depth_grid(bucket_count: int) -> np.ndarray:
+    """The quantile probabilities of an equi-depth read, shared read-only."""
+    grid = np.linspace(0.0, 1.0, bucket_count + 1)
+    grid.flags.writeable = False
+    return grid
 
 
 class QuantileSketchLearner(_SketchLearner):
@@ -153,6 +169,7 @@ class QuantileSketchLearner(_SketchLearner):
         self.k = int(k)
         self.bucket_count = int(bucket_count)
         self._probe = KllSketch(self.k)  # validates k eagerly
+        self._grid = _equi_depth_grid(self.bucket_count)
 
     def _make_synopsis(self) -> KllSketch:
         return KllSketch(self.k)
@@ -160,12 +177,12 @@ class QuantileSketchLearner(_SketchLearner):
     def _distribution_from_sketch(
         self, sketch: KllSketch
     ) -> HistogramDistribution:
-        qs = np.linspace(0.0, 1.0, self.bucket_count + 1)
+        qs = self._grid
         values = sketch.quantiles(qs)
         # Collapse duplicate quantile values (heavy ties), keeping the
         # *last* occurrence so each surviving edge carries the full
         # cumulative mass at that value.
-        keep = np.r_[values[1:] != values[:-1], True]
+        keep = np.concatenate((values[1:] != values[:-1], [True]))
         edges = values[keep]
         cum = qs[keep]
         if edges.size < 2:
@@ -195,7 +212,7 @@ class QuantileSketchLearner(_SketchLearner):
     ) -> HistogramDistribution:
         if state.count < 1:
             raise LearningError("distribution of an empty window")
-        return self._distribution_from_sketch(state.merged())
+        return state.distribution(self._distribution_from_sketch)
 
     def _shape_epsilon(self, state: SketchWindowState) -> float:
         return state.merged().epsilon
@@ -203,7 +220,7 @@ class QuantileSketchLearner(_SketchLearner):
     def _accuracy_histogram(
         self, state: SketchWindowState
     ) -> HistogramDistribution:
-        return self._distribution_from_sketch(state.merged())
+        return state.distribution(self._distribution_from_sketch)
 
 
 class _FrequencySynopsis:
@@ -372,7 +389,7 @@ class FrequencySketchLearner(_SketchLearner):
     ) -> DiscreteDistribution:
         if state.count < 1:
             raise LearningError("distribution of an empty window")
-        return self._distribution_from_synopsis(state.merged())
+        return state.distribution(self._distribution_from_synopsis)
 
     def partial_second_moment(self, state: SketchWindowState) -> float:
         """AMS estimate of F2 = sum of squared frequencies (retained)."""
@@ -427,7 +444,7 @@ class HistogramSynopsisLearner(_SketchLearner):
     ) -> HistogramDistribution:
         if state.count < 1:
             raise LearningError("distribution of an empty window")
-        return self._distribution_from_synopsis(state.merged())
+        return state.distribution(self._distribution_from_synopsis)
 
     def _shape_epsilon(self, state: SketchWindowState) -> float:
         return state.merged().epsilon
@@ -435,4 +452,4 @@ class HistogramSynopsisLearner(_SketchLearner):
     def _accuracy_histogram(
         self, state: SketchWindowState
     ) -> HistogramDistribution:
-        return self._distribution_from_synopsis(state.merged())
+        return state.distribution(self._distribution_from_synopsis)

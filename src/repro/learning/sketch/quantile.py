@@ -35,6 +35,7 @@ count-based structures in :mod:`repro.learning.sketch.frequency` and
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left, bisect_right, insort
 
 import numpy as np
@@ -51,6 +52,29 @@ _MIN_CAPACITY = 2
 #: sketch must be a pure function of its input sequence so that sharded
 #: execution is reproducible without threading a seed through learners.
 _COIN_SEED = 0x9E3779B97F4A7C15
+
+
+@functools.lru_cache(maxsize=1024)
+def _capacities(k: int, depth: int) -> tuple[int, ...]:
+    """Per-level target capacities of a ``depth``-level sketch."""
+    out = []
+    for level in range(depth):
+        raw = k * _DECAY ** (depth - 1 - level)
+        out.append(
+            max(int(raw) if raw == int(raw) else int(raw) + 1, _MIN_CAPACITY)
+        )
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=1024)
+def _total_budget(k: int, depth: int) -> int:
+    """Total item budget of a ``depth``-level sketch: the capacity sum.
+
+    Cached with :func:`_capacities` per ``(k, depth)``: every update and
+    every compaction step checks the budget, and both depend on nothing
+    else.
+    """
+    return sum(_capacities(k, depth))
 
 
 def splitmix64(state: int) -> int:
@@ -104,13 +128,10 @@ class KllSketch:
 
     def _capacity(self, level: int) -> int:
         """Target buffer capacity of ``level`` given the current depth."""
-        depth = len(self._levels)
-        raw = self.k * _DECAY ** (depth - 1 - level)
-        return max(int(raw) if raw == int(raw) else int(raw) + 1,
-                   _MIN_CAPACITY)
+        return _capacities(self.k, len(self._levels))[level]
 
     def _budget(self) -> int:
-        return sum(self._capacity(level) for level in range(len(self._levels)))
+        return _total_budget(self.k, len(self._levels))
 
     def update(self, x: float) -> None:
         """Fold one observation into the sketch (amortized O(log k))."""

@@ -107,8 +107,15 @@ class SketchWindowState:
     """
 
     __slots__ = ("_factory", "chunk_count", "chunk_size", "_chunks",
-                 "pending", "_retained", "_frozen", "_frozen_version",
-                 "_version")
+                 "pending", "_retained", "_version", "_frozen",
+                 "_frozen_version", "_sealed", "_sealed_version",
+                 "_totals", "_merged", "_distribution", "_memo_key")
+
+    #: Derived caches: rebuilt from the chunks on demand, so they are
+    #: left out of pickles and deep copies (see ``__getstate__``).
+    _MEMO_SLOTS = ("_frozen", "_frozen_version", "_sealed",
+                   "_sealed_version", "_totals", "_merged",
+                   "_distribution", "_memo_key")
 
     def __init__(
         self,
@@ -131,9 +138,33 @@ class SketchWindowState:
         #: Evictions requested but not yet materialized as chunk drops.
         self.pending = 0
         self._retained = 0
+        self._version = 0
+        self._clear_memos()
+
+    def _clear_memos(self) -> None:
+        #: Sealed-prefix synopsis merge and Chan fold, valid while
+        #: ``_version`` is unchanged (only the active chunk grows).
         self._frozen = None
         self._frozen_version = -1
-        self._version = 0
+        self._sealed = None
+        self._sealed_version = -1
+        #: Whole-ring reads, valid for one ring state (``_memo_key``).
+        self._totals = None
+        self._merged = None
+        self._distribution = None
+        self._memo_key = None
+
+    def __getstate__(self) -> dict[str, object]:
+        return {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name not in self._MEMO_SLOTS
+        }
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._clear_memos()
 
     # -- maintenance ---------------------------------------------------------
 
@@ -197,27 +228,25 @@ class SketchWindowState:
 
         Combined across chunks with Chan's formula, oldest to newest —
         deterministic and independent of chunk boundaries up to the
-        usual floating-point association of the merge tree.
+        usual floating-point association of the merge tree.  The sealed
+        prefix is folded once per ring change, so a read folds only the
+        active chunk onto it (the same left-to-right order).
         """
         n = self._retained
         if n < 2:
             raise LearningError(
                 f"sample variance needs >= 2 observations, got {n}"
             )
-        combined = self._chunks[0]
-        for chunk in self._chunks[1:]:
-            combined = _combine_moments(combined, chunk)
-        return combined.mean, max(combined.m2 / (n - 1), 0.0), n
+        totals = self._window_totals()
+        return totals.mean, max(totals.m2 / (n - 1), 0.0), n
 
     @property
     def minimum(self) -> float:
-        return min(chunk.minimum for chunk in self._chunks) \
-            if self._chunks else math.inf
+        return self._window_totals().minimum if self._chunks else math.inf
 
     @property
     def maximum(self) -> float:
-        return max(chunk.maximum for chunk in self._chunks) \
-            if self._chunks else -math.inf
+        return self._window_totals().maximum if self._chunks else -math.inf
 
     @property
     def value_range(self) -> float:
@@ -231,24 +260,76 @@ class SketchWindowState:
         """One synopsis summarising every retained observation.
 
         The sealed prefix (all chunks but the newest) is merged once and
-        cached until the ring changes; each call merges that cache with
-        the small active chunk, so the per-call cost is one synopsis
-        merge, not one per chunk.
+        cached until the ring changes; a read merges that cache with the
+        small active chunk, and the result is kept for the current ring
+        state, so every read between two ring changes shares one merge.
         """
         chunks = self._chunks
         if not chunks:
             raise LearningError("merged synopsis of an empty window")
-        if len(chunks) == 1:
-            # Callers treat the result as read-only; with a single chunk
-            # the live synopsis is returned without a defensive merge.
-            return chunks[0].synopsis
-        if self._frozen_version != self._version:
-            frozen = chunks[0].synopsis
-            for chunk in chunks[1:-1]:
-                frozen = frozen.merge(chunk.synopsis)
-            self._frozen = frozen
-            self._frozen_version = self._version
-        return self._frozen.merge(chunks[-1].synopsis)
+        self._sync_memo()
+        if self._merged is None:
+            if len(chunks) == 1:
+                # Callers treat the result as read-only; with a single
+                # chunk the live synopsis is returned without a
+                # defensive merge.
+                self._merged = chunks[0].synopsis
+            else:
+                if self._frozen_version != self._version:
+                    frozen = chunks[0].synopsis
+                    for chunk in chunks[1:-1]:
+                        frozen = frozen.merge(chunk.synopsis)
+                    self._frozen = frozen
+                    self._frozen_version = self._version
+                self._merged = self._frozen.merge(chunks[-1].synopsis)
+        return self._merged
+
+    def distribution(self, build: Callable[[object], object]) -> object:
+        """``build(self.merged())``, computed once per ring state.
+
+        Learners read their window distribution through here so that
+        the emitted distribution and the histogram behind its accuracy
+        are one build.  Like every derived cache of this class it is
+        keyed on the ring state ``(version, retained count)``, never on
+        the identity of the merged synopsis: in the one-chunk phase
+        :meth:`merged` returns the live chunk synopsis, which the next
+        :meth:`add` mutates in place.
+        """
+        self._sync_memo()
+        if self._distribution is None:
+            self._distribution = build(self.merged())
+        return self._distribution
+
+    def _sync_memo(self) -> None:
+        """Drop whole-ring reads cached for an earlier ring state.
+
+        ``(version, retained)`` changes on every add, chunk drop and
+        ring doubling, and not on an evict that only counts — which
+        leaves every retained synopsis and statistic untouched.
+        """
+        key = (self._version, self._retained)
+        if self._memo_key != key:
+            self._memo_key = key
+            self._totals = None
+            self._merged = None
+            self._distribution = None
+
+    def _window_totals(self) -> _Chunk:
+        """Chan fold of every chunk's moments and extrema (no synopsis)."""
+        self._sync_memo()
+        if self._totals is None:
+            chunks = self._chunks
+            if len(chunks) == 1:
+                self._totals = chunks[0]
+            else:
+                if self._sealed_version != self._version:
+                    sealed = chunks[0]
+                    for chunk in chunks[1:-1]:
+                        sealed = _combine_moments(sealed, chunk)
+                    self._sealed = sealed
+                    self._sealed_version = self._version
+                self._totals = _combine_moments(self._sealed, chunks[-1])
+        return self._totals
 
     # -- operator plumbing ---------------------------------------------------
 

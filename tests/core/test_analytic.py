@@ -12,6 +12,7 @@ from scipy import stats
 from repro.core.analytic import (
     SMALL_SAMPLE_MEAN_CUTOFF,
     accuracy_from_sample,
+    accuracy_from_stats,
     bin_height_interval,
     distribution_accuracy,
     histogram_accuracy,
@@ -246,6 +247,24 @@ class TestHistogramAccuracy:
             histogram_accuracy(hist, 40, 0.9), hist.probabilities
         ):
             assert bin_interval.interval.contains(float(p))
+
+    @pytest.mark.parametrize("bin_eps", [0.0, 1e-3, 0.05, 0.4, 1.0])
+    @pytest.mark.parametrize("n", [3, 40, 5000])
+    def test_bin_eps_matches_widened(self, bin_eps, n):
+        """Array-form widening equals AccuracyInfo.widened bit for bit."""
+        # Heights near 0 and 1 make the [0, 1] clamp bind on both sides.
+        hist = HistogramDistribution(
+            [0, 1, 2, 3, 4, 5], [0.001, 0.3, 0.0, 0.098, 0.601]
+        )
+        base = accuracy_from_stats(
+            1.0, 2.0, n, 0.9, hist
+        ).widened(0.0, bin_eps=bin_eps)
+        assert histogram_accuracy(hist, n, 0.9, bin_eps=bin_eps) == base.bins
+
+    def test_negative_bin_eps_rejected(self):
+        hist = HistogramDistribution([0, 1, 2], [0.4, 0.6])
+        with pytest.raises(AccuracyError):
+            histogram_accuracy(hist, 40, 0.9, bin_eps=-0.1)
 
 
 class TestDistributionAccuracy:

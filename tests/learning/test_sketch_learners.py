@@ -5,8 +5,12 @@ entries: ABC conformance, registry resolution, ``make_rolling_learner``
 acceptance, batch/partial agreement on the moments, the canonical
 NaN/inf rejection, operator plumbing (``set_metrics`` no-op), and —
 their reason to exist — bounded retained bytes for any window size.
+They also pin the per-ring-state caches of ``SketchWindowState``: every
+emission must equal a cold recompute, and no cache may leak into a
+pickle or a deep copy.
 """
 
+import copy
 import pickle
 
 import numpy as np
@@ -23,6 +27,9 @@ from repro.learning.sketch import (
     HistogramSynopsisLearner,
     QuantileSketchLearner,
 )
+from repro.streams.engine import Pipeline
+from repro.streams.operators import CollectSink, RollingLearnOperator
+from repro.streams.tuples import UncertainTuple
 
 EDGES = np.linspace(-4.0, 4.0, 9)
 
@@ -213,3 +220,103 @@ class TestSlidingSemantics:
             learner.partial_distribution(state)
         with pytest.raises(LearningError):
             learner.partial_accuracy(state)
+
+
+#: A two-chunk ring of four-value chunks: a 40-value window runs through
+#: the one-chunk phase, ring doublings and chunk drops within 200 values.
+SMALL_RING = {"chunk_count": 2, "chunk_size": 4}
+RING_FACTORIES = {
+    "sketch-quantile": lambda: QuantileSketchLearner(k=16, **SMALL_RING),
+    "sketch-frequency": lambda: FrequencySketchLearner(
+        cm_width=64, support_size=8, **SMALL_RING
+    ),
+    "sketch-histogram": lambda: HistogramSynopsisLearner(
+        EDGES, **SMALL_RING
+    ),
+}
+
+
+def _emission_arrays(distribution):
+    """The learned distribution's support (or edges) and probabilities."""
+    support = (
+        distribution.support
+        if isinstance(distribution, DiscreteDistribution)
+        else distribution.edges
+    )
+    return support.tobytes(), distribution.probabilities.tobytes()
+
+
+def _cold_emission(learner, state, confidence):
+    """The emission recomputed with every cache of ``state`` cleared.
+
+    The copy's ``merged()`` folds the chunk synopses one by one and its
+    moments fold every chunk, so nothing computed for an earlier ring
+    state can reach the result.
+    """
+    cold = copy.deepcopy(state)
+    cold._clear_memos()
+    return (
+        learner.partial_distribution(cold),
+        learner.partial_accuracy(cold, confidence),
+    )
+
+
+class TestEmissionCaches:
+    @pytest.mark.parametrize("name", sorted(RING_FACTORIES))
+    def test_every_emission_matches_cold_recompute(self, name, rng):
+        learner = RING_FACTORIES[name]()
+        window, confidence = 40, 0.9
+        op = RollingLearnOperator(
+            "x",
+            window,
+            learner=learner,
+            accuracy_output="accuracy",
+            confidence=confidence,
+            emit_partial=True,
+        )
+        sink = CollectSink()
+        pipeline = Pipeline([op, sink])
+        # Rounded values repeat, so the frequency synopsis sees ties.
+        values = np.round(rng.normal(0.0, 1.5, 200), 1)
+        one_chunk = doublings = drops = 0
+        for x in values.tolist():
+            chunk_size, pending = op._state.chunk_size, op._state.pending
+            emitted = len(sink.results)
+            pipeline.push(UncertainTuple({"x": x}))
+            state = op._state
+            doublings += state.chunk_size > chunk_size
+            drops += state.pending < pending
+            if len(sink.results) == emitted:
+                continue
+            one_chunk += len(state._chunks) == 1
+            out = sink.results[-1]
+            distribution, info = _cold_emission(learner, state, confidence)
+            assert _emission_arrays(
+                out.value("learned").distribution
+            ) == _emission_arrays(distribution)
+            assert out.value("accuracy") == info
+        assert len(sink.results) == values.size - 1
+        assert one_chunk >= 2 and doublings >= 1 and drops >= 1
+
+    def test_caches_stay_out_of_pickles_and_copies(self, named_learner, rng):
+        name, learner = named_learner
+        state = learner.partial_begin()
+        values = (
+            np.round(rng.normal(0.0, 1.5, 400), 1)
+            if name == "sketch-frequency"
+            else rng.normal(0.0, 1.0, 400)
+        )
+        for x in values.tolist():
+            learner.partial_add(state, x)
+        for _ in range(100):
+            learner.partial_evict(state, None)
+        before = pickle.dumps(state)
+        distribution = learner.partial_distribution(state)
+        info = learner.partial_accuracy(state)
+        assert pickle.dumps(state) == before
+        assert pickle.dumps(copy.deepcopy(state)) == before
+        for clone in (pickle.loads(before), copy.deepcopy(state)):
+            assert _emission_arrays(
+                learner.partial_distribution(clone)
+            ) == _emission_arrays(distribution)
+            assert learner.partial_accuracy(clone) == info
