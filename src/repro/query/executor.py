@@ -11,7 +11,13 @@ For each input tuple the executor:
 3. attaches accuracy information per Theorem 1 — analytically
    (Lemmas 1/2) or by bootstrap (BOOTSTRAP-ACCURACY-INFO) — to every
    distribution-valued output field, and a Lemma-1 interval to the result
-   tuple's membership probability.
+   tuple's membership probability.  :meth:`QueryExecutor.execute` runs
+   this step after ORDER BY / LIMIT, for the returned rows only: steps
+   1-2 and the ORDER BY key run per tuple in arrival order, then the
+   rows are sorted and cut.  Analytic and ``"none"`` accuracy draw no
+   randomness, so deferring them changes no result byte; bootstrap
+   accuracy draws from the executor's generator, so it stays in the
+   per-tuple pass, in arrival order.
 """
 
 from __future__ import annotations
@@ -496,27 +502,40 @@ class QueryExecutor:
         draws), the guard raises before any state mutates, and the
         engine falls back to each member's private prefix.
         """
+        attributes = self._project(tup, rng)
+        return attributes, self._accuracy(attributes, rng)
+
+    def _project(
+        self,
+        tup: UncertainTuple,
+        rng: "np.random.Generator | None" = None,
+    ) -> dict[str, DfSized]:
+        """The SELECT expressions (or every attribute for ``SELECT *``)."""
         ctx = EvalContext(
             tup,
             self._rng if rng is None else rng,
             self.config.mc_samples,
         )
         if self.query.star:
-            attributes = {
-                name: tup.dfsized(name) for name in tup.attributes
-            }
-        else:
-            attributes = {
-                alias: expr.evaluate(ctx)
-                for expr, alias in self.query.select_items
-            }
+            return {name: tup.dfsized(name) for name in tup.attributes}
+        return {
+            alias: expr.evaluate(ctx)
+            for expr, alias in self.query.select_items
+        }
+
+    def _accuracy(
+        self,
+        attributes: dict[str, DfSized],
+        rng: "np.random.Generator | None" = None,
+    ) -> dict[str, AccuracyInfo]:
+        """Theorem-1 accuracy of every distribution-valued field."""
         accuracy: dict[str, AccuracyInfo] = {}
         if self.config.accuracy_method != "none":
             for name, field in attributes.items():
                 info = self._field_accuracy(field, rng)
                 if info is not None:
                     accuracy[name] = info
-        return attributes, accuracy
+        return accuracy
 
     def finalize_result(
         self,
@@ -526,6 +545,25 @@ class QueryExecutor:
         accuracy: dict[str, AccuracyInfo],
     ) -> ResultTuple:
         """Assemble a :class:`ResultTuple` from residual + prefix output."""
+        return self._result(
+            tup, outcome, attributes, accuracy, self._sort_key(outcome)
+        )
+
+    def _sort_key(self, outcome: ResidualOutcome) -> float | None:
+        """Expected value of the ORDER BY expression (may draw values)."""
+        if self.query.order_by is None:
+            return None
+        return self.query.order_by.evaluate(outcome.ctx).distribution.mean()
+
+    def _result(
+        self,
+        tup: UncertainTuple,
+        outcome: ResidualOutcome,
+        attributes: dict[str, DfSized],
+        accuracy: dict[str, AccuracyInfo],
+        sort_key: float | None,
+    ) -> ResultTuple:
+        """The result tuple, with its membership-probability interval."""
         finite_sizes = [s for s in outcome.sizes if s is not None]
         probability_interval = None
         if finite_sizes and self.config.accuracy_method != "none":
@@ -534,14 +572,6 @@ class QueryExecutor:
                 min(finite_sizes),
                 self.config.confidence,
             )
-
-        sort_key = None
-        if self.query.order_by is not None:
-            sort_key = (
-                self.query.order_by.evaluate(outcome.ctx)
-                .distribution.mean()
-            )
-
         return ResultTuple(
             attributes=attributes,
             probability=outcome.probability,
@@ -747,23 +777,44 @@ class QueryExecutor:
 
         ORDER BY sorts by the expected value of the order expression;
         LIMIT truncates afterwards (or truncates arrival order when no
-        ORDER BY is present).
+        ORDER BY is present).  Ties keep arrival order, ascending or
+        descending.  Accuracy and probability intervals are computed
+        after the cut, for the returned rows only — except bootstrap
+        accuracy, which draws from the generator and so runs per tuple
+        in arrival order.
         """
         if self.query.is_aggregate:
             return self._execute_aggregate(tuples)
-        results = []
+        # Everything that may draw from the generator or raise on a
+        # tuple's values runs before the cut, in arrival order.
+        deferred = self.config.accuracy_method != "bootstrap"
+        rows = []
         for tup in tuples:
-            result = self.execute_one(tup)
-            if result is not None:
-                results.append(result)
+            outcome = self.residual_outcome(tup)
+            if outcome is None:
+                continue
+            attributes = self._project(tup)
+            accuracy = None if deferred else self._accuracy(attributes)
+            rows.append(
+                (tup, outcome, attributes, accuracy, self._sort_key(outcome))
+            )
         if self.query.order_by is not None:
-            results.sort(
-                key=lambda r: (r.sort_key is None, r.sort_key),
+            rows.sort(
+                key=lambda row: (row[-1] is None, row[-1]),
                 reverse=self.query.descending,
             )
         if self.query.limit is not None:
-            results = results[: self.query.limit]
-        return results
+            rows = rows[: self.query.limit]
+        return [
+            self._result(
+                tup,
+                outcome,
+                attributes,
+                self._accuracy(attributes) if accuracy is None else accuracy,
+                sort_key,
+            )
+            for tup, outcome, attributes, accuracy, sort_key in rows
+        ]
 
 
 def run_query(

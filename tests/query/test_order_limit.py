@@ -1,11 +1,18 @@
 """Tests for ORDER BY / LIMIT in the query layer."""
 
+import copy
+import pickle
+
+import numpy as np
 import pytest
 
+import repro.query.executor as executor_module
 from repro.core.dfsample import DfSized
+from repro.db import StreamDatabase
 from repro.distributions.gaussian import GaussianDistribution
-from repro.errors import ParseError, QueryError
-from repro.query.executor import ExecutorConfig, run_query
+from repro.distributions.histogram import HistogramDistribution
+from repro.errors import ParseError, QueryError, SchemaError
+from repro.query.executor import ExecutorConfig, QueryExecutor, run_query
 from repro.query.parser import parse_query
 from repro.query.planner import compile_query
 from repro.streams.tuples import Schema, UncertainTuple
@@ -120,3 +127,173 @@ class TestExecution:
         )
         ids = [r.value("id").distribution.mean() for r in results]
         assert ids == [2.0, 0.0]
+
+
+# -- the cut: accuracy only for the rows a query returns ---------------------
+
+def _mixed_stream(seed, n=24):
+    """Gaussian, histogram and exact fields with repeated (tied) means."""
+    rng = np.random.default_rng(seed)
+    tuples = []
+    for i in range(n):
+        heights = rng.uniform(0.1, 1.0, size=4)
+        attributes = {
+            "id": float(i),
+            "t": float(i % 3),
+            "v": DfSized(
+                GaussianDistribution(float(rng.integers(0, 4)), 1.0),
+                int(rng.integers(5, 30)),
+            ),
+            "w": DfSized(
+                GaussianDistribution(float(rng.normal(1.0, 0.5)), 0.5), 12
+            ),
+            "h": DfSized(
+                HistogramDistribution(
+                    [0.0, 0.25, 0.5, 0.75, 1.0], heights / heights.sum()
+                ),
+                int(rng.integers(4, 40)),
+            ),
+        }
+        tuples.append(
+            UncertainTuple(attributes, float(rng.choice([1.0, 0.8, 0.5])))
+        )
+    return tuples
+
+
+def _per_tuple_oracle(executor, tuples):
+    """The pre-cut ``execute``: every row fully built, then sorted and cut."""
+    results = []
+    for tup in tuples:
+        result = executor.execute_one(tup)
+        if result is not None:
+            results.append(result)
+    if executor.query.order_by is not None:
+        results.sort(
+            key=lambda r: (r.sort_key is None, r.sort_key),
+            reverse=executor.query.descending,
+        )
+    if executor.query.limit is not None:
+        results = results[: executor.query.limit]
+    return results
+
+
+# (query, draws Monte-Carlo values from the executor's generator)
+_QUERIES = [
+    ("SELECT id, v FROM s ORDER BY v {limit}", False),
+    ("SELECT id, v, h FROM s ORDER BY v DESC {limit}", False),
+    ("SELECT * FROM s ORDER BY t DESC {limit}", False),
+    ("SELECT id, h FROM s WHERE h > 0.5 PROB 0.2 ORDER BY t {limit}", False),
+    ("SELECT id, v * w AS p FROM s {limit}", True),
+    (
+        "SELECT id, h, v FROM s WHERE v > w PROB 0.2 "
+        "ORDER BY v * w DESC {limit}",
+        True,
+    ),
+]
+_LIMITS = ["", "LIMIT 0", "LIMIT 1", "LIMIT 5", "LIMIT 1000"]
+
+
+class TestAccuracyAfterCut:
+    @pytest.mark.parametrize("method", ["analytic", "none", "bootstrap"])
+    @pytest.mark.parametrize("limit", _LIMITS)
+    @pytest.mark.parametrize("query, draws", _QUERIES)
+    def test_byte_identical_to_per_tuple_oracle(
+        self, query, draws, limit, method
+    ):
+        text = query.format(limit=limit)
+        tuples = _mixed_stream(seed=len(text) + len(limit))
+        config = ExecutorConfig(
+            seed=11, accuracy_method=method, mc_samples=200
+        )
+        executor = QueryExecutor(text, config=config)
+        oracle = QueryExecutor(text, config=config)
+        start = copy.deepcopy(executor._rng.bit_generator.state)
+
+        got = executor.execute(tuples)
+        expected = _per_tuple_oracle(oracle, tuples)
+
+        assert [pickle.dumps(r) for r in got] == [
+            pickle.dumps(r) for r in expected
+        ]
+        assert (
+            executor._rng.bit_generator.state
+            == oracle._rng.bit_generator.state
+        )
+        if draws or method == "bootstrap":
+            assert executor._rng.bit_generator.state != start
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_ties_keep_arrival_order(self, descending):
+        direction = "DESC" if descending else "ASC"
+        results = run_query(
+            f"SELECT id FROM s ORDER BY t {direction}",
+            _mixed_stream(seed=3, n=9),
+            config=ExecutorConfig(seed=0),
+        )
+        keys = [
+            (r.sort_key, r.value("id").distribution.mean()) for r in results
+        ]
+        expected = sorted(
+            ((float(i % 3), float(i)) for i in range(9)),
+            key=lambda key: -key[0] if descending else key[0],
+        )
+        assert keys == expected
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(executor_module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(executor_module, name, wrapper)
+    return calls
+
+
+class TestWorkCount:
+    TEXT = "SELECT id, v FROM s WHERE v > 0 PROB 0.1 ORDER BY v DESC LIMIT 4"
+
+    def test_analytic_intervals_only_for_returned_rows(self, monkeypatch):
+        accuracy = _counting(monkeypatch, "distribution_accuracy")
+        probability = _counting(monkeypatch, "tuple_probability_interval")
+        results = run_query(
+            self.TEXT, _tuples(range(1, 61)), config=ExecutorConfig(seed=0)
+        )
+        assert len(results) == 4
+        assert len(accuracy) == 4
+        assert len(probability) == 4
+
+    def test_bootstrap_accuracy_stays_per_qualifying_row(self, monkeypatch):
+        accuracy = _counting(monkeypatch, "bootstrap_accuracy_info")
+        probability = _counting(monkeypatch, "tuple_probability_interval")
+        results = run_query(
+            self.TEXT,
+            _tuples(range(1, 61)),
+            config=ExecutorConfig(
+                seed=0, accuracy_method="bootstrap", mc_samples=200
+            ),
+        )
+        assert len(results) == 4
+        assert len(accuracy) == 60
+        assert len(probability) == 4
+
+
+class TestErrorOrder:
+    def test_missing_column_in_cut_row_still_raises(self):
+        db = StreamDatabase(config=ExecutorConfig(seed=0))
+        db.create_stream("s")
+        db.insert_many(
+            "s",
+            [tup.with_attributes({**tup.attributes, "x": 1.0})
+             for tup in _tuples([5.0, 9.0, 7.0])],
+        )
+        # Lowest v, no x: LIMIT 1 cuts the row, but projection runs
+        # before the cut, so the query fails as it always has.
+        db.insert("s", {
+            "id": 3.0, "v": DfSized(GaussianDistribution(0.0, 1.0), 10)
+        })
+        assert len(db.query("SELECT id FROM s ORDER BY v DESC LIMIT 1")) == 1
+        with pytest.raises(SchemaError, match="no attribute 'x'"):
+            db.query("SELECT id, x FROM s ORDER BY v DESC LIMIT 1")
