@@ -12,11 +12,9 @@ Determinism contract
 --------------------
 The escalation *schedule* (:func:`resample_schedule`) is a pure function
 of ``(r0, growth, r_max)``; the values drawn in round ``k`` are a pure
-function of the seed and the schedule position, never of the worker
-count (rounds delegate to the chunk-seeded drivers of
-``repro.parallel.montecarlo``).  Because the stopping decision is a pure
-function of the drawn values, a fixed seed reproduces the same rounds,
-draws, and intervals at any worker count.
+function of the seed and the schedule position.  Because the stopping
+decision is a pure function of the drawn values, a fixed seed
+reproduces the same rounds, draws, and intervals.
 
 Incremental statistics
 ----------------------
@@ -81,9 +79,9 @@ def resample_schedule(
     """Cumulative resample counts per escalation round.
 
     A pure function of ``(r0, growth, r_max)`` — the determinism
-    contract requires the schedule to be independent of the data and of
-    the worker count.  The last entry always equals ``r_max`` (the fixed
-    budget the adaptive path never exceeds).
+    contract requires the schedule to be independent of the data.  The
+    last entry always equals ``r_max`` (the fixed budget the adaptive
+    path never exceeds).
     """
     if r0 < 2:
         raise AccuracyError(f"initial resamples must be >= 2, got {r0}")

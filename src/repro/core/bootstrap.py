@@ -127,9 +127,9 @@ def _resample_statistics(
     # Row-wise pairwise reductions, NOT a matmul: BLAS GEMV picks
     # row-count-dependent kernels, so per-row dot products can differ in
     # the last ulp between an (r, n) call and the same rows split across
-    # calls.  The adaptive engine (per-round blocks) and the parallel
-    # slab decomposition both rely on chunk statistics being a pure
-    # function of the chunk row alone for bitwise reproducibility.
+    # calls.  The adaptive engine (per-round blocks) relies on chunk
+    # statistics being a pure function of the chunk row alone for
+    # bitwise reproducibility.
     means = chunks.mean(axis=1)
     if n > 1:
         second_moments = (chunks * chunks).mean(axis=1)

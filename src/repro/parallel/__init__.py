@@ -1,35 +1,25 @@
 """Process-pool execution subsystem.
 
-Three parallel entry points share one determinism contract (fixed work
-decomposition + per-unit ``SeedSequence.spawn`` seeding, so results are
+Sharded execution follows one determinism contract (fixed work
+decomposition + per-shard ``SeedSequence.spawn`` seeding, so results are
 invariant to the worker count):
 
-* :func:`draw_mc_values` / :func:`draw_mc_matrix` and the bootstrap
-  drivers :func:`parallel_bootstrap_accuracy_info` /
-  :func:`parallel_bootstrap_accuracy_batch` — Monte-Carlo work split
-  into large chunks across workers (``repro.parallel.montecarlo``);
 * :func:`run_sharded` — hash-partitioned pipeline execution behind
   :meth:`repro.streams.engine.Pipeline.run_sharded`
   (``repro.parallel.sharded``);
 * :class:`WorkerPool` — the reusable pool with transparent serial
-  fallback that both ride on (``repro.parallel.pool``).
+  fallback it rides on (``repro.parallel.pool``);
+* :func:`share_array` / :func:`attach_array` — the shared-memory
+  transport for large column blocks (``repro.parallel.shm``).
 
 See ``docs/PARALLELISM.md`` for the worker model and the determinism
 contract, and ``REPRO_WORKERS`` for the environment override.
 """
 
 from repro.parallel.config import (
-    DEFAULT_CHUNK_SIZE,
     WORKERS_ENV_VAR,
     ParallelConfig,
     available_cpus,
-)
-from repro.parallel.montecarlo import (
-    chunk_spans,
-    draw_mc_matrix,
-    draw_mc_values,
-    parallel_bootstrap_accuracy_batch,
-    parallel_bootstrap_accuracy_info,
 )
 from repro.parallel.pool import WorkerPool
 from repro.parallel.sharded import (
@@ -41,15 +31,9 @@ from repro.parallel.sharded import (
 from repro.parallel.shm import SharedArray, SharedSpec, attach_array, share_array
 
 __all__ = [
-    "DEFAULT_CHUNK_SIZE",
     "WORKERS_ENV_VAR",
     "ParallelConfig",
     "available_cpus",
-    "chunk_spans",
-    "draw_mc_matrix",
-    "draw_mc_values",
-    "parallel_bootstrap_accuracy_batch",
-    "parallel_bootstrap_accuracy_info",
     "WorkerPool",
     "ShardedResult",
     "partition_indices",

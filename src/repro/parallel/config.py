@@ -1,10 +1,8 @@
 """Configuration for the process-pool execution subsystem.
 
-A :class:`ParallelConfig` carries every knob shared by the parallel
-entry points: how many worker processes to use, how Monte-Carlo sample
-work is chunked, which ``multiprocessing`` start method to use, and
-whether large sample arrays travel through POSIX shared memory instead
-of pickles.
+A :class:`ParallelConfig` carries the knobs of sharded execution: how
+many worker processes to use, which ``multiprocessing`` start method to
+use, and whether a pool that cannot start degrades to the serial path.
 
 Worker-count resolution order (first hit wins):
 
@@ -13,8 +11,8 @@ Worker-count resolution order (first hit wins):
 3. ``1`` — the serial path.
 
 The subsystem treats ``n_workers <= 1`` as "run serially in-process";
-parallel entry points are required to produce *identical* results on
-the serial path (see ``docs/PARALLELISM.md`` for the determinism
+sharded execution is required to produce *identical* results on the
+serial path (see ``docs/PARALLELISM.md`` for the determinism
 contract), so flipping ``REPRO_WORKERS`` can never change an answer.
 """
 
@@ -26,7 +24,6 @@ import os
 from repro.errors import ParallelError
 
 __all__ = [
-    "DEFAULT_CHUNK_SIZE",
     "WORKERS_ENV_VAR",
     "ParallelConfig",
     "available_cpus",
@@ -34,11 +31,6 @@ __all__ = [
 
 #: Environment variable consulted when ``n_workers`` is not set.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-#: Monte-Carlo values per work chunk.  Large on purpose: each chunk is
-#: one pool task, and per-task dispatch (pickle + IPC) must be amortised
-#: over enough NumPy work to disappear.
-DEFAULT_CHUNK_SIZE = 65_536
 
 _START_METHODS = ("spawn", "forkserver", "fork")
 
@@ -76,16 +68,10 @@ class ParallelConfig:
     ``n_workers``
         Worker process count.  ``None`` defers to ``REPRO_WORKERS``,
         then to 1 (serial).  ``0`` means "one worker per available CPU".
-    ``chunk_size``
-        Monte-Carlo values per pool task (parallel sample drivers).
     ``start_method``
         ``multiprocessing`` start method.  The default ``"spawn"``
         gives identical semantics on every platform and never inherits
         ad-hoc parent state, which the determinism contract relies on.
-    ``use_shared_memory``
-        Move large sample arrays through POSIX shared memory rather
-        than pickling them per task.  Falls back to pickling when the
-        platform has no usable ``/dev/shm``.
     ``fallback_serial``
         When True (default) a pool that cannot start — sandboxed
         platform, fork bomb limits, missing semaphores — degrades to
@@ -93,19 +79,13 @@ class ParallelConfig:
     """
 
     n_workers: int | None = None
-    chunk_size: int = DEFAULT_CHUNK_SIZE
     start_method: str = "spawn"
-    use_shared_memory: bool = True
     fallback_serial: bool = True
 
     def __post_init__(self) -> None:
         if self.n_workers is not None and self.n_workers < 0:
             raise ParallelError(
                 f"n_workers must be >= 0, got {self.n_workers}"
-            )
-        if self.chunk_size < 1:
-            raise ParallelError(
-                f"chunk_size must be >= 1, got {self.chunk_size}"
             )
         if self.start_method not in _START_METHODS:
             raise ParallelError(
@@ -123,8 +103,3 @@ class ParallelConfig:
         if workers == 0:
             return available_cpus()
         return workers
-
-    @property
-    def parallel(self) -> bool:
-        """True when the resolved worker count asks for a pool."""
-        return self.resolve_workers() > 1

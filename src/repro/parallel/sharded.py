@@ -425,7 +425,7 @@ def run_sharded(
             raise ParallelError(
                 f"pipeline is not picklable for sharded execution: {exc}"
             ) from exc
-        if config.parallel:
+        if config.resolve_workers() > 1:
             warnings.warn(
                 f"pipeline is not picklable ({exc}); "
                 "running shards serially via deepcopy",
@@ -463,11 +463,7 @@ def run_sharded(
         # be skipped when the shards will run in-process anyway.
         own_pool = pool is None
         pool = pool if pool is not None else WorkerPool(config)
-        use_shm = (
-            batch is not None
-            and config.use_shared_memory
-            and not pool.serial
-        )
+        use_shm = batch is not None and not pool.serial
         owners: list = []
         tasks = []
         try:

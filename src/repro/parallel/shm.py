@@ -1,12 +1,11 @@
-"""Shared-memory transport for large sample arrays.
+"""Shared-memory transport for large arrays.
 
-Monte-Carlo matrices are the hot payload of the parallel drivers — a
-``(tuples, mc_samples)`` float64 block easily reaches hundreds of
-megabytes.  Pickling it into every pool task would serialise the whole
-array once per task; instead the parent publishes it once as a POSIX
-shared-memory segment and tasks carry only a tiny :class:`SharedSpec`
-(name, shape, dtype).  Workers attach read-only views, and result
-slabs can be written back into a second segment the same way.
+Column blocks are the hot payload of sharded execution (see
+``repro.streams.columnar``).  Pickling a large block into a pool task
+would copy it through the pipe; instead the parent publishes it once as
+a POSIX shared-memory segment and the task carries only a tiny
+:class:`SharedSpec` (name, shape, dtype).  Workers attach views and
+copy out what they need.
 
 Everything degrades gracefully: :func:`share_array` returns ``None``
 when the platform cannot allocate shared memory, and callers fall back

@@ -53,7 +53,6 @@ from repro.distributions.empirical import EmpiricalDistribution
 from repro.distributions.gaussian import GaussianDistribution
 from repro.distributions.histogram import HistogramDistribution
 from repro.errors import QueryError
-from repro.parallel.config import ParallelConfig
 from repro.query.expressions import EvalContext
 from repro.query.parser import (
     AndCondition,
@@ -108,12 +107,6 @@ class ExecutorConfig:
     bootstrap_growth: float = DEFAULT_GROWTH
     keep_unsure: bool = False
     seed: int | None = None
-    #: Opt-in process-pool execution for bootstrap Monte-Carlo draws
-    #: (:mod:`repro.parallel`).  ``None`` keeps the sequential-generator
-    #: sampling path; a config switches to deterministic per-field
-    #: ``SeedSequence`` spawning, whose values are invariant to the
-    #: worker count (but differ from the sequential path's stream).
-    parallel: "ParallelConfig | None" = None
 
     def __post_init__(self) -> None:
         if self.accuracy_method not in _ACCURACY_METHODS:
@@ -124,6 +117,10 @@ class ExecutorConfig:
         if not 0.0 < self.confidence < 1.0:
             raise QueryError(
                 f"confidence must be in (0,1), got {self.confidence}"
+            )
+        if self.mc_samples < 2:
+            raise QueryError(
+                f"mc_samples must be >= 2, got {self.mc_samples}"
             )
         if self.bootstrap_resamples < 2:
             raise QueryError(
@@ -223,31 +220,6 @@ class QueryExecutor:
         self.query = query
         self.config = config if config is not None else ExecutorConfig()
         self._rng = np.random.default_rng(self.config.seed)
-        # Deterministic per-draw seeding for the parallel bootstrap path:
-        # spawn child i of the root seed for the i-th parallel draw, so
-        # the same query over the same stream reproduces exactly at any
-        # worker count.
-        self._seed_root = np.random.SeedSequence(self.config.seed)
-        self._pool = None
-
-    def close(self) -> None:
-        """Release the worker pool, if the parallel path ever started one."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "QueryExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _parallel_pool(self):
-        from repro.parallel.pool import WorkerPool
-
-        if self._pool is None:
-            self._pool = WorkerPool(self.config.parallel)
-        return self._pool
 
     # -- condition evaluation -------------------------------------------------
 
@@ -344,23 +316,14 @@ class QueryExecutor:
     def _draw(
         self, dist: object, m: int, rng: "np.random.Generator | None" = None
     ) -> np.ndarray:
-        """``m`` values of ``dist`` — sequential, or pooled when enabled.
+        """``m`` values of ``dist`` from ``rng``, else the query generator.
 
-        Passing ``rng`` overrides both the sequential generator and the
-        parallel ``SeedSequence`` spawning (which is stateful: each spawn
-        advances the spawn counter).  The shared-subplan engine passes a
-        guard object here so that *any* attempt to draw — which would
-        make the prefix RNG-dependent — raises before mutating state.
+        The shared-subplan engine passes a guard object as ``rng`` so
+        that *any* attempt to draw — which would make the prefix
+        RNG-dependent — raises before mutating state.
         """
-        if rng is not None:
-            return dist.sample(rng, m)  # type: ignore[attr-defined]
-        if self.config.parallel is None:
-            return dist.sample(self._rng, m)  # type: ignore[attr-defined]
-        from repro.parallel.montecarlo import draw_mc_values
-
-        (seed,) = self._seed_root.spawn(1)
-        return draw_mc_values(
-            dist, m, seed, self.config.parallel, self._parallel_pool()
+        return dist.sample(  # type: ignore[attr-defined]
+            rng if rng is not None else self._rng, m
         )
 
     def _field_accuracy(
@@ -425,9 +388,8 @@ class QueryExecutor:
         Each escalation round consumes the Monte-Carlo output first (when
         the result is empirical) and only then draws fresh values, so a
         tight result stops without sampling at all.  Fresh draws go
-        through :meth:`_draw`, whose per-call ``SeedSequence`` spawning
-        keeps the round values a pure function of (seed, round order) —
-        worker-count invariant under the parallel path.
+        through :meth:`_draw`, so the round values are a pure function
+        of (seed, round order).
         """
         cfg = self.config
         cursor = 0

@@ -322,9 +322,11 @@ class _PlanGroup:
                 for expr, _alias in compiled.select_items
             )
         )
+        # Read only by the columnar kernels; derived SELECT items (which
+        # have no column name) already cleared ``columnar_ok``.
         self.select_cols: "tuple[tuple[str, str], ...] | None" = (
             None
-            if compiled.star
+            if compiled.star or not self.columnar_ok
             else tuple(
                 (alias, expr.name)
                 for expr, alias in compiled.select_items

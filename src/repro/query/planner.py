@@ -284,9 +284,9 @@ def prefix_fingerprint(
     depends on: confidence, accuracy method, the Monte-Carlo budget,
     and the bootstrap/adaptive parameters.
 
-    Deliberately excluded: ``seed`` and ``parallel`` (prefix results
-    are only ever shared when their computation is RNG-free, in which
-    case neither matters), ``keep_unsure`` (it only affects residual
+    Deliberately excluded: ``seed`` (prefix results are only ever
+    shared when their computation is RNG-free, in which case it does
+    not matter), ``keep_unsure`` (it only affects residual
     significance decisions), and the WHERE / ORDER BY / LIMIT clauses
     (all residual).  Aggregate plans return ``None`` — they consume
     whole streams, not single tuples, and never share.

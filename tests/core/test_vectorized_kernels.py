@@ -12,6 +12,8 @@ must match them element-wise (within 1e-12), including:
   bootstrap batch kernel.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -297,6 +299,63 @@ class TestBootstrapBatchKernel:
     def test_rejects_non_matrix(self):
         with pytest.raises(AccuracyError):
             bootstrap_accuracy_batch(np.zeros(30), 10, 0.9)
+
+    def test_batch_surfaces_truncation_warning(self):
+        # 200 mod 70 = 60 dropped per row: 30% > the 25% threshold.
+        matrix = np.random.default_rng(9).normal(0.0, 1.0, size=(6, 200))
+        with pytest.warns(
+            UserWarning, match="bootstrap chunking dropped"
+        ) as record:
+            bootstrap_accuracy_batch(matrix, 70, 0.9)
+        assert len(record) == 1  # one warning covers the whole batch
+
+    def test_row_slabs_each_warn_on_truncation(self):
+        # Bootstrapping the rows slab by slab warns once per slab and
+        # records the same truncation as the whole-matrix call.
+        matrix = np.random.default_rng(9).normal(0.0, 1.0, size=(6, 200))
+        with pytest.warns(UserWarning, match="bootstrap chunking dropped"):
+            whole = bootstrap_accuracy_batch(matrix, 70, 0.9)
+        with pytest.warns(
+            UserWarning, match="bootstrap chunking dropped"
+        ) as record:
+            slabs = [
+                info
+                for start in range(0, 6, 2)
+                for info in bootstrap_accuracy_batch(
+                    matrix[start:start + 2], 70, 0.9
+                )
+            ]
+        assert len(record) == 3
+        assert [info.values_dropped for info in slabs] == [60] * 6
+        assert [info.values_used for info in slabs] == [
+            info.values_used for info in whole
+        ]
+
+    def test_batch_below_threshold_is_silent(self):
+        # 200 mod 30 = 20 dropped per row: 10% < the 25% threshold.
+        matrix = np.random.default_rng(9).normal(0.0, 1.0, size=(6, 200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bootstrap_accuracy_batch(matrix, 30, 0.9)
+
+    def test_batch_edges_and_interval_thread_through(self):
+        matrix = np.random.default_rng(5).normal(0.0, 1.0, size=(6, 200))
+        edges = (-1.0, 0.0, 1.0)
+        batch = bootstrap_accuracy_batch(
+            matrix, 20, 0.9, edges=edges, interval="basic"
+        )
+        assert all(len(info.bins) == 2 for info in batch)
+        for row, info in zip(matrix, batch):
+            ref = bootstrap_accuracy_info(
+                row, 20, 0.9, edges=edges, interval="basic"
+            )
+            assert abs(info.mean.low - ref.mean.low) <= TOL
+            assert abs(info.mean.high - ref.mean.high) <= TOL
+            assert abs(info.variance.low - ref.variance.low) <= TOL
+            assert abs(info.variance.high - ref.variance.high) <= TOL
+            for got, want in zip(info.bins, ref.bins):
+                assert abs(got.interval.low - want.interval.low) <= TOL
+                assert abs(got.interval.high - want.interval.high) <= TOL
 
 
 class TestChunkBinHeights:

@@ -1,14 +1,12 @@
-"""ParallelConfig validation, env override, and chunking."""
+"""ParallelConfig validation and the worker-count env override."""
 
 import pytest
 
 from repro.errors import ParallelError
 from repro.parallel import (
-    DEFAULT_CHUNK_SIZE,
     WORKERS_ENV_VAR,
     ParallelConfig,
     available_cpus,
-    chunk_spans,
 )
 
 
@@ -16,18 +14,12 @@ class TestParallelConfig:
     def test_defaults(self):
         config = ParallelConfig()
         assert config.n_workers is None
-        assert config.chunk_size == DEFAULT_CHUNK_SIZE
         assert config.start_method == "spawn"
-        assert config.use_shared_memory
         assert config.fallback_serial
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ParallelError, match="n_workers"):
             ParallelConfig(n_workers=-1)
-
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ParallelError, match="chunk_size"):
-            ParallelConfig(chunk_size=0)
 
     def test_bad_start_method_rejected(self):
         with pytest.raises(ParallelError, match="start_method"):
@@ -42,7 +34,6 @@ class TestResolveWorkers:
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
         assert ParallelConfig().resolve_workers() == 1
-        assert not ParallelConfig().parallel
 
     def test_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "8")
@@ -52,7 +43,6 @@ class TestResolveWorkers:
         monkeypatch.setenv(WORKERS_ENV_VAR, "5")
         config = ParallelConfig()
         assert config.resolve_workers() == 5
-        assert config.parallel
 
     def test_env_blank_ignored(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "  ")
@@ -74,28 +64,3 @@ class TestResolveWorkers:
 
     def test_available_cpus_positive(self):
         assert available_cpus() >= 1
-
-
-class TestChunkSpans:
-    def test_covers_range_exactly(self):
-        spans = chunk_spans(10, 4)
-        assert spans == [(0, 4), (4, 8), (8, 10)]
-
-    def test_exact_multiple(self):
-        assert chunk_spans(8, 4) == [(0, 4), (4, 8)]
-
-    def test_single_chunk(self):
-        assert chunk_spans(3, 100) == [(0, 3)]
-
-    def test_empty(self):
-        assert chunk_spans(0, 4) == []
-
-    def test_negative_total_raises(self):
-        with pytest.raises(ParallelError, match="total"):
-            chunk_spans(-1, 4)
-
-    def test_independent_of_worker_count(self):
-        # The chunk layout is a pure function of (total, chunk_size):
-        # nothing else may enter, or per-chunk seeds would drift with
-        # the machine the benchmark runs on.
-        assert chunk_spans(1000, 64) == chunk_spans(1000, 64)

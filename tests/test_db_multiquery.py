@@ -16,8 +16,8 @@ import pytest
 from repro.core.dfsample import DfSized
 from repro.db import StreamDatabase
 from repro.distributions.gaussian import GaussianDistribution
-from repro.errors import CallbackError, SchemaError
-from repro.query.executor import ExecutorConfig
+from repro.errors import CallbackError, QueryError, SchemaError
+from repro.query.executor import ExecutorConfig, QueryExecutor
 from repro.streams.tuples import Schema, UncertainTuple
 
 
@@ -277,3 +277,97 @@ class TestExactBoundaryComparisons:
         assert hits["le_flipped"] == [35.0, 36.0, 35.0]
         assert hits["lt"] == [34.0, 34.5]
         assert hits["gt_flipped"] == [34.0, 34.5]
+
+
+class TestDerivedSelectItems:
+    """Theorem-1 result expressions as standing queries.
+
+    A SELECT item that is not a bare column keeps the group off the
+    columnar kernel; registration must still succeed, and every engine
+    and insert path must reproduce the one-shot executor run per tuple.
+    """
+
+    QUERIES = {
+        "product": "SELECT x * y AS z FROM t",
+        "root": "SELECT SQRT(ABS(x)) AS r FROM t",
+        "shifted": "SELECT x + 1 AS w FROM t WHERE x > 60 PROB 0.6",
+    }
+    CONFIG = ExecutorConfig(seed=4, mc_samples=64)
+
+    @staticmethod
+    def _tuples() -> list[UncertainTuple]:
+        rng = np.random.default_rng(2)
+        return [
+            UncertainTuple(
+                {
+                    "x": DfSized(
+                        GaussianDistribution(
+                            float(rng.normal(60.0, 15.0)),
+                            float(rng.uniform(1.0, 30.0)),
+                        ),
+                        int(rng.integers(2, 40)),
+                    ),
+                    "y": DfSized(
+                        GaussianDistribution(
+                            float(rng.normal(2.0, 1.0)),
+                            float(rng.uniform(0.1, 2.0)),
+                        ),
+                        int(rng.integers(2, 40)),
+                    ),
+                }
+            )
+            for _ in range(30)
+        ]
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_matches_one_shot_executor(self, shared, batched):
+        rows = self._tuples()
+        db = StreamDatabase(shared_subplans=shared)
+        db.create_stream("t")
+        got: dict[str, list[bytes]] = {name: [] for name in self.QUERIES}
+        for name, text in self.QUERIES.items():
+            db.register_continuous(
+                name,
+                text,
+                lambda r, name=name: got[name].append(pickle.dumps(r)),
+                config=self.CONFIG,
+            )
+        if batched:
+            db.insert_many("t", rows)
+        else:
+            for row in rows:
+                db.insert("t", row)
+        for name, text in self.QUERIES.items():
+            executor = QueryExecutor(text, config=self.CONFIG)
+            expected = [
+                pickle.dumps(result)
+                for result in map(executor.execute_one, rows)
+                if result is not None
+            ]
+            assert expected
+            assert got[name] == expected
+
+
+class TestMcSamplesValidation:
+    def test_config_rejects_fewer_than_two_samples(self):
+        db = StreamDatabase()
+        db.create_stream("t")
+        seen: list[str] = []
+        db.register_continuous(
+            "first", "SELECT x FROM t", lambda r: seen.append("first")
+        )
+        with pytest.raises(QueryError, match="mc_samples must be >= 2"):
+            db.register_continuous(
+                "middle",
+                "SELECT x FROM t WHERE x > y PROB 0.5",
+                lambda r: seen.append("middle"),
+                config=ExecutorConfig(mc_samples=1),
+            )
+        db.register_continuous(
+            "last", "SELECT x FROM t", lambda r: seen.append("last")
+        )
+        assert "middle" not in db._continuous
+        db.insert("t", {"x": 2.0, "y": 1.0})
+        assert seen == ["first", "last"]
+        assert db.count("t") == 1
