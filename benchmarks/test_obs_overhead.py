@@ -40,17 +40,8 @@ ATTEMPTS = 3
 MAX_OVERHEAD = 0.05
 
 
-def _bare_receive(self, tup):
-    self.process(tup)
-
-
 def _bare_receive_many(self, tuples):
     self.process_many(tuples)
-
-
-def _bare_emit(self, tup):
-    if self._downstream is not None:
-        self._downstream.receive(tup)
 
 
 def _bare_emit_many(self, tuples):
@@ -67,9 +58,7 @@ def _bare_flush(self):
 def _strip(pipeline: Pipeline) -> Pipeline:
     """Rebind every hook to its uninstrumented body (pre-PR semantics)."""
     for op in pipeline.operators:
-        op.receive = types.MethodType(_bare_receive, op)
         op.receive_many = types.MethodType(_bare_receive_many, op)
-        op.emit = types.MethodType(_bare_emit, op)
         op.emit_many = types.MethodType(_bare_emit_many, op)
         op.flush = types.MethodType(_bare_flush, op)
     return pipeline

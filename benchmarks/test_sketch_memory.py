@@ -120,7 +120,7 @@ rng = np.random.default_rng(29)
 values = rng.normal(0.0, 1.0, size=65536)
 start = time.perf_counter()
 for i in range(n_keys):
-    op.receive(UncertainTuple({"k": i, "v": float(values[i % 65536])}))
+    op.receive_many([UncertainTuple({"k": i, "v": float(values[i % 65536])})])
 elapsed = time.perf_counter() - start
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(n_keys / elapsed, op.group_count, op.state_bytes(), peak_kb)

@@ -93,9 +93,6 @@ class _LegacyWindowAggregate(Operator):
         attributes[self.output] = value
         return tup.with_attributes(attributes)
 
-    def process(self, tup):
-        self.emit(self._advance(tup))
-
     def process_many(self, tuples):
         self.emit_many([self._advance(tup) for tup in tuples])
 
@@ -113,7 +110,7 @@ class _LegacySlidingGaussianAverage(Operator):
         self._var_sum = 0.0
         self._size_counts = {}
 
-    def process(self, tup):
+    def _advance(self, tup):
         field = tup.dfsized(self.attribute)
         dist = field.distribution
         self._members.append((dist.mu, dist.sigma2, field.sample_size))
@@ -135,7 +132,10 @@ class _LegacySlidingGaussianAverage(Operator):
         size = min(self._size_counts) if self._size_counts else None
         attributes = dict(tup.attributes)
         attributes[self.output] = DfSized(avg, size)
-        self.emit(tup.with_attributes(attributes))
+        return tup.with_attributes(attributes)
+
+    def process_many(self, tuples):
+        self.emit_many([self._advance(tup) for tup in tuples])
 
 
 def _stream(n=N_ITEMS, seed=11):

@@ -88,17 +88,18 @@ def main() -> None:
     left_tag, right_tag = TagSide("left"), TagSide("right")
     left_tag.connect(join)
     right_tag.connect(join)
-    for tup in metadata:
-        left_tag.receive(tup)
-    for result in delay_tuples:
-        right_tag.receive(
+    left_tag.receive_many(metadata)
+    right_tag.receive_many(
+        [
             UncertainTuple(
                 {
                     "road_id": result.value("segment_id").distribution.mean(),
                     "delay": result.value("delay"),
                 }
             )
-        )
+            for result in delay_tuples
+        ]
+    )
     print(f"joined {len(join_sink.results)} roads with metadata")
     per_meter = [
         r.dfsized("r_delay").distribution.mean() / r.value("l_length_m")

@@ -534,6 +534,30 @@ def accuracy_from_moments(
     Python.  Element-wise identical to calling
     :func:`distribution_accuracy` per tuple.
     """
+    if (
+        isinstance(sample_means, (list, tuple))
+        and len(sample_means) == 1
+        and len(sample_variances) == 1
+    ):
+        # A one-row batch (``Pipeline.run``): the memoized scalar
+        # kernels do the same float64 arithmetic without the array
+        # passes, so the record is byte-identical.
+        size = n[0] if isinstance(n, (list, tuple)) else n
+        variance = float(sample_variances[0])
+        info_var = variance_interval(variance, size, confidence)
+        return (
+            AccuracyInfo(
+                mean=mean_interval(
+                    float(sample_means[0]),
+                    float(np.sqrt(variance)),
+                    size,
+                    confidence,
+                ),
+                variance=info_var,
+                sample_size=int(size),
+                method="analytic",
+            ),
+        )
     means = np.asarray(sample_means, dtype=float).ravel()
     variances = np.asarray(sample_variances, dtype=float).ravel()
     if means.shape != variances.shape:

@@ -28,11 +28,10 @@ from repro.core.adaptive import (
     resample_schedule,
     width_calibration,
 )
-from repro.core.analytic import accuracy_from_moments, distribution_accuracy
+from repro.core.analytic import accuracy_from_moments
 from repro.core.bootstrap import (
     _resample_statistics,
     bootstrap_accuracy_batch,
-    bootstrap_accuracy_info,
     percentile_intervals,
 )
 from repro.core.coupled import coupled_tests
@@ -129,13 +128,6 @@ class _LearnGaussian(Operator):
         self.output = output
         self._learner = GaussianLearner()
 
-    def process(self, tup: UncertainTuple) -> None:
-        points = tup.value(self.points_attribute)
-        fitted = self._learner.learn(points)  # type: ignore[arg-type]
-        attributes = dict(tup.attributes)
-        attributes[self.output] = fitted.as_dfsized()
-        self.emit(tup.with_attributes(attributes))
-
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
         # All per-item point vectors have the same length, so the whole
         # batch learns from one (batch, points) matrix in two NumPy
@@ -177,17 +169,24 @@ class _LearnGaussian(Operator):
         except ValueError:
             matrix = None
         if matrix is None or matrix.ndim != 2 or matrix.shape[1] < 2:
-            super().receive_many(tuples)
-            return
-        mus = matrix.mean(axis=1)
-        sigma2s = matrix.var(axis=1, ddof=1)
-        n = matrix.shape[1]
+            # Ragged or too-short point lists: learn row by row, so a
+            # bad row raises the learner's own error.
+            learned = [
+                self._learner.learn(p).as_dfsized()  # type: ignore[arg-type]
+                for p in points
+            ]
+        else:
+            mus = matrix.mean(axis=1).tolist()
+            sigma2s = matrix.var(axis=1, ddof=1).tolist()
+            n = matrix.shape[1]
+            learned = [
+                DfSized(GaussianDistribution(mu, sigma2), n)
+                for mu, sigma2 in zip(mus, sigma2s)
+            ]
         out = []
-        for i, tup in enumerate(tuples):
+        for tup, value in zip(tuples, learned):
             attributes = dict(tup.attributes)
-            attributes[self.output] = DfSized(
-                GaussianDistribution(float(mus[i]), float(sigma2s[i])), n
-            )
+            attributes[self.output] = value
             out.append(tup.with_attributes(attributes))
         self.emit_many(out)
 
@@ -201,16 +200,6 @@ class _AnalyticAccuracy(Operator):
         super().__init__()
         self.attribute = attribute
         self.confidence = confidence
-
-    def process(self, tup: UncertainTuple) -> None:
-        field = tup.dfsized(self.attribute)
-        if field.sample_size is not None and field.sample_size >= 2:
-            attributes = dict(tup.attributes)
-            attributes["accuracy"] = distribution_accuracy(
-                field.distribution, field.sample_size, self.confidence
-            )
-            tup = tup.with_attributes(attributes)
-        self.emit(tup)
 
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
         # Vectorized Lemma 2: one mean_intervals/variance_intervals pass
@@ -334,46 +323,6 @@ class _BootstrapAccuracy(Operator):
             self.initial_resamples, math.ceil(self._warm_r / self.growth)
         )
 
-    def process(self, tup: UncertainTuple) -> None:
-        field = tup.dfsized(self.attribute)
-        if field.sample_size is not None and field.sample_size >= 2:
-            n = field.sample_size
-            attributes = dict(tup.attributes)
-            if self.adaptive:
-                dist = field.distribution
-                key = None
-                if isinstance(dist, GaussianDistribution):
-                    key = (dist.mu, dist.sigma2, n)
-                if key is not None and key == self._cache_key:
-                    info = self._cache_info
-                    assert info is not None
-                else:
-                    info = adaptive_bootstrap_accuracy_info(
-                        lambda count: dist.sample(self._rng, count),
-                        n,
-                        self.confidence,
-                        target_ci_width=self.target_ci_width,
-                        target_relative_width=self.target_relative_width,
-                        max_resamples=self.resamples,
-                        initial_resamples=self._start_resamples(),
-                        growth=self.growth,
-                    )
-                    self._warm_r = max(
-                        self.initial_resamples, info.draws_used // n
-                    )
-                    self._cache_key = key
-                    self._cache_info = info
-                attributes["accuracy"] = info
-            else:
-                values = field.distribution.sample(
-                    self._rng, self.resamples * n
-                )
-                attributes["accuracy"] = bootstrap_accuracy_info(
-                    values, n, self.confidence
-                )
-            tup = tup.with_attributes(attributes)
-        self.emit(tup)
-
     def _adaptive_batch(
         self, mus: np.ndarray, sigma2s: np.ndarray, n: int
     ) -> list[AccuracyInfo]:
@@ -383,10 +332,9 @@ class _BootstrapAccuracy(Operator):
         set as soon as its calibrated interval width meets the target,
         and only the surviving rows pay for the next round.  Statistics
         accumulated in earlier rounds are carried forward, never
-        recomputed.  The adaptive mode draws in a different RNG order
-        than the per-tuple path (rounds are batched across rows), so
-        its values differ from ``process()`` while following the same
-        schedule and stopping semantics.
+        recomputed.  Rounds are drawn across the rows of a batch, so the
+        drawn values depend on the batch size while the schedule and
+        stopping semantics do not.
         """
         k = mus.size
         stds = np.sqrt(sigma2s)
@@ -635,7 +583,7 @@ def _measure_all(
             telemetry=telemetry,
             # Batched and sharded configurations run end-to-end columnar
             # (converted once, outside the timed region); the per-tuple
-            # baseline keeps the tuple-list layout.
+            # baseline (one-row batches) keeps the tuple-list layout.
             layout="columnar" if batch_size is not None else "tuple",
         )
     return ThroughputResult(label, throughputs)
@@ -721,7 +669,7 @@ def run_fig5c(
     """Figure 5(c): accuracy-computation overhead on stream throughput.
 
     Each configuration is measured twice: on the per-tuple path
-    (``Pipeline.run``) and on the vectorized batched path
+    (``Pipeline.run``, one-row batches) and on the vectorized batched path
     (``Pipeline.run_batched``, suffix "(batched)").  ``workers`` adds a
     third round on the sharded process-pool path
     (``Pipeline.run_sharded`` with ``N_SHARDS`` shards, suffix
@@ -754,6 +702,31 @@ def run_fig5c(
     )
 
 
+def _gaussian_moments(
+    tuples: Sequence[UncertainTuple], attribute: str
+) -> list[tuple[float, float, int]]:
+    """``(mu, sigma2, n)`` of every row whose ``attribute`` has a size."""
+    if isinstance(tuples, ColumnarBatch):
+        column = tuples.gaussian_column(attribute)
+        if column is not None:
+            return [
+                (mu, sigma2, n)
+                for mu, sigma2, n in zip(
+                    column.mu.tolist(),
+                    column.sigma2.tolist(),
+                    column.sizes.tolist(),
+                )
+                if n != EXACT_SIZE
+            ]
+    rows = []
+    for tup in tuples:
+        field = tup.dfsized(attribute)
+        if field.sample_size is not None:
+            dist = field.distribution
+            rows.append((dist.mean(), dist.variance(), field.sample_size))
+    return rows
+
+
 class _CoupledMTest(Operator):
     """Coupled mTest on the window average against a constant."""
 
@@ -762,34 +735,12 @@ class _CoupledMTest(Operator):
         self.attribute = attribute
         self.constant = constant
 
-    def process(self, tup: UncertainTuple) -> None:
-        field = tup.dfsized(self.attribute)
-        if field.sample_size is not None:
-            stats = FieldStats.from_dfsized(field)
-            coupled_tests(MTest(stats, ">", self.constant, 0.05), 0.05, 0.05)
-        self.emit(tup)
-
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
-        # Columnar: run the coupled test per row straight off the
-        # (mu, sigma2, n) columns; the batch passes through untouched.
-        if isinstance(tuples, ColumnarBatch):
-            column = tuples.gaussian_column(self.attribute)
-            if column is not None:
-                constant = self.constant
-                for mu, sigma2, n in zip(
-                    column.mu.tolist(),
-                    column.sigma2.tolist(),
-                    column.sizes.tolist(),
-                ):
-                    if n == EXACT_SIZE:
-                        continue
-                    stats = FieldStats(mu, float(np.sqrt(sigma2)), n)
-                    coupled_tests(
-                        MTest(stats, ">", constant, 0.05), 0.05, 0.05
-                    )
-                self.emit_many(tuples)
-                return
-        super().process_many(tuples)
+        # One coupled test per row; the batch passes through untouched.
+        for mu, sigma2, n in _gaussian_moments(tuples, self.attribute):
+            stats = FieldStats(mu, math.sqrt(sigma2), n)
+            coupled_tests(MTest(stats, ">", self.constant, 0.05), 0.05, 0.05)
+        self.emit_many(tuples)
 
 
 class _CoupledMdTest(Operator):
@@ -800,42 +751,18 @@ class _CoupledMdTest(Operator):
         self.attribute = attribute
         self._previous: FieldStats | None = None
 
-    def process(self, tup: UncertainTuple) -> None:
-        field = tup.dfsized(self.attribute)
-        if field.sample_size is not None:
-            stats = FieldStats.from_dfsized(field)
-            if self._previous is not None:
-                coupled_tests(
-                    MdTest(stats, self._previous, ">", 0.0, 0.05), 0.05, 0.05
-                )
-            self._previous = stats
-        self.emit(tup)
-
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
-        # Columnar: same per-row test chain (each row's stats become the
-        # next row's "previous"), reading moments off the columns.
-        if isinstance(tuples, ColumnarBatch):
-            column = tuples.gaussian_column(self.attribute)
-            if column is not None:
-                previous = self._previous
-                for mu, sigma2, n in zip(
-                    column.mu.tolist(),
-                    column.sigma2.tolist(),
-                    column.sizes.tolist(),
-                ):
-                    if n == EXACT_SIZE:
-                        continue
-                    stats = FieldStats(mu, float(np.sqrt(sigma2)), n)
-                    if previous is not None:
-                        coupled_tests(
-                            MdTest(stats, previous, ">", 0.0, 0.05),
-                            0.05, 0.05,
-                        )
-                    previous = stats
-                self._previous = previous
-                self.emit_many(tuples)
-                return
-        super().process_many(tuples)
+        # Each row's stats become the next row's "previous".
+        previous = self._previous
+        for mu, sigma2, n in _gaussian_moments(tuples, self.attribute):
+            stats = FieldStats(mu, math.sqrt(sigma2), n)
+            if previous is not None:
+                coupled_tests(
+                    MdTest(stats, previous, ">", 0.0, 0.05), 0.05, 0.05
+                )
+            previous = stats
+        self._previous = previous
+        self.emit_many(tuples)
 
 
 class _CoupledPTest(Operator):
@@ -849,38 +776,36 @@ class _CoupledPTest(Operator):
         self.constant = constant
         self.tau = tau
 
-    def process(self, tup: UncertainTuple) -> None:
-        field = tup.dfsized(self.attribute)
-        if field.sample_size is not None:
-            p_hat = field.distribution.prob_greater(self.constant)
-            coupled_tests(
-                PTest(p_hat, field.sample_size, self.tau, ">", 0.05),
-                0.05, 0.05,
-            )
-        self.emit(tup)
-
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
-        # Columnar: per-row pTest off the columns; batch passes through.
-        if isinstance(tuples, ColumnarBatch):
-            column = tuples.gaussian_column(self.attribute)
-            if column is not None:
-                constant, tau = self.constant, self.tau
+        # The tuple path reuses each row's distribution; columns build it.
+        column = (
+            tuples.gaussian_column(self.attribute)
+            if isinstance(tuples, ColumnarBatch)
+            else None
+        )
+        if column is not None:
+            rows = [
+                (GaussianDistribution(mu, sigma2), n)
                 for mu, sigma2, n in zip(
                     column.mu.tolist(),
                     column.sigma2.tolist(),
                     column.sizes.tolist(),
-                ):
-                    if n == EXACT_SIZE:
-                        continue
-                    p_hat = GaussianDistribution(
-                        mu, sigma2
-                    ).prob_greater(constant)
-                    coupled_tests(
-                        PTest(p_hat, n, tau, ">", 0.05), 0.05, 0.05
-                    )
-                self.emit_many(tuples)
-                return
-        super().process_many(tuples)
+                )
+                if n != EXACT_SIZE
+            ]
+        else:
+            fields = [tup.dfsized(self.attribute) for tup in tuples]
+            rows = [
+                (f.distribution, f.sample_size)
+                for f in fields
+                if f.sample_size is not None
+            ]
+        for dist, n in rows:
+            p_hat = dist.prob_greater(self.constant)
+            coupled_tests(
+                PTest(p_hat, n, self.tau, ">", 0.05), 0.05, 0.05
+            )
+        self.emit_many(tuples)
 
 
 def fig5f_pipelines() -> dict[str, Callable[[], Pipeline]]:

@@ -79,7 +79,7 @@ def render_metrics_table(
     """One row per instrumented operator from a metrics registry.
 
     Columns: operator id, tuples in/out, selectivity (out/in), number of
-    ``receive``/``receive_many`` calls, self wall-time (inclusive time
+    ``receive_many`` calls, self wall-time (inclusive time
     minus the next stage's — exact for a linear push pipeline), the
     mean emitted confidence-interval width where recorded, and the
     retained state bytes sampled at flush (``memory_metrics``

@@ -69,7 +69,6 @@ class OperatorMetrics:
         "name",
         "tuples_in",
         "tuples_out",
-        "process_seconds",
         "batch_seconds",
         "flush_seconds",
         "batch_sizes",
@@ -102,10 +101,6 @@ class OperatorMetrics:
         )
         self.tuples_out = registry.counter(
             f"{name}.tuples_out", "tuples emitted downstream"
-        )
-        self.process_seconds = registry.timer(
-            f"{name}.process_seconds",
-            "wall time per receive() call (inclusive of downstream work)",
         )
         self.batch_seconds = registry.timer(
             f"{name}.batch_seconds",
@@ -274,14 +269,11 @@ def operator_rows(
             continue  # not an operator bundle
         tuples_in = metrics["tuples_in"]["value"]
         tuples_out = metrics["tuples_out"]["value"]
-        process = metrics.get("process_seconds", {})
         batch = metrics.get("batch_seconds", {})
         flush = metrics.get("flush_seconds", {})
-        calls = process.get("count", 0) + batch.get("count", 0)
-        inclusive = (
-            process.get("total_seconds", 0.0)
-            + batch.get("total_seconds", 0.0)
-            + flush.get("total_seconds", 0.0)
+        calls = batch.get("count", 0)
+        inclusive = batch.get("total_seconds", 0.0) + flush.get(
+            "total_seconds", 0.0
         )
         row: dict[str, object] = {
             "operator": op_id,

@@ -407,10 +407,6 @@ class OperatorTrace:
 
     # -- hot-path hooks (driven by Operator) ----------------------------
 
-    def on_receive(self) -> None:
-        self.tuples_in += 1
-        self.calls += 1
-
     def begin_batch(self, size: int) -> Span | None:
         self.tuples_in += size
         self.calls += 1
@@ -424,12 +420,6 @@ class OperatorTrace:
     def end_batch(self, span: Span | None, emitted: int) -> None:
         if span is not None:
             self.tracer.end(span, emitted=emitted)
-
-    def on_emit(self, operator: object, tup: object) -> None:
-        self.tuples_out += 1
-        recorder = self.tracer.provenance
-        if recorder is not None and self.accuracy_attribute is not None:
-            recorder.record(self, operator, tup)
 
     def on_emit_many(self, operator: object, tuples: object) -> None:
         self.tuples_out += len(tuples)  # type: ignore[arg-type]

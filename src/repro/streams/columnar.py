@@ -25,7 +25,7 @@ write columns directly and never materialize at all.
 
 Boundary adapters are exact: ``from_tuples(to_tuples(batch)) == batch``,
 and materialized tuples are *byte-identical* (per-element
-``pickle.dumps``) to the tuples the per-tuple path would have produced,
+``pickle.dumps``) to the tuples a tuple-list batch would have carried,
 which is what lets the sharded determinism contract survive the
 columnar refactor.  Exactness is why inference is deliberately strict:
 a value only lands in a typed column when its round trip is the
@@ -416,7 +416,7 @@ def _infer_column(values: list) -> Column:
     Strictness is deliberate: a value joins a typed column only when its
     round trip is the *identity* under ``pickle`` — ``type(x) is float``
     rather than ``isinstance`` — so materialized tuples stay
-    byte-identical to what the per-tuple path would carry.
+    byte-identical to what a tuple-list batch would carry.
     """
     if all(type(v) is float for v in values):
         return FloatColumn(_as_f8(values))

@@ -14,7 +14,8 @@ time.  With no registry the execution paths are unchanged.
 from __future__ import annotations
 
 import copy
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import islice
 from time import perf_counter
 from typing import TYPE_CHECKING
 
@@ -33,6 +34,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.pool import WorkerPool
 
 __all__ = ["Pipeline"]
+
+
+def _chunked(
+    source: Iterable[UncertainTuple], size: int
+) -> Iterator[list[UncertainTuple]]:
+    """Consecutive lists of ``size`` tuples (the last may be shorter)."""
+    iterator = iter(source)
+    while batch := list(islice(iterator, size)):
+        yield batch
 
 
 class Pipeline:
@@ -230,46 +240,21 @@ class Pipeline:
         return self.operators[-1]
 
     def push(self, tup: UncertainTuple) -> None:
-        """Feed one tuple into the pipeline."""
-        self.head.receive(tup)
-
-    def run(self, source: Iterable[UncertainTuple]) -> Operator:
-        """Push every tuple from the source, flush, and return the sink."""
-        tracer = self.tracer
-        if self.registry is None and tracer is None:
-            for tup in source:
-                self.head.receive(tup)
-            self.head.flush()
-            return self.sink
-        run_span = self._begin_run("run") if tracer is not None else None
-        head = self.head
-        telemetry = self.telemetry
-        count = 0
-        start = perf_counter()
-        if telemetry is None:
-            for tup in source:
-                head.receive(tup)
-                count += 1
-        else:
-            for tup in source:
-                head.receive(tup)
-                count += 1
-                telemetry.advance(1)
-        head.flush()
-        if self.registry is not None:
-            self._run_seconds.record(perf_counter() - start)
-            self._tuples_pushed.inc(count)
-            self._runs.inc()
-        if telemetry is not None:
-            telemetry.finalize()
-        if tracer is not None:
-            self._end_run(run_span, count)
-        return self.sink
+        """Feed one tuple into the pipeline, as a one-row batch."""
+        self.push_many([tup])
 
     def push_many(self, tuples: Sequence[UncertainTuple]) -> None:
         """Feed a batch of tuples into the pipeline."""
         if tuples:
             self.head.receive_many(tuples)
+
+    def run(self, source: Iterable[UncertainTuple]) -> Operator:
+        """Push every tuple from the source, flush, and return the sink.
+
+        Each tuple travels as a one-row batch:
+        ``run_batched(source, batch_size=1)``.
+        """
+        return self._run(source, 1, "run")
 
     def run_batched(
         self,
@@ -278,66 +263,74 @@ class Pipeline:
     ) -> Operator:
         """Like :meth:`run`, but push tuples in batches of ``batch_size``.
 
-        Batch-aware operators (``process_many``) amortize per-tuple
-        dispatch and vectorize accuracy computation across the batch;
-        every operator falls back to per-tuple processing otherwise, so
-        the sink contents are identical to :meth:`run` for any pipeline.
+        Operators amortize per-tuple dispatch and vectorize accuracy
+        computation across the batch; outputs keep arrival order, so
+        the sink contents match :meth:`run` (the adaptive bootstrap of
+        the Fig 5(c) experiment is the exception: its escalation rounds
+        span a batch, so its draws depend on the batch size).
 
-        Uniform-layout sequence sources are columnarized up front
+        With ``batch_size > 1``, uniform-layout sequence sources are
+        columnarized up front
         (:class:`~repro.streams.columnar.ColumnarBatch`) so batches are
-        zero-copy column slices and batch-aware operators consume
-        columns directly; non-uniform layouts and plain iterables keep
-        the tuple-list batching.
+        zero-copy column slices and operators consume columns directly;
+        non-uniform layouts and plain iterables keep the tuple-list
+        batching.
         """
+        return self._run(source, batch_size, "run_batched")
+
+    def _run(
+        self, source: Iterable[UncertainTuple], batch_size: int, mode: str
+    ) -> Operator:
+        """The one run loop behind :meth:`run` and :meth:`run_batched`."""
         if batch_size < 1:
             raise StreamError(f"batch size must be >= 1, got {batch_size}")
-        registry = self.registry
-        tracer = self.tracer
-        run_span = (
-            self._begin_run("run_batched") if tracer is not None else None
-        )
-        head = self.head
-        telemetry = self.telemetry
-        count = 0
-        start = perf_counter() if registry is not None else 0.0
-        if isinstance(source, Sequence):
+        if batch_size > 1 and isinstance(source, Sequence):
             columnar = as_columnar(source)
             if columnar is not None:
                 source = columnar
-        if isinstance(source, ColumnarBatch):
+        if batch_size == 1:
+            batches: Iterable[Sequence[UncertainTuple]] = (
+                [tup] for tup in source
+            )
+        elif isinstance(source, ColumnarBatch):
             total = len(source)
-            for a in range(0, total, batch_size):
-                chunk = source.slice(a, min(a + batch_size, total))
-                head.receive_many(chunk)
-                count += len(chunk)
-                if telemetry is not None:
-                    telemetry.advance(len(chunk))
+            batches = (
+                source.slice(a, min(a + batch_size, total))
+                for a in range(0, total, batch_size)
+            )
         else:
-            batch: list[UncertainTuple] = []
-            append = batch.append
-            for tup in source:
-                append(tup)
-                if len(batch) >= batch_size:
-                    head.receive_many(batch)
-                    count += len(batch)
-                    if telemetry is not None:
-                        telemetry.advance(len(batch))
-                    batch = []
-                    append = batch.append
-            if batch:
-                head.receive_many(batch)
+            batches = _chunked(source, batch_size)
+        head = self.head
+        receive = head.receive_many
+        registry = self.registry
+        tracer = self.tracer
+        telemetry = self.telemetry
+        if registry is None and tracer is None and telemetry is None:
+            for batch in batches:
+                receive(batch)
+            head.flush()
+            return self.sink
+        run_span = self._begin_run(mode) if tracer is not None else None
+        count = 0
+        start = perf_counter()
+        try:
+            for batch in batches:
+                receive(batch)
                 count += len(batch)
                 if telemetry is not None:
                     telemetry.advance(len(batch))
-        head.flush()
-        if registry is not None:
-            self._run_seconds.record(perf_counter() - start)
-            self._tuples_pushed.inc(count)
-            self._runs.inc()
-        if telemetry is not None:
-            telemetry.finalize()
-        if tracer is not None:
-            self._end_run(run_span, count)
+            head.flush()
+            if registry is not None:
+                self._run_seconds.record(perf_counter() - start)
+                self._tuples_pushed.inc(count)
+                self._runs.inc()
+        finally:
+            # A run that raises still closes its spans and cuts its
+            # trailing telemetry frame.
+            if telemetry is not None:
+                telemetry.finalize()
+            if tracer is not None:
+                self._end_run(run_span, count)
         return self.sink
 
     def run_sharded(

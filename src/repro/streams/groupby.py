@@ -180,16 +180,6 @@ class GroupedAggregate(Operator):
         value = _aggregate_value(self._groups[group_key], self.agg)
         return UncertainTuple({self.key: group_key, self.output: value})
 
-    def process(self, tup: UncertainTuple) -> None:
-        group_key = tup.value(self.key)
-        field = tup.dfsized(self.attribute)
-        dist = field.distribution
-        stats = self._group_stats(group_key)
-        stats.push(dist.mean(), dist.variance(), field.sample_size)
-        self._after_push(group_key, stats)
-        if self.emit_every:
-            self.emit(self._aggregate(group_key))
-
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
         if isinstance(tuples, ColumnarBatch):
             key_column = tuples.column(self.key)
@@ -228,14 +218,26 @@ class GroupedAggregate(Operator):
                         )
                     )
                 return
-        super().process_many(tuples)
+        out = []
+        for tup in tuples:
+            group_key = tup.value(self.key)
+            field = tup.dfsized(self.attribute)
+            dist = field.distribution
+            stats = self._group_stats(group_key)
+            stats.push(dist.mean(), dist.variance(), field.sample_size)
+            self._after_push(group_key, stats)
+            if self.emit_every:
+                out.append(self._aggregate(group_key))
+        self.emit_many(out)
 
     def on_flush(self) -> None:
         if not self.emit_every:
-            for group_key in sorted(
-                self._groups, key=lambda k: str(k)
-            ):
-                self.emit(self._aggregate(group_key))
+            self.emit_many(
+                [
+                    self._aggregate(group_key)
+                    for group_key in sorted(self._groups, key=str)
+                ]
+            )
 
     @property
     def group_count(self) -> int:

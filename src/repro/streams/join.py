@@ -15,7 +15,7 @@ which keeps arrival order global and deterministic.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from repro.errors import StreamError
 from repro.streams.operators import Operator
@@ -39,10 +39,13 @@ class TagSide(Operator):
             raise StreamError(f"join side must be 'left' or 'right', got {side!r}")
         self.side = side
 
-    def process(self, tup: UncertainTuple) -> None:
-        attributes = dict(tup.attributes)
-        attributes[_SIDE_ATTR] = self.side
-        self.emit(tup.with_attributes(attributes))
+    def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
+        out = []
+        for tup in tuples:
+            attributes = dict(tup.attributes)
+            attributes[_SIDE_ATTR] = self.side
+            out.append(tup.with_attributes(attributes))
+        self.emit_many(out)
 
 
 class WindowJoin(Operator):
@@ -125,20 +128,23 @@ class WindowJoin(Operator):
             if right.timestamp is None else right.timestamp,
         )
 
-    def process(self, tup: UncertainTuple) -> None:
-        side = self._side(tup)
-        other = "right" if side == "left" else "left"
-        key_value = tup.value(self.key)
+    def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
+        out = []
+        for tup in tuples:
+            side = self._side(tup)
+            other = "right" if side == "left" else "left"
+            key_value = tup.value(self.key)
 
-        for candidate in self._windows[other]:
-            if candidate.value(self.key) == key_value:
-                self.matches += 1
-                if side == "left":
-                    self.emit(self._merge(tup, candidate))
-                else:
-                    self.emit(self._merge(candidate, tup))
+            for candidate in self._windows[other]:
+                if candidate.value(self.key) == key_value:
+                    self.matches += 1
+                    if side == "left":
+                        out.append(self._merge(tup, candidate))
+                    else:
+                        out.append(self._merge(candidate, tup))
 
-        window = self._windows[side]
-        window.append(tup)
-        if len(window) > self.window_size:
-            window.popleft()
+            window = self._windows[side]
+            window.append(tup)
+            if len(window) > self.window_size:
+                window.popleft()
+        self.emit_many(out)

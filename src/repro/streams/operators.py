@@ -1,9 +1,10 @@
 """Push-based stream operators.
 
 Operators form a linear pipeline (fan-in/fan-out are expressed by running
-several pipelines over the same source).  Each operator receives a tuple,
-does its work, and pushes zero or more tuples downstream; ``flush``
-propagates end-of-stream so windowed operators can drain.
+several pipelines over the same source).  Each operator receives a batch
+of tuples, does its work, and pushes zero or more tuples downstream as
+one batch; ``flush`` propagates end-of-stream so windowed operators can
+drain.  A single tuple travels as a one-row batch.
 
 The two filters embody the paper's two predicate styles:
 
@@ -61,19 +62,20 @@ __all__ = [
 
 
 class Operator(abc.ABC):
-    """Base class: process tuples, push results to the downstream operator.
+    """Base class: process batches, push results to the downstream operator.
 
-    Entry points (:meth:`receive`, :meth:`receive_many`, :meth:`emit`,
-    :meth:`emit_many`, :meth:`flush`) double as observability hooks: when
-    a :class:`~repro.obs.metrics.MetricsRegistry` is attached (via
+    Entry points (:meth:`receive_many`, :meth:`emit_many`, :meth:`flush`)
+    double as observability hooks: when a
+    :class:`~repro.obs.metrics.MetricsRegistry` is attached (via
     :meth:`attach_metrics`, usually through ``Pipeline(registry=...)``)
     they record tuples in/out, wall time per call, and batch sizes.  With
     no registry attached each hook is a single attribute check, so the
     uninstrumented hot path is unchanged.
 
-    Subclasses implement :meth:`process` (one tuple) and may override
-    :meth:`process_many` (one batch) — not the ``receive*`` entry points,
-    which own the instrumentation.
+    Subclasses implement :meth:`process_many` (one batch: a tuple list
+    or a :class:`~repro.streams.columnar.ColumnarBatch`) and hand their
+    output to :meth:`emit_many` — not the ``receive_many`` entry point,
+    which owns the instrumentation.
     """
 
     #: Attribute whose accuracy the operator reports on emitted tuples
@@ -152,7 +154,7 @@ class Operator(abc.ABC):
         Lemma-3 minimum that became the de facto size (usually via
         :func:`~repro.obs.provenance.lineage_from_operands`).  Must be a
         pure function of the emitted tuple — never of operator state —
-        so the per-tuple and batched paths record identical lineage.
+        so every batch size records identical lineage.
         """
         return None
 
@@ -177,20 +179,8 @@ class Operator(abc.ABC):
         the default is a no-op because most operators are deterministic.
         """
 
-    def emit(self, tup: UncertainTuple) -> None:
-        obs = self._obs
-        if obs is not None:
-            obs.tuples_out.inc()
-            if obs.accuracy_attribute is not None:
-                obs.observe_accuracy(tup)
-        trace = self._trace
-        if trace is not None:
-            trace.on_emit(self, tup)
-        if self._downstream is not None:
-            self._downstream.receive(tup)
-
     def emit_many(self, tuples: Sequence[UncertainTuple]) -> None:
-        """Push a whole batch downstream (batch-aware operators)."""
+        """Push a whole batch downstream."""
         if not tuples:
             return
         obs = self._obs
@@ -206,28 +196,8 @@ class Operator(abc.ABC):
         if self._downstream is not None:
             self._downstream.receive_many(tuples)
 
-    def receive(self, tup: UncertainTuple) -> None:
-        obs = self._obs
-        trace = self._trace
-        if obs is None and trace is None:
-            self.process(tup)
-            return
-        if obs is not None:
-            obs.tuples_in.inc()
-        if trace is not None:
-            trace.on_receive()
-        start = perf_counter()
-        try:
-            self.process(tup)
-        finally:
-            elapsed = perf_counter() - start
-            if obs is not None:
-                obs.process_seconds.record(elapsed)
-            if trace is not None:
-                trace.seconds += elapsed
-
     def receive_many(self, tuples: Sequence[UncertainTuple]) -> None:
-        """Handle a batch of tuples (``Pipeline.run_batched``)."""
+        """Handle a batch of tuples (every ``Pipeline`` entry point)."""
         obs = self._obs
         trace = self._trace
         if obs is None and trace is None:
@@ -252,33 +222,13 @@ class Operator(abc.ABC):
                 trace.seconds += elapsed
                 trace.end_batch(span, trace.tuples_out - out_before)
 
-    def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
-        """Batch-processing hook behind :meth:`receive_many`.
-
-        The default falls back to per-tuple :meth:`process`, but collects
-        everything the operator emits and hands it downstream as one
-        batch, so batch-aware operators further down the chain still see
-        batches.  Operators are order-preserving, hence the sink contents
-        are identical to the per-tuple path.
-        """
-        downstream = self._downstream
-        if downstream is None:
-            for tup in tuples:
-                self.process(tup)
-            return
-        collector = _BatchCollector()
-        self._downstream = collector
-        try:
-            for tup in tuples:
-                self.process(tup)
-        finally:
-            self._downstream = downstream
-        if collector.batch:
-            downstream.receive_many(collector.batch)
-
     @abc.abstractmethod
-    def process(self, tup: UncertainTuple) -> None:
-        """Handle one input tuple (call :meth:`emit` for each output)."""
+    def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
+        """Handle one input batch; pass the outputs to :meth:`emit_many`.
+
+        Outputs keep arrival order: a stream cut into batches of any
+        size reaches the sink in the same order.
+        """
 
     def flush(self) -> None:
         """Propagate end-of-stream; override ``on_flush`` to drain state."""
@@ -316,27 +266,12 @@ class Operator(abc.ABC):
         return None
 
 
-class _BatchCollector(Operator):
-    """Internal sink that buffers emitted tuples during a batch step."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.batch: list[UncertainTuple] = []
-
-    def process(self, tup: UncertainTuple) -> None:
-        self.batch.append(tup)
-
-
 class Select(Operator):
     """Keeps tuples for which ``predicate(tuple)`` is truthy."""
 
     def __init__(self, predicate: Callable[[UncertainTuple], bool]) -> None:
         super().__init__()
         self.predicate = predicate
-
-    def process(self, tup: UncertainTuple) -> None:
-        if self.predicate(tup):
-            self.emit(tup)
 
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
         predicate = self.predicate
@@ -361,10 +296,6 @@ class Project(Operator):
             raise StreamError("projection needs at least one attribute")
         self.names = tuple(names)
 
-    def process(self, tup: UncertainTuple) -> None:
-        projected = {name: tup.value(name) for name in self.names}
-        self.emit(tup.with_attributes(projected))
-
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
         names = self.names
         if isinstance(tuples, ColumnarBatch) and all(
@@ -372,7 +303,7 @@ class Project(Operator):
         ):
             self.emit_many(tuples.project(names))
             return
-        # Missing attributes raise the canonical per-tuple SchemaError.
+        # Missing attributes raise the canonical SchemaError.
         self.emit_many(
             [
                 tup.with_attributes(
@@ -392,11 +323,6 @@ class Derive(Operator):
         super().__init__()
         self.name = name
         self.fn = fn
-
-    def process(self, tup: UncertainTuple) -> None:
-        attributes = dict(tup.attributes)
-        attributes[self.name] = self.fn(tup)
-        self.emit(tup.with_attributes(attributes))
 
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
         fn = self.fn
@@ -438,15 +364,20 @@ class ProbabilisticFilter(Operator):
         self.probability_fn = probability_fn
         self.threshold = threshold
 
-    def process(self, tup: UncertainTuple) -> None:
-        q = float(self.probability_fn(tup))
-        if not 0.0 <= q <= 1.0:
-            raise StreamError(
-                f"predicate probability must be in [0,1], got {q}"
-            )
-        scaled = tup.scaled(q)
-        if scaled.probability > self.threshold:
-            self.emit(scaled)
+    def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
+        probability_fn = self.probability_fn
+        threshold = self.threshold
+        out = []
+        for tup in tuples:
+            q = float(probability_fn(tup))
+            if not 0.0 <= q <= 1.0:
+                raise StreamError(
+                    f"predicate probability must be in [0,1], got {q}"
+                )
+            scaled = tup.scaled(q)
+            if scaled.probability > threshold:
+                out.append(scaled)
+        self.emit_many(out)
 
 
 class SignificanceFilter(Operator):
@@ -471,15 +402,17 @@ class SignificanceFilter(Operator):
         self.keep_unsure = keep_unsure
         self.decisions: Counter[ThreeValued] = Counter()
 
-    def process(self, tup: UncertainTuple) -> None:
-        predicate = self.predicate_factory(tup)
-        outcome = coupled_tests(predicate, self.alpha1, self.alpha2)
-        self.decisions[outcome.value] += 1
-        keep = outcome.value is ThreeValued.TRUE or (
-            outcome.value is ThreeValued.UNSURE and self.keep_unsure
-        )
-        if keep:
-            self.emit(tup)
+    def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
+        out = []
+        for tup in tuples:
+            predicate = self.predicate_factory(tup)
+            value = coupled_tests(predicate, self.alpha1, self.alpha2).value
+            self.decisions[value] += 1
+            if value is ThreeValued.TRUE or (
+                value is ThreeValued.UNSURE and self.keep_unsure
+            ):
+                out.append(tup)
+        self.emit_many(out)
 
 
 class SlidingGaussianAverage(Operator):
@@ -545,11 +478,6 @@ class SlidingGaussianAverage(Operator):
         attributes[self.output] = DfSized(avg, stats.df_size)
         return tup.with_attributes(attributes)
 
-    def process(self, tup: UncertainTuple) -> None:
-        out = self._advance(tup)
-        if out is not None:
-            self.emit(out)
-
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
         if isinstance(tuples, ColumnarBatch):
             column = tuples.gaussian_column(self.attribute)
@@ -566,9 +494,9 @@ class SlidingGaussianAverage(Operator):
     ) -> None:
         """Slide over ``(mu, sigma2, n)`` columns without materializing.
 
-        The rolling sums are fed in the exact per-tuple order (no
-        vectorized re-association), so emitted values are bit-identical
-        to the per-tuple path.
+        The rolling sums are fed in arrival order (no vectorized
+        re-association), so emitted values are bit-identical to the
+        tuple-list path.
         """
         stats = self._stats
         window = self.window_size
@@ -736,9 +664,6 @@ class WindowAggregate(Operator):
         attributes[self.output] = _aggregate_value(stats, self.agg)
         return tup.with_attributes(attributes)
 
-    def process(self, tup: UncertainTuple) -> None:
-        self.emit(self._advance(tup))
-
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
         if isinstance(tuples, ColumnarBatch):
             column = tuples.gaussian_column(self.attribute)
@@ -797,11 +722,7 @@ class CollectSink(Operator):
         flat = self._flat
         chunks = self._chunks
         for i in range(self._flat_count, len(chunks)):
-            chunk = chunks[i]
-            if isinstance(chunk, UncertainTuple):
-                flat.append(chunk)
-            else:
-                flat.extend(chunk)
+            flat.extend(chunks[i])
         self._flat_count = len(chunks)
         return flat
 
@@ -816,9 +737,6 @@ class CollectSink(Operator):
             except StreamError:
                 pass
         return as_columnar(self.results)
-
-    def process(self, tup: UncertainTuple) -> None:
-        self._chunks.append(tup)
 
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
         if isinstance(tuples, ColumnarBatch):
@@ -839,9 +757,6 @@ class CountingSink(Operator):
     def __init__(self) -> None:
         super().__init__()
         self.count = 0
-
-    def process(self, tup: UncertainTuple) -> None:
-        self.count += 1
 
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
         self.count += len(tuples)
@@ -893,66 +808,56 @@ class TimeWindowAggregate(Operator):
         else:
             self._stats.set_metrics(obs.rolling_resums, obs.rolling_drift)
 
-    def process(self, tup: UncertainTuple) -> None:
-        if tup.timestamp is None:
-            raise StreamError(
-                "TimeWindowAggregate needs timestamped tuples"
-            )
+    def _slide(
+        self, mean: float, variance: float, size: int | None, ts: float
+    ) -> object:
+        """Admit one arrival, expire the old ones; the aggregate value."""
         stats = self._stats
         newest = stats.newest_timestamp
-        if newest is not None and tup.timestamp < newest:
+        if newest is not None and ts < newest:
             raise StreamError(
-                "timestamps must be non-decreasing: "
-                f"{tup.timestamp} after {newest}"
+                f"timestamps must be non-decreasing: {ts} after {newest}"
             )
-        field = tup.dfsized(self.attribute)
-        dist = field.distribution
-        stats.push(
-            dist.mean(),
-            dist.variance(),
-            field.sample_size,
-            timestamp=tup.timestamp,
-        )
-        stats.evict_expired(tup.timestamp - self.duration)
-        attributes = dict(tup.attributes)
-        attributes[self.output] = _aggregate_value(stats, self.agg)
-        self.emit(tup.with_attributes(attributes))
+        stats.push(mean, variance, size, timestamp=ts)
+        stats.evict_expired(ts - self.duration)
+        return _aggregate_value(stats, self.agg)
 
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
+        slide = self._slide
         if isinstance(tuples, ColumnarBatch) and isinstance(
             tuples.timestamps, np.ndarray
         ):
             column = tuples.gaussian_column(self.attribute)
             if column is not None:
-                stats = self._stats
-                duration = self.duration
-                agg = self.agg
-                outputs = []
-                for mu, sigma2, size, ts in zip(
-                    column.mu.tolist(),
-                    column.sigma2.tolist(),
-                    column.sizes.tolist(),
-                    tuples.timestamps.tolist(),
-                ):
-                    newest = stats.newest_timestamp
-                    if newest is not None and ts < newest:
-                        raise StreamError(
-                            "timestamps must be non-decreasing: "
-                            f"{ts} after {newest}"
-                        )
-                    stats.push(
-                        mu,
-                        sigma2,
-                        None if size == EXACT_SIZE else size,
-                        timestamp=ts,
+                outputs = [
+                    slide(
+                        mu, sigma2, None if size == EXACT_SIZE else size, ts
                     )
-                    stats.evict_expired(ts - duration)
-                    outputs.append(_aggregate_value(stats, agg))
+                    for mu, sigma2, size, ts in zip(
+                        column.mu.tolist(),
+                        column.sigma2.tolist(),
+                        column.sizes.tolist(),
+                        tuples.timestamps.tolist(),
+                    )
+                ]
                 self.emit_many(
                     tuples.with_column(self.output, _infer_column(outputs))
                 )
                 return
-        super().process_many(tuples)
+        out = []
+        for tup in tuples:
+            if tup.timestamp is None:
+                raise StreamError(
+                    "TimeWindowAggregate needs timestamped tuples"
+                )
+            field = tup.dfsized(self.attribute)
+            dist = field.distribution
+            attributes = dict(tup.attributes)
+            attributes[self.output] = slide(
+                dist.mean(), dist.variance(), field.sample_size, tup.timestamp
+            )
+            out.append(tup.with_attributes(attributes))
+        self.emit_many(out)
 
     def state_bytes(self) -> int:
         return self._stats.nbytes
@@ -981,7 +886,7 @@ class RollingLearnOperator(Operator):
     ``supports_partial``.  When the learner is ``partial_vectorizable``,
     batches take the vectorized Theorem-1 path
     (:func:`~repro.core.analytic.accuracy_from_moments`) — element-wise
-    identical to the per-tuple path.
+    identical to the learner's own ``partial_accuracy``.
     """
 
     rolling_metrics = True
@@ -1095,11 +1000,6 @@ class RollingLearnOperator(Operator):
             )
         return tup.with_attributes(attributes)
 
-    def process(self, tup: UncertainTuple) -> None:
-        out = self._advance(tup)
-        if out is not None:
-            self.emit(out)
-
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
         if self.accuracy_output is None or not self.learner.partial_vectorizable:
             advance = self._advance
@@ -1109,7 +1009,8 @@ class RollingLearnOperator(Operator):
             return
         # Vectorized path: collect the per-slide moments, then build all
         # accuracy infos in one Theorem-1 pass (element-wise identical
-        # to the scalar path — same memoized quantiles, same FP order).
+        # to ``partial_accuracy`` — same memoized quantiles, same FP
+        # order).
         staged: list[tuple[UncertainTuple, dict[str, object]]] = []
         moments: list[tuple[float, float, int]] = []
         for tup in tuples:
@@ -1123,7 +1024,6 @@ class RollingLearnOperator(Operator):
             staged.append((tup, attributes))
             moments.append(self.learner.partial_moments(self._state))
         if not staged:
-            self.emit_many([])
             return
         means, variances, sizes = zip(*moments)
         infos = accuracy_from_moments(

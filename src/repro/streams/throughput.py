@@ -67,7 +67,8 @@ def measure_throughput(
     A fresh pipeline is built per repeat so windowed state never carries
     over between timing runs.  ``batch_size`` selects the batched
     execution path (:meth:`Pipeline.run_batched`); ``None`` measures the
-    per-tuple path.  ``n_workers`` selects the sharded process-pool path
+    per-tuple path (:meth:`Pipeline.run`, which pushes one-row
+    batches).  ``n_workers`` selects the sharded process-pool path
     (:meth:`Pipeline.run_sharded`, with ``n_shards`` / ``partition_by``
     / ``shard_seed`` passed through); one worker pool is created before
     timing and reused across repeats, and an untimed warm-up run absorbs

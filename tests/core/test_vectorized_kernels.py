@@ -12,6 +12,7 @@ must match them element-wise (within 1e-12), including:
   bootstrap batch kernel.
 """
 
+import pickle
 import warnings
 
 import numpy as np
@@ -225,6 +226,33 @@ class TestBatchedAccuracyInfo:
             assert abs(info.variance.high - ref.variance.high) <= TOL
             assert info.sample_size == ref.sample_size
             assert info.method == "analytic"
+
+    @pytest.mark.parametrize("n", [2, 7, 29, 30, 1000])
+    def test_one_element_batch_is_byte_identical(self, n):
+        # One-row batches take the memoized scalar kernels; the record
+        # must pickle exactly like the scalar reference and like the
+        # same row inside a multi-row (array) batch.
+        rng = np.random.default_rng(n)
+        for mean, variance in zip(
+            rng.normal(0, 50, 8).tolist(), rng.uniform(0.0, 20, 8).tolist()
+        ):
+            ref = distribution_accuracy(
+                GaussianDistribution(mean, variance), n, 0.9
+            )
+            (one,) = accuracy_from_moments([mean], [variance], [n], 0.9)
+            (scalar_n,) = accuracy_from_moments((mean,), (variance,), n, 0.9)
+            in_batch = accuracy_from_moments(
+                [mean, 1.0], [variance, 1.0], [n, 5], 0.9
+            )[0]
+            assert pickle.dumps(one) == pickle.dumps(ref)
+            assert pickle.dumps(scalar_n) == pickle.dumps(ref)
+            assert pickle.dumps(in_batch) == pickle.dumps(ref)
+
+    def test_one_element_batch_rejects_like_the_array_path(self):
+        with pytest.raises(AccuracyError):
+            accuracy_from_moments([0.0], [-1.0], [10])
+        with pytest.raises(AccuracyError):
+            accuracy_from_moments([0.0], [1.0], [1])
 
     def test_accuracy_from_moments_rejects_shape_mismatch(self):
         with pytest.raises(AccuracyError):

@@ -223,18 +223,21 @@ class _BurstyAccuracy(Operator):
         self.burst = range(burst_start, burst_end)
         self._i = 0
 
-    def process(self, tup):
-        width = 8.0 if self._i in self.burst else 0.05
-        self._i += 1
-        info = AccuracyInfo(
-            mean=ConfidenceInterval(0.0, width, 0.95),
-            variance=ConfidenceInterval(0.0, 1.0, 0.95),
-            sample_size=32,
-            method="analytic",
-        )
-        attributes = dict(tup.attributes)
-        attributes["accuracy"] = info
-        self.emit(tup.with_attributes(attributes))
+    def process_many(self, tuples):
+        out = []
+        for tup in tuples:
+            width = 8.0 if self._i in self.burst else 0.05
+            self._i += 1
+            info = AccuracyInfo(
+                mean=ConfidenceInterval(0.0, width, 0.95),
+                variance=ConfidenceInterval(0.0, 1.0, 0.95),
+                sample_size=32,
+                method="analytic",
+            )
+            attributes = dict(tup.attributes)
+            attributes["accuracy"] = info
+            out.append(tup.with_attributes(attributes))
+        self.emit_many(out)
 
 
 class TestEndToEndBurst:

@@ -15,7 +15,7 @@ def _op_state(tuples_in, tuples_out, seconds):
     return {
         "tuples_in": {"type": "counter", "value": tuples_in},
         "tuples_out": {"type": "counter", "value": tuples_out},
-        "process_seconds": {
+        "batch_seconds": {
             "type": "timer",
             "count": tuples_in,
             "total_seconds": seconds,

@@ -49,20 +49,23 @@ class _Theorem1Join(Operator):
             self.right: tup.attributes.get(self.right),
         }
 
-    def process(self, tup):
-        operands = self._operands(tup)
-        df = df_sample_size(
-            op.sample_size if isinstance(op, DfSized) else None
-            for op in operands.values()
-        )
-        if df is not None and df >= 2:
-            dist = operands[self.left].distribution
-            attributes = dict(tup.attributes)
-            attributes["accuracy"] = distribution_accuracy(
-                dist, df, self.confidence
+    def process_many(self, tuples):
+        out = []
+        for tup in tuples:
+            operands = self._operands(tup)
+            df = df_sample_size(
+                op.sample_size if isinstance(op, DfSized) else None
+                for op in operands.values()
             )
-            tup = tup.with_attributes(attributes)
-        self.emit(tup)
+            if df is not None and df >= 2:
+                dist = operands[self.left].distribution
+                attributes = dict(tup.attributes)
+                attributes["accuracy"] = distribution_accuracy(
+                    dist, df, self.confidence
+                )
+                tup = tup.with_attributes(attributes)
+            out.append(tup)
+        self.emit_many(out)
 
     def trace_lineage(self, tup):
         return lineage_from_operands(self._operands(tup))

@@ -197,6 +197,44 @@ class TestPipelineWiring:
         assert stage.attrs["tuples_out"] == 40
         assert stage.name == "pipeline.00.SlidingGaussianAverage"
 
+    def test_run_records_one_batch_span_per_row(self):
+        tracer = Tracer(TraceConfig(max_spans=10))
+        _pipeline(tracer).run(_tuples())
+        batches = [s for s in tracer.spans if s.kind == "batch"]
+        # Capped by max_spans like any batch span; each holds one row.
+        assert len(batches) == 10
+        assert {s.attrs["batch_size"] for s in batches} == {1}
+        stage = next(s for s in tracer.spans if s.kind == "stage")
+        assert stage.attrs["batches"] == stage.attrs["calls"] == 40
+
+    def test_failed_run_closes_every_span(self):
+        class OneShotBomb(SlidingGaussianAverage):
+            armed = True
+
+            def process_many(self, tuples):
+                if self.armed and any(t.timestamp == 5.0 for t in tuples):
+                    self.armed = False
+                    raise RuntimeError("injected failure")
+                super().process_many(tuples)
+
+        for batch_size in (1, 4):
+            tracer = Tracer()
+            pipeline = Pipeline(
+                [OneShotBomb("value", 8), CollectSink()], tracer=tracer
+            )
+            with pytest.raises(RuntimeError, match="injected failure"):
+                pipeline.run_batched(_tuples(), batch_size)
+            failed = list(tracer.spans)
+            assert [s.kind for s in failed].count("stage") == 2
+            assert all(span.end is not None for span in failed)
+            # The next run opens fresh stage spans that count only it.
+            pipeline.run_batched(_tuples(), batch_size)
+            stages = [
+                s for s in tracer.spans[len(failed):] if s.kind == "stage"
+            ]
+            assert [s.attrs["tuples_in"] for s in stages] == [40, 40]
+            assert all(span.end is not None for span in tracer.spans)
+
     def test_run_batched_records_batch_spans(self):
         tracer = Tracer()
         _pipeline(tracer).run_batched(_tuples(), batch_size=16)
@@ -225,7 +263,8 @@ class TestPipelineWiring:
         tracer = Tracer()
         sink = _pipeline(tracer, registry).run(_tuples())
         assert len(sink.results) == 40
-        assert len(tracer) == 3
+        # run + 2 stages + one one-row batch span per tuple per stage.
+        assert len(tracer) == 3 + 2 * 40
         assert registry.get("pipeline.tuples").value == 40
 
     def test_detach_trace_stops_recording(self):
@@ -244,7 +283,7 @@ class TestPipelineWiring:
         # The original is re-attached and still records.
         assert pipeline.tracer is tracer
         pipeline.run(_tuples())
-        assert len(tracer) == 3
+        assert len(tracer) == 3 + 2 * 40
 
     def test_two_runs_share_one_tracer(self):
         tracer = Tracer()

@@ -6,6 +6,8 @@ batched path must produce byte-identical sink contents to the per-tuple
 path, for every batch size.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core.dfsample import DfSized
 from repro.distributions.gaussian import GaussianDistribution
-from repro.errors import StreamError
+from repro.errors import LearningError, StreamError
+from repro.experiments.fig5_throughput import _LearnGaussian
 from repro.streams.engine import Pipeline
 from repro.streams.groupby import GroupedAggregate
 from repro.streams.operators import (
@@ -124,15 +127,14 @@ class TestRunBatchedEquivalence:
         assert pipeline.sink.count == 57
 
 
-class TestReceiveManyFallback:
-    def test_default_falls_back_to_process_and_rebatches(self):
-        """Operators without a batch override still see/forward batches."""
+class TestBatchOnlyOperators:
+    def test_operator_output_is_one_downstream_batch(self):
+        """What an operator emits for a batch arrives as one batch."""
         seen_batches = []
 
         class Doubler(Operator):
-            def process(self, tup: UncertainTuple) -> None:
-                self.emit(tup)
-                self.emit(tup)
+            def process_many(self, tuples) -> None:
+                self.emit_many([tup for tup in tuples for _ in range(2)])
 
         class RecordingSink(CollectSink):
             def receive_many(self, tuples) -> None:
@@ -147,12 +149,15 @@ class TestReceiveManyFallback:
         # Two input batches of 3, each doubled downstream as one batch.
         assert seen_batches == [6, 6]
 
-    def test_emit_inside_batch_restores_downstream(self):
+    def test_operator_usable_after_failed_batch(self):
         class Failing(Operator):
-            def process(self, tup: UncertainTuple) -> None:
-                if tup.value("x") == 2.0:
-                    raise StreamError("boom")
-                self.emit(tup)
+            def process_many(self, tuples) -> None:
+                out = []
+                for tup in tuples:
+                    if tup.value("x") == 2.0:
+                        raise StreamError("boom")
+                    out.append(tup)
+                self.emit_many(out)
 
         sink = CollectSink()
         failing = Failing()
@@ -161,13 +166,67 @@ class TestReceiveManyFallback:
             pipeline.run_batched(
                 [UncertainTuple({"x": float(i)}) for i in range(4)], 10
             )
-        # The downstream link must survive the failure so the operator
-        # is still usable on the per-tuple path.
-        failing.receive(UncertainTuple({"x": 9.0}))
-        assert any(t.value("x") == 9.0 for t in sink.results)
+        # The downstream link survives the failure.
+        pipeline.push(UncertainTuple({"x": 9.0}))
+        assert [t.value("x") for t in sink.results] == [9.0]
+
+    def test_operator_must_implement_process_many(self):
+        class PerTupleOnly(Operator):
+            def process(self, tup) -> None:
+                pass
+
+        with pytest.raises(TypeError, match="process_many"):
+            PerTupleOnly()
+
+    def test_run_and_push_send_one_row_batches(self):
+        seen_batches = []
+
+        class RecordingSink(CollectSink):
+            def receive_many(self, tuples) -> None:
+                seen_batches.append(type(tuples).__name__)
+                seen_batches.append(len(tuples))
+                super().receive_many(tuples)
+
+        tuples = make_tuples(4, 1)
+        pipeline = Pipeline([RecordingSink()])
+        pipeline.run(tuples)
+        pipeline.push(tuples[0])
+        # Tuple lists, never columnarized slices, one row each.
+        assert seen_batches == ["list", 1] * 5
+        assert len(pipeline.sink.results) == 5
 
     def test_push_many_feeds_head(self):
         pipeline = Pipeline([CountingSink()])
         pipeline.push_many([UncertainTuple({"x": 1.0})] * 5)
         pipeline.push_many([])
         assert pipeline.sink.count == 5
+
+
+class TestLearnGaussianBatches:
+    """The Fig 5 learner on batches whose point lists differ in length."""
+
+    @staticmethod
+    def _pipeline():
+        return Pipeline([_LearnGaussian("points", "value"), CollectSink()])
+
+    @staticmethod
+    def _rows(*point_lists):
+        return [
+            UncertainTuple({"item": i, "points": points})
+            for i, points in enumerate(point_lists)
+        ]
+
+    def test_ragged_batch_matches_one_row_batches(self):
+        rows = self._rows([1.0, 2.0, 3.0], [4.0, 5.0], [6.0, 8.0, 9.0, 1.0])
+        batched = self._pipeline().run_batched(rows, 8)
+        one_row = self._pipeline().run(rows)
+        assert [pickle.dumps(t) for t in batched.results] == [
+            pickle.dumps(t) for t in one_row.results
+        ]
+        assert [t.value("value").sample_size for t in batched] == [3, 2, 4]
+
+    @pytest.mark.parametrize("short", [[7.0], []])
+    def test_short_row_raises_the_learner_error(self, short):
+        rows = self._rows([1.0, 2.0, 3.0], short)
+        with pytest.raises(LearningError):
+            self._pipeline().run_batched(rows, 8)

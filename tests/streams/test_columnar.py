@@ -252,6 +252,6 @@ class TestOperatorFastPaths:
         batch = ColumnarBatch.from_tuples(_mixed_tuples(4))
         sink = CollectSink()
         sink.process_many(batch)
-        sink.process(UncertainTuple({"odd": "layout"}))
+        sink.process_many([UncertainTuple({"odd": "layout"})])
         assert len(sink.results) == 5
         assert sink.columnar_result() is None

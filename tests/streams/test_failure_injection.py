@@ -26,11 +26,14 @@ class _Bomb(Operator):
         self.explode_at = explode_at
         self.seen = 0
 
-    def process(self, tup: UncertainTuple) -> None:
-        self.seen += 1
-        if self.seen == self.explode_at:
-            raise RuntimeError("injected failure")
-        self.emit(tup)
+    def process_many(self, tuples) -> None:
+        out = []
+        for tup in tuples:
+            self.seen += 1
+            if self.seen == self.explode_at:
+                raise RuntimeError("injected failure")
+            out.append(tup)
+        self.emit_many(out)
 
 
 class TestPipelineFailures:

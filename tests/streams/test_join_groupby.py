@@ -20,7 +20,7 @@ def _tagged(side, **attrs):
     collector = CollectSink()
     tagger = TagSide(side)
     tagger.connect(collector)
-    tagger.receive(tup)
+    tagger.receive_many([tup])
     return collector.results[0]
 
 

@@ -58,20 +58,11 @@ def renders(sink):
     return [repr(t) for t in sink.results]
 
 
-# --- Pre-PR execution semantics, rebound per instance, so the identity
-# --- guarantee is checked against the genuinely uninstrumented paths.
-
-def _bare_receive(self, tup):
-    self.process(tup)
-
+# --- Uninstrumented execution semantics, rebound per instance, so the
+# --- identity guarantee is checked against genuinely bare paths.
 
 def _bare_receive_many(self, tuples):
     self.process_many(tuples)
-
-
-def _bare_emit(self, tup):
-    if self._downstream is not None:
-        self._downstream.receive(tup)
 
 
 def _bare_emit_many(self, tuples):
@@ -88,9 +79,7 @@ def _bare_flush(self):
 def strip_instrumentation(pipeline):
     """Rebind every hook to its uninstrumented body (baseline semantics)."""
     for op in pipeline.operators:
-        op.receive = types.MethodType(_bare_receive, op)
         op.receive_many = types.MethodType(_bare_receive_many, op)
-        op.emit = types.MethodType(_bare_emit, op)
         op.emit_many = types.MethodType(_bare_emit_many, op)
         op.flush = types.MethodType(_bare_flush, op)
     return pipeline
@@ -153,7 +142,8 @@ class TestOperatorMetrics:
         pipeline = build_pipeline(registry=registry)
         pipeline.run(make_tuples(40, seed=2))
         snap = registry.snapshot()
-        timer = snap["pipeline.00.Select.process_seconds"]
+        # run() pushes one-row batches: one timed call per tuple.
+        timer = snap["pipeline.00.Select.batch_seconds"]
         assert timer["count"] == 40
         assert timer["total_seconds"] >= 0.0
         # flush propagated through the whole chain exactly once
@@ -172,8 +162,7 @@ class TestOperatorMetrics:
         assert hist.sum == 100.0
         timer = registry.get("pipeline.00.Select.batch_seconds")
         assert timer.count == 4
-        # the per-tuple timer stays untouched on the batched path
-        assert registry.get("pipeline.00.Select.process_seconds").count == 0
+        assert "pipeline.00.Select.process_seconds" not in registry.snapshot()
 
     def test_interval_width_histogram_from_dfsized(self):
         registry = MetricsRegistry()
@@ -239,7 +228,7 @@ class TestOperatorMetrics:
         registry = MetricsRegistry()
         sink = CountingSink()
         sink.attach_metrics(registry)
-        sink.receive(UncertainTuple({"x": 1.0}))
+        sink.receive_many([UncertainTuple({"x": 1.0})])
         assert registry.get("CountingSink.tuples_in").value == 1
 
 
@@ -297,14 +286,13 @@ class TestThroughputIntegration:
         assert rate > 0.0
 
 
-class TestFallbackPathInstrumentation:
-    def test_default_process_many_counts_once(self):
-        """Per-tuple fallback inside receive_many must not double count."""
+class TestBatchInstrumentation:
+    def test_fan_out_operator_counts_once(self):
+        """An operator emitting twice per input is counted once per row."""
 
         class Doubler(Operator):
-            def process(self, tup):
-                self.emit(tup)
-                self.emit(tup)
+            def process_many(self, tuples):
+                self.emit_many([tup for tup in tuples for _ in range(2)])
 
         registry = MetricsRegistry()
         pipeline = Pipeline([Doubler(), CollectSink()], registry=registry)
