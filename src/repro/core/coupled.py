@@ -21,10 +21,25 @@ from __future__ import annotations
 import dataclasses
 import enum
 
-from repro.core.predicates import SignificancePredicate, TestResult
+import numpy as np
+
+from repro.core.predicates import (
+    INVERSE_OP,
+    SignificancePredicate,
+    TestResult,
+    m_test_rejects,
+)
 from repro.errors import AccuracyError
 
-__all__ = ["ThreeValued", "CoupledOutcome", "coupled_tests", "CoupledPredicate"]
+__all__ = [
+    "ThreeValued",
+    "CoupledOutcome",
+    "coupled_tests",
+    "CoupledPredicate",
+    "VERDICTS",
+    "UNDECIDED",
+    "m_test_verdicts",
+]
 
 
 class ThreeValued(enum.Enum):
@@ -61,9 +76,7 @@ def coupled_tests(
     ``alpha1`` bounds the false-positive rate and ``alpha2`` the
     false-negative rate of the returned three-valued decision.
     """
-    for name, alpha in (("alpha1", alpha1), ("alpha2", alpha2)):
-        if not 0.0 < alpha < 1.0:
-            raise AccuracyError(f"{name} must be in (0,1), got {alpha}")
+    _check_alphas(alpha1, alpha2)
 
     if predicate.op == "<>":
         # Lines 3-7: split alpha1 between the two one-sided tests.
@@ -91,6 +104,75 @@ def coupled_tests(
     if result_2.reject:
         return CoupledOutcome(ThreeValued.FALSE, result_1, result_2)
     return CoupledOutcome(ThreeValued.UNSURE, result_1, result_2)
+
+
+def _check_alphas(alpha1: float, alpha2: float) -> None:
+    for name, alpha in (("alpha1", alpha1), ("alpha2", alpha2)):
+        if not 0.0 < alpha < 1.0:
+            raise AccuracyError(f"{name} must be in (0,1), got {alpha}")
+
+
+#: :func:`m_test_verdicts` codes index this tuple.
+VERDICTS = (ThreeValued.FALSE, ThreeValued.TRUE, ThreeValued.UNSURE)
+_FALSE, _TRUE, _UNSURE = range(len(VERDICTS))
+
+#: The :func:`m_test_verdicts` code of a row the kernel leaves to the
+#: scalar test.
+UNDECIDED = -1
+
+
+def m_test_verdicts(
+    mean: np.ndarray,
+    std: np.ndarray,
+    n: np.ndarray,
+    op: str,
+    c: float,
+    alpha1: float = 0.05,
+    alpha2: float | None = None,
+) -> np.ndarray:
+    """Per-row mTest decisions over ``(mean, std, n)`` columns.
+
+    Returns ``int8`` codes into :data:`VERDICTS`.  With ``alpha2`` the
+    code is ``coupled_tests(MTest(field, op, c, alpha1), alpha1,
+    alpha2).value``; without it, TRUE when ``MTest(...).run()`` rejects
+    and FALSE otherwise (a single test never answers UNSURE).  The tests
+    are :func:`~repro.core.predicates.m_test_rejects`, so every decided
+    row matches the scalar path.  Rows with ``n < 2`` (an exact value is
+    ``n = -1``), a zero ``std`` or non-finite moments are
+    :data:`UNDECIDED`: the scalar test raises or uses an infinite
+    statistic there, and decides them itself.
+    """
+    mean = np.asarray(mean, dtype=np.float64)
+    std = np.asarray(std, dtype=np.float64)
+    n = np.asarray(n, dtype=np.int64)
+
+    def rejects(test_op: str, alpha: float) -> np.ndarray:
+        return m_test_rejects(mean, std, n, test_op, c, alpha)
+
+    if alpha2 is None:
+        codes = np.where(rejects(op, alpha1), _TRUE, _FALSE)
+    else:
+        _check_alphas(alpha1, alpha2)
+        if op == "<>":
+            either = rejects("<", alpha1 / 2.0) | rejects(">", alpha1 / 2.0)
+            codes = np.where(either, _TRUE, _UNSURE)
+        else:
+            codes = np.where(
+                rejects(op, alpha1),
+                _TRUE,
+                np.where(rejects(INVERSE_OP[op], alpha2), _FALSE, _UNSURE),
+            )
+    codes = codes.astype(np.int8)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = std / np.sqrt(n)
+    decided = (
+        (n >= 2)
+        & (scale > 0.0)
+        & np.isfinite(scale)
+        & np.isfinite(mean)
+    )
+    codes[~decided] = UNDECIDED
+    return codes
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

@@ -41,6 +41,7 @@ __all__ = [
     "FieldStats",
     "TestResult",
     "m_test",
+    "m_test_rejects",
     "md_test",
     "p_test",
     "v_test",
@@ -184,6 +185,60 @@ def m_test(
     if df is not None and df < 1:
         raise AccuracyError("mTest needs a sample of size >= 2")
     return _one_sided_decision(statistic, op, alpha, df)
+
+
+def _critical_values(alpha: float, n: np.ndarray) -> np.ndarray:
+    """Per-row ``_critical_value(alpha, df)`` of :func:`m_test`.
+
+    One memoized lookup per distinct sample size, with the scalar's
+    Student-t/z switch and its Python-int ``df``; rows with ``n < 2``
+    (which the scalar test rejects) get NaN.
+    """
+    sizes, inverse = np.unique(n, return_inverse=True)
+    table = np.array(
+        [
+            math.nan
+            if size < 2
+            else _critical_value(
+                alpha, size - 1 if size < SMALL_SAMPLE_MEAN_CUTOFF else None
+            )
+            for size in sizes.tolist()
+        ],
+        dtype=np.float64,
+    )
+    return table[inverse]
+
+
+def m_test_rejects(
+    mean: np.ndarray,
+    std: np.ndarray,
+    n: np.ndarray,
+    op: str,
+    c: float,
+    alpha: float = 0.05,
+) -> np.ndarray:
+    """Per-row ``m_test(FieldStats(mean, std, n), op, c, alpha).reject``.
+
+    The array twin of :func:`m_test` over ``(mean, std, n)`` columns:
+    the statistic uses the scalar's arithmetic and the critical values
+    come from the same memoized table, so every row's verdict is the
+    scalar's.  The twin holds on rows with ``n >= 2`` and a positive,
+    finite ``std / sqrt(n)``; elsewhere the scalar test raises (``n <
+    2``) or uses an infinite statistic, and the result is unspecified.
+    """
+    _check_op(op)
+    _check_alpha(alpha)
+    mean = np.asarray(mean, dtype=np.float64)
+    n = np.asarray(n, dtype=np.int64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scale = np.asarray(std, dtype=np.float64) / np.sqrt(n)
+        statistic = (mean - c) / scale
+    if op == "<>":
+        return np.abs(statistic) > _critical_values(alpha / 2.0, n)
+    critical = _critical_values(alpha, n)
+    if op == ">":
+        return statistic > critical
+    return statistic < -critical
 
 
 def md_test(

@@ -16,7 +16,7 @@ from scipy import stats
 from repro.distributions.base import Distribution
 from repro.errors import DistributionError
 
-__all__ = ["GaussianDistribution"]
+__all__ = ["GaussianDistribution", "tail_probabilities"]
 
 
 class GaussianDistribution(Distribution):
@@ -111,3 +111,40 @@ class GaussianDistribution(Distribution):
 
     def __repr__(self) -> str:
         return f"GaussianDistribution(mu={self.mu:.4g}, sigma2={self.sigma2:.4g})"
+
+
+def tail_probabilities(
+    mu: np.ndarray, sigma2: np.ndarray, op: str, c: "float | np.ndarray"
+) -> np.ndarray:
+    """``P[X op c]`` per row of ``(mu, sigma2)`` Gaussian columns.
+
+    The array twin of the query layer's tail probability: ``>`` is
+    :meth:`~repro.distributions.base.Distribution.prob_greater`, ``>=``
+    is ``1 - prob_less``, ``<`` is :meth:`GaussianDistribution.prob_less`
+    and ``<=`` is :meth:`GaussianDistribution.cdf`.  Every row equals
+    the scalar method bit for bit: the arithmetic is the same, and the
+    ``erfc`` is the scalar's own ``math.erfc`` mapped over the array
+    (``scipy.special.erfc`` differs from it by a few ulp).  Zero-variance
+    rows are point masses, as in the scalar methods, which makes the
+    kernel the twin of :class:`~repro.distributions.base.Deterministic`
+    too when ``sigma2`` is zero.
+    """
+    mu, sigma2, c = np.broadcast_arrays(
+        np.asarray(mu, dtype=np.float64),
+        np.asarray(sigma2, dtype=np.float64),
+        np.asarray(c, dtype=np.float64),
+    )
+    if op in (">", "<="):
+        point_cdf = c >= mu  # cdf of a point mass
+    elif op in (">=", "<"):
+        point_cdf = c > mu  # prob_less of a point mass
+    else:
+        raise DistributionError(f"no tail probability for operator {op!r}")
+    spread = sigma2 > 0.0
+    cdf = point_cdf.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (c[spread] - mu[spread]) / np.sqrt(2.0 * sigma2[spread])
+    cdf[spread] = 0.5 * np.fromiter(
+        map(math.erfc, (-z).tolist()), dtype=np.float64, count=z.size
+    )
+    return 1.0 - cdf if op in (">", ">=") else cdf

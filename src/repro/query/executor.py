@@ -197,13 +197,15 @@ class ResidualOutcome:
     significance-test decisions.  ``ctx`` is the evaluation context the
     conjuncts ran under, reused by :meth:`QueryExecutor.finalize_result`
     for the ORDER BY sort key so expression evaluation order matches the
-    monolithic :meth:`QueryExecutor.execute_one` exactly.
+    monolithic :meth:`QueryExecutor.execute_one` exactly; outcomes the
+    multi-query engine decides in arrays carry ``None`` (their queries
+    have no ORDER BY).
     """
 
     probability: float
     sizes: tuple[int | None, ...]
     decisions: tuple[ThreeValued, ...]
-    ctx: EvalContext
+    ctx: EvalContext | None
 
 
 class QueryExecutor:

@@ -31,10 +31,18 @@ tuple.  The mechanism is conservative:
   (bootstrap accuracy, MC expression arithmetic) trips the guard
   *before any state mutates*, and the member falls back to its private
   prefix on its own generator — exactly the naive consumption sequence.
-* The vectorized batch path never *emits* a vectorized probability:
-  NumPy screens candidate rows in z-space with a conservative band, and
-  every surviving candidate is confirmed by the member's own scalar
-  ``residual_outcome`` — the byte-identity oracle by construction.
+* The batch path decides residuals in arrays only with the scalar's own
+  arithmetic.  A residual made of ``column op literal`` inequalities, or
+  of one ``mTest`` on a column, is decided by the array twins of the
+  scalar code (:func:`repro.distributions.gaussian.tail_probabilities`,
+  :func:`repro.core.coupled.m_test_verdicts`), which equal it bit for
+  bit per row, so each emitted probability is the float the scalar path
+  would emit.  A NumPy screen in z-space first cuts the (query, row)
+  pairs that cannot match, with a conservative band.  Rows outside the
+  kernels' domain — non-finite values, and for ``mTest`` exact sample
+  sizes, ``n < 2`` and zero variance — run the member's own scalar
+  ``residual_outcome``, which decides or raises exactly as naive
+  execution does.
 
 Batch-path caveats (documented divergences on *error* paths only):
 executor errors surface before any of that batch's callbacks, and a
@@ -52,21 +60,28 @@ import hashlib
 import numpy as np
 from scipy import special
 
-# Private intra-package imports: _UNIQUE_DF_FAST_PATH guards the
+# Private intra-package import: _UNIQUE_DF_FAST_PATH guards the
 # memoized-table interval path (bitwise identical to the scalar
-# kernels), _tail_probability is the scalar cdf oracle the executor
-# itself uses.
+# kernels).
 from repro.core.analytic import (
     _UNIQUE_DF_FAST_PATH,
     accuracy_from_moments,
     distribution_accuracy,
 )
+from repro.core.coupled import (
+    UNDECIDED,
+    VERDICTS,
+    ThreeValued,
+    m_test_verdicts,
+)
+from repro.distributions.gaussian import tail_probabilities
 from repro.obs.metrics import MetricsRegistry
-from repro.query.executor import QueryExecutor, ResultTuple
+from repro.query.executor import QueryExecutor, ResidualOutcome, ResultTuple
 from repro.query.expressions import Column, Literal
-from repro.query.parser import CompareCondition
+from repro.query.parser import CompareCondition, SignificanceCondition
 from repro.query.planner import prefix_fingerprint
 from repro.streams.columnar import (
+    EXACT_SIZE,
     ColumnarBatch,
     FloatColumn,
     GaussianDfColumn,
@@ -78,6 +93,7 @@ from repro.streams.tuples import UncertainTuple
 __all__ = [
     "MultiQueryEngine",
     "PrefixNeedsRng",
+    "kernel_conjuncts",
     "vectorizable_conjuncts",
 ]
 
@@ -108,26 +124,30 @@ _GUARD = _GuardRng()
 _FLIP = {">": "<", ">=": "<=", "<": ">", "<=": ">="}
 _VEC_OPS = frozenset(_FLIP)
 
-#: Conservative z-space slack of the vectorized candidate screen.  The
-#: screen must never reject a row the scalar oracle would accept; the
-#: scalar path's ``erfc``/``erfcinv`` round-off lives many orders of
-#: magnitude inside this band wherever the tail derivative is
-#: non-negligible.
+#: Conservative z-space slack of the candidate screen.  The screen must
+#: never reject a row the exact kernel would accept; ``erfc``/``erfcinv``
+#: round-off lives many orders of magnitude inside this band wherever
+#: the tail derivative is non-negligible.
 _Z_SLACK = 1e-3
 
 #: Value-space slack on the PROB threshold before inverting it.  Where
 #: the Gaussian tail is so flat that a z-band is meaningless (``q``
-#: saturating near 0 or 1), the scalar ``0.5*erfc(z)`` can round a
-#: probability across the threshold by at most a few ulp; widening tau
-#: by 1e-12 before ``erfcinv`` dominates that error by three orders of
-#: magnitude.
+#: saturating near 0 or 1), ``0.5*erfc(z)`` can round a probability
+#: across the threshold by at most a few ulp; widening tau by 1e-12
+#: before ``erfcinv`` dominates that error by three orders of magnitude.
 _TAU_SLACK = 1e-12
 
 #: ``math.erfc`` underflows to exactly 0.0 somewhere near z = 26.5; by
 #: z = 38 the true value (~5e-630) is unrepresentably far below the
 #: smallest subnormal, so any libm returns exactly 0.0 and rejecting
-#: ``z >= 38`` can never disagree with the scalar ``q > 0`` test.
+#: ``z >= 38`` can never disagree with the exact ``q > 0`` test.
 _UNDERFLOW_Z = 38.0
+
+#: Cells of one (spec, row) screen comparison block.
+_SCREEN_CELLS = 4_000_000
+
+_TRUE = VERDICTS.index(ThreeValued.TRUE)
+_UNSURE = VERDICTS.index(ThreeValued.UNSURE)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -150,6 +170,17 @@ class VecConjunct:
         return self.op in (">", ">=")
 
 
+@dataclasses.dataclass(frozen=True)
+class MTestConjunct:
+    """A WHERE ``mTest(column, op, constant, alpha1[, alpha2])`` call."""
+
+    column: str
+    op: str
+    constant: float
+    alpha1: float
+    alpha2: float | None
+
+
 def vectorizable_conjuncts(compiled) -> "tuple[VecConjunct, ...] | None":
     """The residual as column-vs-literal inequalities, or None.
 
@@ -157,8 +188,8 @@ def vectorizable_conjuncts(compiled) -> "tuple[VecConjunct, ...] | None":
     conjunct is a plain comparison between one column and one literal
     under an inequality operator — the shape of the paper's
     probability-threshold workloads.  Significance predicates, OR/NOT
-    trees, equality comparisons, and expression arithmetic all fall
-    back to the scalar path (still sharing the prefix).
+    trees, equality comparisons, and expression arithmetic all return
+    None.
     """
     if compiled.is_aggregate or compiled.order_by is not None:
         return None
@@ -190,13 +221,54 @@ def vectorizable_conjuncts(compiled) -> "tuple[VecConjunct, ...] | None":
     return tuple(specs)
 
 
+def kernel_conjuncts(
+    compiled,
+) -> "tuple[VecConjunct, ...] | tuple[MTestConjunct] | None":
+    """The residual in a shape the batch kernels decide, or None.
+
+    Either the :func:`vectorizable_conjuncts` inequalities, or a single
+    ``mTest`` on a column with valid significance levels (invalid
+    levels raise on every row, which the scalar path reports).  The
+    rest runs the scalar residual per member, still sharing the prefix.
+    """
+    specs = vectorizable_conjuncts(compiled)
+    if (
+        specs is not None
+        or compiled.is_aggregate
+        or compiled.order_by is not None
+        or len(compiled.conjuncts) != 1
+    ):
+        return specs
+    cond = compiled.conjuncts[0]
+    if (
+        isinstance(cond, SignificanceCondition)
+        and cond.kind == "mtest"
+        and isinstance(cond.expr_x, Column)
+        and cond.op in ("<", ">", "<>")
+        and all(
+            alpha is None or 0.0 < alpha < 1.0
+            for alpha in (cond.alpha1, cond.alpha2)
+        )
+    ):
+        return (
+            MTestConjunct(
+                cond.expr_x.name,
+                cond.op,
+                float(cond.constant),
+                cond.alpha1,
+                cond.alpha2,
+            ),
+        )
+    return None
+
+
 def _candidate_z_bound(spec: VecConjunct) -> float:
     """Largest ``|z|``-side bound at which a row may still qualify.
 
     For a gt-like conjunct a row is a candidate iff ``z <= bound``; for
     an lt-like conjunct iff ``z >= -bound`` (z measured toward the
     rejecting tail either way).  ``+inf`` means every row is a
-    candidate (the scalar oracle decides), ``-inf`` means none can
+    candidate (the exact kernel decides), ``-inf`` means none can
     qualify (``q <= 1`` always, so a tau above 1 rejects everything).
     """
     tau = spec.threshold
@@ -217,21 +289,115 @@ def _candidate_z_bound(spec: VecConjunct) -> float:
 _SUPPORTED_COLUMNS = (FloatColumn, IntColumn, GaussianDfColumn)
 
 
-def _screen_arrays(column) -> "tuple[np.ndarray, np.ndarray] | None":
-    """Per-row ``(mu, sqrt(2*sigma2))`` for the candidate screen.
+class _ColumnView:
+    """One batch column as the arrays the residual kernels read.
 
-    Deterministic columns are zero-variance: the screen's
-    ``c - mu <= bound * s`` comparison then degenerates to the exact
-    loose step ``c <= mu`` (gt-like) / ``c >= mu`` (lt-like), which is
-    a superset of the scalar step semantics on either operand order —
-    equality rows stay candidates and the scalar oracle settles them.
+    Deterministic (Float/Int) columns are zero-variance with exact
+    sample sizes.  ``covered`` marks the rows the tail kernel decides:
+    a non-finite value makes the scalar path raise, so it runs there.
     """
-    if isinstance(column, GaussianDfColumn):
-        return column.mu, np.sqrt(2.0 * column.sigma2)
-    if isinstance(column, (FloatColumn, IntColumn)):
-        data = np.asarray(column.data, dtype=np.float64)
-        return data, np.zeros(len(data), dtype=np.float64)
-    return None
+
+    __slots__ = ("mu", "sigma2", "spread", "sizes", "n", "covered")
+
+    def __init__(self, column) -> None:
+        if isinstance(column, GaussianDfColumn):
+            self.mu = column.mu
+            self.sigma2 = column.sigma2
+            self.n = column.sizes
+            self.sizes = [
+                None if size == EXACT_SIZE else size
+                for size in column.sizes.tolist()
+            ]
+        else:
+            self.mu = np.asarray(column.data, dtype=np.float64)
+            self.sigma2 = np.zeros(len(self.mu), dtype=np.float64)
+            self.n = None  # no sampled values: mTest raises on every row
+            self.sizes = [None] * len(self.mu)
+        # The screen's ``c - mu <= bound * spread`` degenerates on
+        # zero-variance rows to the loose step ``c <= mu`` (gt-like) /
+        # ``c >= mu`` (lt-like), a superset of the exact step.
+        self.spread = np.sqrt(2.0 * self.sigma2)
+        self.covered = np.isfinite(self.mu) & np.isfinite(self.sigma2)
+
+
+class _Bucket:
+    """Single-conjunct threshold members over one ``(column, op)``.
+
+    Members with equal ``(constant, threshold)`` decide identically, so
+    the screen and the tail kernel run once per distinct spec and the
+    verdicts fan out to ``members[spec]``.
+    """
+
+    __slots__ = (
+        "column",
+        "op",
+        "gt_like",
+        "members",
+        "consts",
+        "bounds",
+        "taus",
+        "bare",
+        "infinite",
+        "accept_all",
+    )
+
+    def __init__(
+        self, column: str, op: str, by_spec: "dict[VecConjunct, list]"
+    ) -> None:
+        specs = list(by_spec)
+        self.column = column
+        self.op = op
+        self.gt_like = op in (">", ">=")
+        self.members = [by_spec[spec] for spec in specs]
+        self.consts = np.array(
+            [spec.constant for spec in specs], dtype=np.float64
+        )
+        bounds = np.array(
+            [_candidate_z_bound(spec) for spec in specs], dtype=np.float64
+        )
+        self.infinite = ~np.isfinite(bounds)
+        self.accept_all = np.isposinf(bounds)
+        # lt-like candidates satisfy ``c - mu >= -bound * spread``.
+        self.bounds = bounds if self.gt_like else -bounds
+        self.bare = np.array(
+            [spec.threshold is None for spec in specs], dtype=bool
+        )
+        self.taus = np.array(
+            [
+                np.nan if spec.threshold is None else spec.threshold
+                for spec in specs
+            ],
+            dtype=np.float64,
+        )
+
+    def screen(self, view: _ColumnView) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate ``(spec, row)`` pairs, spec-major, over covered rows.
+
+        A superset of the matches: the exact kernel decides each pair.
+        """
+        rows = np.flatnonzero(view.covered)
+        mu = view.mu[rows]
+        spread = view.spread[rows]
+        n_specs = len(self.consts)
+        chunk = max(1, _SCREEN_CELLS // max(len(rows), 1))
+        spec_parts, row_parts = [], []
+        for start in range(0, n_specs, chunk):
+            stop = min(start + chunk, n_specs)
+            with np.errstate(invalid="ignore", over="ignore"):
+                lhs = self.consts[start:stop, None] - mu[None, :]
+                scaled = self.bounds[start:stop, None] * spread[None, :]
+                cand = lhs <= scaled if self.gt_like else lhs >= scaled
+            # Infinite bounds make 0*inf NaN on zero-variance rows; the
+            # verdict there is uniform anyway (all rows or none).
+            infinite = self.infinite[start:stop]
+            if infinite.any():
+                cand[infinite, :] = self.accept_all[start:stop][infinite][
+                    :, None
+                ]
+            spec_idx, row_idx = np.nonzero(cand)
+            spec_parts.append(spec_idx + start)
+            row_parts.append(rows[row_idx])
+        return np.concatenate(spec_parts), np.concatenate(row_parts)
 
 
 class _Entry:
@@ -244,7 +410,7 @@ class _Entry:
         "handle",
         "order",
         "fingerprint",
-        "vec_conjuncts",
+        "kernel",
         "group",
         "results_counter",
     )
@@ -265,9 +431,43 @@ class _Entry:
         self.fingerprint = prefix_fingerprint(
             executor.query, executor.config
         )
-        self.vec_conjuncts = vectorizable_conjuncts(executor.query)
+        self.kernel = kernel_conjuncts(executor.query)
         self.group: "_PlanGroup | None" = None
         self.results_counter = None  # set by MultiQueryEngine.add
+
+
+class _QuerySet:
+    """The standing queries of one source, compiled for the batch path.
+
+    Everything here depends only on the registered queries, so the
+    engine builds it on the first batch after an ``add``/``remove``,
+    not per batch (and not per ``add``, which would make registering Q
+    queries O(Q^2)).
+    """
+
+    __slots__ = ("members", "buckets", "singles")
+
+    def __init__(self, members: "list[_Entry]") -> None:
+        self.members = members
+        #: Kernel members decided one at a time: several conjuncts,
+        #: an mTest, or no WHERE clause.
+        self.singles: list[_Entry] = []
+        grouped: dict[tuple[str, str], dict[VecConjunct, list]] = {}
+        for entry in members:
+            specs = entry.kernel
+            if specs is None:
+                continue
+            if len(specs) == 1 and isinstance(specs[0], VecConjunct):
+                spec = specs[0]
+                grouped.setdefault((spec.column, spec.op), {}).setdefault(
+                    spec, []
+                ).append(entry)
+            else:
+                self.singles.append(entry)
+        self.buckets = [
+            _Bucket(column, op, by_spec)
+            for (column, op), by_spec in grouped.items()
+        ]
 
 
 def _group_id(fingerprint: tuple) -> str:
@@ -349,6 +549,7 @@ class MultiQueryEngine:
         self.metrics = metrics
         self._entries: dict[str, _Entry] = {}
         self._groups: dict[tuple, _PlanGroup] = {}
+        self._query_sets: dict[str, _QuerySet] = {}
         self._next_order = 0
         self._groups_gauge = metrics.gauge(
             "multiquery.groups",
@@ -415,6 +616,7 @@ class MultiQueryEngine:
             group.entries.append(entry)
             entry.group = group
         self._entries[name] = entry
+        self._query_sets.pop(source, None)
         self._update_gauge()
 
     def remove(self, name: str) -> None:
@@ -426,6 +628,7 @@ class MultiQueryEngine:
             group.entries.remove(entry)
             if not group.entries:
                 del self._groups[group.fingerprint]
+        self._query_sets.pop(entry.source, None)
         self._update_gauge()
 
     def remove_source(self, source: str) -> None:
@@ -448,10 +651,14 @@ class MultiQueryEngine:
     def _update_gauge(self) -> None:
         self._groups_gauge.set(float(self.shared_group_count()))
 
-    def _entries_for(self, source: str) -> list[_Entry]:
-        return [
-            e for e in self._entries.values() if e.source == source
-        ]
+    def _query_set(self, source: str) -> _QuerySet:
+        query_set = self._query_sets.get(source)
+        if query_set is None:
+            query_set = _QuerySet(
+                [e for e in self._entries.values() if e.source == source]
+            )
+            self._query_sets[source] = query_set
+        return query_set
 
     # -- shared prefix products --------------------------------------------
 
@@ -501,7 +708,7 @@ class MultiQueryEngine:
         has.
         """
         cache: dict = {}
-        for entry in self._entries_for(source):
+        for entry in self._query_set(source).members:
             executor = entry.executor
             group = entry.group
             if group is None or len(group.entries) < 2:
@@ -541,48 +748,40 @@ class MultiQueryEngine:
         registration order — the caller emits row by row, preserving
         the naive per-tuple callback order.
         """
-        members = self._entries_for(source)
-        rows: list[list[tuple[int, object, ResultTuple]]] = [
+        query_set = self._query_set(source)
+        if not query_set.members:
+            return [[] for _ in tuples]
+        rows: list[list[tuple[int, _Entry, ResultTuple]]] = [
             [] for _ in tuples
         ]
-        if not members:
-            return [[] for _ in tuples]
         batch = as_columnar(tuples)
         cache: dict = {}
         columnar_gate: dict[int, bool] = {}
-
-        vec_entries = [
-            e
-            for e in members
+        decided = (
+            self._decide_residuals(query_set, batch, tuples)
             if batch is not None
-            and e.vec_conjuncts is not None
-            and e.group is not None
-            and self._columnar_eligible(e.group, batch, columnar_gate)
-            and all(
-                isinstance(
-                    batch.column(c.column), _SUPPORTED_COLUMNS
+            else {}
+        )
+        self._build_decided_products(
+            query_set, decided, batch, tuples, cache, columnar_gate
+        )
+        for entry in query_set.members:
+            hits = decided.get(id(entry))
+            if hits is None:
+                self._run_scalar_member(
+                    entry, tuples, batch, cache, columnar_gate, rows
                 )
-                for c in e.vec_conjuncts
-            )
-        ]
-        vec_ids = {id(e) for e in vec_entries}
-        if vec_entries:
-            self._run_vectorized(vec_entries, tuples, batch, cache, rows)
-
-        for entry in members:
-            if id(entry) in vec_ids:
-                continue
-            self._run_scalar_member(
-                entry, tuples, batch, cache, columnar_gate, rows
-            )
+            elif hits:
+                self._emit_decided(
+                    entry, hits, tuples, batch, cache, columnar_gate, rows
+                )
 
         out: list[list[tuple[object, ResultTuple]]] = []
-        by_order = {e.order: e for e in members}
         for row in rows:
             row.sort(key=lambda item: item[0])
-            for order, _handle, _result in row:
-                self._record_result(by_order[order])
-            out.append([(handle, result) for _o, handle, result in row])
+            for _order, entry, _result in row:
+                self._record_result(entry)
+            out.append([(entry.handle, result) for _o, entry, result in row])
         if self.telemetry is not None:
             self.telemetry.advance(len(tuples))
         return out
@@ -613,148 +812,253 @@ class MultiQueryEngine:
         gate[id(group)] = ok
         return ok
 
-    # -- vectorized members ------------------------------------------------
+    # -- residuals decided in arrays ----------------------------------------
 
-    def _run_vectorized(
+    def _decide_residuals(
         self,
-        entries: list[_Entry],
+        query_set: _QuerySet,
+        batch: ColumnarBatch,
+        tuples: list[UncertainTuple],
+    ) -> "dict[int, list[tuple[int, ResidualOutcome]]]":
+        """Row-ordered ``(row, outcome)`` matches of each kernel member.
+
+        Keyed by ``id(entry)``; members absent from the result run the
+        scalar path.  Kernel outcomes carry no evaluation context:
+        kernel residuals have no ORDER BY, the only reader of it.
+        """
+        probabilities = batch.probabilities
+        if not isinstance(probabilities, np.ndarray):
+            # Not every membership probability is a float: the scalar
+            # path keeps their own types in the emitted probability.
+            return {}
+        views: dict[str, "_ColumnView | None"] = {}
+
+        def view(name: str) -> "_ColumnView | None":
+            if name not in views:
+                column = batch.column(name)
+                views[name] = (
+                    _ColumnView(column)
+                    if isinstance(column, _SUPPORTED_COLUMNS)
+                    else None
+                )
+            return views[name]
+
+        decided: dict[int, list[tuple[int, ResidualOutcome]]] = {}
+        for bucket in query_set.buckets:
+            column = view(bucket.column)
+            if column is None:
+                continue
+            self._decide_bucket(bucket, column, probabilities, decided)
+            fallback = np.flatnonzero(~column.covered).tolist()
+            if fallback:
+                for members in bucket.members:
+                    for entry in members:
+                        decided[id(entry)] = self._with_fallback(
+                            entry, decided[id(entry)], fallback, tuples
+                        )
+        for entry in query_set.singles:
+            columns = [view(spec.column) for spec in entry.kernel]
+            if any(
+                column is None
+                or (isinstance(spec, MTestConjunct) and column.n is None)
+                for spec, column in zip(entry.kernel, columns)
+            ):
+                continue
+            hits, covered = self._decide_single(
+                entry, columns, probabilities
+            )
+            decided[id(entry)] = self._with_fallback(
+                entry, hits, np.flatnonzero(~covered).tolist(), tuples
+            )
+        return decided
+
+    @staticmethod
+    def _decide_bucket(
+        bucket: _Bucket,
+        column: _ColumnView,
+        probabilities: np.ndarray,
+        decided: dict,
+    ) -> None:
+        """Screen, then decide each candidate pair with the tail kernel."""
+        spec_idx, row_idx = bucket.screen(column)
+        q = tail_probabilities(
+            column.mu[row_idx],
+            column.sigma2[row_idx],
+            bucket.op,
+            bucket.consts[spec_idx],
+        )
+        qualifies = np.where(
+            bucket.bare[spec_idx], q > 0.0, q >= bucket.taus[spec_idx]
+        )
+        probability = probabilities[row_idx] * q
+        keep = qualifies & (probability > 0.0)
+        for members in bucket.members:
+            for entry in members:
+                decided[id(entry)] = []
+        sizes = column.sizes
+        # Spec-major pairs: each member's list comes out in row order.
+        for s, b, p in zip(
+            spec_idx[keep].tolist(),
+            row_idx[keep].tolist(),
+            probability[keep].tolist(),
+        ):
+            outcome = ResidualOutcome(p, (sizes[b],), (), None)
+            for entry in bucket.members[s]:
+                decided[id(entry)].append((b, outcome))
+
+    @staticmethod
+    def _decide_single(
+        entry: _Entry,
+        columns: "list[_ColumnView]",
+        probabilities: np.ndarray,
+    ) -> "tuple[list[tuple[int, ResidualOutcome]], np.ndarray]":
+        """One member's matches over every row, and the rows decided."""
+        keep_unsure = entry.executor.config.keep_unsure
+        covered = np.ones(len(probabilities), dtype=bool)
+        keep = np.ones(len(probabilities), dtype=bool)
+        probability = probabilities
+        size_columns: list[list] = []
+        code_columns: list[list] = []
+        for spec, column in zip(entry.kernel, columns):
+            covered &= column.covered
+            if isinstance(spec, VecConjunct):
+                q = tail_probabilities(
+                    column.mu, column.sigma2, spec.op, spec.constant
+                )
+                keep &= (
+                    q > 0.0 if spec.threshold is None
+                    else q >= spec.threshold
+                )
+                probability = probability * q
+                size_columns.append(column.sizes)
+            else:
+                codes = m_test_verdicts(
+                    column.mu,
+                    np.sqrt(column.sigma2),
+                    column.n,
+                    spec.op,
+                    spec.constant,
+                    spec.alpha1,
+                    spec.alpha2,
+                )
+                covered &= codes != UNDECIDED
+                keep &= (codes == _TRUE) | (
+                    (codes == _UNSURE) & keep_unsure
+                )
+                code_columns.append(codes.tolist())
+        keep &= covered & (probability > 0.0)
+        values = probability.tolist()
+        hits = [
+            (
+                b,
+                ResidualOutcome(
+                    values[b],
+                    tuple(sizes[b] for sizes in size_columns),
+                    tuple(VERDICTS[codes[b]] for codes in code_columns),
+                    None,
+                ),
+            )
+            for b in np.flatnonzero(keep).tolist()
+        ]
+        return hits, covered
+
+    @staticmethod
+    def _with_fallback(
+        entry: _Entry,
+        hits: "list[tuple[int, ResidualOutcome]]",
+        fallback: "list[int]",
+        tuples: list[UncertainTuple],
+    ) -> "list[tuple[int, ResidualOutcome]]":
+        """Merge the scalar residual of the rows the kernels left."""
+        if not fallback:
+            return hits
+        # These conjuncts never sample, so the member's own RNG is
+        # untouched, exactly as in naive execution.
+        extra = []
+        for b in fallback:
+            outcome = entry.executor.residual_outcome(tuples[b])
+            if outcome is not None:
+                extra.append((b, outcome))
+        return sorted(hits + extra, key=lambda hit: hit[0])
+
+    # -- prefixes and results of decided members ----------------------------
+
+    def _build_decided_products(
+        self,
+        query_set: _QuerySet,
+        decided: dict,
+        batch: "ColumnarBatch | None",
+        tuples: list[UncertainTuple],
+        cache: dict,
+        columnar_gate: dict[int, bool],
+    ) -> None:
+        """Columnar prefix products for every row a decided member matched.
+
+        Every result beyond one per shared product rode a shared prefix
+        computation.
+        """
+        needed: dict[int, set] = {}
+        served: dict[int, int] = {}
+        groups: dict[int, _PlanGroup] = {}
+        for entry in query_set.members:
+            hits = decided.get(id(entry))
+            if not hits or not self._columnar_eligible(
+                entry.group, batch, columnar_gate
+            ):
+                continue
+            gid = id(entry.group)
+            groups[gid] = entry.group
+            needed.setdefault(gid, set()).update(b for b, _ in hits)
+            served[gid] = served.get(gid, 0) + len(hits)
+        for gid, row_set in needed.items():
+            row_ids = np.fromiter(
+                sorted(row_set), dtype=np.intp, count=len(row_set)
+            )
+            self._build_columnar_products(
+                groups[gid], batch, tuples, row_ids, cache
+            )
+            self._shared_hits.inc(served[gid] - len(row_set))
+
+    def _emit_decided(
+        self,
+        entry: _Entry,
+        hits: "list[tuple[int, ResidualOutcome]]",
         tuples: list[UncertainTuple],
         batch: ColumnarBatch,
         cache: dict,
+        columnar_gate: dict[int, bool],
         rows: list,
     ) -> None:
-        candidates = self._screen_candidates(entries, batch)
-        matched: dict[int, list] = {}
-        group_rows: dict[int, set] = {}
-        groups: dict[int, _PlanGroup] = {}
-        for entry, cand in zip(entries, candidates):
-            hits = []
-            for b in cand:
-                # The scalar oracle: byte-identity by construction.
-                # These conjuncts never sample, so the member's own RNG
-                # is untouched — exactly as in naive execution.
-                outcome = entry.executor.residual_outcome(tuples[b])
-                if outcome is not None:
-                    hits.append((b, outcome))
-            if not hits:
-                continue
-            matched[id(entry)] = hits
-            gid = id(entry.group)
-            groups[gid] = entry.group
-            group_rows.setdefault(gid, set()).update(
-                b for b, _ in hits
-            )
+        """Results of a kernel-decided member, prefix work in row order.
 
-        for gid, needed in group_rows.items():
-            group = groups[gid]
-            row_ids = np.fromiter(
-                sorted(needed), dtype=np.intp, count=len(needed)
-            )
-            self._build_columnar_products(
-                group, batch, tuples, row_ids, cache
-            )
-
-        for entry in entries:
-            hits = matched.get(id(entry))
-            if not hits:
-                continue
-            gid = id(entry.group)
-            for b, outcome in hits:
-                attributes, accuracy = cache[(gid, b)]
-                result = entry.executor.finalize_result(
-                    tuples[b], outcome, dict(attributes), dict(accuracy)
-                )
-                rows[b].append((entry.order, entry.handle, result))
-            # Every result beyond one per shared product rode a shared
-            # prefix computation.
-        for gid, needed in group_rows.items():
-            served = sum(
-                len(matched.get(id(e), ()))
-                for e in groups[gid].entries
-                if id(e) in matched
-            )
-            self._shared_hits.inc(max(0, served - len(needed)))
-
-    def _screen_candidates(
-        self, entries: list[_Entry], batch: ColumnarBatch
-    ) -> list[np.ndarray]:
-        """Candidate row indices per entry (superset of true matches).
-
-        Single-conjunct members are stacked per ``(column, side)``
-        bucket into one ``(Q, B)`` comparison; multi-conjunct members
-        AND their per-conjunct masks.  Soundness (no false rejects) is
-        the only requirement — every candidate is re-run through the
-        scalar oracle.
+        A columnar group reads the products built for the batch; any
+        other prefix runs per matched row exactly as the scalar member
+        path would, so a private prefix draws from the member's own
+        generator in the naive row order.
         """
-        n_rows = len(batch)
-        out: list[np.ndarray | None] = [None] * len(entries)
-        buckets: dict[tuple[str, bool], list[tuple[int, VecConjunct]]] = {}
-        multi: list[int] = []
-        for i, entry in enumerate(entries):
-            specs = entry.vec_conjuncts
-            if len(specs) == 1:
-                spec = specs[0]
-                buckets.setdefault(
-                    (spec.column, spec.gt_like), []
-                ).append((i, spec))
-            elif not specs:
-                out[i] = np.arange(n_rows, dtype=np.intp)
+        executor = entry.executor
+        group = entry.group
+        gid = id(group)
+        columnar = self._columnar_eligible(group, batch, columnar_gate)
+        share = len(group.entries) >= 2
+        for b, outcome in hits:
+            tup = tuples[b]
+            if columnar:
+                attributes, accuracy = cache[(gid, b)]
+            elif share:
+                attributes, accuracy = self._group_product(
+                    group, (gid, b), tup, entry, cache
+                )
             else:
-                multi.append(i)
-
-        for (column_name, gt_like), items in buckets.items():
-            arrays = _screen_arrays(batch.column(column_name))
-            mu, s = arrays
-            consts = np.array(
-                [spec.constant for _i, spec in items], dtype=np.float64
+                result = executor.finalize_result(
+                    tup, outcome, *executor.evaluate_prefix(tup)
+                )
+                rows[b].append((entry.order, entry, result))
+                continue
+            result = executor.finalize_result(
+                tup, outcome, dict(attributes), dict(accuracy)
             )
-            bounds = np.array(
-                [_candidate_z_bound(spec) for _i, spec in items],
-                dtype=np.float64,
-            )
-            q_total = len(items)
-            chunk = max(1, 4_000_000 // max(n_rows, 1))
-            for start in range(0, q_total, chunk):
-                stop = min(start + chunk, q_total)
-                with np.errstate(invalid="ignore"):
-                    lhs = consts[start:stop, None] - mu[None, :]
-                    scaled = bounds[start:stop, None] * s[None, :]
-                    if gt_like:
-                        cand = lhs <= scaled
-                    else:
-                        cand = lhs >= -scaled
-                # Infinite bounds make 0*inf NaN on zero-variance rows;
-                # the member's verdict there is uniform anyway.
-                infinite = ~np.isfinite(bounds[start:stop])
-                if infinite.any():
-                    cand[infinite, :] = (
-                        bounds[start:stop][infinite] > 0
-                    )[:, None]
-                mi, bi = np.nonzero(cand)
-                counts = np.bincount(mi, minlength=stop - start)
-                splits = np.split(bi, np.cumsum(counts)[:-1])
-                for offset, rows_i in enumerate(splits):
-                    out[items[start + offset][0]] = rows_i
-            for i, _spec in items:
-                if out[i] is None:
-                    out[i] = np.empty(0, dtype=np.intp)
-
-        for i in multi:
-            mask = np.ones(n_rows, dtype=bool)
-            for spec in entries[i].vec_conjuncts:
-                mu, s = _screen_arrays(batch.column(spec.column))
-                bound = _candidate_z_bound(spec)
-                if not np.isfinite(bound):
-                    if bound < 0:
-                        mask[:] = False
-                    continue
-                lhs = spec.constant - mu
-                if spec.gt_like:
-                    mask &= lhs <= bound * s
-                else:
-                    mask &= lhs >= -bound * s
-            out[i] = np.nonzero(mask)[0]
-        return out  # type: ignore[return-value]
+            rows[b].append((entry.order, entry, result))
 
     def _build_columnar_products(
         self,
@@ -857,7 +1161,7 @@ class MultiQueryEngine:
             if not share and not use_columnar_cache:
                 result = executor.execute_one(tup)
                 if result is not None:
-                    rows[b].append((entry.order, entry.handle, result))
+                    rows[b].append((entry.order, entry, result))
                 continue
             outcome = executor.residual_outcome(tup)
             if outcome is None:
@@ -868,4 +1172,4 @@ class MultiQueryEngine:
             result = executor.finalize_result(
                 tup, outcome, dict(attributes), dict(accuracy)
             )
-            rows[b].append((entry.order, entry.handle, result))
+            rows[b].append((entry.order, entry, result))

@@ -10,6 +10,11 @@ must match them element-wise (within 1e-12), including:
 * the Student-t/z switch at ``n = SMALL_SAMPLE_MEAN_CUTOFF``,
 * the per-row chunk statistics and percentile intervals of the
   bootstrap batch kernel.
+
+The residual kernels the multi-query engine decides standing queries
+with are held to a stricter bar: the Gaussian tail probability and the
+mTest verdicts must equal their scalar twins bit for bit on every row,
+because the engine emits their values as they are.
 """
 
 import pickle
@@ -44,8 +49,20 @@ from repro.core.bootstrap import (
     percentile_interval,
     percentile_intervals,
 )
-from repro.distributions.gaussian import GaussianDistribution
-from repro.errors import AccuracyError
+from repro.core.coupled import (
+    UNDECIDED,
+    VERDICTS,
+    ThreeValued,
+    coupled_tests,
+    m_test_verdicts,
+)
+from repro.core.predicates import FieldStats, MTest, m_test, m_test_rejects
+from repro.distributions.base import Deterministic
+from repro.distributions.gaussian import (
+    GaussianDistribution,
+    tail_probabilities,
+)
+from repro.errors import AccuracyError, DistributionError
 
 TOL = 1e-12
 
@@ -413,3 +430,166 @@ class TestChunkBinHeights:
             ref = percentile_interval(heights[:, k], 0.9).clamped(0.0, 1.0)
             assert abs(bin_interval.interval.low - ref.low) <= TOL
             assert abs(bin_interval.interval.high - ref.high) <= TOL
+
+
+def _scalar_tail(dist, op, c):
+    """The query layer's tail probability of one distribution."""
+    if op == ">":
+        return dist.prob_greater(c)
+    if op == ">=":
+        return 1.0 - dist.prob_less(c)
+    if op == "<":
+        return dist.prob_less(c)
+    return dist.cdf(c)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+TAIL_OPS = (">", ">=", "<", "<=")
+
+
+class TestGaussianTailKernel:
+    @pytest.mark.parametrize("op", TAIL_OPS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_to_scalar_methods(self, op, seed):
+        rng = np.random.default_rng(seed)
+        rows = 4000
+        mu = rng.normal(0.0, 5.0, rows)
+        sigma2 = rng.uniform(0.0, 10.0, rows) ** rng.integers(1, 4, rows)
+        sigma2[rng.random(rows) < 0.1] = 0.0  # point masses
+        c = rng.normal(0.0, 5.0, rows)
+        c[:50] = mu[:50]  # ties: the point-mass step at c == mu
+        got = tail_probabilities(mu, sigma2, op, c)
+        want = [
+            _scalar_tail(GaussianDistribution(m, v), op, x)
+            for m, v, x in zip(mu.tolist(), sigma2.tolist(), c.tolist())
+        ]
+        assert got.tobytes() == _bits(want)
+
+    @pytest.mark.parametrize("op", TAIL_OPS)
+    def test_past_erfc_underflow(self, op):
+        # |z| from the double-precision saturation of 0.5*erfc(-z)
+        # (~6) through the erfc underflow (~26.5) and beyond.
+        z = np.concatenate(
+            [np.linspace(-60.0, 60.0, 2401), [-26.55, -26.5, 26.5, 26.55]]
+        )
+        sigma2 = np.full(z.size, 2.5)
+        mu = np.full(z.size, 3.0)
+        c = mu + z * np.sqrt(2.0 * sigma2)
+        got = tail_probabilities(mu, sigma2, op, c)
+        want = [
+            _scalar_tail(GaussianDistribution(3.0, 2.5), op, x)
+            for x in c.tolist()
+        ]
+        assert got.tobytes() == _bits(want)
+        assert 0.0 in got and 1.0 in got
+
+    @pytest.mark.parametrize("op", TAIL_OPS)
+    def test_zero_variance_is_the_deterministic_step(self, op):
+        values = np.array([-1.0, 0.0, 0.5, 2.0])
+        got = tail_probabilities(values, np.zeros(4), op, 0.5)
+        want = [_scalar_tail(Deterministic(v), op, 0.5) for v in values]
+        assert got.tobytes() == _bits(want)
+
+    def test_scalar_constant_broadcasts(self):
+        mu = np.array([0.0, 1.0, 2.0])
+        sigma2 = np.array([1.0, 0.0, 4.0])
+        assert np.array_equal(
+            tail_probabilities(mu, sigma2, ">", 1.0),
+            tail_probabilities(mu, sigma2, ">", np.full(3, 1.0)),
+        )
+
+    def test_unknown_operator_raises(self):
+        with pytest.raises(DistributionError, match="operator"):
+            tail_probabilities(np.zeros(1), np.ones(1), "=", 0.0)
+
+
+SIZES = (2, 29, 30, 31, 1000)
+ALPHAS = ((0.05, 0.05), (0.01, 0.2), (0.3, 0.001))
+
+
+def _moment_columns(seed, rows=600):
+    rng = np.random.default_rng(seed)
+    n = rng.choice(np.array(SIZES, dtype=np.int64), rows)
+    std = rng.uniform(0.1, 4.0, rows)
+    c = 1.0
+    # Means around c, scaled so the statistic lands near the critical
+    # values and every verdict (TRUE, FALSE, UNSURE) occurs.
+    mean = c + rng.normal(0.0, 2.5, rows) * std / np.sqrt(n)
+    return mean, std, n, c
+
+
+class TestMTestKernels:
+    @pytest.mark.parametrize("op", ["<", ">", "<>"])
+    @pytest.mark.parametrize("alpha", [0.05, 0.01, 0.4])
+    def test_rejects_match_scalar(self, op, alpha):
+        mean, std, n, c = _moment_columns(3)
+        got = m_test_rejects(mean, std, n, op, c, alpha)
+        want = [
+            m_test(FieldStats(m, s, k), op, c, alpha).reject
+            for m, s, k in zip(mean.tolist(), std.tolist(), n.tolist())
+        ]
+        assert got.tolist() == want
+        assert 0 < sum(want) < len(want)
+
+    @pytest.mark.parametrize("op", ["<", ">", "<>"])
+    @pytest.mark.parametrize("alphas", ALPHAS)
+    def test_coupled_codes_match_coupled_tests(self, op, alphas):
+        alpha1, alpha2 = alphas
+        mean, std, n, c = _moment_columns(4)
+        codes = m_test_verdicts(mean, std, n, op, c, alpha1, alpha2)
+        want = [
+            coupled_tests(
+                MTest(FieldStats(m, s, k), op, c, alpha1), alpha1, alpha2
+            ).value
+            for m, s, k in zip(mean.tolist(), std.tolist(), n.tolist())
+        ]
+        assert [VERDICTS[code] for code in codes.tolist()] == want
+        kinds = {ThreeValued.TRUE, ThreeValued.UNSURE}
+        if op != "<>":
+            kinds.add(ThreeValued.FALSE)
+        assert set(want) == kinds
+
+    @pytest.mark.parametrize("op", ["<", ">", "<>"])
+    def test_single_test_codes_match_run(self, op):
+        mean, std, n, c = _moment_columns(5)
+        codes = m_test_verdicts(mean, std, n, op, c, 0.05)
+        want = [
+            ThreeValued.TRUE
+            if MTest(FieldStats(m, s, k), op, c, 0.05).run().reject
+            else ThreeValued.FALSE
+            for m, s, k in zip(mean.tolist(), std.tolist(), n.tolist())
+        ]
+        assert [VERDICTS[code] for code in codes.tolist()] == want
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_each_sample_size_matches(self, n):
+        # One size per column: the t reference for n < 30, z from 30 on.
+        mean, std, _n, c = _moment_columns(n, rows=200)
+        sizes = np.full(mean.size, n, dtype=np.int64)
+        codes = m_test_verdicts(mean, std, sizes, ">", c, 0.05, 0.05)
+        want = [
+            coupled_tests(MTest(FieldStats(m, s, n), ">", c)).value
+            for m, s in zip(mean.tolist(), std.tolist())
+        ]
+        assert [VERDICTS[code] for code in codes.tolist()] == want
+
+    def test_rows_left_to_the_scalar_test(self):
+        mean = np.array([1.0, 1.0, 1.0, 5.0])
+        std = np.array([2.0, 2.0, 0.0, 2.0])
+        n = np.array([1, -1, 10, 10], dtype=np.int64)
+        codes = m_test_verdicts(mean, std, n, ">", 0.0, 0.05, 0.05)
+        assert codes.tolist()[:3] == [UNDECIDED] * 3
+        assert VERDICTS[codes[3]] is ThreeValued.TRUE
+        # The scalar test raises on a single observation ...
+        with pytest.raises(AccuracyError, match="size >= 2"):
+            m_test(FieldStats(1.0, 2.0, 1), ">", 0.0)
+        # ... and decides a zero spread with an infinite statistic.
+        assert m_test(FieldStats(1.0, 0.0, 10), ">", 0.0).reject
+
+    def test_invalid_alpha_raises_like_coupled_tests(self):
+        mean, std, n, c = _moment_columns(6, rows=4)
+        with pytest.raises(AccuracyError, match="alpha2"):
+            m_test_verdicts(mean, std, n, ">", c, 0.05, 1.5)

@@ -3,7 +3,8 @@
 The end-to-end byte-identity contract lives in
 ``tests/test_db_multiquery.py`` and the property suite; these pin the
 pieces the contract rests on — residual vectorizability detection, the
-conservative candidate screen, and the RNG guard.
+conservative candidate screen, the query-set compile, and the RNG
+guard.
 """
 
 import numpy as np
@@ -11,11 +12,13 @@ import pytest
 
 from repro.query.executor import ExecutorConfig, QueryExecutor
 from repro.query.multiquery import (
+    MTestConjunct,
     MultiQueryEngine,
     PrefixNeedsRng,
     _candidate_z_bound,
     _GuardRng,
     VecConjunct,
+    kernel_conjuncts,
     vectorizable_conjuncts,
 )
 from repro.query.planner import compile_query
@@ -59,6 +62,86 @@ class TestVectorizableConjuncts:
     )
     def test_non_vectorizable_shapes(self, text):
         assert _specs(text) is None
+
+
+class TestKernelConjuncts:
+    def _kernel(self, text):
+        return kernel_conjuncts(compile_query(text))
+
+    def test_threshold_conjuncts_pass_through(self):
+        text = "SELECT a FROM s WHERE a > 1 AND b < 2 PROB 0.5"
+        assert self._kernel(text) == _specs(text)
+
+    def test_single_coupled_mtest(self):
+        specs = self._kernel(
+            "SELECT a FROM s WHERE mTest(a, '<>', -2, 0.05, 0.1)"
+        )
+        assert specs == (MTestConjunct("a", "<>", -2.0, 0.05, 0.1),)
+
+    def test_single_uncoupled_mtest(self):
+        specs = self._kernel("SELECT a FROM s WHERE mTest(a, '>', 0, 0.05)")
+        assert specs == (MTestConjunct("a", ">", 0.0, 0.05, None),)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT a FROM s WHERE mTest(a + b, '>', 0, 0.05)",
+            "SELECT a FROM s WHERE mTest(a, '>', 0, 0.05) AND a > 1",
+            "SELECT a FROM s WHERE mTest(a, '>', 0, 1.5, 0.05)",
+            "SELECT a FROM s WHERE mTest(a, '>', 0, 0.05) ORDER BY a",
+            "SELECT a FROM s WHERE vTest(a, '>', 1, 0.05)",
+            "SELECT a FROM s WHERE mdTest(a, b, '>', 0, 0.05)",
+            "SELECT a FROM s WHERE a = 5",
+        ],
+    )
+    def test_scalar_shapes(self, text):
+        assert self._kernel(text) is None
+
+
+class TestQuerySetCompile:
+    def _batch(self):
+        return [_gaussian_tuple(m) for m in (5.0, -5.0)]
+
+    def test_compiled_on_first_batch_and_kept(self):
+        engine = _shared_engine()
+        assert engine._query_sets == {}
+        engine.execute_batch("s", self._batch())
+        compiled = engine._query_sets["s"]
+        engine.execute_batch("s", self._batch())
+        assert engine._query_sets["s"] is compiled
+
+    def test_add_and_remove_recompile(self):
+        engine = _shared_engine()
+        engine.execute_batch("s", self._batch())
+        engine.add(
+            "q2", "s", QueryExecutor("SELECT a FROM s WHERE a > 3"), "h3"
+        )
+        assert "s" not in engine._query_sets
+        engine.execute_batch("s", self._batch())
+        assert len(engine._query_sets["s"].members) == 4
+        engine.remove("q2")
+        assert "s" not in engine._query_sets
+
+    def test_equal_specs_screen_once(self):
+        engine = MultiQueryEngine()
+        for i, text in enumerate(
+            [
+                "SELECT a FROM s WHERE a > 1 PROB 0.5",
+                "SELECT b FROM s WHERE a > 1 PROB 0.5",
+                "SELECT a FROM s WHERE 1 < a PROB 0.5",
+                "SELECT a FROM s WHERE a > 1 PROB 0.6",
+                "SELECT a FROM s WHERE a >= 1 PROB 0.5",
+            ]
+        ):
+            engine.add(f"q{i}", "s", QueryExecutor(text), f"h{i}")
+        engine.execute_batch("s", [_gaussian_tuple(2.0)] * 2)
+        buckets = {
+            (b.column, b.op): b for b in engine._query_sets["s"].buckets
+        }
+        assert sorted(buckets) == [("a", ">"), ("a", ">=")]
+        gt = buckets[("a", ">")]
+        assert gt.consts.tolist() == [1.0, 1.0]
+        assert [len(members) for members in gt.members] == [3, 1]
 
 
 class TestCandidateZBound:

@@ -12,11 +12,13 @@ insert order (one-at-a-time and batched), the shared path must produce
 * the same ``describe()`` renderings.
 
 Query shapes deliberately cover every dispatch class: vectorizable
-threshold residuals (both operand orders), scalar residuals (equality,
-OR trees, significance tests, ORDER BY sort keys), star and aliased
-projections, zero-variance and exact-sample-size fields, sub-unit
-membership probabilities, and per-query config overrides that split
-fingerprint groups.
+threshold residuals (both operand orders, PROB thresholds at the
+saturation edges 1e-300 and 1), single and coupled mTest residuals
+(``keep_unsure`` on and off), scalar residuals (equality, OR trees,
+ORDER BY sort keys), star and aliased projections, zero-variance and
+exact-sample-size fields, sample sizes on both sides of the t/z cutoff,
+sub-unit membership probabilities, and per-query config overrides that
+split fingerprint groups.
 """
 
 import pickle
@@ -50,15 +52,19 @@ _WHERES = (
     "WHERE a = {c1}",
     "WHERE a > {c1} OR b > {c2}",
     "WHERE mTest(a, '>', {c1}, 0.05)",
+    "WHERE mTest(a, '>', {c1}, 0.05, 0.05)",
+    "WHERE mTest(a, '<', {c1}, 0.05, 0.05)",
+    "WHERE mTest(a, '<>', {c1}, 0.05, 0.05)",
     "WHERE a > {c1} ORDER BY a",
 )
 
-_TAUS = (0.0000000001, 0.25, 0.5, 0.75, 0.9999, 1.0)
+_TAUS = (1e-300, 0.0000000001, 0.25, 0.5, 0.75, 0.9999, 1)
 
 _CONFIGS = (
     None,  # inherit the db default (analytic)
     ExecutorConfig(confidence=0.8),
     ExecutorConfig(accuracy_method="none"),
+    ExecutorConfig(keep_unsure=True),
     ExecutorConfig(
         accuracy_method="bootstrap",
         seed=5,
@@ -87,7 +93,12 @@ def query_mixes(draw):
 
 
 @st.composite
-def tuple_batches(draw):
+def tuple_batches(draw, sampled=False):
+    """Uniform batches; ``sampled`` keeps every ``a`` at ``n >= 2``.
+
+    Without ``sampled``, single observations and exact sample sizes
+    make every mTest residual raise somewhere in most batches.
+    """
     count = draw(st.integers(min_value=1, max_value=12))
     seed = draw(st.integers(min_value=0, max_value=2**16))
     rng = np.random.default_rng(seed)
@@ -96,8 +107,12 @@ def tuple_batches(draw):
         sigma2 = float(rng.uniform(0.0, 9.0))
         if rng.random() < 0.2:
             sigma2 = 0.0  # deterministic-in-disguise Gaussian
-        n = int(rng.integers(1, 30))
-        if rng.random() < 0.15:
+        n = int(rng.integers(2 if sampled else 1, 30))
+        if rng.random() < 0.4:
+            # Straddle SMALL_SAMPLE_MEAN_CUTOFF = 30: the t reference
+            # below it, the z reference from it on.
+            n = int(rng.choice([29, 30, 31, 1000]))
+        if rng.random() < 0.15 and not sampled:
             n = None  # exact sample size: no accuracy attaches
         batch.append(
             UncertainTuple(
@@ -169,6 +184,16 @@ def test_shared_subplans_byte_identical_to_naive(queries, batch):
         # spurious emissions may appear.
         assert error is not None
         assert events == naive_events[: len(events)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(queries=query_mixes(), batch=tuple_batches(sampled=True))
+def test_significance_residuals_byte_identical_to_naive(queries, batch):
+    # Every row is a sample of n >= 2, so no mTest residual raises and
+    # the batched events are compared in full, verdicts included.
+    naive = _run(queries, batch, False, False)
+    assert naive[2] is None
+    assert _run(queries, batch, True, True) == naive
 
 
 @settings(max_examples=15, deadline=None)

@@ -16,7 +16,13 @@ import pytest
 from repro.core.dfsample import DfSized
 from repro.db import StreamDatabase
 from repro.distributions.gaussian import GaussianDistribution
-from repro.errors import CallbackError, QueryError, SchemaError
+from repro.errors import (
+    AccuracyError,
+    CallbackError,
+    DistributionError,
+    QueryError,
+    SchemaError,
+)
 from repro.query.executor import ExecutorConfig, QueryExecutor
 from repro.streams.tuples import Schema, UncertainTuple
 
@@ -277,6 +283,86 @@ class TestExactBoundaryComparisons:
         assert hits["le_flipped"] == [35.0, 36.0, 35.0]
         assert hits["lt"] == [34.0, 34.5]
         assert hits["gt_flipped"] == [34.0, 34.5]
+
+
+class TestRowsLeftToTheScalarResidual:
+    """Rows the batch kernels do not decide raise as a single insert does.
+
+    A batch that raises does so before any callback, and buffers
+    nothing.
+    """
+
+    def _db(self, shared, queries):
+        db = StreamDatabase(shared_subplans=shared)
+        db.create_stream("t")
+        seen: list[str] = []
+        for i, text in enumerate(queries):
+            db.register_continuous(
+                f"q{i}", text, lambda r, i=i: seen.append(f"q{i}")
+            )
+        return db, seen
+
+    def _assert_batch_raises(self, queries, rows, error, match):
+        db, seen = self._db(True, queries)
+        with pytest.raises(error, match=match):
+            db.insert_many("t", rows)
+        assert seen == []
+        assert db.count("t") == 0
+        assert db.stats("t")["inserted"] == 0
+        # The naive loop and a single insert raise the same error.
+        naive, _ = self._db(False, queries)
+        with pytest.raises(error, match=match):
+            naive.insert_many("t", rows)
+        single, _ = self._db(True, queries)
+        with pytest.raises(error, match=match):
+            for row in rows:
+                single.insert("t", row)
+
+    def test_nan_in_a_plain_column_raises(self):
+        self._assert_batch_raises(
+            ["SELECT b FROM t WHERE b > 1 PROB 0.5"] * 2,
+            [{"b": float("nan")}, {"b": 3.0}],
+            DistributionError,
+            "must be finite",
+        )
+
+    def test_single_observation_in_an_mtest_raises(self):
+        self._assert_batch_raises(
+            [
+                "SELECT a FROM t WHERE mTest(a, '>', 0, 0.05, 0.05)",
+                "SELECT a FROM t WHERE a > 0 PROB 0.5",
+            ],
+            [
+                {"a": DfSized(GaussianDistribution(2.0, 1.0), 10)},
+                {"a": DfSized(GaussianDistribution(2.0, 1.0), 1)},
+            ],
+            AccuracyError,
+            "size >= 2",
+        )
+
+    def test_zero_variance_mtest_rows_match_naive(self):
+        queries = [
+            "SELECT a FROM t WHERE mTest(a, '>', 0, 0.05, 0.05)",
+            "SELECT a FROM t WHERE mTest(a, '<>', 1, 0.05)",
+        ]
+        rows = [
+            {"a": DfSized(GaussianDistribution(mu, sigma2), 10)}
+            for mu, sigma2 in ((2.0, 0.0), (0.0, 0.0), (1.0, 0.0), (3.0, 4.0))
+        ]
+        outcomes = []
+        for shared in (True, False):
+            db, _ = self._db(shared, [])
+            events = []
+            for i, text in enumerate(queries):
+                db.register_continuous(
+                    f"q{i}",
+                    text,
+                    lambda r, i=i: events.append((i, pickle.dumps(r))),
+                )
+            db.insert_many("t", rows)
+            outcomes.append(events)
+        assert outcomes[0] == outcomes[1]
+        assert len(outcomes[0]) == 6
 
 
 class TestDerivedSelectItems:
