@@ -61,6 +61,7 @@ from repro.core import (
     bin_height_interval,
     bin_height_intervals,
     histogram_accuracy,
+    histograms_accuracy,
     mean_interval,
     mean_intervals,
     variance_interval,
@@ -165,7 +166,7 @@ __all__ = [
     "WeibullDistribution", "MixtureDistribution",
     "ConfidenceInterval", "BinInterval", "AccuracyInfo",
     "TupleProbabilityInterval", "bin_height_interval", "bin_height_intervals",
-    "histogram_accuracy",
+    "histogram_accuracy", "histograms_accuracy",
     "mean_interval", "mean_intervals", "variance_interval",
     "variance_intervals", "distribution_accuracy", "accuracy_from_moments",
     "tuple_probability_interval", "tuple_probability_intervals",

@@ -24,6 +24,7 @@ from repro.core.analytic import (
     proportion_intervals_wald,
     proportion_intervals_wilson,
     histogram_accuracy,
+    histograms_accuracy,
     mean_interval,
     mean_intervals,
     variance_interval,
@@ -88,6 +89,7 @@ __all__ = [
     "proportion_intervals_wald",
     "proportion_intervals_wilson",
     "histogram_accuracy",
+    "histograms_accuracy",
     "mean_interval",
     "mean_intervals",
     "variance_interval",

@@ -44,6 +44,7 @@ __all__ = [
     "bin_height_interval",
     "bin_height_intervals",
     "histogram_accuracy",
+    "histograms_accuracy",
     "mean_interval",
     "mean_intervals",
     "variance_interval",
@@ -301,8 +302,8 @@ def histogram_accuracy(
     """Per-bin accuracy of a histogram learned from a sample of size n.
 
     Returns the generalised representation ``{(b_i, p_i1, p_i2, c_i)}``
-    of §II-B as a tuple of :class:`BinInterval`.  All bins are computed
-    in one pass through :func:`bin_height_intervals`.
+    of §II-B as a tuple of :class:`BinInterval`: the one-histogram case
+    of :func:`histograms_accuracy`.
 
     ``bin_eps`` widens every interval by ``±bin_eps`` and clamps it to
     [0, 1] before the bins are built — element for element what
@@ -310,20 +311,71 @@ def histogram_accuracy(
     them twice (the sketch learners' synopsis error).
     """
     _check_sample_size(n)
-    if bin_eps < 0:
-        raise AccuracyError(f"bin widening must be >= 0, got {bin_eps}")
-    lows, highs = bin_height_intervals(histogram.probabilities, n, confidence)
-    if bin_eps:
-        # ConfidenceInterval.clamped(0, 1), in array form.
-        lows = np.minimum(np.maximum(lows - bin_eps, 0.0), 1.0)
-        highs = np.maximum(np.minimum(highs + bin_eps, 1.0), lows)
-    edges = histogram.edges.tolist()
-    return tuple(
-        BinInterval(
-            edges[i], edges[i + 1], ConfidenceInterval(low, high, confidence)
+    return histograms_accuracy(
+        [histogram], [n], confidence, [bin_eps] if bin_eps else None
+    )[0]
+
+
+def histograms_accuracy(
+    histograms: Sequence[HistogramDistribution],
+    n: "Sequence[int] | np.ndarray",
+    confidence: float = 0.95,
+    bin_eps: "Sequence[float] | np.ndarray | None" = None,
+) -> list[tuple[BinInterval, ...]]:
+    """:func:`histogram_accuracy` of many histograms in one Lemma-1 pass.
+
+    ``n`` and ``bin_eps`` give each histogram's sample size and widening.
+    Every histogram's bin heights go through one
+    :func:`bin_height_intervals` call; each element sees the same
+    arithmetic as it would alone, so row ``i`` equals
+    ``histogram_accuracy(histograms[i], n[i], confidence, bin_eps[i])``.
+    """
+    bins_per_row = [h.probabilities.size for h in histograms]
+    if len(histograms) == 1:
+        # ``histogram_accuracy``: the one row needs no concatenation,
+        # and its size broadcasts over its bins.
+        heights, sizes = histograms[0].probabilities, n[0]
+    elif histograms:
+        heights = np.concatenate([h.probabilities for h in histograms])
+        sizes = np.repeat(np.asarray(n), bins_per_row)
+    else:
+        return []
+    lows, highs = bin_height_intervals(heights, sizes, confidence)
+    widening = None if bin_eps is None else np.asarray(bin_eps, dtype=float)
+    if widening is not None and widening.min() < 0:
+        raise AccuracyError(
+            f"bin widening must be >= 0, got {widening.min()}"
         )
-        for i, (low, high) in enumerate(zip(lows.tolist(), highs.tolist()))
-    )
+    if widening is not None and widening.any():
+        eps = np.repeat(widening, bins_per_row)
+        # ConfidenceInterval.clamped(0, 1), in array form, on the rows
+        # that are widened at all.
+        widened_lows = np.minimum(np.maximum(lows - eps, 0.0), 1.0)
+        widened_highs = np.maximum(
+            np.minimum(highs + eps, 1.0), widened_lows
+        )
+        widen = eps != 0.0
+        lows = np.where(widen, widened_lows, lows)
+        highs = np.where(widen, widened_highs, highs)
+    low_list, high_list = lows.tolist(), highs.tolist()
+    out = []
+    start = 0
+    for histogram, count in zip(histograms, bins_per_row):
+        edges = histogram.edges.tolist()
+        stop = start + count
+        rows = zip(
+            edges, edges[1:], low_list[start:stop], high_list[start:stop]
+        )
+        out.append(
+            tuple(
+                BinInterval(
+                    lower, upper, ConfidenceInterval(low, high, confidence)
+                )
+                for lower, upper, low, high in rows
+            )
+        )
+        start = stop
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -525,17 +577,37 @@ def accuracy_from_moments(
     sample_variances: "np.ndarray | Sequence[float]",
     n: "int | np.ndarray | Sequence[int]",
     confidence: float = 0.95,
+    *,
+    bins: "Sequence[tuple[BinInterval, ...]] | None" = None,
+    mean_eps: "np.ndarray | Sequence[float] | None" = None,
+    variance_eps: "np.ndarray | Sequence[float] | None" = None,
+    synopsis_error: "Sequence[float] | None" = None,
 ) -> tuple[AccuracyInfo, ...]:
-    """Batched Theorem 1 for non-histogram results (the stream hot path).
+    """Batched Theorem 1 (the stream hot path).
 
     Given per-tuple means, variances and (de facto) sample sizes, one
     vectorized pass produces the mean and variance intervals of every
     tuple; only the per-tuple :class:`AccuracyInfo` wrappers are built in
     Python.  Element-wise identical to calling
     :func:`distribution_accuracy` per tuple.
+
+    The keyword arguments are per-row: ``bins`` attaches Lemma-1 bin
+    intervals (:func:`histograms_accuracy`); ``mean_eps`` and
+    ``variance_eps`` widen the mean and variance intervals by a synopsis
+    error in value units and ``synopsis_error`` records its probability-
+    unit bound — element for element what :meth:`AccuracyInfo.widened`
+    does to a built record (a row with both epsilons zero is not
+    widened).
     """
+    plain = (
+        bins is None
+        and mean_eps is None
+        and variance_eps is None
+        and synopsis_error is None
+    )
     if (
-        isinstance(sample_means, (list, tuple))
+        plain
+        and isinstance(sample_means, (list, tuple))
         and len(sample_means) == 1
         and len(sample_variances) == 1
     ):
@@ -571,18 +643,48 @@ def accuracy_from_moments(
     stds = np.sqrt(variances)
     mean_lo, mean_hi = mean_intervals(means, stds, n_arr, confidence)
     var_lo, var_hi = variance_intervals(variances, n_arr, confidence)
+    if mean_eps is not None or variance_eps is not None:
+        mean_lo, mean_hi, var_lo, var_hi = _widened_moments(
+            mean_lo,
+            mean_hi,
+            var_lo,
+            var_hi,
+            np.asarray(0.0 if mean_eps is None else mean_eps, dtype=float),
+            np.asarray(
+                0.0 if variance_eps is None else variance_eps, dtype=float
+            ),
+        )
+    rows = means.size
+    row_bins = [()] * rows if bins is None else bins
+    errors = [0.0] * rows if synopsis_error is None else synopsis_error
+    mean_lo, mean_hi = mean_lo.tolist(), mean_hi.tolist()
+    var_lo, var_hi = var_lo.tolist(), var_hi.tolist()
+    sizes = n_arr.tolist()
     return tuple(
         AccuracyInfo(
-            mean=ConfidenceInterval(
-                float(mean_lo[i]), float(mean_hi[i]), confidence
-            ),
-            variance=ConfidenceInterval(
-                float(var_lo[i]), float(var_hi[i]), confidence
-            ),
-            sample_size=int(n_arr[i]),
+            mean=ConfidenceInterval(mean_lo[i], mean_hi[i], confidence),
+            variance=ConfidenceInterval(var_lo[i], var_hi[i], confidence),
+            bins=row_bins[i],
+            sample_size=int(sizes[i]),
             method="analytic",
+            synopsis_error=errors[i],
         )
-        for i in range(means.size)
+        for i in range(rows)
+    )
+
+
+def _widened_moments(mean_lo, mean_hi, var_lo, var_hi, m_eps, v_eps):
+    """:meth:`AccuracyInfo.widened` on Lemma-2 interval arrays."""
+    if np.any(m_eps < 0) or np.any(v_eps < 0):
+        raise AccuracyError("synopsis widening must be >= 0")
+    widen = (m_eps != 0.0) | (v_eps != 0.0)
+    lowered = var_lo - v_eps
+    return (
+        np.where(widen, mean_lo - m_eps, mean_lo),
+        np.where(widen, mean_hi + m_eps, mean_hi),
+        # ``max(low - eps, 0.0)``: keeps ``low - eps`` unless 0.0 is larger.
+        np.where(widen, np.where(0.0 > lowered, 0.0, lowered), var_lo),
+        np.where(widen, var_hi + v_eps, var_hi),
     )
 
 

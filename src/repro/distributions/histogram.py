@@ -12,6 +12,7 @@ mean, variance, cdf, and sampling.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -30,12 +31,12 @@ class HistogramDistribution(Distribution):
     Parameters
     ----------
     edges:
-        Monotonically increasing bucket boundaries; ``len(edges) == b + 1``
-        for ``b`` buckets.
+        Finite, strictly increasing bucket boundaries;
+        ``len(edges) == b + 1`` for ``b`` buckets.
     probabilities:
         Per-bucket probabilities.  They are normalised to sum to one (the
-        paper's "implicit normalization step"), but must be non-negative and
-        not all zero.
+        paper's "implicit normalization step"), but must be finite,
+        non-negative and not all zero.
     """
 
     __slots__ = ("edges", "probabilities", "_cum")
@@ -56,14 +57,23 @@ class HistogramDistribution(Distribution):
             )
         if len(probs_arr) == 0:
             raise DistributionError("histogram needs at least one bucket")
-        if np.any(np.diff(edges_arr) <= 0):
+        # NaN fails every comparison, so the checks below also reject
+        # NaN edges and probabilities; finite end edges of a strictly
+        # increasing sequence bound every edge.
+        if not (edges_arr[1:] > edges_arr[:-1]).all():
             raise DistributionError("edges must be strictly increasing")
-        if np.any(probs_arr < -_PROB_TOLERANCE):
+        if not (math.isfinite(edges_arr[0]) and math.isfinite(edges_arr[-1])):
+            raise DistributionError("edges must be finite")
+        if (probs_arr < -_PROB_TOLERANCE).any():
             raise DistributionError("bucket probabilities must be >= 0")
-        probs_arr = np.clip(probs_arr, 0.0, None)
+        probs_arr = np.maximum(probs_arr, 0.0)
         total = probs_arr.sum()
-        if total <= 0:
-            raise DistributionError("bucket probabilities must not all be 0")
+        if not 0 < total < math.inf:
+            raise DistributionError(
+                "bucket probabilities must not all be 0"
+                if total == 0
+                else "bucket probabilities must be finite"
+            )
         self.edges = edges_arr
         self.probabilities = probs_arr / total
         self._cum = np.concatenate(([0.0], np.cumsum(self.probabilities)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -83,10 +84,14 @@ class Learner(abc.ABC):
     ``partial_*`` hooks: :meth:`partial_begin` creates a rolling state
     (a :class:`~repro.learning.partial.PartialFitState`),
     :meth:`partial_add` / :meth:`partial_evict` maintain it in O(1)
-    amortized per slide, and :meth:`partial_distribution` /
-    :meth:`partial_accuracy` read the current fit and its Lemma 1/2
-    confidence intervals without refitting from scratch.  Learners that
-    support this set :attr:`supports_partial`; the default hooks raise
+    amortized per slide, and the current fit and its Lemma 1/2
+    confidence intervals are read without refitting from scratch.
+    Reads go in two steps: :meth:`partial_snapshot` detaches what one
+    emission needs from the state, and :meth:`partial_emissions` builds
+    the distributions and accuracy of a whole batch of snapshots at
+    once.  :meth:`partial_distribution` / :meth:`partial_accuracy` are
+    the one-snapshot case.  Learners that support this set
+    :attr:`supports_partial`; the default hooks raise
     :class:`LearningError`.  See ``docs/ROLLING.md``.
     """
 
@@ -94,11 +99,6 @@ class Learner(abc.ABC):
     #: a per-instance property (``HistogramLearner`` supports them only
     #: with fixed bucket edges).
     supports_partial: bool = False
-
-    #: Whether ``partial_moments`` feeds the vectorized Lemma-2 batch
-    #: kernel (:func:`repro.core.analytic.accuracy_from_moments`); bin-
-    #: carrying learners compute per-slide accuracy instead.
-    partial_vectorizable: bool = False
 
     #: Whether the rolling state handles sliding-window eviction itself
     #: (bounded-memory sketch synopses: :mod:`repro.learning.sketch`).
@@ -132,19 +132,48 @@ class Learner(abc.ABC):
             f"{type(self).__name__} does not support incremental learning"
         )
 
-    def partial_distribution(self, state: object) -> "object":
-        """The distribution currently fit to the window."""
+    def partial_snapshot(self, state: object) -> object:
+        """Detach what one emission reads from the current window.
+
+        The snapshot must not alias anything a later
+        :meth:`partial_add` / :meth:`partial_evict` mutates: a rolling
+        operator slides a whole batch before it builds the batch's
+        emissions from the snapshots.
+        """
         raise LearningError(
             f"{type(self).__name__} does not support incremental learning"
         )
+
+    def partial_emissions(
+        self, snapshots: Sequence[object], confidence: float | None
+    ) -> tuple[list[object], "tuple[AccuracyInfo, ...] | None"]:
+        """Distributions and Lemma 1/2 accuracy of a batch of snapshots.
+
+        ``snapshots`` is non-empty.  Returns ``(distributions, infos)``,
+        one entry per snapshot;
+        ``infos`` is ``None`` when ``confidence`` is ``None``.  Row ``i``
+        depends on ``snapshots[i]`` alone, so a batch equals its rows
+        read one at a time.
+        """
+        raise LearningError(
+            f"{type(self).__name__} does not support incremental learning"
+        )
+
+    def partial_distribution(self, state: object) -> "object":
+        """The distribution currently fit to the window."""
+        distributions, _ = self.partial_emissions(
+            [self.partial_snapshot(state)], None
+        )
+        return distributions[0]
 
     def partial_accuracy(
         self, state: object, confidence: float = 0.95
     ) -> AccuracyInfo:
         """Lemma 1/2 accuracy of the current fit (analytic intervals)."""
-        raise LearningError(
-            f"{type(self).__name__} does not support incremental learning"
+        _, infos = self.partial_emissions(
+            [self.partial_snapshot(state)], confidence
         )
+        return infos[0]
 
     def partial_moments(self, state: object) -> tuple[float, float, int]:
         """``(sample mean, unbiased variance, n)`` of the current window."""

@@ -12,10 +12,12 @@ stream workloads no longer pay O(window) per tuple.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.core.accuracy import AccuracyInfo
-from repro.core.analytic import accuracy_from_stats
+from repro.core.analytic import accuracy_from_moments
 from repro.distributions.gaussian import GaussianDistribution
 from repro.errors import LearningError
 from repro.learning.base import Learner, LearnedDistribution
@@ -28,7 +30,6 @@ class GaussianLearner(Learner):
     """Fits N(sample mean, unbiased sample variance)."""
 
     supports_partial = True
-    partial_vectorizable = True
 
     def learn(self, sample: "np.ndarray | list[float]") -> LearnedDistribution:
         arr = self._validated(sample, minimum=2)
@@ -51,20 +52,29 @@ class GaussianLearner(Learner):
     def partial_evict(self, state: PartialFitState, x: float) -> None:
         state.evict(self._validated_observation(x))
 
-    def partial_distribution(
+    def partial_snapshot(
         self, state: PartialFitState
-    ) -> GaussianDistribution:
+    ) -> tuple[float, float, int]:
         if state.count < 2:
             raise LearningError(
                 f"need at least 2 observations, got {state.count}"
             )
-        return GaussianDistribution(state.mean, state.variance)
+        return self.partial_moments(state)
 
-    def partial_accuracy(
-        self, state: PartialFitState, confidence: float = 0.95
-    ) -> AccuracyInfo:
-        return accuracy_from_stats(
-            state.mean, state.variance, state.count, confidence
+    def partial_emissions(
+        self,
+        snapshots: Sequence[tuple[float, float, int]],
+        confidence: float | None,
+    ) -> tuple[list[GaussianDistribution], tuple[AccuracyInfo, ...] | None]:
+        distributions = [
+            GaussianDistribution(mean, variance)
+            for mean, variance, _ in snapshots
+        ]
+        if confidence is None:
+            return distributions, None
+        means, variances, sizes = zip(*snapshots)
+        return distributions, accuracy_from_moments(
+            means, variances, sizes, confidence
         )
 
     def partial_moments(

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.accuracy import AccuracyInfo
-from repro.core.analytic import accuracy_from_stats
+from repro.core.analytic import accuracy_from_moments, histograms_accuracy
 from repro.distributions.histogram import HistogramDistribution
 from repro.errors import LearningError
 from repro.learning.base import Learner, LearnedDistribution
@@ -198,22 +198,36 @@ class HistogramLearner(Learner):
         index = state.bin_index(value)
         state.counts[index] -= 1
 
-    def partial_distribution(
-        self, state: _HistogramPartial
-    ) -> HistogramDistribution:
+    def partial_snapshot(self, state: _HistogramPartial) -> tuple:
+        """``(edges, counts, mean, variance or None, count)``."""
         if state.count < 1:
             raise LearningError("need at least 1 observation, got 0")
-        return HistogramDistribution.from_counts(state.edges, state.counts)
-
-    def partial_accuracy(
-        self, state: _HistogramPartial, confidence: float = 0.95
-    ) -> AccuracyInfo:
-        return accuracy_from_stats(
-            state.mean,
-            state.variance,
+        variance = state.variance if state.count >= 2 else None
+        return (
+            state.edges, tuple(state.counts), state.mean, variance,
             state.count,
+        )
+
+    def partial_emissions(
+        self, snapshots: Sequence[tuple], confidence: float | None
+    ) -> tuple[list[HistogramDistribution], tuple[AccuracyInfo, ...] | None]:
+        histograms = [
+            HistogramDistribution.from_counts(edges, counts)
+            for edges, counts, _, _, _ in snapshots
+        ]
+        if confidence is None:
+            return histograms, None
+        _, _, means, variances, sizes = zip(*snapshots)
+        if min(sizes) < 2:
+            raise LearningError(
+                f"sample variance needs >= 2 observations, got {min(sizes)}"
+            )
+        return histograms, accuracy_from_moments(
+            means,
+            variances,
+            sizes,
             confidence,
-            histogram=self.partial_distribution(state),
+            bins=histograms_accuracy(histograms, sizes, confidence),
         )
 
     def partial_moments(

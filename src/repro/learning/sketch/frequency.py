@@ -47,9 +47,10 @@ def _row_seeds(depth: int, salt: int) -> np.ndarray:
 
 
 def _value_bits(x: float) -> int:
-    """Canonical uint64 encoding of a float64 observation."""
-    # ``+ 0.0`` folds -0.0 into +0.0; NaN is rejected upstream by
-    # Learner._validated_observation.
+    """Canonical uint64 encoding of a finite float64 observation."""
+    if not math.isfinite(x):
+        raise LearningError(f"sketch observations must be finite, got {x}")
+    # ``+ 0.0`` folds -0.0 into +0.0.
     return int(np.float64(x + 0.0).view(np.uint64))
 
 

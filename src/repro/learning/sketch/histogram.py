@@ -24,6 +24,8 @@ at construction time, which is the same restriction the exact
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import LearningError
@@ -62,6 +64,8 @@ class HistogramSynopsis:
         return self.counts.size
 
     def update(self, x: float, count: int = 1) -> None:
+        if not math.isfinite(x):
+            raise LearningError(f"sketch observations must be finite, got {x}")
         if x < self.edges[0] or x > self.edges[-1]:
             self.clamped += count
         index = int(np.searchsorted(self.edges, x, side="right")) - 1

@@ -29,23 +29,35 @@ carry the synopsis' own probability-unit bound (KLL rank error, CM
 ``e/width``, histogram clamped fraction).  The total probability-unit
 bound is recorded as ``AccuracyInfo.synopsis_error`` and flows into
 provenance.
+
+Emissions are built per batch: ``partial_snapshot`` copies what one
+emission reads off the window, and ``partial_emissions`` turns a batch
+of snapshots into distributions and accuracy records in array passes
+(one KLL quantile sort, one Lemma-1 and one Lemma-2 pass; see "Per-batch
+cost" in ``docs/SKETCHES.md``).
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.accuracy import AccuracyInfo
-from repro.core.analytic import accuracy_from_stats
+from repro.core.analytic import accuracy_from_moments, histograms_accuracy
+
+# Not called here since emissions are built per batch; the name stays
+# importable from this module because perfbench's layer spans wrap it.
+from repro.core.analytic import accuracy_from_stats  # noqa: F401
 from repro.distributions.discrete import DiscreteDistribution
 from repro.distributions.histogram import HistogramDistribution
 from repro.errors import LearningError
 from repro.learning.base import Learner, LearnedDistribution
 from repro.learning.sketch.frequency import AmsSketch, CountMinSketch
 from repro.learning.sketch.histogram import HistogramSynopsis
-from repro.learning.sketch.quantile import KllSketch
+from repro.learning.sketch.quantile import KllSketch, read_quantiles
 from repro.learning.sketch.window import (
     DEFAULT_CHUNK_COUNT,
     SketchWindowState,
@@ -58,18 +70,47 @@ __all__ = [
 ]
 
 
+class _SketchSnapshot(NamedTuple):
+    """What one emission reads from a :class:`SketchWindowState`.
+
+    ``read`` is the learner's detached copy of the merged synopsis (in
+    the one-chunk phase the merged synopsis is the live chunk, which
+    the next add mutates).  ``mean``/``variance`` are ``None`` below a
+    fill of two.
+    """
+
+    read: object
+    count: int
+    mean: float | None
+    variance: float | None
+    staleness: float
+    value_range: float
+    shape_epsilon: float
+
+
 class _SketchLearner(Learner):
     """Shared partial plumbing: every hook rides a SketchWindowState."""
 
     supports_partial = True
-    partial_vectorizable = False
     partial_self_evicting = True
+
+    #: Whether the emitted distributions are histograms whose bins get
+    #: Lemma-1 intervals.
+    _binned = True
 
     def __init__(self, chunk_count: int, chunk_size: int) -> None:
         self.chunk_count = int(chunk_count)
         self.chunk_size = int(chunk_size)
 
     def _make_synopsis(self) -> object:
+        raise NotImplementedError
+
+    def _read(self, synopsis: object) -> object:
+        """A copy of what :meth:`_distributions` needs from a synopsis."""
+        raise NotImplementedError
+
+    def _distributions(self, reads: Sequence[object]) -> list:
+        """The emitted distribution of every read, in one pass."""
         raise NotImplementedError
 
     def partial_begin(self, resum_interval: int | None = None) -> object:
@@ -94,43 +135,73 @@ class _SketchLearner(Learner):
         mean, variance, _ = state.moments()
         return mean, variance, state.count
 
-    def partial_accuracy(
-        self, state: SketchWindowState, confidence: float = 0.95
-    ) -> AccuracyInfo:
-        mean, variance, _ = state.moments()
-        n = state.count
-        if n < 2:
-            raise LearningError(
-                f"accuracy requires a window fill >= 2, got {n}"
-            )
-        stale = state.staleness
-        value_span = state.value_range
-        bin_eps = min(self._shape_epsilon(state) + stale, 1.0)
-        # Bin intervals are widened by ``bin_eps`` in array form while
-        # they are built; ``widened`` then covers mean and variance only.
-        base = accuracy_from_stats(
+    def partial_snapshot(self, state: SketchWindowState) -> _SketchSnapshot:
+        count = state.count
+        if count < 1:
+            raise LearningError("distribution of an empty window")
+        merged = state.merged()
+        mean = variance = None
+        if count >= 2:
+            mean, variance, _ = state.moments()
+        return _SketchSnapshot(
+            self._read(merged),
+            count,
             mean,
             variance,
-            n,
-            confidence,
-            self._accuracy_histogram(state),
-            bin_eps=bin_eps,
+            state.staleness,
+            state.value_range,
+            merged.epsilon,
         )
-        return base.widened(
-            mean_eps=stale * value_span,
-            variance_eps=stale * value_span * value_span,
+
+    def partial_emissions(
+        self, snapshots: Sequence[_SketchSnapshot], confidence: float | None
+    ) -> tuple[list, tuple[AccuracyInfo, ...] | None]:
+        """Distributions, then every row's accuracy in array passes.
+
+        Mean/variance intervals are widened by the staleness of the
+        retained tail in value units; bin intervals by the synopsis'
+        shape error plus the staleness, which is also the recorded
+        ``synopsis_error``.
+        """
+        distributions = self._distributions([s.read for s in snapshots])
+        if confidence is None:
+            return distributions, None
+        sizes = [s.count for s in snapshots]
+        if min(sizes) < 2:
+            raise LearningError(
+                f"accuracy requires a window fill >= 2, got {min(sizes)}"
+            )
+        stale = np.asarray([s.staleness for s in snapshots])
+        value_span = np.asarray([s.value_range for s in snapshots])
+        bin_eps = [
+            min(s.shape_epsilon + s.staleness, 1.0) for s in snapshots
+        ]
+        bins = (
+            histograms_accuracy(distributions, sizes, confidence, bin_eps)
+            if self._binned
+            else None
+        )
+        mean_eps = stale * value_span
+        return distributions, accuracy_from_moments(
+            [s.mean for s in snapshots],
+            [s.variance for s in snapshots],
+            sizes,
+            confidence,
+            bins=bins,
+            mean_eps=mean_eps,
+            variance_eps=mean_eps * value_span,
             synopsis_error=bin_eps,
         )
 
-    def _shape_epsilon(self, state: SketchWindowState) -> float:
-        """Probability-unit error of the synopsis' shape estimates."""
-        raise NotImplementedError
-
-    def _accuracy_histogram(
-        self, state: SketchWindowState
-    ) -> "HistogramDistribution | None":
-        """Histogram handed to Lemma 1 for per-bin intervals, if any."""
-        return None
+    def learn(
+        self, sample: "np.ndarray | list[float]"
+    ) -> LearnedDistribution:
+        arr = self._validated(sample)
+        synopsis = self._make_synopsis()
+        for x in arr.tolist():
+            synopsis.update(x)
+        (distribution,) = self._distributions([self._read(synopsis)])
+        return LearnedDistribution(distribution, arr)
 
 
 @functools.lru_cache(maxsize=64)
@@ -174,53 +245,34 @@ class QuantileSketchLearner(_SketchLearner):
     def _make_synopsis(self) -> KllSketch:
         return KllSketch(self.k)
 
-    def _distribution_from_sketch(
-        self, sketch: KllSketch
-    ) -> HistogramDistribution:
+    def _read(self, synopsis: KllSketch) -> object:
+        return synopsis.items()
+
+    def _distributions(self, reads: Sequence[object]) -> list:
         qs = self._grid
-        values = sketch.quantiles(qs)
+        rows = read_quantiles(reads, qs)
         # Collapse duplicate quantile values (heavy ties), keeping the
         # *last* occurrence so each surviving edge carries the full
         # cumulative mass at that value.
-        keep = np.concatenate((values[1:] != values[:-1], [True]))
-        edges = values[keep]
-        cum = qs[keep]
-        if edges.size < 2:
-            # Constant window: a single positive-width bucket, matching
-            # the equi_width_edges degenerate-range convention.
-            value = float(edges[0])
-            return HistogramDistribution(
-                [value - 0.5, value + 0.5], [1.0]
-            )
-        probabilities = np.diff(cum)
-        probabilities[0] += cum[0]
-        return HistogramDistribution(edges, probabilities)
-
-    def learn(
-        self, sample: "np.ndarray | list[float]"
-    ) -> LearnedDistribution:
-        arr = self._validated(sample)
-        sketch = self._make_synopsis()
-        for x in arr.tolist():
-            sketch.update(x)
-        return LearnedDistribution(
-            self._distribution_from_sketch(sketch), arr
-        )
-
-    def partial_distribution(
-        self, state: SketchWindowState
-    ) -> HistogramDistribution:
-        if state.count < 1:
-            raise LearningError("distribution of an empty window")
-        return state.distribution(self._distribution_from_sketch)
-
-    def _shape_epsilon(self, state: SketchWindowState) -> float:
-        return state.merged().epsilon
-
-    def _accuracy_histogram(
-        self, state: SketchWindowState
-    ) -> HistogramDistribution:
-        return state.distribution(self._distribution_from_sketch)
+        keep = np.ones(rows.shape, dtype=bool)
+        keep[:, :-1] = rows[:, 1:] != rows[:, :-1]
+        out = []
+        for values, kept in zip(rows, keep):
+            edges = values[kept]
+            if edges.size < 2:
+                # Constant window: a single positive-width bucket,
+                # matching the equi_width_edges degenerate-range
+                # convention.
+                value = float(edges[0])
+                out.append(
+                    HistogramDistribution([value - 0.5, value + 0.5], [1.0])
+                )
+                continue
+            cum = qs[kept]
+            probabilities = np.diff(cum)
+            probabilities[0] += cum[0]
+            out.append(HistogramDistribution(edges, probabilities))
+        return out
 
 
 class _FrequencySynopsis:
@@ -335,6 +387,8 @@ class FrequencySketchLearner(_SketchLearner):
     exposes the AMS F2 estimate of the retained window.
     """
 
+    _binned = False
+
     def __init__(
         self,
         cm_width: int = 1024,
@@ -360,9 +414,10 @@ class FrequencySketchLearner(_SketchLearner):
             self.cm_width, self.cm_depth, self.ams_width, self.support_size
         )
 
-    def _distribution_from_synopsis(
+    def _read(
         self, synopsis: _FrequencySynopsis
-    ) -> DiscreteDistribution:
+    ) -> tuple[list[float], list[int]]:
+        """The top candidates and their Count-Min frequency estimates."""
         candidates = synopsis.candidates
         if not candidates:
             raise LearningError("distribution of an empty synopsis")
@@ -370,33 +425,17 @@ class FrequencySketchLearner(_SketchLearner):
             candidates.items(), key=lambda kv: (-kv[1], kv[0])
         )[: self.support_size]
         support = [value for value, _ in ranked]
-        weights = [synopsis.cm.estimate(value) for value in support]
-        return DiscreteDistribution(support, weights)
+        return support, [synopsis.cm.estimate(value) for value in support]
 
-    def learn(
-        self, sample: "np.ndarray | list[float]"
-    ) -> LearnedDistribution:
-        arr = self._validated(sample)
-        synopsis = self._make_synopsis()
-        for x in arr.tolist():
-            synopsis.update(x)
-        return LearnedDistribution(
-            self._distribution_from_synopsis(synopsis), arr
-        )
-
-    def partial_distribution(
-        self, state: SketchWindowState
-    ) -> DiscreteDistribution:
-        if state.count < 1:
-            raise LearningError("distribution of an empty window")
-        return state.distribution(self._distribution_from_synopsis)
+    def _distributions(self, reads: Sequence[object]) -> list:
+        return [
+            DiscreteDistribution(support, weights)
+            for support, weights in reads
+        ]
 
     def partial_second_moment(self, state: SketchWindowState) -> float:
         """AMS estimate of F2 = sum of squared frequencies (retained)."""
         return state.merged().second_moment()
-
-    def _shape_epsilon(self, state: SketchWindowState) -> float:
-        return state.merged().epsilon
 
 
 class HistogramSynopsisLearner(_SketchLearner):
@@ -421,35 +460,10 @@ class HistogramSynopsisLearner(_SketchLearner):
     def _make_synopsis(self) -> HistogramSynopsis:
         return HistogramSynopsis(self.edges)
 
-    def _distribution_from_synopsis(
-        self, synopsis: HistogramSynopsis
-    ) -> HistogramDistribution:
+    def _read(self, synopsis: HistogramSynopsis) -> np.ndarray:
         if synopsis.n < 1:
             raise LearningError("distribution of an empty synopsis")
-        return HistogramDistribution(synopsis.edges, synopsis.counts)
+        return synopsis.counts.copy()
 
-    def learn(
-        self, sample: "np.ndarray | list[float]"
-    ) -> LearnedDistribution:
-        arr = self._validated(sample)
-        synopsis = self._make_synopsis()
-        for x in arr.tolist():
-            synopsis.update(x)
-        return LearnedDistribution(
-            self._distribution_from_synopsis(synopsis), arr
-        )
-
-    def partial_distribution(
-        self, state: SketchWindowState
-    ) -> HistogramDistribution:
-        if state.count < 1:
-            raise LearningError("distribution of an empty window")
-        return state.distribution(self._distribution_from_synopsis)
-
-    def _shape_epsilon(self, state: SketchWindowState) -> float:
-        return state.merged().epsilon
-
-    def _accuracy_histogram(
-        self, state: SketchWindowState
-    ) -> HistogramDistribution:
-        return state.distribution(self._distribution_from_synopsis)
+    def _distributions(self, reads: Sequence[object]) -> list:
+        return [HistogramDistribution(self.edges, counts) for counts in reads]

@@ -36,13 +36,17 @@ count-based structures in :mod:`repro.learning.sketch.frequency` and
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left, bisect_right, insort
+import itertools
+import math
+from bisect import bisect_right, insort
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import LearningError
 
-__all__ = ["KllSketch", "splitmix64"]
+__all__ = ["KllItems", "KllSketch", "read_quantiles", "splitmix64"]
 
 #: Geometric capacity decay per level below the top (the classic KLL c).
 _DECAY = 2.0 / 3.0
@@ -84,6 +88,63 @@ def splitmix64(state: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return z ^ (z >> 31)
+
+
+class KllItems(NamedTuple):
+    """The retained items of a sketch, in level order, with their weights.
+
+    ``weights`` sum to ``n``: an item at level ``l`` stands for ``2**l``
+    stream elements.
+    """
+
+    values: np.ndarray
+    weights: np.ndarray
+    n: int
+    minimum: float
+    maximum: float
+
+
+def read_quantiles(reads: Sequence[KllItems], qs: np.ndarray) -> np.ndarray:
+    """Quantile reads of many sketches: row ``r`` answers ``reads[r]``.
+
+    Row ``r`` holds, for each probability ``q`` of ``qs``, the smallest
+    retained item whose cumulative weight reaches ``q * n`` (the sketch
+    minimum at ``q == 0`` and maximum at ``q == 1``).  One stable sort
+    orders every row's items: rows are padded to a common length with
+    ``+inf`` items of weight 0, which sort last and add no weight.  The
+    cumulative weights of all rows then run on in one integer array,
+    and each row's targets are offset by the weight of the rows before
+    it.  Targets are rounded up to integers first: an integer
+    cumulative weight ``c`` reaches ``t`` exactly when ``c >=
+    ceil(t)``, so the offset adds no rounding.
+    """
+    rows = len(reads)
+    width = max(read.values.size for read in reads)
+    values = np.full((rows, width), np.inf)
+    weights = np.zeros((rows, width), dtype=np.int64)
+    for r, read in enumerate(reads):
+        values[r, : read.values.size] = read.values
+        weights[r, : read.weights.size] = read.weights
+    order = np.argsort(values, axis=1, kind="stable")
+    values = np.take_along_axis(values, order, axis=1).ravel()
+    cumulative = np.cumsum(
+        np.take_along_axis(weights, order, axis=1).ravel()
+    )
+    sizes = np.asarray([read.n for read in reads], dtype=np.int64)
+    before = np.cumsum(sizes) - sizes
+    targets = np.ceil(qs[None, :] * sizes[:, None].astype(float))
+    indices = np.searchsorted(
+        cumulative,
+        (targets.astype(np.int64) + before[:, None]).ravel(),
+        side="left",
+    ).reshape(rows, qs.size)
+    out = values[np.minimum(indices, cumulative.size - 1)]
+    lowest, highest = qs == 0.0, qs == 1.0
+    if lowest.any():
+        out[:, lowest] = np.asarray([r.minimum for r in reads])[:, None]
+    if highest.any():
+        out[:, highest] = np.asarray([r.maximum for r in reads])[:, None]
+    return out
 
 
 class KllSketch:
@@ -135,6 +196,8 @@ class KllSketch:
 
     def update(self, x: float) -> None:
         """Fold one observation into the sketch (amortized O(log k))."""
+        if not math.isfinite(x):
+            raise LearningError(f"sketch observations must be finite, got {x}")
         insort(self._levels[0], x)
         self._size += 1
         self.n += 1
@@ -222,47 +285,38 @@ class KllSketch:
         """Estimated value at quantile ``q`` in [0, 1]."""
         if not 0.0 <= q <= 1.0:
             raise LearningError(f"quantile must be in [0, 1], got {q}")
-        if self.n == 0:
-            raise LearningError("quantile of an empty sketch")
-        if q == 0.0:
-            return self.minimum
-        if q == 1.0:
-            return self.maximum
-        items, weights = self._weighted_items()
-        target = q * self.n
-        cumulative = np.cumsum(weights)
-        index = int(np.searchsorted(cumulative, target, side="left"))
-        if index >= len(items):
-            index = len(items) - 1
-        return float(items[index])
+        return float(self.quantiles([q])[0])
 
     def quantiles(self, qs: "np.ndarray | list[float]") -> np.ndarray:
         """Vectorized :meth:`quantile` over ascending probabilities."""
-        if self.n == 0:
-            raise LearningError("quantile of an empty sketch")
         probe = np.asarray(qs, dtype=float).ravel()
         if probe.size and (probe.min() < 0.0 or probe.max() > 1.0):
             raise LearningError("quantiles must be in [0, 1]")
-        items, weights = self._weighted_items()
-        cumulative = np.cumsum(weights)
-        indices = np.searchsorted(cumulative, probe * self.n, side="left")
-        indices = np.minimum(indices, len(items) - 1)
-        out = items[indices]
-        out[probe == 0.0] = self.minimum
-        out[probe == 1.0] = self.maximum
-        return out
+        return read_quantiles([self.items()], probe)[0]
 
-    def _weighted_items(self) -> tuple[np.ndarray, np.ndarray]:
-        """All retained items with their weights, sorted by value."""
-        values: list[float] = []
-        weights: list[int] = []
-        for level, buffer in enumerate(self._levels):
-            values.extend(buffer)
-            weights.extend([1 << level] * len(buffer))
-        items = np.asarray(values, dtype=np.float64)
-        weight = np.asarray(weights, dtype=np.int64)
-        order = np.argsort(items, kind="stable")
-        return items[order], weight[order]
+    def items(self) -> "KllItems":
+        """A detached copy of what a quantile read needs.
+
+        The copy does not alias the level buffers, so it stays valid
+        while the sketch keeps absorbing updates.
+        """
+        if self.n == 0:
+            raise LearningError("quantile of an empty sketch")
+        levels = self._levels
+        return KllItems(
+            np.fromiter(
+                itertools.chain.from_iterable(levels),
+                dtype=np.float64,
+                count=self._size,
+            ),
+            np.repeat(
+                np.left_shift(1, np.arange(len(levels), dtype=np.int64)),
+                [len(buffer) for buffer in levels],
+            ),
+            self.n,
+            self.minimum,
+            self.maximum,
+        )
 
     # -- merge ---------------------------------------------------------------
 

@@ -109,13 +109,12 @@ class SketchWindowState:
     __slots__ = ("_factory", "chunk_count", "chunk_size", "_chunks",
                  "pending", "_retained", "_version", "_frozen",
                  "_frozen_version", "_sealed", "_sealed_version",
-                 "_totals", "_merged", "_distribution", "_memo_key")
+                 "_totals", "_merged", "_memo_key")
 
     #: Derived caches: rebuilt from the chunks on demand, so they are
     #: left out of pickles and deep copies (see ``__getstate__``).
     _MEMO_SLOTS = ("_frozen", "_frozen_version", "_sealed",
-                   "_sealed_version", "_totals", "_merged",
-                   "_distribution", "_memo_key")
+                   "_sealed_version", "_totals", "_merged", "_memo_key")
 
     def __init__(
         self,
@@ -151,7 +150,6 @@ class SketchWindowState:
         #: Whole-ring reads, valid for one ring state (``_memo_key``).
         self._totals = None
         self._merged = None
-        self._distribution = None
         self._memo_key = None
 
     def __getstate__(self) -> dict[str, object]:
@@ -272,7 +270,9 @@ class SketchWindowState:
             if len(chunks) == 1:
                 # Callers treat the result as read-only; with a single
                 # chunk the live synopsis is returned without a
-                # defensive merge.
+                # defensive merge.  The next add mutates it, so a
+                # reader copies whatever it keeps past that (the
+                # learners' emission snapshots do).
                 self._merged = chunks[0].synopsis
             else:
                 if self._frozen_version != self._version:
@@ -283,22 +283,6 @@ class SketchWindowState:
                     self._frozen_version = self._version
                 self._merged = self._frozen.merge(chunks[-1].synopsis)
         return self._merged
-
-    def distribution(self, build: Callable[[object], object]) -> object:
-        """``build(self.merged())``, computed once per ring state.
-
-        Learners read their window distribution through here so that
-        the emitted distribution and the histogram behind its accuracy
-        are one build.  Like every derived cache of this class it is
-        keyed on the ring state ``(version, retained count)``, never on
-        the identity of the merged synopsis: in the one-chunk phase
-        :meth:`merged` returns the live chunk synopsis, which the next
-        :meth:`add` mutates in place.
-        """
-        self._sync_memo()
-        if self._distribution is None:
-            self._distribution = build(self.merged())
-        return self._distribution
 
     def _sync_memo(self) -> None:
         """Drop whole-ring reads cached for an earlier ring state.
@@ -312,7 +296,6 @@ class SketchWindowState:
             self._memo_key = key
             self._totals = None
             self._merged = None
-            self._distribution = None
 
     def _window_totals(self) -> _Chunk:
         """Chan fold of every chunk's moments and extrema (no synopsis)."""

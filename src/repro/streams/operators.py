@@ -25,7 +25,10 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.core.analytic import accuracy_from_moments
+# Not called here since the learners build their emissions per batch;
+# the name stays importable from this module because perfbench's layer
+# spans wrap it.
+from repro.core.analytic import accuracy_from_moments  # noqa: F401
 from repro.core.coupled import ThreeValued, coupled_tests
 from repro.core.dfsample import DfSized
 from repro.core.predicates import SignificancePredicate
@@ -883,10 +886,15 @@ class RollingLearnOperator(Operator):
     ``learner`` is a registry name (resolved through
     :func:`~repro.learning.registry.make_rolling_learner`, which rejects
     learners without incremental support) or a learner instance with
-    ``supports_partial``.  When the learner is ``partial_vectorizable``,
-    batches take the vectorized Theorem-1 path
-    (:func:`~repro.core.analytic.accuracy_from_moments`) — element-wise
-    identical to the learner's own ``partial_accuracy``.
+    ``supports_partial``.
+
+    A batch is validated whole before any observation slides the window,
+    so a bad row leaves the state as it was.  Each emitting slide then
+    takes a :meth:`~repro.learning.base.Learner.partial_snapshot`, and
+    one :meth:`~repro.learning.base.Learner.partial_emissions` call
+    builds the batch's distributions and accuracy in array passes —
+    row for row what ``partial_distribution`` / ``partial_accuracy``
+    return.  Snapshots live only for the batch.
     """
 
     rolling_metrics = True
@@ -957,15 +965,17 @@ class RollingLearnOperator(Operator):
         else:
             self._state.set_metrics(obs.rolling_resums, obs.rolling_drift)
 
-    def _slide(self, tup: UncertainTuple) -> int | None:
-        """Add the observation, evict the expired one; emit fill or None."""
+    def _observation(self, tup: UncertainTuple) -> float:
         value = tup.value(self.attribute)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise StreamError(
                 f"RollingLearnOperator needs raw numeric observations, "
                 f"attribute {self.attribute!r} is {type(value).__name__}"
             )
-        value = float(value)
+        return self.learner._validated_observation(value)
+
+    def _slide(self, value: float) -> int | None:
+        """Add the observation, evict the expired one; emit fill or None."""
         self.learner.partial_add(self._state, value)
         if self._window is not None:
             evicted = self._window.add(value)
@@ -986,52 +996,28 @@ class RollingLearnOperator(Operator):
             return None
         return k
 
-    def _advance(self, tup: UncertainTuple) -> UncertainTuple | None:
-        k = self._slide(tup)
-        if k is None:
-            return None
-        attributes = dict(tup.attributes)
-        attributes[self.output] = DfSized(
-            self.learner.partial_distribution(self._state), k
-        )
-        if self.accuracy_output is not None:
-            attributes[self.accuracy_output] = self.learner.partial_accuracy(
-                self._state, self.confidence
-            )
-        return tup.with_attributes(attributes)
-
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
-        if self.accuracy_output is None or not self.learner.partial_vectorizable:
-            advance = self._advance
-            self.emit_many(
-                [out for out in map(advance, tuples) if out is not None]
-            )
+        values = [self._observation(tup) for tup in tuples]
+        learner, state = self.learner, self._state
+        emitting: list[tuple[UncertainTuple, int]] = []
+        snapshots = []
+        for tup, value in zip(tuples, values):
+            k = self._slide(value)
+            if k is not None:
+                emitting.append((tup, k))
+                snapshots.append(learner.partial_snapshot(state))
+        if not snapshots:
             return
-        # Vectorized path: collect the per-slide moments, then build all
-        # accuracy infos in one Theorem-1 pass (element-wise identical
-        # to ``partial_accuracy`` — same memoized quantiles, same FP
-        # order).
-        staged: list[tuple[UncertainTuple, dict[str, object]]] = []
-        moments: list[tuple[float, float, int]] = []
-        for tup in tuples:
-            k = self._slide(tup)
-            if k is None:
-                continue
-            attributes = dict(tup.attributes)
-            attributes[self.output] = DfSized(
-                self.learner.partial_distribution(self._state), k
-            )
-            staged.append((tup, attributes))
-            moments.append(self.learner.partial_moments(self._state))
-        if not staged:
-            return
-        means, variances, sizes = zip(*moments)
-        infos = accuracy_from_moments(
-            means, variances, sizes, self.confidence
+        accuracy_output = self.accuracy_output
+        distributions, infos = learner.partial_emissions(
+            snapshots, None if accuracy_output is None else self.confidence
         )
         outs = []
-        for (tup, attributes), info in zip(staged, infos):
-            attributes[self.accuracy_output] = info
+        for i, (tup, k) in enumerate(emitting):
+            attributes = dict(tup.attributes)
+            attributes[self.output] = DfSized(distributions[i], k)
+            if infos is not None:
+                attributes[accuracy_output] = infos[i]
             outs.append(tup.with_attributes(attributes))
         self.emit_many(outs)
 

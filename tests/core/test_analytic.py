@@ -16,6 +16,7 @@ from repro.core.analytic import (
     bin_height_interval,
     distribution_accuracy,
     histogram_accuracy,
+    histograms_accuracy,
     mean_interval,
     proportion_interval_wald,
     proportion_interval_wilson,
@@ -265,6 +266,36 @@ class TestHistogramAccuracy:
         hist = HistogramDistribution([0, 1, 2], [0.4, 0.6])
         with pytest.raises(AccuracyError):
             histogram_accuracy(hist, 40, 0.9, bin_eps=-0.1)
+
+    def test_batch_rows_equal_one_histogram_reads(self):
+        """histograms_accuracy row i is histogram_accuracy of row i."""
+        hists = [
+            HistogramDistribution([0, 1, 2], [0.4, 0.6]),
+            HistogramDistribution(
+                [0, 1, 2, 3, 4, 5], [0.001, 0.3, 0.0, 0.098, 0.601]
+            ),
+            HistogramDistribution([-1.0, 3.5], [1.0]),
+            HistogramDistribution([0, 2, 3, 7], [5, 1, 94]),
+        ]
+        sizes = [3, 40, 2, 5000]
+        eps = [0.0, 0.05, 1.0, 1e-3]
+        batch = histograms_accuracy(hists, sizes, 0.9, eps)
+        assert batch == [
+            histogram_accuracy(h, n, 0.9, bin_eps=e)
+            for h, n, e in zip(hists, sizes, eps)
+        ]
+        # No widening given: the rows are the plain Lemma-1 reads.
+        assert histograms_accuracy(hists, sizes, 0.9) == [
+            histogram_accuracy(h, n, 0.9) for h, n in zip(hists, sizes)
+        ]
+        assert histograms_accuracy([], [], 0.9) == []
+
+    def test_batch_rejects_bad_rows(self):
+        hist = HistogramDistribution([0, 1, 2], [0.4, 0.6])
+        with pytest.raises(AccuracyError):
+            histograms_accuracy([hist, hist], [40, 0], 0.9)
+        with pytest.raises(AccuracyError):
+            histograms_accuracy([hist, hist], [40, 40], 0.9, [0.1, -0.1])
 
 
 class TestDistributionAccuracy:

@@ -29,9 +29,11 @@ from repro.core.analytic import (
     SMALL_SAMPLE_MEAN_CUTOFF,
     WALD_VALIDITY_COUNT,
     accuracy_from_moments,
+    accuracy_from_stats,
     bin_height_interval,
     bin_height_intervals,
     distribution_accuracy,
+    histograms_accuracy,
     mean_interval,
     mean_intervals,
     proportion_interval_wald,
@@ -58,6 +60,7 @@ from repro.core.coupled import (
 )
 from repro.core.predicates import FieldStats, MTest, m_test, m_test_rejects
 from repro.distributions.base import Deterministic
+from repro.distributions.histogram import HistogramDistribution
 from repro.distributions.gaussian import (
     GaussianDistribution,
     tail_probabilities,
@@ -264,6 +267,42 @@ class TestBatchedAccuracyInfo:
             assert pickle.dumps(one) == pickle.dumps(ref)
             assert pickle.dumps(scalar_n) == pickle.dumps(ref)
             assert pickle.dumps(in_batch) == pickle.dumps(ref)
+
+    def test_bins_and_widening_equal_widened_records(self):
+        """Per-row bins and synopsis widening match the scalar path."""
+        rng = np.random.default_rng(11)
+        hist = HistogramDistribution([0, 1, 2, 3], [0.05, 0.6, 0.35])
+        rows = 12
+        means = rng.normal(0, 5, rows).tolist()
+        # Tiny variances let a wide variance_eps push the low bound to 0.
+        variances = [1e-6, 0.0, *rng.uniform(0.0, 9.0, rows - 2).tolist()]
+        ns = rng.integers(2, 60, rows).tolist()
+        # Rows 0-2 are not widened (both epsilons zero); the others are.
+        mean_eps = [0.0, 0.0, 0.0, *rng.uniform(0, 0.5, rows - 3).tolist()]
+        variance_eps = [0.0, 0.0, 0.0, 3.0, 0.0,
+                        *rng.uniform(0, 2.0, rows - 5).tolist()]
+        errors = rng.uniform(0, 0.2, rows).tolist()
+        bins = histograms_accuracy([hist] * rows, ns, 0.9, errors)
+        infos = accuracy_from_moments(
+            means,
+            variances,
+            ns,
+            0.9,
+            bins=bins,
+            mean_eps=np.asarray(mean_eps),
+            variance_eps=np.asarray(variance_eps),
+            synopsis_error=errors,
+        )
+        for i, info in enumerate(infos):
+            ref = accuracy_from_stats(
+                means[i], variances[i], ns[i], 0.9, hist, bin_eps=errors[i]
+            ).widened(
+                mean_eps=mean_eps[i],
+                variance_eps=variance_eps[i],
+                synopsis_error=errors[i],
+            )
+            assert pickle.dumps(info) == pickle.dumps(ref), i
+        assert infos[3].variance.low == 0.0
 
     def test_one_element_batch_rejects_like_the_array_path(self):
         with pytest.raises(AccuracyError):

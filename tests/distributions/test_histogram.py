@@ -52,6 +52,33 @@ class TestConstruction:
         with pytest.raises(DistributionError):
             HistogramDistribution.from_counts([0, 1], [-1])
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [0.0, float("nan"), 2.0],
+            [float("nan"), 1.0, 2.0],
+            [0.0, 1.0, float("inf")],
+            [-float("inf"), 1.0, 2.0],
+            [0.0, float("inf"), 2.0],
+        ],
+    )
+    def test_rejects_non_finite_edges(self, edges):
+        with pytest.raises(DistributionError):
+            HistogramDistribution(edges, [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "probabilities",
+        [
+            [float("nan"), 0.5],
+            [0.5, float("inf")],
+            [float("nan"), float("nan")],
+            [-float("inf"), 1.0],
+        ],
+    )
+    def test_rejects_non_finite_probabilities(self, probabilities):
+        with pytest.raises(DistributionError):
+            HistogramDistribution([0.0, 1.0, 2.0], probabilities)
+
 
 class TestMoments:
     def test_mean_is_weighted_midpoint(self, simple):

@@ -106,9 +106,14 @@ class TestLearnerHooks:
 
         learner = Minimal()
         assert learner.supports_partial is False
-        assert learner.partial_vectorizable is False
+        # One batch emission path for every learner: no opt-in flag.
+        assert not hasattr(learner, "partial_vectorizable")
         with pytest.raises(LearningError, match="incremental"):
             learner.partial_begin()
+        with pytest.raises(LearningError, match="incremental"):
+            learner.partial_snapshot(None)
+        with pytest.raises(LearningError, match="incremental"):
+            learner.partial_emissions([], 0.95)
         with pytest.raises(LearningError, match="incremental"):
             learner.partial_add(None, 1.0)
         with pytest.raises(LearningError, match="incremental"):
@@ -136,7 +141,7 @@ class TestGaussianPartial:
     def test_flags(self):
         learner = GaussianLearner()
         assert learner.supports_partial is True
-        assert learner.partial_vectorizable is True
+        assert not hasattr(learner, "partial_vectorizable")
 
     def test_distribution_and_accuracy_match_learn(self):
         learner = GaussianLearner()

@@ -27,6 +27,9 @@ from repro.learning.sketch import (
     HistogramSynopsisLearner,
     QuantileSketchLearner,
 )
+from repro.learning.sketch.frequency import AmsSketch, CountMinSketch
+from repro.learning.sketch.histogram import HistogramSynopsis
+from repro.learning.sketch.quantile import KllSketch, read_quantiles
 from repro.streams.engine import Pipeline
 from repro.streams.operators import CollectSink, RollingLearnOperator
 from repro.streams.tuples import UncertainTuple
@@ -320,3 +323,141 @@ class TestEmissionCaches:
                 learner.partial_distribution(clone)
             ) == _emission_arrays(distribution)
             assert learner.partial_accuracy(clone) == info
+
+
+def _stream(name, rng, count):
+    # Rounded values repeat, so the frequency synopsis sees ties.
+    if name == "sketch-frequency":
+        return np.round(rng.normal(0.0, 1.5, count), 1).tolist()
+    return rng.normal(0.0, 1.5, count).tolist()
+
+
+def _emission_pickles(distributions, infos):
+    return [pickle.dumps(pair) for pair in zip(distributions, infos)]
+
+
+class TestBatchEmissions:
+    """``partial_emissions`` over snapshots equals one-state reads."""
+
+    def test_batch_equals_per_state_reads(self, named_learner, rng):
+        name, learner = named_learner
+        state = learner.partial_begin()
+        snapshots, expected = [], []
+        for i, x in enumerate(_stream(name, rng, 300)):
+            learner.partial_add(state, x)
+            if i >= 150:
+                learner.partial_evict(state, None)
+            if state.count >= 2:
+                snapshots.append(learner.partial_snapshot(state))
+                expected.append(
+                    (
+                        learner.partial_distribution(state),
+                        learner.partial_accuracy(state, 0.9),
+                    )
+                )
+        distributions, infos = learner.partial_emissions(snapshots, 0.9)
+        assert _emission_pickles(distributions, infos) == [
+            pickle.dumps(pair) for pair in expected
+        ]
+        plain, none = learner.partial_emissions(snapshots, None)
+        assert none is None
+        assert [pickle.dumps(d) for d in plain] == [
+            pickle.dumps(d) for d in distributions
+        ]
+
+    def test_snapshot_does_not_alias_the_live_chunk(
+        self, named_learner, rng
+    ):
+        name, learner = named_learner
+        state = learner.partial_begin()
+        values = _stream(name, rng, 40)
+        for x in values[:20]:
+            learner.partial_add(state, x)
+        # One chunk: the merged synopsis is the live chunk itself.
+        assert len(state._chunks) == 1
+        snapshot = learner.partial_snapshot(state)
+        before = (
+            learner.partial_distribution(state),
+            learner.partial_accuracy(state, 0.9),
+        )
+        for x in values[20:]:
+            learner.partial_add(state, x)
+        after = learner.partial_emissions([snapshot], 0.9)
+        assert _emission_pickles(*after) == [pickle.dumps(before)]
+
+    def test_accuracy_needs_two_values(self, named_learner):
+        _, learner = named_learner
+        state = learner.partial_begin()
+        learner.partial_add(state, 1.0)
+        snapshot = learner.partial_snapshot(state)
+        distributions, _ = learner.partial_emissions([snapshot], None)
+        assert len(distributions) == 1
+        with pytest.raises(LearningError, match=">= 2"):
+            learner.partial_emissions([snapshot], 0.9)
+
+
+def _reference_quantiles(sketch, qs):
+    """One sketch's quantile read, the way it was done per sketch."""
+    values, weights = [], []
+    for level, buffer in enumerate(sketch._levels):
+        values.extend(buffer)
+        weights.extend([1 << level] * len(buffer))
+    order = np.argsort(np.asarray(values), kind="stable")
+    items = np.asarray(values)[order]
+    cumulative = np.cumsum(np.asarray(weights, dtype=np.int64)[order])
+    indices = np.searchsorted(cumulative, qs * sketch.n, side="left")
+    out = items[np.minimum(indices, len(items) - 1)]
+    out[qs == 0.0] = sketch.minimum
+    out[qs == 1.0] = sketch.maximum
+    return out
+
+
+class TestReadQuantiles:
+    def test_rows_equal_one_sketch_reads(self, rng):
+        sketches = []
+        for count in (1, 2, 7, 300, 5000, 20000):
+            sketch = KllSketch(16)
+            # Integer values: long runs of ties across levels.
+            for x in rng.integers(0, 40, count).astype(float).tolist():
+                sketch.update(x)
+            sketches.append(sketch)
+        grids = (
+            np.linspace(0.0, 1.0, 11),
+            np.linspace(0.0, 1.0, 101),
+            np.sort(rng.random(50)),
+            np.asarray([0.1, 0.3, 0.7]),
+        )
+        for qs in grids:
+            rows = read_quantiles([s.items() for s in sketches], qs)
+            for sketch, row in zip(sketches, rows):
+                expected = _reference_quantiles(sketch, qs)
+                assert row.tobytes() == expected.tobytes()
+                assert sketch.quantiles(qs).tobytes() == expected.tobytes()
+
+    def test_items_is_a_copy(self):
+        sketch = KllSketch(16)
+        for x in (3.0, 1.0, 2.0):
+            sketch.update(x)
+        items = sketch.items()
+        sketch.update(0.5)
+        assert items.values.tolist() == [1.0, 2.0, 3.0]
+        assert items.n == 3 and items.minimum == 1.0
+
+
+class TestSynopsesRejectNonFinite:
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -float("inf")]
+    )
+    def test_every_synopsis_raises_and_keeps_its_state(self, bad):
+        synopses = [
+            KllSketch(16),
+            HistogramSynopsis([0.0, 1.0, 2.0]),
+            CountMinSketch(16, 3),
+            AmsSketch(16, 3),
+        ]
+        for synopsis in synopses:
+            synopsis.update(1.5)
+            before = pickle.dumps(synopsis)
+            with pytest.raises(LearningError, match="finite"):
+                synopsis.update(bad)
+            assert pickle.dumps(synopsis) == before

@@ -26,6 +26,7 @@ from repro.streams.operators import (
     Operator,
     ProbabilisticFilter,
     Project,
+    RollingLearnOperator,
     Select,
     SlidingGaussianAverage,
     WindowAggregate,
@@ -230,3 +231,126 @@ class TestLearnGaussianBatches:
         rows = self._rows([1.0, 2.0, 3.0], short)
         with pytest.raises(LearningError):
             self._pipeline().run_batched(rows, 8)
+
+
+#: Every learner with incremental hooks.  The sketch rings are small, so
+#: a short stream runs through ring doublings and chunk drops.
+_EDGES = [-6.0, -2.0, -1.0, 0.0, 1.0, 2.0, 6.0]
+_RING = {"chunk_count": 2, "chunk_size": 4}
+PARTIAL_LEARNERS = {
+    "gaussian": {},
+    "histogram": {"edges": _EDGES},
+    "sketch-quantile": {"k": 16, **_RING},
+    "sketch-histogram": {"edges": _EDGES, **_RING},
+    "sketch-frequency": {"cm_width": 32, "support_size": 4, **_RING},
+}
+
+
+def _observations(kind: str, count: int = 160) -> list[UncertainTuple]:
+    rng = np.random.default_rng(7)
+    if kind == "constant":
+        # A varied start, then a run long enough to make the window
+        # constant: the sketch quantile read collapses to one edge.
+        values = np.concatenate((rng.normal(0.0, 1.5, 20), [1.25] * 60))
+    elif kind == "ties":
+        values = rng.integers(-2, 3, count).astype(float)
+    else:
+        # Some readings fall outside the pinned histogram edges.
+        values = rng.normal(0.0, 2.5, count)
+    return [UncertainTuple({"x": float(x), "i": i}) for i, x in
+            enumerate(values)]
+
+
+def _rolling_pipeline(name: str, **kwargs) -> Pipeline:
+    return Pipeline(
+        [
+            RollingLearnOperator(
+                "x", 24, name, confidence=0.9, **kwargs,
+                **PARTIAL_LEARNERS[name],
+            ),
+            CollectSink(),
+        ]
+    )
+
+
+def _pickles(sink: CollectSink) -> list[bytes]:
+    return [pickle.dumps(t) for t in sink.results]
+
+
+class TestRollingLearnerBatches:
+    """Emissions do not depend on how the stream is cut into batches."""
+
+    @pytest.mark.parametrize("kind", ["smooth", "ties", "constant"])
+    @pytest.mark.parametrize("name", sorted(PARTIAL_LEARNERS))
+    def test_run_and_batched_runs_pickle_equal(self, name, kind):
+        if name == "gaussian" and kind == "constant":
+            pytest.skip("a constant window has no Gaussian spread to fit")
+        rows = _observations(kind)
+        reference = _pickles(_rolling_pipeline(name).run(rows))
+        assert len(reference) == len(rows) - 1
+        for batch_size in (1, 7, 64):
+            batched = _rolling_pipeline(name).run_batched(rows, batch_size)
+            assert _pickles(batched) == reference, batch_size
+
+    @pytest.mark.parametrize("name", sorted(PARTIAL_LEARNERS))
+    def test_full_windows_only_and_no_accuracy(self, name):
+        rows = _observations("ties")
+        for kwargs in (
+            {"emit_partial": False},
+            {"emit_partial": False, "accuracy_output": None},
+        ):
+            reference = _pickles(_rolling_pipeline(name, **kwargs).run(rows))
+            assert len(reference) == len(rows) - 23
+            for batch_size in (1, 7, 64):
+                batched = _rolling_pipeline(name, **kwargs).run_batched(
+                    rows, batch_size
+                )
+                assert _pickles(batched) == reference, (kwargs, batch_size)
+
+    def test_sketch_constant_window_is_one_unit_bucket(self):
+        rows = _observations("constant")
+        sink = _rolling_pipeline("sketch-quantile").run_batched(rows, 64)
+        last = sink.results[-1].value("learned").distribution
+        assert last.edges.tolist() == [0.75, 1.75]
+        assert last.probabilities.tolist() == [1.0]
+
+
+class TestRollingLearnerFailedBatch:
+    """A batch with a bad observation changes nothing, then or later."""
+
+    @pytest.mark.parametrize(
+        "bad,error",
+        [
+            (float("nan"), LearningError),
+            (float("inf"), LearningError),
+            ("7", StreamError),
+            (True, StreamError),
+        ],
+    )
+    @pytest.mark.parametrize("name", sorted(PARTIAL_LEARNERS))
+    def test_state_untouched_and_later_emissions_unchanged(
+        self, name, bad, error
+    ):
+        rows = _observations("smooth")
+        head, tail = rows[:40], rows[40:]
+        failing = [*tail[:3], UncertainTuple({"x": bad, "i": -1}), *tail[3:6]]
+
+        pipeline = _rolling_pipeline(name)
+        pipeline.run_batched(head, 16)
+        operator, sink = pipeline.operators
+
+        def state():
+            return pickle.dumps(
+                (operator._state, operator._window, operator._fill)
+            )
+
+        before = state()
+        emitted = len(sink.results)
+        with pytest.raises(error):
+            pipeline.push_many(failing)
+        assert state() == before
+        assert len(sink.results) == emitted
+        pipeline.run_batched(tail, 16)
+
+        clean = _rolling_pipeline(name).run_batched(rows, 16)
+        assert _pickles(sink) == _pickles(clean)

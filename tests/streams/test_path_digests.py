@@ -171,8 +171,15 @@ def _observed():
     ]
 
 
-def _rolling(learner, **kwargs):
-    return lambda: [RollingLearnOperator("obs", 16, learner, **kwargs)]
+def _readings(count, seed, decimals=1):
+    # Rounded readings repeat, so the synopses see ties.
+    rng = np.random.default_rng(seed)
+    values = np.round(rng.normal(10.0, 3.0, count), decimals)
+    return [UncertainTuple({"obs": float(x)}) for x in values]
+
+
+def _rolling(learner, window=16, **kwargs):
+    return lambda: [RollingLearnOperator("obs", window, learner, **kwargs)]
 
 
 def _fig5(factory):
@@ -207,6 +214,33 @@ SCENARIOS = {
     ),
     "rolling.sketch": (
         _rolling("sketch-quantile"), lambda: _observations(200)
+    ),
+    # Multi-chunk rings: a 256 window over four 16-value chunks runs
+    # through ring doublings, chunk drops and merge-time compaction.
+    "rolling.sketch_ring": (
+        _rolling("sketch-quantile", 256, k=32, chunk_count=4, chunk_size=16),
+        lambda: _readings(1200, 21),
+    ),
+    "rolling.sketch_histogram": (
+        _rolling(
+            "sketch-histogram",
+            64,
+            edges=[4.0, 7.0, 9.0, 10.0, 11.0, 13.0, 16.0],
+            chunk_count=2,
+            chunk_size=4,
+        ),
+        lambda: _readings(400, 22),
+    ),
+    "rolling.sketch_frequency": (
+        _rolling(
+            "sketch-frequency",
+            64,
+            cm_width=64,
+            support_size=8,
+            chunk_count=2,
+            chunk_size=4,
+        ),
+        lambda: _readings(400, 23, decimals=0),
     ),
     **{
         f"fig5c.{name}": (_fig5(factory), lambda: make_stream(300, 3))
@@ -315,6 +349,12 @@ PINNED = {
     "rolling.gaussian": "71b4d93a2cac0a23b657ba60",
     "rolling.histogram": "59dff39895681fa6bfce63ff",
     "rolling.sketch": "b9c298dbe6ccb3a1ba9f2717",
+    # Recorded while sketch emissions were still built one row at a
+    # time (``partial_distribution`` / ``partial_accuracy`` per slide),
+    # before the batch emission path replaced them.
+    "rolling.sketch_frequency": "9a16066fc7dfb240b5498107",
+    "rolling.sketch_histogram": "1c8dc9f20ce0cfdd301537d6",
+    "rolling.sketch_ring": "8092ae9fa8b5f04177dea468",
 }
 
 
