@@ -1,109 +1,144 @@
-"""A/B timings behind docs/PARALLELISM.md: does sharded execution pay?
+"""A/B timing behind docs/PARALLELISM.md: does keyed sharding pay?
 
-Runs one pair of timings per seed, alternates which arm goes first
-(arm A on even seeds, arm B on odd seeds), and reports per
-configuration the median and interquartile range of the per-seed
-throughput ratio B/A.  Arm B uses ``WORKERS`` processes: the shard
-count, capped at ``available_cpus()``.  In each arm, one untimed
-warm-up run comes first, and then the best of ``REPEATS`` timed runs
-is reported (tuples/s):
+Arm A is ``Pipeline.run_batched``; arm B is ``Pipeline.run_sharded``
+partitioned by the group key on one long-lived ``WorkerPool`` of
+``min(2, available_cpus())`` workers.  The pipeline is the one shape
+sharding accepts that does real per-key work: a chunked keyed GROUP BY
+(``GroupedAggregate("sensor", "reading", 16, agg="avg",
+synopsis="chunked")``, no TTL) into a ``CollectSink``, over the churning
+sensor keys of the ``sketch_stream`` workload (16,384 distinct readings
+tiled to ``--tuples``).  Both arms take the same columnar source.
 
-* ``sharded`` — the Fig 5(c)/(f) pipelines (``fig5c_pipelines`` /
-  ``fig5f_pipelines``) over ``N_ITEMS`` stream items.  Arm A is
-  1-process ``Pipeline.run_batched``; arm B is ``Pipeline.run_sharded``
-  with ``N_SHARDS`` round-robin shards.  Both arms take a columnar
-  source.  Arm B's warm-up also starts the pool.
+Before timing, one untimed run of each arm starts the pool and checks
+that the two sinks are byte-identical, tuple by tuple in order.  Then
+``--pairs`` pairs are timed, one run per arm, alternating which arm
+goes first (A first in even pairs).  Prints one JSON line per pair,
+then the median and interquartile range of the per-pair ratio B/A.
 
 Run from the repository root::
 
-    PYTHONPATH=src python benchmarks/ab_parallel.py sharded --seeds 30
-
-Prints one JSON line per pair, then the summary table.
+    PYTHONPATH=src python benchmarks/ab_parallel.py --pairs 10
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import pathlib
+import pickle
 import platform
-from collections import defaultdict
+import subprocess
+import time
 
 import numpy as np
 
-from repro import available_cpus, measure_throughput
-from repro.experiments.fig5_throughput import (
-    BATCH_SIZE,
-    N_SHARDS,
-    fig5c_pipelines,
-    fig5f_pipelines,
-    make_stream,
+from repro import (
+    CollectSink,
+    GroupedAggregate,
+    Pipeline,
+    UncertainTuple,
+    WorkerPool,
+    available_cpus,
 )
+from repro.streams.columnar import as_columnar
 
-N_ITEMS = 8000
-REPEATS = 3
-WORKERS = min(N_SHARDS, available_cpus())
+POOL_SIZE = 16384
+BATCH_SIZE = 256
 
 
-def _time_fig5(factory, tuples, seed: int, arm: str) -> float:
-    if arm == "B":
-        # measure_throughput runs its own untimed warm-up on this path.
-        return measure_throughput(
-            factory, tuples, REPEATS, batch_size=BATCH_SIZE,
-            layout="columnar", n_workers=WORKERS, n_shards=N_SHARDS,
-            shard_seed=seed,
-        )
-    # It warms up only the pool path: give the batched arm the same
-    # untimed first run.
-    measure_throughput(
-        factory, tuples, 1, batch_size=BATCH_SIZE, layout="columnar"
+def _stream(n_tuples: int, seed: int = 0):
+    """``sketch_stream``'s drifting readings over churning sensor keys."""
+    rng = np.random.default_rng([seed, 3])
+    t = np.arange(POOL_SIZE)
+    readings = (
+        52.0
+        + 3.0 * np.sin(2.0 * np.pi * t / 8192)
+        + rng.uniform(-14.0, 14.0, POOL_SIZE)
     )
-    return measure_throughput(
-        factory, tuples, REPEATS, batch_size=BATCH_SIZE, layout="columnar"
+    sensors = (t // 16 + rng.integers(0, 128, POOL_SIZE)) % (POOL_SIZE // 16)
+    pool = [
+        UncertainTuple({"sensor": int(s), "reading": float(x)})
+        for s, x in zip(sensors, readings)
+    ]
+    tiled = (pool * (n_tuples // POOL_SIZE + 1))[:n_tuples]
+    return as_columnar(tiled)
+
+
+def _pipeline() -> Pipeline:
+    return Pipeline(
+        [
+            GroupedAggregate(
+                "sensor", "reading", 16, agg="avg", synopsis="chunked"
+            ),
+            CollectSink(),
+        ]
     )
 
 
-def _sharded_pairs(seeds: int):
-    for seed in range(seeds):
-        tuples = make_stream(N_ITEMS, seed)
-        pipelines = {
-            **{f"5c {k}": v for k, v in fig5c_pipelines(seed).items()},
-            # "no predicate" is the same pipeline as "QP only".
-            **{
-                f"5f {k}": v
-                for k, v in fig5f_pipelines().items()
-                if k != "no predicate"
-            },
-        }
-        for config, factory in pipelines.items():
-            yield config, seed, {
-                arm: _time_fig5(factory, tuples, seed, arm)
-                for arm in ("AB" if seed % 2 == 0 else "BA")
-            }
+def _run(arm: str, source, pool: WorkerPool):
+    pipeline = _pipeline()
+    start = time.perf_counter()
+    if arm == "A":
+        sink = pipeline.run_batched(source, BATCH_SIZE)
+    else:
+        sink = pipeline.run_sharded(source, "sensor", pool, BATCH_SIZE)
+    return time.perf_counter() - start, sink
+
+
+def _git_sha() -> str:
+    try:
+        return subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, check=True,
+            cwd=pathlib.Path(__file__).parent,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("what", choices=("sharded",))
-    parser.add_argument("--seeds", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--tuples", type=int, default=200_000)
     args = parser.parse_args()
-    ratios: dict[str, list[float]] = defaultdict(list)
-    for config, seed, rates in _sharded_pairs(args.seeds):
-        ratio = rates["B"] / rates["A"]
-        ratios[config].append(ratio)
-        print(json.dumps({
-            "config": config, "seed": seed, "A": rates["A"],
-            "B": rates["B"], "ratio": ratio,
-        }), flush=True)
+    workers = min(2, available_cpus())
+    source = _stream(args.tuples)
+    ratios = []
+    with WorkerPool(workers) as pool:
+        _, batched = _run("A", source, pool)
+        _, sharded = _run("B", source, pool)
+        same = [pickle.dumps(t) for t in batched.results] == [
+            pickle.dumps(t) for t in sharded.results
+        ]
+        del batched, sharded
+        if not same:
+            raise SystemExit("sharded sink differs from run_batched")
+        for pair in range(args.pairs):
+            seconds = {}
+            for arm in "AB" if pair % 2 == 0 else "BA":
+                seconds[arm] = _run(arm, source, pool)[0]
+            ratio = seconds["A"] / seconds["B"]
+            ratios.append(ratio)
+            print(json.dumps({
+                "pair": pair,
+                "first": "A" if pair % 2 == 0 else "B",
+                "A_s": round(seconds["A"], 4),
+                "B_s": round(seconds["B"], 4),
+                "ratio": round(ratio, 4),
+            }), flush=True)
+    q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+    wins = sum(r > 1.0 for r in ratios)
     print(
-        f"\n{args.what}: workers={WORKERS}, cpus={available_cpus()}, "
-        f"python {platform.python_version()}, numpy {np.__version__}, "
-        f"seeds={args.seeds}"
+        f"\nkeyed GROUP BY, {args.tuples} tuples, workers={workers}, "
+        f"cpus={available_cpus()}, python {platform.python_version()}, "
+        f"numpy {np.__version__}, git {_git_sha()}; outputs byte-identical"
     )
-    print("| config | median B/A | IQR |")
-    print("|---|---|---|")
-    for config, values in ratios.items():
-        q1, median, q3 = np.percentile(values, [25, 50, 75])
-        print(f"| {config} | {median:.2f}x | {q1:.2f}-{q3:.2f} |")
+    print("| shape | median B/A speedup | IQR | B faster |")
+    print("|---|---|---|---|")
+    print(
+        f"| chunked GROUP BY avg, window 16 | {median:.2f}x | "
+        f"{q1:.2f}-{q3:.2f} | {wins}/{len(ratios)} |"
+    )
 
 
 if __name__ == "__main__":

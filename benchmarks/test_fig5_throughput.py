@@ -15,60 +15,8 @@ assert it beats the per-tuple path by at least 1.5x on the
 accuracy-heavy configurations.
 """
 
-import json
-import pickle
-
-import pytest
-
 from benchmarks.conftest import save_result
-from repro.experiments.fig5_throughput import (
-    N_SHARDS,
-    _BootstrapAccuracy,
-    _LearnGaussian,
-    make_stream,
-    run_fig5c,
-    run_fig5f,
-)
-from repro.parallel import available_cpus
-from repro.streams.engine import Pipeline
-from repro.streams.operators import CollectSink, SlidingGaussianAverage
-
-SHARDED_WORKERS = 4
-
-
-def _bench_records(result, workers):
-    """ThroughputResult -> BENCH_fig5.json records.
-
-    Schema: ``{config, path, workers, cpus, layout, tuples_per_sec}``
-    with ``path`` in {per-tuple, batched, sharded}, ``workers`` the
-    number of processes executing tuples (1 for the single-process
-    paths, never null), ``cpus`` the CPUs available to the measuring
-    process (``available_cpus()``; fewer CPUs than workers means the
-    sharded row was oversubscribed), and ``layout`` the batch
-    representation fed to the engine — "tuple" on the per-tuple path,
-    "columnar" on the batched and sharded paths (see
-    ``measure_throughput(layout=...)``).
-    """
-    cpus = available_cpus()
-    records = []
-    for name, tput in result.throughputs.items():
-        if "(sharded" in name:
-            config, path, w = name.split(" (sharded")[0], "sharded", workers
-        elif name.endswith(" (batched)"):
-            config, path, w = name[: -len(" (batched)")], "batched", 1
-        else:
-            config, path, w = name, "per-tuple", 1
-        records.append(
-            {
-                "config": config,
-                "path": path,
-                "workers": w,
-                "cpus": cpus,
-                "layout": "tuple" if path == "per-tuple" else "columnar",
-                "tuples_per_sec": tput,
-            }
-        )
-    return records
+from repro.experiments.fig5_throughput import run_fig5c, run_fig5f
 
 
 def test_fig5c_accuracy_overhead(benchmark, results_dir):
@@ -112,96 +60,6 @@ def test_fig5f_predicate_overhead(benchmark, results_dir):
     # learning/accuracy stages upstream of it are).
     for name in ("no predicate", "mTest", "mdTest", "pTest"):
         assert rates[f"{name} (batched)"] > rates[name], name
-
-
-def test_fig5_sharded_throughput(benchmark, results_dir):
-    """The headline perf claim: sharded execution beats batched serial.
-
-    Measures Figures 5(c) and 5(f) with the 4-worker process-pool path
-    enabled, writes every (configuration, execution path) rate to
-    ``benchmarks/results/BENCH_fig5.json``, and asserts the sharded
-    path clears 1.5x batched serial on the accuracy-heavy
-    configurations.  On a machine with fewer CPUs than workers it skips
-    before measuring, so no oversubscribed record is written.
-    """
-    workers = SHARDED_WORKERS
-    if available_cpus() < workers:
-        pytest.skip(
-            f"sharded speedup gate needs >= {workers} CPUs "
-            f"(have {available_cpus()}); no record written"
-        )
-    fig5c, fig5f = benchmark.pedantic(
-        lambda: (
-            run_fig5c(seed=3, n_items=3000, repeats=3, workers=workers),
-            run_fig5f(seed=3, n_items=3000, repeats=3, workers=workers),
-        ),
-        rounds=1, iterations=1,
-    )
-    save_result(results_dir, "fig5c_sharded", fig5c.render())
-    save_result(results_dir, "fig5f_sharded", fig5f.render())
-    records = _bench_records(fig5c, workers) + _bench_records(fig5f, workers)
-    (results_dir / "BENCH_fig5.json").write_text(
-        json.dumps(records, indent=2) + "\n"
-    )
-
-    # Schema invariants: every row names its layout and a real worker
-    # count (1 for single-process paths, never null).
-    rate = {(r["config"], r["path"]): r["tuples_per_sec"] for r in records}
-    for r in records:
-        expected_layout = "tuple" if r["path"] == "per-tuple" else "columnar"
-        assert r["layout"] == expected_layout, r
-        assert r["workers"] == (workers if r["path"] == "sharded" else 1), r
-        assert r["cpus"] == available_cpus(), r
-        assert r["tuples_per_sec"] > 0, r
-
-    # Columnar transport makes sharding pay on EVERY configuration...
-    for config in (
-        "QP only", "analytic", "bootstrap",
-        "no predicate", "mTest", "mdTest", "pTest",
-    ):
-        assert rate[(config, "sharded")] > rate[(config, "batched")], config
-    # ...and clears 1.5x batched serial on the accuracy-heavy ones.
-    for config in (
-        "analytic", "bootstrap",
-        "no predicate", "mTest", "mdTest", "pTest",
-    ):
-        assert (
-            rate[(config, "sharded")] > 1.5 * rate[(config, "batched")]
-        ), config
-
-
-def _fig5c_bootstrap_collect_pipeline():
-    return Pipeline(
-        [
-            _LearnGaussian("points", "value"),
-            SlidingGaussianAverage("value", 200),
-            _BootstrapAccuracy("avg", seed=0),
-            CollectSink(),
-        ]
-    )
-
-
-def test_fig5c_sharded_equivalence_across_worker_counts():
-    """Fixed seed => identical sink contents at 1, 2, and 4 workers.
-
-    The bootstrap configuration is the adversarial case: its operator is
-    stateful AND stochastic, so this exercises the per-shard reseeding
-    path end to end.  Tuples are compared by per-element pickle bytes
-    (whole-list pickles differ in memoization structure across paths).
-    """
-    tuples = make_stream(400, seed=3)
-
-    def run(workers):
-        pipeline = _fig5c_bootstrap_collect_pipeline()
-        sink = pipeline.run_sharded(
-            tuples, n_workers=workers, n_shards=N_SHARDS, seed=3
-        )
-        return [pickle.dumps(tup) for tup in sink.results]
-
-    baseline = run(1)
-    assert len(baseline) == 400
-    assert run(2) == baseline
-    assert run(4) == baseline
 
 
 def test_fig5f_predicates_cheaper_than_bootstrap_accuracy(benchmark):

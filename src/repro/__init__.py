@@ -148,11 +148,7 @@ from repro.obs import (
     MetricsRegistry,
     operator_rows,
 )
-from repro.parallel import (
-    ParallelConfig,
-    WorkerPool,
-    available_cpus,
-)
+from repro.parallel import WorkerPool, available_cpus
 
 __version__ = "1.0.0"
 
@@ -197,5 +193,5 @@ __all__ = [
     "save_database", "load_database",
     "Counter", "Gauge", "Timer", "Histogram", "MetricsRegistry",
     "operator_rows",
-    "ParallelConfig", "WorkerPool", "available_cpus",
+    "WorkerPool", "available_cpus",
 ]

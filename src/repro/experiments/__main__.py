@@ -33,15 +33,11 @@ from repro.obs.trace import TraceConfig, Tracer
 def _experiments(
     quick: bool,
     registry: MetricsRegistry | None = None,
-    workers: int | None = None,
     tracer: Tracer | None = None,
     telemetry: TelemetryRecorder | None = None,
 ):
     """(name, callable) pairs for every figure, scaled by --quick."""
-    obs = dict(
-        registry=registry, workers=workers, tracer=tracer,
-        telemetry=telemetry,
-    )
+    obs = dict(registry=registry, tracer=tracer, telemetry=telemetry)
     if quick:
         return [
             ("fig4abc", lambda: run_fig4(
@@ -108,12 +104,6 @@ def main(argv: list[str] | None = None) -> int:
              "for the throughput figures (fig5c, fig5f)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="additionally measure the throughput figures (fig5c, fig5f) "
-             "on the sharded process-pool path with N worker processes "
-             "(0 = one per CPU; also settable via REPRO_WORKERS)",
-    )
-    parser.add_argument(
         "--trace", type=pathlib.Path, default=None, metavar="OUT.json",
         help="record a span trace of the throughput figures' "
              "instrumented passes (fig5c, fig5f) and export it as "
@@ -143,12 +133,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--health requires at least one --slo RULE")
     if args.trace_provenance and args.trace is None:
         parser.error("--trace-provenance requires --trace OUT.json")
-    if args.workers is not None and args.workers < 0:
-        parser.error(f"--workers must be >= 0, got {args.workers}")
-    if args.workers == 0:
-        from repro.parallel.config import available_cpus
-
-        args.workers = available_cpus()
 
     selected = None
     if args.only:
@@ -167,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
         # of its snapshots, cut at tuple-count boundaries.
         telemetry = TelemetryRecorder(registry=registry)
     for name, runner in _experiments(
-        args.quick, registry, args.workers, tracer, telemetry
+        args.quick, registry, tracer, telemetry
     ):
         if selected is not None and name not in selected:
             continue

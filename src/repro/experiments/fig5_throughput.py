@@ -53,6 +53,7 @@ from repro.streams.columnar import (
 )
 from repro.streams.engine import Pipeline
 from repro.streams.operators import (
+    ANY_PARTITION,
     CountingSink,
     Operator,
     SlidingGaussianAverage,
@@ -73,11 +74,6 @@ RAW_POINTS_PER_ITEM = 20
 WINDOW_SIZE = 1000
 # Batch size for the vectorized execution path (Pipeline.run_batched).
 BATCH_SIZE = 256
-# Shard count for the process-pool path (Pipeline.run_sharded).  Pinned
-# independently of the worker count so sharded results are identical
-# whether 1, 2, or 4 workers execute the shards (the determinism
-# contract of repro.parallel); 4 matches the headline 4-worker setup.
-N_SHARDS = 4
 
 
 @dataclasses.dataclass
@@ -121,6 +117,8 @@ def make_stream(
 
 class _LearnGaussian(Operator):
     """Learns a Gaussian attribute from each tuple's raw points (QP step)."""
+
+    partition_key = ANY_PARTITION
 
     def __init__(self, points_attribute: str, output: str) -> None:
         super().__init__()
@@ -193,6 +191,8 @@ class _LearnGaussian(Operator):
 
 class _AnalyticAccuracy(Operator):
     """Attaches analytic accuracy info to the window-average field."""
+
+    partition_key = ANY_PARTITION
 
     accuracy_attribute = "accuracy"
 
@@ -271,9 +271,10 @@ class _BootstrapAccuracy(Operator):
       result (mu, sigma2, n) bit-identical reuses the previous
       AccuracyInfo outright, drawing nothing.
 
-    Both layers evolve deterministically with the input stream, so the
-    pinned-shard determinism contract (identical sharded output at any
-    worker count) is preserved.
+    Both layers evolve deterministically with the input stream.  The
+    generator makes the output depend on every earlier draw, so the
+    operator keeps the default ``partition_key`` (the whole stream in
+    order) and sharded execution refuses it.
     """
 
     accuracy_attribute = "accuracy"
@@ -301,12 +302,6 @@ class _BootstrapAccuracy(Operator):
         self._warm_r = initial_resamples
         self._cache_key: tuple[float, float, int] | None = None
         self._cache_info: AccuracyInfo | None = None
-
-    def reseed(self, seed: object) -> None:
-        self._rng = np.random.default_rng(seed)
-        self._warm_r = self.initial_resamples
-        self._cache_key = None
-        self._cache_info = None
 
     @property
     def adaptive(self) -> bool:
@@ -553,22 +548,17 @@ def _measure_all(
     repeats: int,
     registry: MetricsRegistry | None,
     figure: str,
-    shard_seed: int = 0,
     tracer: Tracer | None = None,
     telemetry: TelemetryRecorder | None = None,
 ) -> ThroughputResult:
     """Measure every configuration; with a registry, also record the
     per-stage breakdown of each one under ``{figure}.{config slug}``.
 
-    A configuration value is ``(factory, batch_size)`` for the serial
-    paths or ``(factory, batch_size, n_workers)`` for the sharded
-    process-pool path (always ``N_SHARDS`` shards, seeded with
-    ``shard_seed`` so the sharded runs are reproducible).
+    A configuration value is ``(factory, batch_size)``; a ``None``
+    batch size measures the per-tuple path.
     """
     throughputs = {}
-    for name, spec in configurations.items():
-        factory, batch_size = spec[0], spec[1]
-        workers = spec[2] if len(spec) > 2 else None
+    for name, (factory, batch_size) in configurations.items():
         throughputs[name] = measure_throughput(
             factory,
             tuples,
@@ -576,13 +566,10 @@ def _measure_all(
             batch_size=batch_size,
             registry=registry,
             metrics_prefix=f"{figure}.{_slug(name)}",
-            n_workers=workers,
-            n_shards=N_SHARDS if workers is not None else None,
-            shard_seed=shard_seed if workers is not None else None,
             tracer=tracer,
             telemetry=telemetry,
-            # Batched and sharded configurations run end-to-end columnar
-            # (converted once, outside the timed region); the per-tuple
+            # Batched configurations run end-to-end columnar (converted
+            # once, outside the timed region); the per-tuple
             # baseline (one-row batches) keeps the tuple-list layout.
             layout="columnar" if batch_size is not None else "tuple",
         )
@@ -608,20 +595,14 @@ def _fig5_pipeline(*stages: Callable[[], Operator]) -> Callable[[], Pipeline]:
 def _configurations(
     pipelines: dict[str, Callable[[], Pipeline]],
     batch_size: int,
-    workers: int | None,
 ) -> dict[str, tuple]:
-    """Every pipeline on the per-tuple path, then "(batched)", then —
-    with ``workers`` — "(sharded xW)"; see :func:`_measure_all`."""
+    """Every pipeline on the per-tuple path, then "(batched)"; see
+    :func:`_measure_all`."""
     configurations: dict[str, tuple] = {
         name: (factory, None) for name, factory in pipelines.items()
     }
     for name, factory in pipelines.items():
         configurations[f"{name} (batched)"] = (factory, batch_size)
-    if workers is not None:
-        for name, factory in pipelines.items():
-            configurations[f"{name} (sharded x{workers})"] = (
-                factory, batch_size, workers,
-            )
     return configurations
 
 
@@ -660,7 +641,6 @@ def run_fig5c(
     repeats: int = 3,
     batch_size: int = BATCH_SIZE,
     registry: MetricsRegistry | None = None,
-    workers: int | None = None,
     tracer: Tracer | None = None,
     telemetry: TelemetryRecorder | None = None,
     target_ci_width: float | None = None,
@@ -670,13 +650,10 @@ def run_fig5c(
 
     Each configuration is measured twice: on the per-tuple path
     (``Pipeline.run``, one-row batches) and on the vectorized batched path
-    (``Pipeline.run_batched``, suffix "(batched)").  ``workers`` adds a
-    third round on the sharded process-pool path
-    (``Pipeline.run_sharded`` with ``N_SHARDS`` shards, suffix
-    "(sharded xW)").  ``registry`` additionally collects a per-stage
-    breakdown (tuples in/out, wall time, interval widths) from one
-    instrumented pass per configuration, under metric prefix
-    ``fig5c.{configuration}``.
+    (``Pipeline.run_batched``, suffix "(batched)").  ``registry``
+    additionally collects a per-stage breakdown (tuples in/out, wall
+    time, interval widths) from one instrumented pass per
+    configuration, under metric prefix ``fig5c.{configuration}``.
 
     A width target (``target_ci_width`` / ``target_relative_width``)
     adds "bootstrap adaptive" configurations that run the same
@@ -687,7 +664,6 @@ def run_fig5c(
     configurations = _configurations(
         fig5c_pipelines(seed, target_ci_width, target_relative_width),
         batch_size,
-        workers,
     )
     return _measure_all(
         "Figure 5(c): throughput with accuracy computation",
@@ -696,7 +672,6 @@ def run_fig5c(
         repeats,
         registry,
         "fig5c",
-        shard_seed=seed,
         tracer=tracer,
         telemetry=telemetry,
     )
@@ -729,6 +704,8 @@ def _gaussian_moments(
 
 class _CoupledMTest(Operator):
     """Coupled mTest on the window average against a constant."""
+
+    partition_key = ANY_PARTITION
 
     def __init__(self, attribute: str, constant: float) -> None:
         super().__init__()
@@ -767,6 +744,8 @@ class _CoupledMdTest(Operator):
 
 class _CoupledPTest(Operator):
     """Coupled pTest: P[avg > constant] above a probability threshold."""
+
+    partition_key = ANY_PARTITION
 
     def __init__(
         self, attribute: str, constant: float, tau: float = 0.8
@@ -824,19 +803,17 @@ def run_fig5f(
     repeats: int = 3,
     batch_size: int = BATCH_SIZE,
     registry: MetricsRegistry | None = None,
-    workers: int | None = None,
     tracer: Tracer | None = None,
     telemetry: TelemetryRecorder | None = None,
 ) -> ThroughputResult:
     """Figure 5(f): significance-predicate overhead on stream throughput.
 
     As in :func:`run_fig5c`, every configuration is measured on both the
-    per-tuple and the batched execution path — plus the sharded
-    process-pool path when ``workers`` is given — with an optional
+    per-tuple and the batched execution path, with an optional
     per-stage metrics breakdown under ``fig5f.{configuration}``.
     """
     tuples = make_stream(n_items, seed)
-    configurations = _configurations(fig5f_pipelines(), batch_size, workers)
+    configurations = _configurations(fig5f_pipelines(), batch_size)
     return _measure_all(
         "Figure 5(f): throughput with significance predicates",
         configurations,
@@ -844,7 +821,6 @@ def run_fig5f(
         repeats,
         registry,
         "fig5f",
-        shard_seed=seed,
         tracer=tracer,
         telemetry=telemetry,
     )

@@ -15,8 +15,8 @@ determinism contract (``docs/PARALLELISM.md``):
 * **Seed-stable compaction.**  The even/odd promotion choice is drawn
   from a splitmix64 counter chain seeded by a fixed constant, never
   from global randomness — the sketch of a given input sequence is a
-  pure function of that sequence, so sharded runs stay byte-identical
-  at any worker count (fixed seed, pinned ``n_shards``).
+  pure function of that sequence, so a keyed sharded run stays
+  byte-identical to the batched one at any worker count.
 * **A self-reported error bound.**  Every compaction at level ``l``
   adds at most ``2**(l-1)`` to the worst-case rank error; the sketch
   accumulates that bound exactly (an integer) and exposes it as

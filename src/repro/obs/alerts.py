@@ -1,8 +1,9 @@
 """Deterministic alert log over SLO evaluations.
 
 Alerts here are a pure function of the (merged) frame series and the
-rule set — no wall clock, no randomness — so a fixed seed and pinned
-``n_shards`` produce byte-identical alert logs at any worker count.
+rule set — no wall clock, no randomness — so equal frame series give
+byte-identical alert logs, whether the shards behind a merged series
+ran in worker processes or in-process.
 
 Per rule, the state machine over frame indices is::
 

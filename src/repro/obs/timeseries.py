@@ -12,14 +12,14 @@ Frames are keyed by **stream position** (tuple count), never wall
 clock.  The pipeline calls :meth:`TelemetryRecorder.advance` with the
 number of tuples it just pushed; a frame closes once at least
 ``frame_interval`` tuples have passed since the previous boundary.
-Under the fixed-seed + pinned-``n_shards`` contract each shard's tuple
-sub-stream — and therefore its frame boundaries and every per-frame
-delta except wall-clock timer totals — is a pure function of
-``(stream, seed, n_shards, batch_size, frame_interval)``, so per-worker
-frame series merged in shard order are byte-identical at any worker
-count (:meth:`FrameSeries.deterministic_view` excludes the timer
-seconds, exactly like ``Tracer.deterministic_view`` excludes span
-timestamps).
+Under sharded execution each shard's tuple sub-stream — and therefore
+its frame boundaries and every per-frame delta except wall-clock timer
+totals — is a pure function of ``(stream, partition key, pool size,
+batch_size, frame_interval)``, so per-worker frame series merged in
+shard order are byte-identical whether the shards ran in worker
+processes or in-process (:meth:`FrameSeries.deterministic_view`
+excludes the timer seconds, exactly like ``Tracer.deterministic_view``
+excludes span timestamps).
 
 Frame merge semantics mirror
 :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`: counter /
@@ -96,10 +96,9 @@ class Frame:
     def deterministic_dict(self) -> dict[str, object]:
         """Like :meth:`to_dict` minus the wall-clock timer seconds.
 
-        Timer call counts are deterministic under the fixed-seed +
-        pinned-``n_shards`` contract; the accumulated seconds are not,
-        so they are excluded wherever byte-identity across worker
-        counts matters (frame-series views, alert attachments).
+        Timer call counts are deterministic; the accumulated seconds
+        are not, so they are excluded wherever byte-identity matters
+        (frame-series views, alert attachments).
         """
         metrics: dict[str, dict[str, object]] = {}
         for name, state in self.metrics.items():
@@ -298,8 +297,8 @@ class FrameSeries:
 
         Timer *call counts* are deterministic (one record per hook
         invocation); the accumulated seconds are not, so they are
-        dropped — the view is byte-identical across worker counts under
-        the fixed-seed + pinned-``n_shards`` contract.
+        dropped — the view of a merged series is byte-identical whether
+        its shards ran in worker processes or in-process.
         """
         return [frame.deterministic_dict() for frame in self.frames]
 

@@ -21,10 +21,11 @@ Span identity is *seed-stable*: a span's ID is a pure function of
 wall-clock time or object identity — and the sampling decision for a
 batch span is a pure function of the same triple.  Sharded execution
 gives the worker tracer of shard ``i`` the shard label ``shard{i}``, so
-a fixed seed plus a pinned ``n_shards`` produces an identical merged
-span set (IDs, parentage, attributes, provenance payloads) at any
-worker count; only the wall-clock ``start``/``end`` fields differ, and
-:meth:`Tracer.deterministic_view` excludes exactly those.
+a fixed seed and pool size produce an identical merged span set (IDs,
+parentage, attributes, provenance payloads) whether the shards run in
+worker processes or in-process; only the wall-clock ``start``/``end``
+fields differ, and :meth:`Tracer.deterministic_view` excludes exactly
+those.
 
 :meth:`Tracer.snapshot` / :meth:`Tracer.merge_spans` mirror the
 ``MetricsRegistry.snapshot`` / ``merge_snapshot`` contract: workers
@@ -313,9 +314,9 @@ class Tracer:
         """The merged span set minus wall-clock fields, canonically sorted.
 
         This is the object the determinism contract quantifies over:
-        fixed seed + pinned ``n_shards`` produce an equal view at any
-        worker count.  Sorted by ``(shard, seq)`` so merge order is
-        irrelevant.
+        a fixed seed and pool size produce an equal view whether the
+        shards ran in worker processes or in-process.  Sorted by
+        ``(shard, seq)`` so merge order is irrelevant.
         """
         view = []
         for span in sorted(self._spans, key=lambda s: (s.shard, s.seq)):

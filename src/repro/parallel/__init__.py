@@ -1,42 +1,36 @@
 """Process-pool execution subsystem.
 
-Sharded execution follows one determinism contract (fixed work
-decomposition + per-shard ``SeedSequence.spawn`` seeding, so results are
-invariant to the worker count):
+Sharded execution returns exactly what ``Pipeline.run_batched`` returns,
+or raises before any shard runs:
 
-* :func:`run_sharded` — hash-partitioned pipeline execution behind
-  :meth:`repro.streams.engine.Pipeline.run_sharded`
-  (``repro.parallel.sharded``);
-* :class:`WorkerPool` — the reusable pool with transparent serial
+* :func:`run_sharded` — keyed pipeline execution behind
+  :meth:`repro.streams.engine.Pipeline.run_sharded`, which checks every
+  operator's partition key first and ships one pickled payload
+  (:func:`pipeline_payload`) (``repro.parallel.sharded``);
+* :class:`WorkerPool` — the caller-owned, reusable pool with serial
   fallback it rides on (``repro.parallel.pool``);
 * :func:`share_array` / :func:`attach_array` — the shared-memory
   transport for large column blocks (``repro.parallel.shm``).
 
-See ``docs/PARALLELISM.md`` for the worker model and the determinism
-contract, and ``REPRO_WORKERS`` for the environment override.
+See ``docs/PARALLELISM.md`` for the worker model and the contract.
 """
 
-from repro.parallel.config import (
-    WORKERS_ENV_VAR,
-    ParallelConfig,
-    available_cpus,
-)
-from repro.parallel.pool import WorkerPool
+from repro.parallel.pool import WorkerPool, available_cpus
 from repro.parallel.sharded import (
     ShardedResult,
     partition_indices,
+    pipeline_payload,
     run_sharded,
     stable_key_hash,
 )
 from repro.parallel.shm import SharedArray, SharedSpec, attach_array, share_array
 
 __all__ = [
-    "WORKERS_ENV_VAR",
-    "ParallelConfig",
     "available_cpus",
     "WorkerPool",
     "ShardedResult",
     "partition_indices",
+    "pipeline_payload",
     "run_sharded",
     "stable_key_hash",
     "SharedArray",

@@ -1,46 +1,58 @@
 """Worker-pool lifecycle with graceful serial degradation.
 
 :class:`WorkerPool` wraps a ``concurrent.futures.ProcessPoolExecutor``
-on the configured start method.  Two properties matter more than raw
+on the ``spawn`` start method.  Two properties matter more than raw
 convenience:
 
 * **Degradation, not crashes.**  Pool start-up can fail in plenty of
   legitimate environments (sandboxes without ``/dev/shm`` semaphores,
-  containers with one CPU and strict rlimits).  With
-  ``fallback_serial`` (the default) the pool silently reports itself
-  as serial and every ``map_indexed`` call runs in-process.  Results
-  are identical either way — the determinism contract does not allow
-  the pool to change answers, only wall time.
-* **Reuse.**  With the ``spawn`` start method each worker pays a full
-  interpreter + NumPy import on start; benchmarks must create one pool
-  per measurement session (see :func:`measure_throughput`'s sharded
-  path) rather than one per run, so steady-state throughput is
-  measured, not process creation.
+  containers with one CPU and strict rlimits).  The pool then warns
+  once, reports itself as serial, and every ``map_indexed`` call runs
+  in-process.  Results are identical either way: sharded execution
+  returns the batched answer or refuses, so the pool can only change
+  wall time.
+* **Reuse.**  With ``spawn`` each worker pays a full interpreter +
+  NumPy import on start.  The caller owns one long-lived pool and
+  passes it to every :meth:`~repro.streams.engine.Pipeline.run_sharded`
+  call; a pool per call measured slower than the serial batched path
+  (docs/PARALLELISM.md).
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from collections.abc import Callable, Sequence
+from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
 from repro.errors import ParallelError
-from repro.parallel.config import ParallelConfig
 
-__all__ = ["WorkerPool"]
+__all__ = ["WorkerPool", "available_cpus"]
+
+
+def available_cpus() -> int:
+    """CPUs usable by this process (affinity-aware where supported)."""
+    try:
+        affinity = os.sched_getaffinity(0)  # type: ignore[attr-defined]
+    except AttributeError:  # pragma: no cover - non-Linux platforms
+        return os.cpu_count() or 1
+    return len(affinity) or 1
 
 
 class WorkerPool:
-    """A reusable process pool bound to a :class:`ParallelConfig`.
+    """A reusable ``spawn`` process pool of ``n_workers`` processes.
 
-    The executor starts lazily on first use; ``serial`` pools (resolved
-    worker count <= 1, or start-up failure with ``fallback_serial``)
-    never create processes at all.
+    ``n_workers=0`` means one worker per available CPU.  The executor
+    starts lazily on first use; ``serial`` pools (one worker, or a
+    start-up failure) never create processes at all.
     """
 
-    def __init__(self, config: ParallelConfig | None = None) -> None:
-        self.config = config if config is not None else ParallelConfig()
-        self.n_workers = self.config.resolve_workers()
+    def __init__(self, n_workers: int) -> None:
+        if n_workers < 0:
+            raise ParallelError(f"n_workers must be >= 0, got {n_workers}")
+        self.n_workers = n_workers if n_workers > 0 else available_cpus()
         self._executor: Any = None
         self._broken = False
 
@@ -54,18 +66,12 @@ class WorkerPool:
             return self._executor
         try:
             import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
 
-            context = multiprocessing.get_context(self.config.start_method)
             self._executor = ProcessPoolExecutor(
-                max_workers=self.n_workers, mp_context=context
+                max_workers=self.n_workers,
+                mp_context=multiprocessing.get_context("spawn"),
             )
         except Exception as exc:  # noqa: BLE001 - degrade on any start failure
-            if not self.config.fallback_serial:
-                raise ParallelError(
-                    f"could not start a {self.n_workers}-worker "
-                    f"{self.config.start_method!r} pool: {exc}"
-                ) from exc
             warnings.warn(
                 f"parallel pool unavailable ({exc}); running serially",
                 stacklevel=3,
@@ -81,19 +87,20 @@ class WorkerPool:
 
         Task order — never completion order — keeps every downstream
         merge deterministic regardless of scheduling.  On a serial pool
-        the tasks run in-process in the same order.  If the pool breaks
-        mid-flight (a worker was OOM-killed, say) the call degrades to
-        re-running every task serially when ``fallback_serial`` is on.
+        the tasks run in-process in the same order.  An exception a task
+        raises propagates once every task has finished, and the pool
+        stays usable.  If the pool itself breaks mid-flight (a worker
+        was OOM-killed, say) the call warns and re-runs every task
+        serially, and the pool stays serial from then on.
         """
         executor = self._ensure_executor()
         if executor is None:
             return [fn(*task) for task in tasks]
         try:
             futures = [executor.submit(fn, *task) for task in tasks]
+            wait(futures)
             return [future.result() for future in futures]
-        except Exception as exc:  # noqa: BLE001 - includes BrokenProcessPool
-            if not self.config.fallback_serial:
-                raise
+        except BrokenProcessPool as exc:
             warnings.warn(
                 f"parallel pool failed mid-run ({exc}); "
                 "re-running serially",

@@ -1,68 +1,55 @@
-"""Sharded pipeline execution: hash-partition, run per shard, merge.
+"""Keyed sharded pipeline execution: the batched answer, or a refusal.
 
-``run_sharded`` is the data-parallel deployment mode of the push
-pipeline: the input stream is partitioned into ``n_shards`` sub-streams,
-each shard runs through its own pristine copy of the pipeline in a
-worker process (``Pipeline.run_batched`` inside the worker, so the
-vectorised kernels still apply), and the per-shard sinks — plus
-per-worker metrics snapshots — are merged back deterministically.
+``run_sharded`` hash-partitions the input stream by one attribute,
+runs each shard through the pipeline in a worker process
+(``Pipeline.run_batched`` inside the worker, so the vectorised kernels
+still apply), and merges the per-shard sinks — plus per-worker metrics,
+trace and telemetry snapshots — back into the parent.
 
-Determinism contract (see ``docs/PARALLELISM.md``)
---------------------------------------------------
-* The partition is a pure function of the tuple (or its index) and
-  ``n_shards`` — a CRC32 key hash, never Python's salted ``hash()``.
-* Shard ``i`` of a seeded run is reseeded from spawn child ``i`` of the
-  root :class:`numpy.random.SeedSequence`.
-* Results are merged in shard order (or exact input order, below), and
-  the serial fallback executes the *same* shard decomposition
-  in-process.
+Contract (see ``docs/PARALLELISM.md``)
+--------------------------------------
+The sink contents equal ``run_batched``'s, element for element, or the
+call raises:
 
-Together these make the sink contents a function of ``(stream, seed,
-n_shards)`` only: any worker count — including 1, including a pool that
-failed to start — produces identical output.
+* Every operator declares :attr:`~repro.streams.operators.Operator.
+  partition_key`.  Before anything is pickled, :func:`_check_partition`
+  refuses (:class:`StreamError`) any pipeline holding an operator that
+  needs the whole stream in order, or a different key than
+  ``partition_by``.
+* The partition is a CRC32 key hash (never Python's salted ``hash()``),
+  so all tuples of one key land in one shard, in input order.
+* A ``CollectSink`` merge puts each output back at its input's stream
+  position, which needs one output per input; a shard that emitted a
+  different count raises :class:`ParallelError` (a filtering stage would
+  otherwise come back in shard order).  ``CountingSink`` counts sum.
 
-Sink merge semantics
---------------------
-* ``CountingSink`` — counts sum.
-* ``CollectSink`` with ``merge="interleave"`` (or ``"auto"`` when every
-  shard emitted exactly one tuple per input) — outputs are placed back
-  at their input's global stream position, which reproduces the serial
-  ``run_batched`` order exactly for emit-per-input pipelines (all the
-  window/group aggregates in this library).
-* ``CollectSink`` with ``merge="concat"`` — shard 0's results, then
-  shard 1's, ... — deterministic, but ordered by shard; the mode for
-  pipelines that drop or multiply tuples.
-
-Pipelines whose stateful operators partition cleanly by the same key as
-``partition_by`` (e.g. :class:`~repro.streams.groupby.GroupedAggregate`
-keyed by the partition attribute) produce *byte-identical* results to
-the serial run; a global (unkeyed) window instead computes one window
-per shard — a documented semantic choice, not an accident.
+The pipeline is pickled once with its observers detached; workers and
+the in-process serial path unpickle that same payload.
 """
 
 from __future__ import annotations
 
-import copy
 import pickle
-import warnings
 import zlib
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.errors import ParallelError, StreamError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TelemetryConfig, TelemetryRecorder
 from repro.obs.trace import TraceConfig, Tracer
-from repro.parallel.config import ParallelConfig
 from repro.parallel.pool import WorkerPool
 from repro.streams.columnar import (
     ColumnarBatch,
     ColumnarPayload,
     as_columnar,
 )
-from repro.streams.operators import CollectSink, CountingSink
+from repro.streams.operators import (
+    ANY_PARTITION,
+    CollectSink,
+    CountingSink,
+    Derive,
+)
 from repro.streams.tuples import UncertainTuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -71,11 +58,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "stable_key_hash",
     "partition_indices",
+    "pipeline_payload",
     "run_sharded",
     "ShardedResult",
 ]
-
-_MERGE_MODES = ("auto", "interleave", "concat")
 
 
 def stable_key_hash(value: object) -> int:
@@ -94,80 +80,144 @@ def stable_key_hash(value: object) -> int:
 
 
 def partition_indices(
-    tuples: Sequence[UncertainTuple],
-    n_shards: int,
-    partition_by: str | Callable[[UncertainTuple], object] | None,
+    tuples: Sequence[UncertainTuple], n_shards: int, partition_by: str
 ) -> list[list[int]]:
     """Global input indices per shard, in input order within each shard.
 
-    ``partition_by`` may be an attribute name (hash of its value), a
-    callable (hash of its return), or ``None`` (round-robin by index).
+    A tuple goes to shard ``stable_key_hash(value) % n_shards`` of its
+    ``partition_by`` attribute value.
     """
     if n_shards < 1:
         raise ParallelError(f"n_shards must be >= 1, got {n_shards}")
     shards: list[list[int]] = [[] for _ in range(n_shards)]
-    if partition_by is None:
-        for i in range(len(tuples)):
-            shards[i % n_shards].append(i)
-        return shards
-    if isinstance(partition_by, str):
-        if isinstance(tuples, ColumnarBatch):
-            column = tuples.column(partition_by)
-            if column is not None:
-                # Key values straight off the column — same materialized
-                # Python values, so the same hashes as the tuple loop.
-                for i, key in enumerate(column.values()):
-                    shards[stable_key_hash(key) % n_shards].append(i)
-                return shards
-        name = partition_by
-        key_of = lambda tup: tup.value(name)  # noqa: E731
-    else:
-        key_of = partition_by
-    for i, tup in enumerate(tuples):
-        shards[stable_key_hash(key_of(tup)) % n_shards].append(i)
+    column = (
+        tuples.column(partition_by)
+        if isinstance(tuples, ColumnarBatch)
+        else None
+    )
+    # Key values straight off the column are the same materialized
+    # Python values as the tuple loop's, so they hash the same.
+    keys = (
+        column.values()
+        if column is not None
+        else (tup.value(partition_by) for tup in tuples)
+    )
+    for i, key in enumerate(keys):
+        shards[stable_key_hash(key) % n_shards].append(i)
     return shards
 
 
-def _run_shard(
-    payload: "bytes | Pipeline",
-    shard_source: "list[UncertainTuple] | ColumnarBatch | ColumnarPayload",
-    batch_size: int,
-    seed: np.random.SeedSequence | None,
-    metrics_prefix: str | None,
-    trace_config: TraceConfig | None = None,
-    trace_prefix: str = "pipeline",
-    trace_shard: str | None = None,
-    telemetry_config: TelemetryConfig | None = None,
-) -> tuple[tuple[str, object], dict | None, dict | None, dict | None]:
-    """Pool task: run one shard through a pristine pipeline copy.
+def _check_partition(pipeline: "Pipeline", partition_by: object) -> None:
+    """Raise :class:`StreamError` unless keyed sharding keeps the answer.
 
-    ``payload`` is the pickled pipeline in worker processes, or an
-    already-cloned pipeline on the serial deepcopy path — both paths
-    share this function so they cannot drift apart.  ``shard_source``
-    is a :class:`ColumnarPayload` on the columnar transport (column
-    blocks, possibly shared-memory handles), or a tuple list / batch on
-    the fallback paths.  Returns ``(sink_state, metrics_snapshot,
-    trace_snapshot)``, all plain picklable values; a ``CollectSink``
-    that stayed columnar comes back as ``("collect-columnar",
-    ColumnarPayload)`` so the return trip ships column blocks too.
-    When tracing, the worker builds a private :class:`Tracer` with
-    shard label ``trace_shard`` (``shard{i}``) and the parent's
-    :class:`TraceConfig` — span IDs depend only on ``(config.seed,
-    shard label, seq)``, so the snapshot is identical whether this runs
-    in a pool worker or on the serial fallback.
+    ``partition_by`` must name an attribute that no ``Derive`` stage
+    rewrites, and every operator's declared
+    :attr:`~repro.streams.operators.Operator.partition_key` must be
+    :data:`~repro.streams.operators.ANY_PARTITION` or that attribute.
+    The sink must be a ``CollectSink`` or ``CountingSink``, the two
+    sinks whose shard states merge.
     """
-    pipeline = pickle.loads(payload) if isinstance(payload, bytes) else payload
+    if not isinstance(partition_by, str):
+        raise StreamError(
+            f"run_sharded needs partition_by to name an attribute, got "
+            f"{partition_by!r}"
+        )
+    for index, op in enumerate(pipeline.operators):
+        if isinstance(op, Derive) and op.name == partition_by:
+            # The shards are cut on the source values; a stage that
+            # rewrites the key would regroup tuples across shards.
+            raise StreamError(
+                f"run_sharded(partition_by={partition_by!r}) would change "
+                f"the answer: operator {index} (Derive) rewrites the "
+                f"partition attribute; use run_batched"
+            )
+        key = op.partition_key
+        if key == ANY_PARTITION or key == partition_by:
+            continue
+        needs = (
+            "the whole stream in arrival order"
+            if key is None
+            else f"partition_by={key!r}"
+        )
+        raise StreamError(
+            f"run_sharded(partition_by={partition_by!r}) would change the "
+            f"answer: operator {index} ({type(op).__name__}) needs {needs}; "
+            f"use run_batched"
+        )
+    sink = pipeline.sink
+    if not isinstance(sink, (CollectSink, CountingSink)):
+        raise StreamError(
+            f"run_sharded needs a CollectSink or CountingSink terminal "
+            f"operator; got {type(sink).__name__}"
+        )
+
+
+def pipeline_payload(pipeline: "Pipeline") -> bytes:
+    """The pipeline pickled with its metrics, tracer and telemetry detached.
+
+    Observers are re-attached to ``pipeline`` afterwards, so it keeps
+    recording; the payload never carries registry, tracer or recorder
+    objects (rolling kernels unbind their metric handles on detach).
+    Raises :class:`ParallelError` when the pipeline cannot pickle.
+    """
+    registry, prefix = pipeline.registry, pipeline.metrics_prefix
+    tracer, trace_prefix = pipeline.tracer, pipeline.trace_prefix
+    telemetry = pipeline.telemetry
+    if telemetry is not None:
+        pipeline.detach_telemetry()
+    if registry is not None:
+        pipeline.detach_metrics()
+    if tracer is not None:
+        pipeline.detach_trace()
+    try:
+        return pickle.dumps(pipeline)
+    except Exception as exc:  # noqa: BLE001 - any pickling failure
+        raise ParallelError(
+            f"pipeline is not picklable for sharded execution: {exc}"
+        ) from exc
+    finally:
+        if registry is not None:
+            pipeline.attach_metrics(registry, prefix)
+        if tracer is not None:
+            pipeline.attach_trace(tracer, trace_prefix)
+        if telemetry is not None:
+            pipeline.attach_telemetry(telemetry, prefix)
+
+
+def _run_shard(
+    payload: bytes,
+    shard_source: "list[UncertainTuple] | ColumnarPayload",
+    batch_size: int,
+    metrics_prefix: str | None,
+    trace_config: TraceConfig | None,
+    trace_prefix: str,
+    trace_shard: str,
+    telemetry_config: TelemetryConfig | None,
+) -> tuple[tuple[str, object], dict | None, dict | None, dict | None]:
+    """Pool task: unpickle the pipeline and run one shard through it.
+
+    ``shard_source`` is a :class:`ColumnarPayload` on the columnar
+    transport (column blocks, possibly shared-memory handles), or a
+    tuple list for non-uniform layouts.  Returns ``(sink_state,
+    metrics_snapshot, trace_snapshot, telemetry_snapshot)``, all plain
+    picklable values; a ``CollectSink`` that stayed columnar comes back
+    as ``("collect-columnar", ColumnarPayload)`` so the return trip
+    ships column blocks too.  When tracing, the worker builds a private
+    :class:`Tracer` with shard label ``trace_shard`` (``shard{i}``) and
+    the parent's :class:`TraceConfig` — span IDs depend only on
+    ``(config.seed, shard label, seq)``, so the snapshot is identical
+    whether this runs in a pool worker or in-process.
+    """
+    pipeline = pickle.loads(payload)
     if isinstance(shard_source, ColumnarPayload):
         shard_source = ColumnarBatch.from_payload(shard_source)
-    if seed is not None:
-        pipeline.reseed(seed)
     registry = None
     if metrics_prefix is not None:
         registry = MetricsRegistry()
         pipeline.attach_metrics(registry, prefix=metrics_prefix)
     tracer = None
     if trace_config is not None:
-        tracer = Tracer(trace_config, shard=trace_shard or "shard?")
+        tracer = Tracer(trace_config, shard=trace_shard)
         pipeline.attach_trace(tracer, prefix=trace_prefix)
     telemetry = None
     if telemetry_config is not None:
@@ -179,47 +229,25 @@ def _run_shard(
             telemetry, prefix=metrics_prefix or "pipeline"
         )
     sink = pipeline.run_batched(shard_source, batch_size)
-    snapshot = registry.snapshot() if registry is not None else None
-    trace_snapshot = tracer.snapshot() if tracer is not None else None
-    telemetry_snapshot = (
-        telemetry.snapshot() if telemetry is not None else None
+    snapshots = (
+        registry.snapshot() if registry is not None else None,
+        tracer.snapshot() if tracer is not None else None,
+        telemetry.snapshot() if telemetry is not None else None,
     )
     if isinstance(sink, CountingSink):
-        return (
-            ("count", sink.count),
-            snapshot,
-            trace_snapshot,
-            telemetry_snapshot,
-        )
-    if isinstance(sink, CollectSink):
-        collected = sink.columnar_result()
-        if collected is not None:
-            # Workers never create shm segments (the parent owns
-            # segment lifetimes) — plain ndarrays still cross the
-            # boundary as one buffer per column, not one pickle per
-            # tuple.
-            out_payload, _ = collected.to_payload(use_shm=False)
-            return (
-                ("collect-columnar", out_payload),
-                snapshot,
-                trace_snapshot,
-                telemetry_snapshot,
-            )
-        return (
-            ("collect", list(sink.results)),
-            snapshot,
-            trace_snapshot,
-            telemetry_snapshot,
-        )
-    raise StreamError(
-        f"run_sharded needs a CollectSink or CountingSink terminal "
-        f"operator; got {type(sink).__name__} (a generic operator's "
-        f"state cannot be merged across shards)"
-    )
+        return (("count", sink.count), *snapshots)
+    collected = sink.columnar_result()
+    if collected is not None:
+        # Workers never create shm segments (the parent owns segment
+        # lifetimes) — plain ndarrays still cross the boundary as one
+        # buffer per column, not one pickle per tuple.
+        out_payload, _ = collected.to_payload(use_shm=False)
+        return (("collect-columnar", out_payload), *snapshots)
+    return (("collect", list(sink.results)), *snapshots)
 
 
 class ShardedResult:
-    """Per-shard sink states + metrics snapshots, with merge helpers."""
+    """Per-shard sink states + observer snapshots, with merge helpers."""
 
     def __init__(
         self,
@@ -227,28 +255,15 @@ class ShardedResult:
         snapshots: list[dict | None],
         shards: list[list[int]],
         total: int,
-        merge: str,
-        trace_snapshots: list[dict | None] | None = None,
-        telemetry_snapshots: list[dict | None] | None = None,
+        trace_snapshots: list[dict | None],
+        telemetry_snapshots: list[dict | None],
     ) -> None:
         self.sink_states = sink_states
         self.snapshots = snapshots
         self.shards = shards
         self.total = total
-        self.merge = merge
-        self.trace_snapshots = (
-            trace_snapshots if trace_snapshots is not None else []
-        )
-        self.telemetry_snapshots = (
-            telemetry_snapshots if telemetry_snapshots is not None else []
-        )
-
-    @property
-    def kind(self) -> str:
-        if not self.sink_states:
-            return "collect"
-        kind = self.sink_states[0][0]
-        return "collect" if kind == "collect-columnar" else kind
+        self.trace_snapshots = trace_snapshots
+        self.telemetry_snapshots = telemetry_snapshots
 
     def merged_count(self) -> int:
         """Summed CountingSink counts across shards."""
@@ -258,45 +273,40 @@ class ShardedResult:
         )
 
     def merged_results(self) -> "list[UncertainTuple] | ColumnarBatch":
-        """CollectSink contents merged per the configured mode.
+        """CollectSink contents in input order, as ``run_batched`` has them.
 
-        When every shard came back columnar the merge stays columnar —
-        ``interleave`` scatters each shard's rows to their global input
-        positions, ``concat`` concatenates columns in shard order — and
-        a :class:`ColumnarBatch` is returned.  Any shard that fell back
-        to a tuple list (or a cross-shard schema mismatch) degrades the
-        whole merge to the materialized tuple-list form.
+        Each shard's outputs go back to their inputs' global stream
+        positions, which needs one output per input; any other count
+        raises :class:`ParallelError`.  When every shard came back
+        columnar the merge stays columnar and a :class:`ColumnarBatch`
+        is returned.  Any shard that fell back to a tuple list (or a
+        cross-shard schema mismatch) degrades the whole merge to the
+        materialized tuple-list form.
         """
         per_shard: list[object] = []
         all_columnar = True
         for kind, value in self.sink_states:  # type: ignore[misc]
             if kind == "collect-columnar":
-                per_shard.append(
-                    ColumnarBatch.from_payload(value)
-                    if isinstance(value, ColumnarPayload)
-                    else value
-                )
+                per_shard.append(ColumnarBatch.from_payload(value))
             else:
                 per_shard.append(value)
                 all_columnar = False
-        one_to_one = all(
-            len(results) == len(indices)
-            for results, indices in zip(per_shard, self.shards)
-        )
-        if self.merge == "interleave" and not one_to_one:
+        uneven = [
+            f"shard {s}: {len(results)} out / {len(indices)} in"
+            for s, (results, indices) in enumerate(
+                zip(per_shard, self.shards)
+            )
+            if len(results) != len(indices)
+        ]
+        if uneven:
             raise ParallelError(
-                "merge='interleave' requires every shard to emit exactly "
-                "one tuple per input; got "
-                + ", ".join(
-                    f"shard {s}: {len(r)} out / {len(ix)} in"
-                    for s, (r, ix) in enumerate(zip(per_shard, self.shards))
-                )
-                + " (use merge='concat' for filtering/expanding pipelines)"
+                "a sharded CollectSink needs one output per input to "
+                "restore input order; got " + ", ".join(uneven)
+                + " (collect a filtering pipeline with run_batched, or "
+                "count it with a CountingSink)"
             )
         if all_columnar:
             try:
-                if self.merge == "concat" or not one_to_one:
-                    return ColumnarBatch.concat(per_shard)
                 return ColumnarBatch.interleave(
                     per_shard, self.shards, self.total
                 )
@@ -304,24 +314,14 @@ class ShardedResult:
                 # Shards disagree on schema (e.g. a column degraded to
                 # objects in one shard only) — materialize and merge
                 # per tuple instead.
-                per_shard = [batch.to_tuples() for batch in per_shard]
-        else:
-            per_shard = [
-                part.to_tuples()
-                if isinstance(part, ColumnarBatch)
-                else part
-                for part in per_shard
-            ]
-        if self.merge == "concat" or not one_to_one:
-            concatenated: list[UncertainTuple] = []
-            for results in per_shard:
-                concatenated.extend(results)
-            return concatenated
+                pass
         slots: list[UncertainTuple | None] = [None] * self.total
         for results, indices in zip(per_shard, self.shards):
+            if isinstance(results, ColumnarBatch):
+                results = results.to_tuples()
             for position, tup in zip(indices, results):
                 slots[position] = tup
-        return [tup for tup in slots if tup is not None]
+        return slots  # type: ignore[return-value]
 
     def merge_metrics(self, registry: MetricsRegistry) -> None:
         """Fold every worker snapshot into ``registry``, in shard order."""
@@ -340,8 +340,8 @@ class ShardedResult:
 
         Frames fold by index — shard-local stream positions line up
         because every shard cuts frames at the same ``frame_interval``
-        boundaries — so the merged series is a function of ``(stream,
-        seed, n_shards)`` only, like the sinks.  Call *after*
+        boundaries — so the merged series is a function of the stream
+        and the pool's worker count.  Call *after*
         :meth:`merge_metrics`: the recorder is re-baselined against the
         post-merge registry so a later serial run does not re-count the
         merged-in deltas.
@@ -355,163 +355,78 @@ class ShardedResult:
 def run_sharded(
     pipeline: "Pipeline",
     source: Iterable[UncertainTuple],
-    n_workers: int | None = None,
-    partition_by: str | Callable[[UncertainTuple], object] | None = None,
-    n_shards: int | None = None,
+    partition_by: str,
+    pool: WorkerPool,
     batch_size: int = 256,
-    seed: int | np.random.SeedSequence | None = None,
-    merge: str = "auto",
-    config: ParallelConfig | None = None,
-    pool: WorkerPool | None = None,
 ) -> ShardedResult:
-    """Partition, execute per shard, and return the mergeable result.
+    """Check, partition, execute per shard; return the mergeable result.
 
     This is the engine behind :meth:`Pipeline.run_sharded`; call that
-    unless you are building a custom merge.  ``n_shards`` defaults to
-    the resolved worker count — pin it explicitly when results must be
-    stable while the worker count varies (the Fig 5 harnesses pin
-    ``n_shards=4``).
+    unless you are building a custom merge.  There is one shard per
+    pool worker.  Refusals (:func:`_check_partition`, a bad
+    ``batch_size``, an unpicklable pipeline) raise before any shard
+    runs.
     """
-    if merge not in _MERGE_MODES:
-        raise ParallelError(
-            f"merge must be one of {_MERGE_MODES}, got {merge!r}"
-        )
+    _check_partition(pipeline, partition_by)
     if batch_size < 1:
         raise StreamError(f"batch size must be >= 1, got {batch_size}")
-    if config is None:
-        config = ParallelConfig(n_workers=n_workers)
-    elif n_workers is not None:
-        config = dataclasses_replace(config, n_workers=n_workers)
+    payload = pipeline_payload(pipeline)
 
-    tuples: Sequence[UncertainTuple]
-    if isinstance(source, ColumnarBatch):
-        tuples = source
-    else:
-        tuples = list(source)
-    shards_total = (
-        n_shards if n_shards is not None else max(config.resolve_workers(), 1)
+    tuples: Sequence[UncertainTuple] = (
+        source if isinstance(source, ColumnarBatch) else list(source)
     )
-    shards = partition_indices(tuples, shards_total, partition_by)
-
+    shards = partition_indices(tuples, pool.n_workers, partition_by)
     metrics_prefix = (
         pipeline.metrics_prefix if pipeline.registry is not None else None
     )
-    parent_tracer = pipeline.tracer
     trace_config = (
-        parent_tracer.config if parent_tracer is not None else None
+        pipeline.tracer.config if pipeline.tracer is not None else None
     )
-    trace_prefix = pipeline.trace_prefix
-    parent_telemetry = getattr(pipeline, "telemetry", None)
     telemetry_config = (
-        parent_telemetry.config if parent_telemetry is not None else None
+        pipeline.telemetry.config if pipeline.telemetry is not None else None
     )
-
-    root = (
-        seed
-        if isinstance(seed, np.random.SeedSequence) or seed is None
-        else np.random.SeedSequence(seed)
-    )
-    shard_seeds: Sequence[np.random.SeedSequence | None]
-    shard_seeds = (
-        root.spawn(len(shards)) if root is not None else [None] * len(shards)
-    )
-
-    pristine = pipeline.pristine()
-    payload: bytes | None
-    try:
-        payload = pickle.dumps(pristine)
-    except Exception as exc:  # noqa: BLE001 - any pickling failure degrades
-        if not config.fallback_serial:
-            raise ParallelError(
-                f"pipeline is not picklable for sharded execution: {exc}"
-            ) from exc
-        if config.resolve_workers() > 1:
-            warnings.warn(
-                f"pipeline is not picklable ({exc}); "
-                "running shards serially via deepcopy",
-                stacklevel=2,
-            )
-        payload = None
 
     # The columnar transport: partition by fancy-indexing columns, ship
-    # column blocks (shared memory for large ones) instead of pickling
-    # tuples one by one.  Non-uniform layouts keep the tuple-list path.
+    # column blocks (shared memory for large ones, unless the shards
+    # will run in-process anyway) instead of pickling tuples one by
+    # one.  Non-uniform layouts keep the tuple-list path.
     batch = as_columnar(tuples)
-
-    def shard_tuples(indices: list[int]) -> list[UncertainTuple]:
-        return [tuples[i] for i in indices]
-
-    if payload is None:
-        outcomes = [
-            _run_shard(
-                copy.deepcopy(pristine),
-                batch.take(indices)
-                if batch is not None
-                else shard_tuples(indices),
-                batch_size,
-                shard_seeds[shard_index],
-                metrics_prefix,
-                trace_config,
-                trace_prefix,
-                f"shard{shard_index}",
-                telemetry_config,
-            )
-            for shard_index, indices in enumerate(shards)
-        ]
-    else:
-        # The pool exists before the tasks so shared-memory shipping can
-        # be skipped when the shards will run in-process anyway.
-        own_pool = pool is None
-        pool = pool if pool is not None else WorkerPool(config)
-        use_shm = batch is not None and not pool.serial
-        owners: list = []
-        tasks = []
-        try:
-            for shard_index, indices in enumerate(shards):
-                if batch is not None:
-                    shard_source, shard_owners = batch.take(
-                        indices
-                    ).to_payload(use_shm=use_shm)
-                    owners.extend(shard_owners)
-                else:
-                    shard_source = shard_tuples(indices)
-                tasks.append(
-                    (
-                        payload,
-                        shard_source,
-                        batch_size,
-                        shard_seeds[shard_index],
-                        metrics_prefix,
-                        trace_config,
-                        trace_prefix,
-                        f"shard{shard_index}",
-                        telemetry_config,
-                    )
+    use_shm = batch is not None and not pool.serial
+    owners: list = []
+    tasks = []
+    try:
+        for shard_index, indices in enumerate(shards):
+            if batch is not None:
+                shard_source, shard_owners = batch.take(indices).to_payload(
+                    use_shm=use_shm
                 )
-            outcomes = pool.map_indexed(_run_shard, tasks)
-        finally:
-            # Workers copy out of the segments before returning, so the
-            # parent can unlink as soon as every task has completed.
-            for owner in owners:
-                owner.release()
-            if own_pool:
-                pool.close()
+                owners.extend(shard_owners)
+            else:
+                shard_source = [tuples[i] for i in indices]
+            tasks.append(
+                (
+                    payload,
+                    shard_source,
+                    batch_size,
+                    metrics_prefix,
+                    trace_config,
+                    pipeline.trace_prefix,
+                    f"shard{shard_index}",
+                    telemetry_config,
+                )
+            )
+        outcomes = pool.map_indexed(_run_shard, tasks)
+    finally:
+        # Workers copy out of the segments before returning, so the
+        # parent can unlink as soon as every task has completed.
+        for owner in owners:
+            owner.release()
 
     return ShardedResult(
         sink_states=[state for state, _, _, _ in outcomes],
         snapshots=[snapshot for _, snapshot, _, _ in outcomes],
         shards=shards,
         total=len(tuples),
-        merge=merge,
         trace_snapshots=[trace for _, _, trace, _ in outcomes],
         telemetry_snapshots=[t for _, _, _, t in outcomes],
     )
-
-
-def dataclasses_replace(
-    config: ParallelConfig, **overrides: object
-) -> ParallelConfig:
-    """``dataclasses.replace`` spelled out (keeps the import surface flat)."""
-    import dataclasses
-
-    return dataclasses.replace(config, **overrides)

@@ -17,6 +17,7 @@ from repro.streams.rolling import (
     SlidingExtremum,
 )
 from repro.streams.operators import (
+    ANY_PARTITION,
     Operator,
     Select,
     Project,
@@ -51,6 +52,7 @@ __all__ = [
     "MinSizeTracker",
     "RollingWindowStats",
     "SlidingExtremum",
+    "ANY_PARTITION",
     "Operator",
     "Select",
     "Project",

@@ -725,7 +725,7 @@ class ColumnarBatch(Sequence):
 
     @classmethod
     def concat(cls, batches: "Sequence[ColumnarBatch]") -> "ColumnarBatch":
-        """Shard-order concatenation (the ``merge='concat'`` reassembly)."""
+        """Concatenate batches in order (``CollectSink`` chunks)."""
         parts = [b for b in batches if len(b)]
         if not parts:
             return cls.empty()
@@ -769,10 +769,10 @@ class ColumnarBatch(Sequence):
     ) -> "ColumnarBatch":
         """Scatter shard outputs back to their global input positions.
 
-        The columnar form of the ``merge='interleave'`` reassembly: each
-        shard's rows land at the input indices they were computed from,
-        reproducing the serial order exactly.  Requires one output per
-        input position (callers verify before choosing this mode).
+        The columnar form of the sharded merge: each shard's rows land
+        at the input indices they were computed from, reproducing the
+        serial order exactly.  Requires one output per input position
+        (callers verify first).
         """
         parts = [
             (batch, np.asarray(pos, dtype=np.intp))

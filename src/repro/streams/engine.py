@@ -13,24 +13,20 @@ time.  With no registry the execution paths are unchanged.
 
 from __future__ import annotations
 
-import copy
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 from time import perf_counter
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.errors import StreamError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TelemetryRecorder
 from repro.obs.trace import Span, Tracer
 from repro.streams.columnar import ColumnarBatch, as_columnar
-from repro.streams.operators import CollectSink, CountingSink, Operator
+from repro.streams.operators import CountingSink, Operator
 from repro.streams.tuples import UncertainTuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.parallel.config import ParallelConfig
     from repro.parallel.pool import WorkerPool
 
 __all__ = ["Pipeline"]
@@ -185,52 +181,6 @@ class Pipeline:
         """Span-name prefix from the last :meth:`attach_trace` call."""
         return self._trace_prefix
 
-    def pristine(self) -> "Pipeline":
-        """A deep, metrics-detached copy of this pipeline.
-
-        Sharded execution clones the pipeline once per shard; the clone
-        carries whatever operator state this pipeline currently holds
-        (call :meth:`run_sharded` on a freshly built pipeline so shards
-        start from empty windows), but never shares metrics objects or
-        the registry with the original.
-        """
-        registry, prefix = self.registry, self._metrics_prefix
-        tracer, trace_prefix = self.tracer, self._trace_prefix
-        telemetry = self.telemetry
-        if telemetry is not None:
-            self.detach_telemetry()
-        if registry is not None:
-            self.detach_metrics()
-        if tracer is not None:
-            self.detach_trace()
-        try:
-            clone = copy.deepcopy(self)
-        finally:
-            if registry is not None:
-                self.attach_metrics(registry, prefix)
-            if tracer is not None:
-                self.attach_trace(tracer, trace_prefix)
-            if telemetry is not None:
-                self.attach_telemetry(telemetry, prefix)
-        clone._metrics_prefix = prefix
-        clone._trace_prefix = trace_prefix
-        return clone
-
-    def reseed(self, seed: int | np.random.SeedSequence) -> None:
-        """Re-seed every operator's internal randomness deterministically.
-
-        Operator ``i`` receives spawn child ``i`` of the root
-        :class:`~numpy.random.SeedSequence`; stateless operators ignore
-        it (the default :meth:`Operator.reseed` is a no-op).
-        """
-        root = (
-            seed
-            if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed)
-        )
-        for op, child in zip(self.operators, root.spawn(len(self.operators))):
-            op.reseed(child)
-
     @property
     def head(self) -> Operator:
         return self.operators[0]
@@ -336,57 +286,42 @@ class Pipeline:
     def run_sharded(
         self,
         source: Iterable[UncertainTuple],
-        n_workers: int | None = None,
-        partition_by: str | Callable[[UncertainTuple], object] | None = None,
-        n_shards: int | None = None,
+        partition_by: str,
+        pool: "WorkerPool",
         batch_size: int = 256,
-        seed: int | np.random.SeedSequence | None = None,
-        merge: str = "auto",
-        config: "ParallelConfig | None" = None,
-        pool: "WorkerPool | None" = None,
     ) -> Operator:
-        """Partition the source, run shards in worker processes, merge.
+        """Run keyed shards on ``pool``; the sink ends as :meth:`run_batched`'s.
 
-        The input is hash-partitioned into ``n_shards`` sub-streams
-        (``partition_by`` names an attribute or is a key callable;
-        ``None`` partitions round-robin), each shard runs through a
-        pristine clone of this pipeline via :meth:`run_batched` in a
-        worker process, and the per-shard sinks — plus per-worker
-        metrics snapshots, when a registry is attached — are merged
-        back into *this* pipeline's sink and registry deterministically.
+        The input is hash-partitioned by the ``partition_by`` attribute
+        into one shard per pool worker; each shard runs through this
+        pipeline (pickled once, observers detached) via
+        :meth:`run_batched` in a worker process.  The per-shard sinks —
+        plus per-worker metrics, trace and telemetry snapshots, when
+        attached — merge back into *this* pipeline's sink and
+        observers, so the sink contents equal :meth:`run_batched`'s
+        element for element at any worker count.
 
-        ``n_shards`` defaults to the resolved worker count; pin it
-        explicitly to make results invariant while the worker count
-        varies.  With ``n_workers <= 1`` (or when the pool cannot
-        start) the identical shard decomposition runs in-process, so a
-        fixed ``seed`` produces identical sink contents at any worker
-        count.  See ``docs/PARALLELISM.md`` for the full contract and
-        the sink merge semantics (``merge`` in ``{"auto",
-        "interleave", "concat"}``).
+        Otherwise the call raises instead:
 
-        Only :class:`CollectSink` / :class:`CountingSink` terminals can
-        be merged; other sinks raise :class:`StreamError`.
+        * :class:`StreamError`, before anything is pickled, when an
+          operator's declared ``partition_key`` is not ``ANY_PARTITION``
+          or ``partition_by`` (a global window, a rolling learner, a
+          TTL'd or differently keyed ``GroupedAggregate``, an undeclared
+          operator), or the sink is not a :class:`CollectSink` /
+          :class:`CountingSink`;
+        * :class:`~repro.errors.ParallelError` when the pipeline cannot
+          pickle (before any shard runs), or when a ``CollectSink``
+          shard did not emit one output per input (a filtering stage),
+          whose order the merge cannot restore — nothing is merged then.
+
+        The caller owns ``pool`` (a long-lived
+        :class:`~repro.parallel.pool.WorkerPool`) and reuses it across
+        calls.  See ``docs/PARALLELISM.md``.
         """
         from repro.parallel.sharded import run_sharded as _run_sharded
 
+        result = _run_sharded(self, source, partition_by, pool, batch_size)
         sink = self.sink
-        if not isinstance(sink, (CollectSink, CountingSink)):
-            raise StreamError(
-                f"run_sharded needs a CollectSink or CountingSink "
-                f"terminal operator; got {type(sink).__name__}"
-            )
-        result = _run_sharded(
-            self,
-            source,
-            n_workers=n_workers,
-            partition_by=partition_by,
-            n_shards=n_shards,
-            batch_size=batch_size,
-            seed=seed,
-            merge=merge,
-            config=config,
-            pool=pool,
-        )
         if isinstance(sink, CountingSink):
             sink.count += result.merged_count()
         else:

@@ -118,6 +118,15 @@ class GroupedAggregate(Operator):
         self._early: dict[object, int] = {}
         self._arrivals = 0
 
+    @property
+    def partition_key(self) -> str | None:  # type: ignore[override]
+        """The group key; with a TTL, the whole stream in order.
+
+        The TTL clock counts arrivals of every key, so a shard that
+        sees only its own keys would expire members on another schedule.
+        """
+        return self.key if self.expire_after is None else None
+
     def _sync_rolling_metrics(self) -> None:
         obs = self._obs
         if obs is None:

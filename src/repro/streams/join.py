@@ -18,7 +18,7 @@ from collections import deque
 from collections.abc import Callable, Sequence
 
 from repro.errors import StreamError
-from repro.streams.operators import Operator
+from repro.streams.operators import ANY_PARTITION, Operator
 from repro.streams.tuples import UncertainTuple
 
 __all__ = ["TagSide", "WindowJoin"]
@@ -32,6 +32,8 @@ class TagSide(Operator):
     Use two of these when merging two physical sources into the single
     stream a :class:`WindowJoin` consumes.
     """
+
+    partition_key = ANY_PARTITION
 
     def __init__(self, side: str) -> None:
         super().__init__()

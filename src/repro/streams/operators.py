@@ -49,6 +49,7 @@ from repro.streams.tuples import UncertainTuple
 from repro.streams.windows import CountWindow
 
 __all__ = [
+    "ANY_PARTITION",
     "Operator",
     "Select",
     "Project",
@@ -62,6 +63,11 @@ __all__ = [
     "CollectSink",
     "CountingSink",
 ]
+
+
+#: :attr:`Operator.partition_key` of an operator that keeps no state
+#: across tuples, so any partition of the stream gives the same answer.
+ANY_PARTITION = "*"
 
 
 class Operator(abc.ABC):
@@ -98,6 +104,14 @@ class Operator(abc.ABC):
     #: :meth:`state_bytes` on every :meth:`flush` (opt-in, like
     #: ``rolling_metrics``, so stateless operators pay nothing).
     memory_metrics: bool = False
+
+    #: What a shard of this operator must see for
+    #: :meth:`~repro.streams.engine.Pipeline.run_sharded` to return the
+    #: batched answer: :data:`ANY_PARTITION` (stateless), an attribute
+    #: name (every tuple carrying a value of that key), or ``None`` — the
+    #: whole stream in arrival order, which sharding refuses.  ``None``
+    #: is the default, so an undeclared subclass is never sharded.
+    partition_key: str | None = None
 
     def __init__(self) -> None:
         self._downstream: Operator | None = None
@@ -167,19 +181,9 @@ class Operator(abc.ABC):
         Operators with ``rolling_metrics = True`` override this to call
         ``set_metrics`` on each rolling state they hold — binding when
         ``self._obs`` is set, unbinding otherwise.  Unbinding matters:
-        ``Pipeline.pristine`` deep-copies operators after detaching
-        metrics, and kernel state must never drag registry objects into
-        worker processes.
-        """
-
-    def reseed(self, seed: object) -> None:
-        """Replace internal randomness from a ``numpy`` seed sequence.
-
-        Sharded execution calls this with a distinct
-        ``np.random.SeedSequence`` per operator per shard
-        (:meth:`Pipeline.reseed`).  Operators holding a generator should
-        override it with ``self._rng = np.random.default_rng(seed)``;
-        the default is a no-op because most operators are deterministic.
+        sharded execution pickles the pipeline after detaching metrics
+        (:func:`~repro.parallel.sharded.pipeline_payload`), and kernel
+        state must never drag registry objects into worker processes.
         """
 
     def emit_many(self, tuples: Sequence[UncertainTuple]) -> None:
@@ -272,6 +276,8 @@ class Operator(abc.ABC):
 class Select(Operator):
     """Keeps tuples for which ``predicate(tuple)`` is truthy."""
 
+    partition_key = ANY_PARTITION
+
     def __init__(self, predicate: Callable[[UncertainTuple], bool]) -> None:
         super().__init__()
         self.predicate = predicate
@@ -292,6 +298,8 @@ class Select(Operator):
 
 class Project(Operator):
     """Keeps only the named attributes."""
+
+    partition_key = ANY_PARTITION
 
     def __init__(self, names: Sequence[str]) -> None:
         super().__init__()
@@ -319,6 +327,8 @@ class Project(Operator):
 
 class Derive(Operator):
     """Adds a computed attribute ``name = fn(tuple)``."""
+
+    partition_key = ANY_PARTITION
 
     def __init__(
         self, name: str, fn: Callable[[UncertainTuple], object]
@@ -353,6 +363,8 @@ class ProbabilisticFilter(Operator):
     default threshold 0 keeps every tuple with positive probability —
     plain possible-world semantics).
     """
+
+    partition_key = ANY_PARTITION
 
     def __init__(
         self,
@@ -390,6 +402,8 @@ class SignificanceFilter(Operator):
     coupled decision keeps TRUE tuples, drops FALSE ones, and treats UNSURE
     per ``keep_unsure``.  Decisions are counted for observability.
     """
+
+    partition_key = ANY_PARTITION
 
     def __init__(
         self,
@@ -709,9 +723,11 @@ class CollectSink(Operator):
     stored as received, so a columnar pipeline never materializes
     per-tuple objects just to be collected.  :attr:`results` flattens to
     ``list[UncertainTuple]`` on demand (and stays a plain mutable list
-    for callers that extend it, e.g. the sharded merge);
+    for callers that extend it);
     :meth:`columnar_result` hands back the column blocks for transport.
     """
+
+    partition_key = ANY_PARTITION
 
     def __init__(self) -> None:
         super().__init__()
@@ -756,6 +772,8 @@ class CollectSink(Operator):
 
 class CountingSink(Operator):
     """Terminal operator that only counts tuples (throughput benchmarks)."""
+
+    partition_key = ANY_PARTITION
 
     def __init__(self) -> None:
         super().__init__()

@@ -54,10 +54,6 @@ def measure_throughput(
     batch_size: int | None = None,
     registry: MetricsRegistry | None = None,
     metrics_prefix: str = "pipeline",
-    n_workers: int | None = None,
-    n_shards: int | None = None,
-    partition_by: object = None,
-    shard_seed: int | None = None,
     tracer: Tracer | None = None,
     telemetry: TelemetryRecorder | None = None,
     layout: str = "tuple",
@@ -68,12 +64,7 @@ def measure_throughput(
     over between timing runs.  ``batch_size`` selects the batched
     execution path (:meth:`Pipeline.run_batched`); ``None`` measures the
     per-tuple path (:meth:`Pipeline.run`, which pushes one-row
-    batches).  ``n_workers`` selects the sharded process-pool path
-    (:meth:`Pipeline.run_sharded`, with ``n_shards`` / ``partition_by``
-    / ``shard_seed`` passed through); one worker pool is created before
-    timing and reused across repeats, and an untimed warm-up run absorbs
-    process start-up and imports, so the measurement reflects
-    steady-state throughput rather than ``spawn`` cost.
+    batches).
 
     ``registry`` requests a per-operator breakdown, ``tracer`` requests
     a span trace (+ accuracy provenance), and ``telemetry`` requests a
@@ -87,8 +78,8 @@ def measure_throughput(
     ``"tuple"`` (default) times the per-tuple list as-is, while
     ``"columnar"`` converts the source to a
     :class:`~repro.streams.columnar.ColumnarBatch` once, *outside* the
-    timed region, so the measurement reflects columnar execution and
-    transport rather than conversion cost.
+    timed region, so the measurement reflects columnar execution
+    rather than conversion cost.
 
     Raises :class:`StreamError` when no repeat produced a measurable
     elapsed time (tiny tuple lists on coarse clocks) — a successful call
@@ -111,56 +102,34 @@ def measure_throughput(
             )
         tuples = columnar
 
-    pool = None
-    if n_workers is not None:
-        from repro.parallel.config import ParallelConfig
-        from repro.parallel.pool import WorkerPool
-
-        pool = WorkerPool(ParallelConfig(n_workers=n_workers))
-
     def _run_once(pipeline: Pipeline) -> None:
-        if pool is not None:
-            pipeline.run_sharded(
-                tuples,
-                n_shards=n_shards,
-                partition_by=partition_by,
-                batch_size=batch_size if batch_size is not None else 256,
-                seed=shard_seed,
-                pool=pool,
-            )
-        elif batch_size is None:
+        if batch_size is None:
             pipeline.run(tuples)
         else:
             pipeline.run_batched(tuples, batch_size)
 
-    try:
-        if pool is not None:
-            _run_once(pipeline_factory())  # untimed pool warm-up
-        best = 0.0
-        for _ in range(repeats):
-            pipeline = pipeline_factory()
-            start = time.perf_counter()
-            _run_once(pipeline)
-            elapsed = time.perf_counter() - start
-            if elapsed <= 0.0:
-                continue
-            best = max(best, len(tuples) / elapsed)
-        if best == 0.0:
-            raise StreamError(
-                f"all {repeats} repeats over {len(tuples)} tuples finished "
-                "faster than the clock resolution; use more tuples (or more "
-                "repeats) to get a measurable elapsed time"
-            )
-        if registry is not None or tracer is not None or telemetry is not None:
-            pipeline = pipeline_factory()
-            if registry is not None:
-                pipeline.attach_metrics(registry, prefix=metrics_prefix)
-            if tracer is not None:
-                pipeline.attach_trace(tracer, prefix=metrics_prefix)
-            if telemetry is not None:
-                pipeline.attach_telemetry(telemetry, prefix=metrics_prefix)
-            _run_once(pipeline)
-        return best
-    finally:
-        if pool is not None:
-            pool.close()
+    best = 0.0
+    for _ in range(repeats):
+        pipeline = pipeline_factory()
+        start = time.perf_counter()
+        _run_once(pipeline)
+        elapsed = time.perf_counter() - start
+        if elapsed <= 0.0:
+            continue
+        best = max(best, len(tuples) / elapsed)
+    if best == 0.0:
+        raise StreamError(
+            f"all {repeats} repeats over {len(tuples)} tuples finished "
+            "faster than the clock resolution; use more tuples (or more "
+            "repeats) to get a measurable elapsed time"
+        )
+    if registry is not None or tracer is not None or telemetry is not None:
+        pipeline = pipeline_factory()
+        if registry is not None:
+            pipeline.attach_metrics(registry, prefix=metrics_prefix)
+        if tracer is not None:
+            pipeline.attach_trace(tracer, prefix=metrics_prefix)
+        if telemetry is not None:
+            pipeline.attach_telemetry(telemetry, prefix=metrics_prefix)
+        _run_once(pipeline)
+    return best

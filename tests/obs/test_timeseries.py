@@ -1,6 +1,7 @@
 """Frame-series telemetry: boundaries, deltas, folding, determinism."""
 
 import json
+import pickle
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.obs.timeseries import (
     TelemetryConfig,
     TelemetryRecorder,
 )
+from repro.parallel import pipeline_payload
 from repro.streams.engine import Pipeline
 from repro.streams.operators import CollectSink, Operator
 from repro.streams.tuples import UncertainTuple
@@ -350,14 +352,14 @@ class TestPipelineIntegration:
         assert len(recorder.series) == 0
 
     def test_pristine_clone_is_detached_original_keeps_telemetry(self):
-        # Sharded workers get detached clones (each builds a private
-        # recorder); the original must keep its attachment for the
-        # post-merge fold.
+        # Sharded workers unpickle a detached payload (each builds a
+        # private recorder); the original must keep its attachment for
+        # the post-merge fold.
         recorder = TelemetryRecorder(TelemetryConfig(frame_interval=4))
         pipeline = Pipeline(
             [_WidthAccuracy([0.1]), CollectSink()], telemetry=recorder
         )
-        clone = pipeline.pristine()
+        clone = pickle.loads(pipeline_payload(pipeline))
         assert clone.telemetry is None
         assert clone.registry is None
         assert pipeline.telemetry is recorder

@@ -15,6 +15,7 @@ from repro.obs.trace import (
     _sample_decision,
     _stable_id,
 )
+from repro.parallel import pipeline_payload
 from repro.streams.engine import Pipeline
 from repro.streams.operators import (
     CollectSink,
@@ -275,9 +276,10 @@ class TestPipelineWiring:
         assert len(tracer) == 0
 
     def test_pristine_clone_has_no_tracer(self):
+        # The sharded payload is pickled with the tracer detached.
         tracer = Tracer()
         pipeline = _pipeline(tracer)
-        clone = pipeline.pristine()
+        clone = pickle.loads(pipeline_payload(pipeline))
         assert clone.tracer is None
         assert all(op._trace is None for op in clone.operators)
         # The original is re-attached and still records.

@@ -1,11 +1,11 @@
 """Byte-identical sinks for the columnar sharded transport.
 
-The tentpole contract: switching the sharded path from pickled tuple
-lists to columnar shared-memory payloads changes *nothing* about sink
-contents — fixed seed + pinned ``n_shards`` gives byte-identical
-results (per-element ``pickle.dumps``) at 1, 2, and 4 workers, on the
-Fig 5(c) accuracy workload and on a keyed :class:`GroupedAggregate`
-workload, and identical to the legacy tuple-list transport.
+Shipping shards as columnar shared-memory payloads instead of pickled
+tuple lists changes *nothing* about sink contents: the sharded run
+equals ``run_batched`` (per-element ``pickle.dumps``) at 1, 2, and 4
+workers, on the Fig 5(c) learning + accuracy stages around a keyed
+:class:`GroupedAggregate` and on a plain keyed GROUP BY, and equals the
+tuple-list transport.
 """
 
 import pickle
@@ -22,25 +22,32 @@ from repro.experiments.fig5_throughput import (
 from repro.streams.columnar import ColumnarBatch
 from repro.streams.engine import Pipeline
 from repro.streams.groupby import GroupedAggregate
-from repro.streams.operators import CollectSink, SlidingGaussianAverage
+from repro.streams.operators import CollectSink
 from repro.streams.tuples import UncertainTuple
-
-N_SHARDS = 4
-WORKER_COUNTS = (1, 2, 4)
+from tests.parallel.conftest import WORKER_COUNTS
 
 
 def _fig5c_pipeline():
-    # The Fig 5(c) "analytic" configuration, scaled down: learn a
-    # Gaussian per item, slide a window average, attach Lemma-2
+    # The Fig 5(c) "analytic" configuration with the global sliding
+    # window replaced by a per-sensor one (a global window is refused):
+    # learn a Gaussian per item, average per sensor, attach Lemma-2
     # accuracy, collect.
     return Pipeline(
         [
             _LearnGaussian("points", "value"),
-            SlidingGaussianAverage("value", window_size=40),
+            GroupedAggregate("sensor", "value", window_size=40),
             _AnalyticAccuracy("avg"),
             CollectSink(),
         ]
     )
+
+
+def _fig5c_stream(n, seed):
+    """The Fig 5(c) stream (raw point vectors) with a sensor key."""
+    return [
+        UncertainTuple({**tup.attributes, "sensor": tup.value("item") % 6})
+        for tup in make_stream(n, seed=seed)
+    ]
 
 
 def _grouped_tuples(n=160, n_sensors=5, seed=7):
@@ -79,33 +86,29 @@ def _element_bytes(results):
 
 
 class TestFig5cWorkload:
-    def test_worker_count_invariant(self):
+    def test_worker_count_invariant(self, pools):
         # The 240x20 points matrix is large enough per shard to cross
         # the shared-memory threshold, so multi-worker rounds exercise
         # the SharedSpec transport end to end.
-        tuples = make_stream(240, seed=11)
-
-        def run(workers):
+        tuples = _fig5c_stream(240, seed=11)
+        expected = _element_bytes(
+            _fig5c_pipeline().run_batched(tuples, 32).results
+        )
+        assert len(expected) == len(tuples)
+        for workers in WORKER_COUNTS:
             sink = _fig5c_pipeline().run_sharded(
-                tuples, n_workers=workers, n_shards=N_SHARDS, seed=5
+                tuples, "sensor", pools[workers]
             )
-            return _element_bytes(sink.results)
-
-        baseline = run(1)
-        assert baseline  # the window emits on every arrival
-        for workers in WORKER_COUNTS[1:]:
-            assert run(workers) == baseline, (
+            assert _element_bytes(sink.results) == expected, (
                 f"fig5c sink diverged at n_workers={workers}"
             )
 
-    def test_matches_legacy_tuple_transport(self, monkeypatch):
+    def test_matches_legacy_tuple_transport(self, monkeypatch, pools):
         # Forcing as_columnar to fail in the sharded driver reinstates
         # the pickled-tuple-list transport; sinks must not change.
-        tuples = make_stream(160, seed=2)
+        tuples = _fig5c_stream(160, seed=2)
         columnar = _element_bytes(
-            _fig5c_pipeline()
-            .run_sharded(tuples, n_workers=1, n_shards=N_SHARDS, seed=5)
-            .results
+            _fig5c_pipeline().run_sharded(tuples, "sensor", pools[2]).results
         )
         import repro.parallel.sharded as sharded_module
 
@@ -113,25 +116,20 @@ class TestFig5cWorkload:
             sharded_module, "as_columnar", lambda source: None
         )
         legacy = _element_bytes(
-            _fig5c_pipeline()
-            .run_sharded(tuples, n_workers=1, n_shards=N_SHARDS, seed=5)
-            .results
+            _fig5c_pipeline().run_sharded(tuples, "sensor", pools[2]).results
         )
         assert columnar == legacy
 
-    def test_merged_sink_stays_columnar(self):
-        tuples = make_stream(120, seed=3)
-        pipeline = _fig5c_pipeline()
-        sink = pipeline.run_sharded(
-            tuples, n_workers=1, n_shards=N_SHARDS, seed=5
-        )
+    def test_merged_sink_stays_columnar(self, pools):
+        tuples = _fig5c_stream(120, seed=3)
+        sink = _fig5c_pipeline().run_sharded(tuples, "sensor", pools[1])
         merged = sink.columnar_result()
         assert isinstance(merged, ColumnarBatch)
         assert len(merged) == len(sink.results)
 
 
 class TestGroupedWorkload:
-    def test_matches_per_tuple_serial_run(self):
+    def test_matches_per_tuple_serial_run(self, pools):
         # Keyed partitioning makes shard-local group state equal global
         # group state, so the sharded columnar run must reproduce the
         # per-tuple serial path byte for byte — at every worker count.
@@ -140,25 +138,15 @@ class TestGroupedWorkload:
         assert len(expected) == len(tuples)
         for workers in WORKER_COUNTS:
             sink = _grouped_pipeline().run_sharded(
-                tuples,
-                n_workers=workers,
-                partition_by="sensor",
-                n_shards=N_SHARDS,
-                seed=5,
+                tuples, "sensor", pools[workers]
             )
             assert _element_bytes(sink.results) == expected, (
                 f"grouped sink diverged at n_workers={workers}"
             )
 
-    def test_grouped_merge_is_columnar_interleave(self):
+    def test_grouped_merge_is_columnar_interleave(self, pools):
         tuples = _grouped_tuples(80)
-        sink = _grouped_pipeline().run_sharded(
-            tuples,
-            n_workers=1,
-            partition_by="sensor",
-            n_shards=N_SHARDS,
-            seed=5,
-        )
+        sink = _grouped_pipeline().run_sharded(tuples, "sensor", pools[4])
         merged = sink.columnar_result()
         assert isinstance(merged, ColumnarBatch)
         assert [t.value("sensor") for t in merged] == [

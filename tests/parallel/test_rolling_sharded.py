@@ -1,18 +1,21 @@
-"""Determinism of the rolling operators under sharded execution.
+"""The rolling operators under sharded execution.
 
-The acceptance contract: with a fixed seed and pinned ``n_shards``, the
-rolling operators (RollingLearnOperator, min/max WindowAggregate) emit
-byte-identical sink contents at any worker count — the drift-guarded
-kernels re-sum at deterministic slide counts, so shard decomposition,
-not worker scheduling, is the only thing that may shape the output.
+A keyed rolling GROUP BY (``GroupedAggregate`` partitioned by its key)
+runs each group's drift-guarded kernel on exactly the members a serial
+run gives it, so the sharded sink equals ``run_batched`` at any worker
+count.  The global rolling operators (RollingLearnOperator, min/max
+WindowAggregate) need the whole stream in order: sharding refuses them
+before any worker starts.
 """
 
 import pickle
 
 import numpy as np
+import pytest
 
 from repro.core.dfsample import DfSized
 from repro.distributions.gaussian import GaussianDistribution
+from repro.errors import StreamError
 from repro.streams.engine import Pipeline
 from repro.streams.groupby import GroupedAggregate
 from repro.streams.operators import (
@@ -21,9 +24,7 @@ from repro.streams.operators import (
     WindowAggregate,
 )
 from repro.streams.tuples import UncertainTuple
-
-N_SHARDS = 4
-WORKER_COUNTS = (1, 2, 4)
+from tests.parallel.conftest import WORKER_COUNTS
 
 
 def _raw_tuples(n=160, seed=7):
@@ -100,38 +101,25 @@ def _element_bytes(results):
 
 
 class TestRollingWorkerCountInvariance:
-    def test_rolling_learn_invariant_across_workers(self):
+    def test_rolling_learn_invariant_across_workers(self, pools):
+        # One global window over the stream: refused at every pool size.
         tuples = _raw_tuples()
+        for workers in WORKER_COUNTS:
+            pipeline = _learn_pipeline()
+            with pytest.raises(StreamError, match="RollingLearnOperator"):
+                pipeline.run_sharded(tuples, "sensor", pools[workers])
+            assert pipeline.sink.results == []
 
-        def run(workers):
-            sink = _learn_pipeline().run_sharded(
-                tuples, n_workers=workers, n_shards=N_SHARDS, seed=42
-            )
-            return _element_bytes(sink.results)
-
-        baseline = run(1)
-        for workers in WORKER_COUNTS[1:]:
-            assert run(workers) == baseline, (
-                f"RollingLearnOperator diverged at n_workers={workers}"
-            )
-
-    def test_minmax_aggregate_invariant_across_workers(self):
+    def test_minmax_aggregate_invariant_across_workers(self, pools):
         tuples = _dist_tuples()
         for agg in ("min", "max"):
-            def run(workers):
-                sink = _minmax_pipeline(agg).run_sharded(
-                    tuples, n_workers=workers, n_shards=N_SHARDS, seed=42
-                )
-                return _element_bytes(sink.results)
+            for workers in WORKER_COUNTS:
+                with pytest.raises(StreamError, match="WindowAggregate"):
+                    _minmax_pipeline(agg).run_sharded(
+                        tuples, "sensor", pools[workers]
+                    )
 
-            baseline = run(1)
-            for workers in WORKER_COUNTS[1:]:
-                assert run(workers) == baseline, (
-                    f"WindowAggregate({agg}) diverged at "
-                    f"n_workers={workers}"
-                )
-
-    def test_grouped_min_partitioned_matches_serial(self):
+    def test_grouped_min_partitioned_matches_serial(self, pools):
         # Partitioned by the group key, shard-local rolling state equals
         # global state: the sharded run must equal the serial run.
         tuples = _dist_tuples()
@@ -140,11 +128,7 @@ class TestRollingWorkerCountInvariance:
         )
         for workers in WORKER_COUNTS:
             sink = _grouped_min_pipeline().run_sharded(
-                tuples,
-                n_workers=workers,
-                partition_by="sensor",
-                n_shards=N_SHARDS,
-                seed=42,
+                tuples, "sensor", pools[workers]
             )
             assert _element_bytes(sink.results) == expected, (
                 f"grouped min diverged at n_workers={workers}"
@@ -152,8 +136,7 @@ class TestRollingWorkerCountInvariance:
 
     def test_rolling_learn_batched_matches_serial_run(self):
         # run() (scalar accuracy path) vs run_batched() (vectorized
-        # Theorem-1 path): byte-identical, so any sharded decomposition
-        # built on run_batched inherits the scalar semantics.
+        # Theorem-1 path): byte-identical.
         tuples = _raw_tuples()
         serial = _element_bytes(_learn_pipeline().run(tuples).results)
         batched = _element_bytes(

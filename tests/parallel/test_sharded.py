@@ -1,8 +1,8 @@
-"""Seed-fixed equivalence of sharded vs. batched pipeline execution.
+"""Keyed sharded execution returns the batched answer, or refuses.
 
-The ISSUE-level guarantee: for a fixed seed and pinned ``n_shards``,
-``Pipeline.run_sharded`` produces sink contents identical to the serial
-run at ANY worker count — 1 (in-process), 2, and 4 real spawn workers.
+``Pipeline.run_sharded(source, partition_by, pool)`` must leave sink
+contents identical to ``run_batched`` at any pool size — 1 (in-process),
+2, and 4 real spawn workers — or raise before any worker starts.
 
 Tuples are compared by per-element ``pickle.dumps`` bytes.  Whole-list
 pickles are NOT comparable across paths (pickle's memo shares objects
@@ -18,11 +18,12 @@ import pytest
 
 from repro.core.adaptive import resample_schedule
 from repro.core.dfsample import DfSized
+from repro.core.predicates import FieldStats, MTest
 from repro.distributions.gaussian import GaussianDistribution
 from repro.errors import ParallelError, StreamError
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.parallel import (
-    ParallelConfig,
     WorkerPool,
     partition_indices,
     run_sharded,
@@ -30,17 +31,23 @@ from repro.parallel import (
 )
 from repro.streams.engine import Pipeline
 from repro.streams.groupby import GroupedAggregate
+from repro.streams.join import TagSide, WindowJoin
 from repro.streams.operators import (
     CollectSink,
     CountingSink,
     Derive,
+    Operator,
+    ProbabilisticFilter,
+    Project,
+    RollingLearnOperator,
     Select,
+    SignificanceFilter,
     SlidingGaussianAverage,
+    TimeWindowAggregate,
+    WindowAggregate,
 )
 from repro.streams.tuples import UncertainTuple
-
-N_SHARDS = 4
-WORKER_COUNTS = (1, 2, 4)
+from tests.parallel.conftest import WORKER_COUNTS
 
 
 def _tuples(n=120, n_sensors=6, seed=0):
@@ -58,8 +65,10 @@ def _tuples(n=120, n_sensors=6, seed=0):
                         ),
                         int(rng.integers(10, 40)),
                     ),
+                    "obs": float(rng.normal(0.0, 1.0)),
                     "seq": i,
-                }
+                },
+                timestamp=float(i),
             )
         )
     return out
@@ -72,6 +81,17 @@ def _double_seq(tup):
 
 def _keep_even(tup):
     return tup.value("seq") % 2 == 0
+
+
+def _half(tup):
+    return 0.5
+
+
+def _above_40(tup):
+    field = tup.dfsized("reading")
+    dist = field.distribution
+    stats = FieldStats(dist.mean(), dist.variance() ** 0.5, field.sample_size)
+    return MTest(stats, ">", 40.0, 0.05)
 
 
 def _stateless_pipeline():
@@ -91,6 +111,23 @@ def _grouped_pipeline():
 
 def _element_bytes(results):
     return [pickle.dumps(tup) for tup in results]
+
+
+class _Passthrough(Operator):
+    """An operator that declares no partition key."""
+
+    def process_many(self, tuples):
+        self.emit_many(tuples)
+
+
+class _NeverStarts(WorkerPool):
+    """A 2-worker pool that fails the test if any shard is dispatched."""
+
+    def __init__(self):
+        super().__init__(2)
+
+    def map_indexed(self, fn, tasks):
+        raise AssertionError("a shard was dispatched")
 
 
 class TestStableKeyHash:
@@ -113,13 +150,14 @@ class TestStableKeyHash:
 
 class TestPartitionIndices:
     def test_round_robin(self):
-        tuples = _tuples(7)
-        shards = partition_indices(tuples, 3, None)
-        assert shards == [[0, 3, 6], [1, 4], [2, 5]]
+        # Round-robin (partition_by=None) dealt one window per shard; it
+        # is refused now, even for a stateless pipeline.
+        with pytest.raises(StreamError, match="partition_by"):
+            _stateless_pipeline().run_sharded(_tuples(7), None, _NeverStarts())
 
     def test_attribute_key_groups_together(self):
         tuples = _tuples(60)
-        shards = partition_indices(tuples, N_SHARDS, "sensor")
+        shards = partition_indices(tuples, 4, "sensor")
         assert sorted(i for shard in shards for i in shard) == list(range(60))
         for shard in shards:
             # Every index of a given sensor lands in exactly one shard.
@@ -132,191 +170,171 @@ class TestPartitionIndices:
                 )
 
     def test_callable_key(self):
-        tuples = _tuples(10)
-        shards = partition_indices(
-            tuples, 2, lambda tup: tup.value("seq") // 5
-        )
-        assert shards == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+        # Key callables are refused: partition_by names an attribute.
+        with pytest.raises(StreamError, match="partition_by"):
+            _stateless_pipeline().run_sharded(
+                _tuples(10),
+                lambda tup: tup.value("seq") // 5,
+                _NeverStarts(),
+            )
 
     def test_bad_shard_count(self):
         with pytest.raises(ParallelError, match="n_shards"):
-            partition_indices([], 0, None)
+            partition_indices([], 0, "sensor")
 
 
 class TestWorkerCountEquivalence:
-    """The satellite (d) contract: 1 == 2 == 4 workers == serial run."""
+    """1 == 2 == 4 workers == run_batched, for every accepted pipeline."""
 
-    def test_stateless_pipeline_matches_run_batched(self):
+    def test_stateless_pipeline_matches_run_batched(self, pools):
         tuples = _tuples()
         expected = _element_bytes(
             _stateless_pipeline().run_batched(tuples, 32).results
         )
         for workers in WORKER_COUNTS:
-            pipeline = _stateless_pipeline()
-            sink = pipeline.run_sharded(
-                tuples, n_workers=workers, n_shards=N_SHARDS, seed=123
+            sink = _stateless_pipeline().run_sharded(
+                tuples, "sensor", pools[workers]
             )
             assert _element_bytes(sink.results) == expected, (
                 f"stateless sink diverged at n_workers={workers}"
             )
 
-    def test_grouped_partition_by_matches_run_batched(self):
+    def test_grouped_partition_by_matches_run_batched(self, pools):
         # GroupedAggregate keyed by the partition attribute: shard-local
-        # group state equals global group state, and emit-per-input lets
-        # the interleave merge reconstruct the exact serial emit order.
+        # group state equals global group state, and one output per
+        # input lets the merge restore the exact batched order.
         tuples = _tuples()
         expected = _element_bytes(
             _grouped_pipeline().run_batched(tuples, 32).results
         )
         assert len(expected) == len(tuples)
         for workers in WORKER_COUNTS:
-            pipeline = _grouped_pipeline()
-            sink = pipeline.run_sharded(
-                tuples,
-                n_workers=workers,
-                partition_by="sensor",
-                n_shards=N_SHARDS,
-                seed=123,
+            sink = _grouped_pipeline().run_sharded(
+                tuples, "sensor", pools[workers], batch_size=32
             )
             assert _element_bytes(sink.results) == expected, (
                 f"grouped sink diverged at n_workers={workers}"
             )
 
-    def test_windowed_pipeline_worker_count_invariant(self):
-        # An unkeyed window reshards semantically (one window per shard)
-        # so it cannot equal the serial run — but it must still be
-        # invariant across worker counts for a fixed decomposition.
-        tuples = _tuples()
-
-        def run(workers):
+    def test_windowed_pipeline_worker_count_invariant(self, pools):
+        # An unkeyed window would compute one window per shard, a
+        # different answer: it is refused at every pool size, before
+        # anything is pickled or dispatched.
+        for workers in WORKER_COUNTS:
             pipeline = Pipeline(
                 [
                     SlidingGaussianAverage("reading", window_size=10),
                     CollectSink(),
                 ]
             )
-            sink = pipeline.run_sharded(
-                tuples, n_workers=workers, n_shards=N_SHARDS, seed=9
-            )
-            return _element_bytes(sink.results)
-
-        baseline = run(1)
-        assert run(2) == baseline
-        assert run(4) == baseline
+            with pytest.raises(StreamError, match="whole stream"):
+                pipeline.run_sharded(_tuples(), "sensor", pools[workers])
+            assert pipeline.sink.results == []
 
 
 class TestSinkAndMetricsMerge:
-    @pytest.fixture(scope="class")
-    def pool2(self):
-        with WorkerPool(ParallelConfig(n_workers=2)) as pool:
-            yield pool
-
-    def test_counting_sink_sums(self, pool2):
+    def test_counting_sink_sums(self, pools):
         tuples = _tuples(50)
         pipeline = Pipeline([Select(_keep_even), CountingSink()])
-        sink = pipeline.run_sharded(
-            tuples, n_workers=2, n_shards=N_SHARDS, pool=pool2
-        )
+        sink = pipeline.run_sharded(tuples, "sensor", pools[2])
         assert sink.count == 25
 
-    def test_merged_metrics_counters(self, pool2):
+    def test_merged_metrics_counters(self, pools):
         tuples = _tuples(80)
         registry = MetricsRegistry()
         pipeline = _stateless_pipeline()
         pipeline.attach_metrics(registry, prefix="eq")
-        pipeline.run_sharded(
-            tuples, n_workers=2, n_shards=N_SHARDS, pool=pool2
-        )
+        pipeline.run_sharded(tuples, "sensor", pools[2])
         snapshot = registry.snapshot()
         # Every source tuple was pushed exactly once, across all shards.
         assert snapshot["eq.tuples"]["value"] == 80
-        # One run_batched per shard.
-        assert snapshot["eq.runs"]["value"] == N_SHARDS
-        assert snapshot["eq.run_seconds"]["count"] == N_SHARDS
+        # One run_batched per shard, one shard per worker.
+        assert snapshot["eq.runs"]["value"] == 2
+        assert snapshot["eq.run_seconds"]["count"] == 2
 
-    def test_interleave_requires_one_to_one(self):
+    def test_interleave_requires_one_to_one(self, pools):
         tuples = _tuples(20)
         pipeline = Pipeline([Select(_keep_even), CollectSink()])
-        with pytest.raises(ParallelError, match="interleave"):
-            pipeline.run_sharded(
-                tuples, n_workers=1, n_shards=2, merge="interleave"
-            )
+        with pytest.raises(ParallelError, match="one output per input"):
+            pipeline.run_sharded(tuples, "sensor", pools[1])
 
-    def test_auto_falls_back_to_concat_for_filters(self):
-        tuples = _tuples(20)
-        pipeline = Pipeline([Select(_keep_even), CollectSink()])
-        sink = pipeline.run_sharded(tuples, n_workers=1, n_shards=2)
-        assert sorted(t.value("seq") for t in sink.results) == list(
-            range(0, 20, 2)
+    def test_filter_into_collect_sink_raises_and_merges_nothing(self, pools):
+        # A filtering stage came back in shard order, silently; now the
+        # merge refuses and leaves the sink and registry untouched.
+        tuples = _tuples(40)
+        registry = MetricsRegistry()
+        pipeline = Pipeline(
+            [Select(_keep_even), CollectSink()], registry=registry
         )
-
-    def test_bad_merge_mode(self):
-        with pytest.raises(ParallelError, match="merge"):
-            _stateless_pipeline().run_sharded(
-                _tuples(4), n_workers=1, merge="zip"
-            )
+        with pytest.raises(ParallelError, match="one output per input"):
+            pipeline.run_sharded(tuples, partition_by="sensor", pool=pools[2])
+        assert pipeline.sink.results == []
+        assert registry.snapshot()["pipeline.tuples"]["value"] == 0
+        counted = Pipeline([Select(_keep_even), CountingSink()])
+        assert counted.run_sharded(tuples, "sensor", pools[2]).count == 20
 
     def test_unmergeable_sink_rejected(self):
-        pipeline = Pipeline([SlidingGaussianAverage("reading", 4)])
+        pipeline = Pipeline([Derive("twice", _double_seq)])
         with pytest.raises(StreamError, match="CollectSink or CountingSink"):
-            pipeline.run_sharded(_tuples(4), n_workers=1)
+            pipeline.run_sharded(_tuples(4), "sensor", _NeverStarts())
 
-    def test_default_shards_follow_workers(self):
+    def test_default_shards_follow_workers(self, pools):
         tuples = _tuples(12)
-        result = run_sharded(
-            _stateless_pipeline(), tuples, n_workers=1
-        )
-        assert len(result.shards) == 1
+        for workers in (1, 2):
+            result = run_sharded(
+                _stateless_pipeline(), tuples, "sensor", pools[workers]
+            )
+            assert len(result.shards) == workers
+
+
+def _start_fails(*args, **kwargs):
+    raise OSError("no semaphores here")
 
 
 class TestUnpicklableFallback:
-    def test_parallel_degrades_with_warning(self):
+    def test_parallel_degrades_with_warning(self, monkeypatch):
+        # A pool that cannot start runs the same shards in-process, with
+        # a warning, and still returns the batched answer.
+        import repro.parallel.pool as pool_module
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", _start_fails)
         tuples = _tuples(24)
         expected = _element_bytes(
-            _stateless_pipeline().run_batched(tuples, 32).results
+            _grouped_pipeline().run_batched(tuples, 32).results
         )
-        # A lambda-bearing operator cannot pickle into spawn workers.
-        pipeline = Pipeline(
-            [Derive("twice", lambda t: t.value("seq") * 2), CollectSink()]
-        )
-        with pytest.warns(UserWarning, match="not picklable"):
-            sink = pipeline.run_sharded(
-                tuples, n_workers=2, n_shards=N_SHARDS, seed=123
-            )
+        pool = WorkerPool(2)
+        with pytest.warns(UserWarning, match="running serially"):
+            sink = _grouped_pipeline().run_sharded(tuples, "sensor", pool)
+        assert pool.serial
         assert _element_bytes(sink.results) == expected
 
     def test_no_fallback_raises(self):
+        # An unpicklable pipeline raises before any worker starts; there
+        # is no deep-copy path that could drift from the workers' one.
         pipeline = Pipeline(
             [Derive("twice", lambda t: t.value("seq") * 2), CollectSink()]
         )
         with pytest.raises(ParallelError, match="not picklable"):
-            pipeline.run_sharded(
-                _tuples(8),
-                n_workers=2,
-                config=ParallelConfig(n_workers=2, fallback_serial=False),
-            )
+            pipeline.run_sharded(_tuples(8), "sensor", _NeverStarts())
 
     def test_serial_fallback_does_not_warn(self):
-        pipeline = Pipeline(
-            [Derive("twice", lambda t: t.value("seq") * 2), CollectSink()]
-        )
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sink = pipeline.run_sharded(_tuples(8), n_workers=1, n_shards=2)
+            sink = _stateless_pipeline().run_sharded(
+                _tuples(8), "sensor", WorkerPool(1)
+            )
         assert len(sink.results) == 8
 
 
 class TestAdaptiveBootstrapSharded:
-    def test_adaptive_stage_worker_count_invariant(self):
-        """Adaptive escalation state is per-shard: pinned n_shards makes
-        the sharded sink byte-identical at 1, 2, and 4 workers."""
+    def test_adaptive_stage_worker_count_invariant(self, pools):
+        """An operator holding a generator draws in stream order, so no
+        partition keeps its answer: refused at every pool size."""
         from repro.experiments.fig5_throughput import _BootstrapAccuracy
 
-        tuples = _tuples(n=96)
-
-        def run(workers):
+        for workers in WORKER_COUNTS:
             pipeline = Pipeline(
                 [
                     _BootstrapAccuracy(
@@ -326,17 +344,8 @@ class TestAdaptiveBootstrapSharded:
                     CollectSink(),
                 ]
             )
-            sink = pipeline.run_sharded(
-                tuples, n_workers=workers, n_shards=N_SHARDS, seed=9
-            )
-            return _element_bytes(sink.results)
-
-        expected = run(1)
-        assert len(expected) == len(tuples)
-        for workers in WORKER_COUNTS[1:]:
-            assert run(workers) == expected, (
-                f"adaptive sharded sink diverged at {workers} workers"
-            )
+            with pytest.raises(StreamError, match="_BootstrapAccuracy"):
+                pipeline.run_sharded(_tuples(96), "sensor", pools[workers])
 
     def test_adaptive_draws_vary_per_tuple(self):
         from repro.experiments.fig5_throughput import _BootstrapAccuracy
@@ -357,3 +366,129 @@ class TestAdaptiveBootstrapSharded:
                    for tup in sink.results}
         assert budgets <= set(resample_schedule(8, 2.0, 32))
         assert len(draws) > 1  # distribution-sensitive: not one budget
+
+
+def _stateful_operators():
+    """Every stateful library operator, plus the undeclared subclass."""
+    from repro.experiments.fig5_throughput import _BootstrapAccuracy
+
+    return {
+        "SlidingGaussianAverage": lambda: SlidingGaussianAverage(
+            "reading", 10
+        ),
+        "WindowAggregate": lambda: WindowAggregate("reading", 10),
+        "WindowAggregate-min": lambda: WindowAggregate(
+            "reading", 10, agg="min"
+        ),
+        "TimeWindowAggregate": lambda: TimeWindowAggregate("reading", 5.0),
+        "RollingLearnOperator": lambda: RollingLearnOperator("obs", 12),
+        "RollingLearnOperator-sketch": lambda: RollingLearnOperator(
+            "obs", 12, learner="sketch-quantile", chunk_size=4
+        ),
+        "GroupedAggregate-ttl": lambda: GroupedAggregate(
+            "sensor", "reading", 8, expire_after=16
+        ),
+        "GroupedAggregate-chunked-ttl": lambda: GroupedAggregate(
+            "sensor", "reading", 8, synopsis="chunked", expire_after=16
+        ),
+        "GroupedAggregate-other-key": lambda: GroupedAggregate(
+            "seq", "reading", 8
+        ),
+        "WindowJoin": lambda: WindowJoin("sensor", 4),
+        "_BootstrapAccuracy": lambda: _BootstrapAccuracy("reading", seed=1),
+        "undeclared": _Passthrough,
+    }
+
+
+def _sensor_of_seq(tup):
+    return tup.value("seq") % 3
+
+
+class TestRefusalMatrix:
+    """Every pipeline whose sharded answer would differ raises first."""
+
+    def test_derive_rewriting_the_key_is_refused(self):
+        # The shards are cut on the source's sensor values; a Derive
+        # that rewrites sensor upstream of the keyed GROUP BY would
+        # spread each derived group over several shards.
+        pipeline = Pipeline(
+            [
+                Derive("sensor", _sensor_of_seq),
+                GroupedAggregate("sensor", "reading", 8),
+                CollectSink(),
+            ]
+        )
+        with pytest.raises(StreamError, match="rewrites the partition"):
+            pipeline.run_sharded(_tuples(32), "sensor", _NeverStarts())
+
+    @pytest.mark.parametrize("name", sorted(_stateful_operators()))
+    @pytest.mark.parametrize("partition_by", [None, "sensor", "reading"])
+    def test_refused_before_any_worker_starts(self, name, partition_by):
+        make = _stateful_operators()[name]
+        registry = MetricsRegistry()
+        tracer = Tracer()
+        prefix = [TagSide("left")] if name == "WindowJoin" else []
+        pipeline = Pipeline(
+            [*prefix, make(), CollectSink()],
+            registry=registry,
+            tracer=tracer,
+        )
+        before = pickle.dumps(pipeline)
+        with pytest.raises(StreamError, match="partition_by"):
+            pipeline.run_sharded(_tuples(32), partition_by, _NeverStarts())
+        assert pickle.dumps(pipeline) == before
+        assert len(tracer) == 0
+        assert registry.snapshot()["pipeline.tuples"]["value"] == 0
+        assert registry.snapshot()["pipeline.runs"]["value"] == 0
+
+
+def _accepted_pipelines():
+    """Keyed GROUP BY shapes with stateless stages, into both sinks."""
+
+    def grouped(synopsis, *prefix, sink=CollectSink):
+        return lambda: Pipeline(
+            [
+                *(stage() for stage in prefix),
+                GroupedAggregate(
+                    "sensor", "reading", 8, synopsis=synopsis
+                ),
+                sink(),
+            ]
+        )
+
+    derive = lambda: Derive("twice", _double_seq)  # noqa: E731
+    project = lambda: Project(["sensor", "reading", "seq"])  # noqa: E731
+    select = lambda: Select(_keep_even)  # noqa: E731
+    scale = lambda: ProbabilisticFilter(_half)  # noqa: E731
+    significant = lambda: SignificanceFilter(_above_40)  # noqa: E731
+    return {
+        "exact": grouped("exact"),
+        "chunked": grouped("chunked"),
+        "exact+derive+project": grouped("exact", derive, project),
+        "chunked+scale": grouped("chunked", scale),
+        "exact+select->count": grouped("exact", select, sink=CountingSink),
+        "chunked+select->count": grouped(
+            "chunked", select, sink=CountingSink
+        ),
+        "exact+significance->count": grouped(
+            "exact", significant, sink=CountingSink
+        ),
+    }
+
+
+class TestAcceptedShapes:
+    @pytest.mark.parametrize("name", sorted(_accepted_pipelines()))
+    def test_matches_run_batched_at_1_2_4_workers(self, pools, name):
+        make = _accepted_pipelines()[name]
+        tuples = _tuples(160)
+        expected = make().run_batched(tuples, 16)
+        for workers in WORKER_COUNTS:
+            sink = make().run_sharded(
+                tuples, "sensor", pools[workers], batch_size=16
+            )
+            if isinstance(expected, CountingSink):
+                assert sink.count == expected.count > 0
+            else:
+                assert _element_bytes(sink.results) == _element_bytes(
+                    expected.results
+                ), f"{name} diverged at n_workers={workers}"

@@ -1,26 +1,25 @@
-"""Determinism of the sketch synopses under sharded execution.
+"""The sketch synopses under sharded execution.
 
-The sketch acceptance contract (docs/SKETCHES.md): every sketch is
-seed-stable — the KLL compaction coin is an internal splitmix64 chain,
-the Count-Min/AMS row seeds are fixed constants — so with a fixed seed
-and pinned ``n_shards`` a sketch-backed pipeline emits byte-identical
-sink contents at any worker count.  Worker scheduling must never shape
-the output; only the shard decomposition may.
+A chunked GROUP BY partitioned by its key keeps every group's chunk
+ring equal to the serial one, so the sharded sink equals
+``run_batched`` at any worker count.  The rolling sketch learners hold
+one window over the whole stream, and a GROUP BY TTL counts arrivals of
+every key: sharding refuses both before any worker starts.
 """
 
 import pickle
 
 import numpy as np
+import pytest
 
 from repro.core.dfsample import DfSized
 from repro.distributions.gaussian import GaussianDistribution
+from repro.errors import StreamError
 from repro.streams.engine import Pipeline
 from repro.streams.groupby import GroupedAggregate
 from repro.streams.operators import CollectSink, RollingLearnOperator
 from repro.streams.tuples import UncertainTuple
-
-N_SHARDS = 4
-WORKER_COUNTS = (1, 2, 4)
+from tests.parallel.conftest import WORKER_COUNTS
 
 
 def _raw_tuples(n=200, seed=7):
@@ -94,11 +93,6 @@ def _frequency_pipeline():
 
 
 def _chunked_groupby_pipeline():
-    # No expire_after here: the TTL clock counts arrivals of *any* key,
-    # so a key-partitioned shard (which only sees its own keys) expires
-    # on a different schedule than a serial run.  Serial equality is a
-    # property of the synopsis alone; TTL determinism is covered by the
-    # worker-invariance test below.
     return Pipeline(
         [
             GroupedAggregate(
@@ -132,37 +126,24 @@ def _element_bytes(results):
 
 
 class TestSketchWorkerCountInvariance:
-    def test_quantile_learner_invariant_across_workers(self):
+    def test_quantile_learner_invariant_across_workers(self, pools):
+        # One global sketch window: refused at every pool size.
         tuples = _raw_tuples()
+        for workers in WORKER_COUNTS:
+            with pytest.raises(StreamError, match="RollingLearnOperator"):
+                _quantile_pipeline().run_sharded(
+                    tuples, "sensor", pools[workers]
+                )
 
-        def run(workers):
-            sink = _quantile_pipeline().run_sharded(
-                tuples, n_workers=workers, n_shards=N_SHARDS, seed=42
-            )
-            return _element_bytes(sink.results)
-
-        baseline = run(1)
-        for workers in WORKER_COUNTS[1:]:
-            assert run(workers) == baseline, (
-                f"sketch-quantile diverged at n_workers={workers}"
-            )
-
-    def test_frequency_learner_invariant_across_workers(self):
+    def test_frequency_learner_invariant_across_workers(self, pools):
         tuples = _raw_tuples()
+        for workers in WORKER_COUNTS:
+            with pytest.raises(StreamError, match="RollingLearnOperator"):
+                _frequency_pipeline().run_sharded(
+                    tuples, "sensor", pools[workers]
+                )
 
-        def run(workers):
-            sink = _frequency_pipeline().run_sharded(
-                tuples, n_workers=workers, n_shards=N_SHARDS, seed=42
-            )
-            return _element_bytes(sink.results)
-
-        baseline = run(1)
-        for workers in WORKER_COUNTS[1:]:
-            assert run(workers) == baseline, (
-                f"sketch-frequency diverged at n_workers={workers}"
-            )
-
-    def test_chunked_groupby_partitioned_matches_serial(self):
+    def test_chunked_groupby_partitioned_matches_serial(self, pools):
         # Partitioned by the group key, shard-local chunk rings equal the
         # global ones: the sharded run must equal the serial run.
         tuples = _dist_tuples()
@@ -171,36 +152,28 @@ class TestSketchWorkerCountInvariance:
         )
         for workers in WORKER_COUNTS:
             sink = _chunked_groupby_pipeline().run_sharded(
-                tuples,
-                n_workers=workers,
-                partition_by="sensor",
-                n_shards=N_SHARDS,
-                seed=42,
+                tuples, "sensor", pools[workers]
             )
             assert _element_bytes(sink.results) == expected, (
                 f"chunked GROUP BY diverged at n_workers={workers}"
             )
 
-    def test_chunked_groupby_with_ttl_invariant_across_workers(self):
-        # With expire_after the output depends on the (pinned) shard
-        # decomposition but never on how many workers execute it.
+    def test_chunked_groupby_with_ttl_invariant_across_workers(self, pools):
+        # With expire_after the TTL clock counts arrivals of every key,
+        # so a shard that sees only its own keys expires members on
+        # another schedule: the sharded output used to differ from
+        # run_batched without a warning.  It is refused at every pool
+        # size, before the pipeline is pickled or a worker starts.
         tuples = _dist_tuples()
-
-        def run(workers):
-            sink = _chunked_ttl_pipeline().run_sharded(
-                tuples,
-                n_workers=workers,
-                partition_by="sensor",
-                n_shards=N_SHARDS,
-                seed=42,
-            )
-            return _element_bytes(sink.results)
-
-        baseline = run(1)
-        for workers in WORKER_COUNTS[1:]:
-            assert run(workers) == baseline, (
-                f"TTL'd chunked GROUP BY diverged at n_workers={workers}"
-            )
+        for workers in WORKER_COUNTS:
+            pipeline = _chunked_ttl_pipeline()
+            before = pickle.dumps(pipeline)
+            with pytest.raises(StreamError, match="whole stream"):
+                pipeline.run_sharded(
+                    tuples, partition_by="sensor", pool=pools[workers]
+                )
+            assert pickle.dumps(pipeline) == before
+            assert pipeline.sink.results == []
 
     def test_quantile_learner_batched_matches_serial_run(self):
         tuples = _raw_tuples()

@@ -1,10 +1,12 @@
 """Cross-worker telemetry merge determinism.
 
-The tentpole contract: with a fixed seed and pinned ``n_shards``, the
-merged frame series — and therefore every SLO evaluation and alert log
-computed from it — is byte-identical at 1, 2, and 4 workers (wall-clock
-timer seconds excluded via the deterministic view, exactly like span
-timestamps in the trace contract).
+There is one shard per pool worker, and shard frames fold by index, so
+the merged frame series — and therefore every SLO evaluation and alert
+log computed from it — is a function of the stream and the pool size.
+At each of 1, 2 and 4 workers it is byte-identical whether the shards
+run in worker processes or in-process (wall-clock timer seconds
+excluded via the deterministic view, exactly like span timestamps in
+the trace contract).
 """
 
 import json
@@ -14,16 +16,17 @@ import numpy as np
 
 from repro.core.dfsample import DfSized
 from repro.distributions.gaussian import GaussianDistribution
+from repro.experiments.fig5_throughput import _AnalyticAccuracy
 from repro.obs.alerts import AlertLog
 from repro.obs.slo import evaluate_rule, parse_rule
 from repro.obs.timeseries import TelemetryConfig, TelemetryRecorder
+from repro.parallel import partition_indices
 from repro.streams.engine import Pipeline
-from repro.streams.operators import CollectSink, SlidingGaussianAverage
+from repro.streams.groupby import GroupedAggregate
+from repro.streams.operators import CollectSink
 from repro.streams.tuples import UncertainTuple
+from tests.parallel.conftest import WORKER_COUNTS, InProcessPool
 
-N_SHARDS = 4
-WORKER_COUNTS = (1, 2, 4)
-SEED = 3
 FRAME_INTERVAL = 8
 BATCH_SIZE = 8
 
@@ -33,6 +36,7 @@ def _tuples(n=96, seed=0):
     return [
         UncertainTuple(
             {
+                "sensor": int(rng.integers(5)),
                 "reading": DfSized(
                     GaussianDistribution(
                         float(rng.normal(50.0, 10.0)),
@@ -47,10 +51,13 @@ def _tuples(n=96, seed=0):
     ]
 
 
-# Module-level so the pristine pipeline pickles into spawn workers.
 def _pipeline(telemetry=None):
     return Pipeline(
-        [SlidingGaussianAverage("reading", window_size=10), CollectSink()],
+        [
+            GroupedAggregate("sensor", "reading", window_size=10),
+            _AnalyticAccuracy("avg"),
+            CollectSink(),
+        ],
         telemetry=telemetry,
     )
 
@@ -66,89 +73,90 @@ def _rules():
     ]
 
 
-def _merged(workers, tuples):
+def _merged(pool, tuples):
     recorder = TelemetryRecorder(
         TelemetryConfig(frame_interval=FRAME_INTERVAL)
     )
     pipeline = _pipeline(recorder)
     sink = pipeline.run_sharded(
-        tuples,
-        n_workers=workers,
-        n_shards=N_SHARDS,
-        seed=SEED,
-        batch_size=BATCH_SIZE,
+        tuples, "sensor", pool, batch_size=BATCH_SIZE
     )
     return recorder, sink
 
 
 class TestMergedTelemetryDeterminism:
-    def test_identical_frame_series_at_1_2_4_workers(self):
+    def test_identical_frame_series_at_1_2_4_workers(self, pools):
         tuples = _tuples()
-        dumps = {}
-        sinks = {}
-        for workers in WORKER_COUNTS:
-            recorder, sink = _merged(workers, tuples)
-            assert len(recorder.series) > 1
-            dumps[workers] = json.dumps(
-                recorder.series.deterministic_view(), sort_keys=True
-            )
-            sinks[workers] = sink
-        assert dumps[1] == dumps[2], "frame series diverged at 2 workers"
-        assert dumps[1] == dumps[4], "frame series diverged at 4 workers"
-        # Telemetry never perturbs the merged output either.
-        plain = _pipeline().run_sharded(
-            tuples,
-            n_workers=2,
-            n_shards=N_SHARDS,
-            seed=SEED,
-            batch_size=BATCH_SIZE,
-        )
-        assert [pickle.dumps(t) for t in sinks[2].results] == [
-            pickle.dumps(t) for t in plain.results
+        plain = [
+            pickle.dumps(t)
+            for t in _pipeline().run_batched(tuples, BATCH_SIZE).results
         ]
-
-    def test_identical_slo_evaluations_at_any_worker_count(self):
-        tuples = _tuples()
-        dumps = []
         for workers in WORKER_COUNTS:
-            recorder, _ = _merged(workers, tuples)
-            dumps.append(
-                json.dumps(
-                    [
-                        evaluate_rule(recorder.series, rule).to_dicts()
-                        for rule in _rules()
-                    ],
-                    sort_keys=True,
+            views = []
+            for pool in (pools[workers], InProcessPool(workers)):
+                recorder, sink = _merged(pool, tuples)
+                assert len(recorder.series) > 1
+                views.append(
+                    json.dumps(
+                        recorder.series.deterministic_view(), sort_keys=True
+                    )
                 )
+                # Telemetry never perturbs the merged output either.
+                assert [pickle.dumps(t) for t in sink.results] == plain
+            assert views[0] == views[1], (
+                f"frame series diverged at {workers} workers"
             )
-        assert dumps[0] == dumps[1] == dumps[2]
 
-    def test_identical_alert_logs_at_any_worker_count(self):
+    def test_identical_slo_evaluations_at_any_worker_count(self, pools):
         tuples = _tuples()
-        logs = []
         for workers in WORKER_COUNTS:
-            recorder, _ = _merged(workers, tuples)
-            log = AlertLog()
-            log.evaluate(recorder.series, _rules())
-            logs.append(log.to_jsonl())
-        assert logs[0] == logs[1] == logs[2]
+            dumps = []
+            for pool in (pools[workers], InProcessPool(workers)):
+                recorder, _ = _merged(pool, tuples)
+                dumps.append(
+                    json.dumps(
+                        [
+                            evaluate_rule(recorder.series, rule).to_dicts()
+                            for rule in _rules()
+                        ],
+                        sort_keys=True,
+                    )
+                )
+            assert dumps[0] == dumps[1]
 
-    def test_frames_fold_across_all_shards(self):
+    def test_identical_alert_logs_at_any_worker_count(self, pools):
         tuples = _tuples()
-        recorder, _ = _merged(2, tuples)
-        # 96 tuples over 4 pinned shards at interval 8: 3 frames per
-        # shard folding into 3 merged frames spanning 32 positions each.
-        assert [f.index for f in recorder.series] == [0, 1, 2]
+        for workers in WORKER_COUNTS:
+            logs = []
+            for pool in (pools[workers], InProcessPool(workers)):
+                recorder, _ = _merged(pool, tuples)
+                log = AlertLog()
+                log.evaluate(recorder.series, _rules())
+                logs.append(log.to_jsonl())
+            assert logs[0] == logs[1]
+
+    def test_frames_fold_across_all_shards(self, pools):
+        tuples = _tuples()
+        recorder, _ = _merged(pools[2], tuples)
+        # Each shard cuts a frame every FRAME_INTERVAL of its own
+        # tuples; frame i of every shard folds into merged frame i,
+        # whose start/end positions are the shards' summed.
+        expected: dict[int, tuple[int, int]] = {}
+        for shard in partition_indices(tuples, 2, "sensor"):
+            for i, start in enumerate(range(0, len(shard), FRAME_INTERVAL)):
+                a, b = expected.get(i, (0, 0))
+                end = min(start + FRAME_INTERVAL, len(shard))
+                expected[i] = (a + start, b + end)
+        assert [f.index for f in recorder.series] == sorted(expected)
         assert [(f.start, f.end) for f in recorder.series] == [
-            (0, 32),
-            (32, 64),
-            (64, 96),
+            expected[i] for i in sorted(expected)
         ]
+        assert sum(f.end - f.start for f in recorder.series) == len(tuples)
 
-    def test_merged_deltas_sum_to_registry_totals(self):
+    def test_merged_deltas_sum_to_registry_totals(self, pools):
         tuples = _tuples()
-        recorder, _ = _merged(2, tuples)
-        name = "pipeline.00.SlidingGaussianAverage.interval_width"
+        recorder, _ = _merged(pools[2], tuples)
+        name = "pipeline.01.AnalyticAccuracy.interval_width"
         per_frame = sum(
             int(frame.metrics[name]["count"])
             for frame in recorder.series
@@ -157,16 +165,16 @@ class TestMergedTelemetryDeterminism:
         cumulative = recorder.registry.snapshot()[name]["count"]
         assert per_frame == cumulative > 0
 
-    def test_parent_resync_keeps_later_frames_clean(self):
+    def test_parent_resync_keeps_later_frames_clean(self, pools):
         tuples = _tuples()
-        recorder, _ = _merged(2, tuples)
+        recorder, _ = _merged(pools[2], tuples)
         frames_before = len(recorder.series)
         # A serial run on the same recorder after the sharded merge must
         # record only its own activity, not re-count merged history.
         pipeline = _pipeline(recorder)
         pipeline.run(_tuples(FRAME_INTERVAL, seed=1))
         new = recorder.series.frames[frames_before:]
-        name = "pipeline.00.SlidingGaussianAverage.tuples_in"
+        name = "pipeline.00.GroupedAggregate.tuples_in"
         assert sum(
             int(f.metrics[name]["value"])
             for f in new

@@ -19,6 +19,7 @@ from repro.errors import StreamError
 from repro.learning.gaussian_learner import GaussianLearner
 from repro.learning.kde_learner import KdeLearner
 from repro.obs.metrics import MetricsRegistry
+from repro.parallel import pipeline_payload
 from repro.streams.engine import Pipeline
 from repro.streams.operators import (
     CollectSink,
@@ -434,8 +435,9 @@ class TestRollingObservability:
         assert snapshot[f"{name}.resums"]["value"] > 0
 
     def test_pristine_clone_after_attach(self):
-        # pristine() deep-copies operators; kernel state must not drag
-        # registry objects along (set_metrics(None, None) on detach).
+        # The sharded payload pickles operators with metrics detached;
+        # kernel state must not drag registry objects along
+        # (set_metrics(None, None) on detach).
         registry = MetricsRegistry()
         pipe = Pipeline(
             [
@@ -446,7 +448,9 @@ class TestRollingObservability:
             ]
         )
         pipe.attach_metrics(registry, prefix="p")
-        clone = pipe.pristine()
+        payload = pipeline_payload(pipe)
+        assert b"MetricsRegistry" not in payload
+        clone = pickle.loads(payload)
         for op in clone.operators[:-1]:
             assert op._obs is None
         assert pipe.operators[0]._stats.resums_counter is not None
