@@ -29,6 +29,7 @@ the in-process serial path unpickle that same payload.
 
 from __future__ import annotations
 
+import numbers
 import pickle
 import zlib
 from collections.abc import Iterable, Sequence
@@ -65,17 +66,20 @@ __all__ = [
 
 
 def stable_key_hash(value: object) -> int:
-    """A process- and run-stable hash for partition keys.
+    """A run-stable partition hash that agrees with ``==``.
 
-    Python's builtin ``hash`` is salted per process for str/bytes, so it
-    would assign tuples to different shards in the parent and in a
-    respawned benchmark run.  CRC32 over the key's ``repr`` is stable
-    everywhere and fast enough for the partitioning loop.
+    Keys that compare equal must land in one shard, because the keyed
+    operators group them together.  Python's numeric hash is unsalted
+    and equal for equal numbers of any type (``1``, ``1.0``, ``True``,
+    NumPy scalars), and a tuple combines its elements' hashes.  Other
+    keys hash the CRC32 of their ``repr``: the builtin ``hash`` is
+    salted per process for str/bytes, which would move keys between
+    shards from one run to the next.
     """
-    if isinstance(value, bool):
-        value = int(value)
-    if isinstance(value, int):
-        return value & 0x7FFFFFFF
+    if isinstance(value, numbers.Number):
+        return hash(value) & 0x7FFFFFFF
+    if isinstance(value, tuple):
+        value = tuple(stable_key_hash(item) for item in value)
     return zlib.crc32(repr(value).encode("utf-8"))
 
 

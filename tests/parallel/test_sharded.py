@@ -15,6 +15,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.adaptive import resample_schedule
 from repro.core.dfsample import DfSized
@@ -47,7 +49,7 @@ from repro.streams.operators import (
     WindowAggregate,
 )
 from repro.streams.tuples import UncertainTuple
-from tests.parallel.conftest import WORKER_COUNTS
+from tests.parallel.conftest import WORKER_COUNTS, InProcessPool
 
 
 def _tuples(n=120, n_sensors=6, seed=0):
@@ -147,6 +149,17 @@ class TestStableKeyHash:
     def test_stable_across_calls(self):
         assert stable_key_hash(("a", 3)) == stable_key_hash(("a", 3))
 
+    def test_equal_keys_of_different_types_hash_equal(self):
+        # A GROUP BY puts 1, 1.0 and np.int64(1) in one group, so the
+        # partition must put them in one shard.
+        assert (
+            stable_key_hash(1)
+            == stable_key_hash(1.0)
+            == stable_key_hash(np.int64(1))
+            == stable_key_hash(np.float64(1.0))
+        )
+        assert stable_key_hash(("a", 2)) == stable_key_hash(("a", 2.0))
+
 
 class TestPartitionIndices:
     def test_round_robin(self):
@@ -197,6 +210,28 @@ class TestWorkerCountEquivalence:
             )
             assert _element_bytes(sink.results) == expected, (
                 f"stateless sink diverged at n_workers={workers}"
+            )
+
+    def test_mixed_type_keys_match_run_batched(self, pools):
+        # Equal keys of different types (1, 1.0, np.int64(1)) are one
+        # group; sharding them apart used to return another answer.
+        tuples = [
+            UncertainTuple(
+                {**tup.attributes, "sensor": kind(tup.value("sensor"))},
+                tup.probability,
+                tup.timestamp,
+            )
+            for tup, kind in zip(_tuples(), [int, float, np.int64] * 40)
+        ]
+        expected = _element_bytes(
+            _grouped_pipeline().run_batched(tuples, 32).results
+        )
+        for workers in WORKER_COUNTS:
+            sink = _grouped_pipeline().run_sharded(
+                tuples, "sensor", pools[workers]
+            )
+            assert _element_bytes(sink.results) == expected, (
+                f"mixed-type keys diverged at n_workers={workers}"
             )
 
     def test_grouped_partition_by_matches_run_batched(self, pools):
@@ -492,3 +527,37 @@ class TestAcceptedShapes:
                 assert _element_bytes(sink.results) == _element_bytes(
                     expected.results
                 ), f"{name} diverged at n_workers={workers}"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 90),
+        n_keys=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+        workers=st.integers(1, 5),
+        batch_size=st.sampled_from([1, 3, 16, 256]),
+        window=st.integers(1, 9),
+        agg=st.sampled_from(["avg", "sum", "count", "min", "max"]),
+        synopsis=st.sampled_from(["exact", "chunked"]),
+    )
+    def test_random_keyed_groupby_matches_run_batched(
+        self, n, n_keys, seed, workers, batch_size, window, agg, synopsis
+    ):
+        # In-process shards run the same payload, partition and merge
+        # as worker processes, without the start-up cost per example.
+        def make():
+            return Pipeline(
+                [
+                    GroupedAggregate(
+                        "sensor", "reading", window, agg=agg,
+                        synopsis=synopsis,
+                    ),
+                    CollectSink(),
+                ]
+            )
+
+        tuples = _tuples(n, n_keys, seed)
+        expected = make().run_batched(tuples, batch_size).results
+        sink = make().run_sharded(
+            tuples, "sensor", InProcessPool(workers), batch_size
+        )
+        assert _element_bytes(sink.results) == _element_bytes(expected)
