@@ -119,6 +119,7 @@ class _LearnGaussian(Operator):
     """Learns a Gaussian attribute from each tuple's raw points (QP step)."""
 
     partition_key = ANY_PARTITION
+    one_output_per_input = True
 
     def __init__(self, points_attribute: str, output: str) -> None:
         super().__init__()
@@ -193,6 +194,7 @@ class _AnalyticAccuracy(Operator):
     """Attaches analytic accuracy info to the window-average field."""
 
     partition_key = ANY_PARTITION
+    one_output_per_input = True
 
     accuracy_attribute = "accuracy"
 
@@ -706,6 +708,7 @@ class _CoupledMTest(Operator):
     """Coupled mTest on the window average against a constant."""
 
     partition_key = ANY_PARTITION
+    one_output_per_input = True
 
     def __init__(self, attribute: str, constant: float) -> None:
         super().__init__()
@@ -746,6 +749,7 @@ class _CoupledPTest(Operator):
     """Coupled pTest: P[avg > constant] above a probability threshold."""
 
     partition_key = ANY_PARTITION
+    one_output_per_input = True
 
     def __init__(
         self, attribute: str, constant: float, tau: float = 0.8

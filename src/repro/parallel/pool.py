@@ -89,26 +89,42 @@ class WorkerPool:
         merge deterministic regardless of scheduling.  On a serial pool
         the tasks run in-process in the same order.  An exception a task
         raises propagates once every task has finished, and the pool
-        stays usable.  If the pool itself breaks mid-flight (a worker
-        was OOM-killed, say) the call warns and re-runs every task
-        serially, and the pool stays serial from then on.
+        stays usable.  If the worker processes cannot start (on the
+        first submit) or the pool breaks mid-flight (a worker was
+        OOM-killed, say) the call warns and runs every task serially,
+        and the pool stays serial from then on.
         """
         executor = self._ensure_executor()
         if executor is None:
             return [fn(*task) for task in tasks]
         try:
+            # The first submit spawns the worker processes, so start-up
+            # failures (EAGAIN under rlimits, no thread) surface here.
             futures = [executor.submit(fn, *task) for task in tasks]
-            wait(futures)
+        except (OSError, RuntimeError) as exc:
+            return self._run_serially(
+                f"parallel pool unavailable ({exc}); running serially",
+                fn,
+                tasks,
+            )
+        wait(futures)
+        try:
             return [future.result() for future in futures]
         except BrokenProcessPool as exc:
-            warnings.warn(
-                f"parallel pool failed mid-run ({exc}); "
-                "re-running serially",
-                stacklevel=3,
+            return self._run_serially(
+                f"parallel pool failed mid-run ({exc}); re-running serially",
+                fn,
+                tasks,
             )
-            self.close()
-            self._broken = True
-            return [fn(*task) for task in tasks]
+
+    def _run_serially(
+        self, message: str, fn: Callable[..., Any], tasks: Sequence[tuple]
+    ) -> list[Any]:
+        """Warn, stay serial from now on, and run every task in-process."""
+        warnings.warn(message, stacklevel=4)
+        self.close()
+        self._broken = True
+        return [fn(*task) for task in tasks]
 
     def close(self) -> None:
         if self._executor is not None:

@@ -19,9 +19,11 @@ call raises:
 * The partition is a CRC32 key hash (never Python's salted ``hash()``),
   so all tuples of one key land in one shard, in input order.
 * A ``CollectSink`` merge puts each output back at its input's stream
-  position, which needs one output per input; a shard that emitted a
-  different count raises :class:`ParallelError` (a filtering stage would
-  otherwise come back in shard order).  ``CountingSink`` counts sum.
+  position, which needs one output per input: a pipeline with a stage
+  that may drop tuples is refused up front (:class:`ParallelError`; it
+  would otherwise come back in shard order), and a shard that still
+  emitted a different count raises the same at merge time.
+  ``CountingSink`` counts sum.
 
 The pipeline is pickled once with its observers detached; workers and
 the in-process serial path unpickle that same payload.
@@ -34,6 +36,8 @@ import pickle
 import zlib
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.errors import ParallelError, StreamError
 from repro.obs.metrics import MetricsRegistry
@@ -72,12 +76,18 @@ def stable_key_hash(value: object) -> int:
     operators group them together.  Python's numeric hash is unsalted
     and equal for equal numbers of any type (``1``, ``1.0``, ``True``,
     NumPy scalars), and a tuple combines its elements' hashes.  Other
-    keys hash the CRC32 of their ``repr``: the builtin ``hash`` is
+    keys hash the CRC32 of their ``repr``, after NumPy scalars become
+    their Python values and ``str`` subclasses plain ``str``: the builtin ``hash`` is
     salted per process for str/bytes, which would move keys between
     shards from one run to the next.
     """
+    if isinstance(value, np.generic):
+        # np.str_('a') == 'a' and np.True_ == 1, but their reprs differ.
+        value = value.item()
     if isinstance(value, numbers.Number):
         return hash(value) & 0x7FFFFFFF
+    if isinstance(value, str):
+        value = str.__str__(value)  # a str subclass's repr may differ
     if isinstance(value, tuple):
         value = tuple(stable_key_hash(item) for item in value)
     return zlib.crc32(repr(value).encode("utf-8"))
@@ -119,7 +129,10 @@ def _check_partition(pipeline: "Pipeline", partition_by: object) -> None:
     :attr:`~repro.streams.operators.Operator.partition_key` must be
     :data:`~repro.streams.operators.ANY_PARTITION` or that attribute.
     The sink must be a ``CollectSink`` or ``CountingSink``, the two
-    sinks whose shard states merge.
+    sinks whose shard states merge.  A ``CollectSink`` merge puts each
+    output at its input's position, so every stage before it must
+    declare :attr:`~repro.streams.operators.Operator.
+    one_output_per_input`; otherwise :class:`ParallelError`.
     """
     if not isinstance(partition_by, str):
         raise StreamError(
@@ -154,6 +167,15 @@ def _check_partition(pipeline: "Pipeline", partition_by: object) -> None:
             f"run_sharded needs a CollectSink or CountingSink terminal "
             f"operator; got {type(sink).__name__}"
         )
+    if isinstance(sink, CollectSink):
+        for index, op in enumerate(pipeline.operators[:-1]):
+            if not op.one_output_per_input:
+                raise ParallelError(
+                    f"a sharded CollectSink needs one output per input to "
+                    f"restore input order; operator {index} "
+                    f"({type(op).__name__}) may drop tuples (collect it "
+                    f"with run_batched, or count it with a CountingSink)"
+                )
 
 
 def pipeline_payload(pipeline: "Pipeline") -> bytes:

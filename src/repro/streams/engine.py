@@ -306,13 +306,13 @@ class Pipeline:
         * :class:`StreamError`, before anything is pickled, when an
           operator's declared ``partition_key`` is not ``ANY_PARTITION``
           or ``partition_by`` (a global window, a rolling learner, a
-          TTL'd or differently keyed ``GroupedAggregate``, an undeclared
-          operator), or the sink is not a :class:`CollectSink` /
+          TTL'd, flush-only or differently keyed ``GroupedAggregate``,
+          an undeclared operator), or the sink is not a :class:`CollectSink` /
           :class:`CountingSink`;
-        * :class:`~repro.errors.ParallelError` when the pipeline cannot
-          pickle (before any shard runs), or when a ``CollectSink``
-          shard did not emit one output per input (a filtering stage),
-          whose order the merge cannot restore — nothing is merged then.
+        * :class:`~repro.errors.ParallelError`, before any shard runs,
+          when the pipeline cannot pickle or a stage ahead of a
+          ``CollectSink`` may drop tuples (a filter), whose order the
+          merge could not restore.
 
         The caller owns ``pool`` (a long-lived
         :class:`~repro.parallel.pool.WorkerPool`) and reuses it across

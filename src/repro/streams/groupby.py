@@ -118,14 +118,21 @@ class GroupedAggregate(Operator):
         self._early: dict[object, int] = {}
         self._arrivals = 0
 
+    #: With ``emit_every``; otherwise :attr:`partition_key` refuses.
+    one_output_per_input = True
+
     @property
     def partition_key(self) -> str | None:  # type: ignore[override]
-        """The group key; with a TTL, the whole stream in order.
+        """The group key; with a TTL or flush-only, the whole stream.
 
         The TTL clock counts arrivals of every key, so a shard that
         sees only its own keys would expire members on another schedule.
+        Without ``emit_every`` the flush emits every group sorted by
+        key, an order that no per-shard flush reproduces.
         """
-        return self.key if self.expire_after is None else None
+        if self.expire_after is None and self.emit_every:
+            return self.key
+        return None
 
     def _sync_rolling_metrics(self) -> None:
         obs = self._obs

@@ -34,6 +34,7 @@ class TagSide(Operator):
     """
 
     partition_key = ANY_PARTITION
+    one_output_per_input = True
 
     def __init__(self, side: str) -> None:
         super().__init__()

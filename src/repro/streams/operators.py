@@ -113,6 +113,12 @@ class Operator(abc.ABC):
     #: is the default, so an undeclared subclass is never sharded.
     partition_key: str | None = None
 
+    #: True when every input tuple yields exactly one output tuple, in
+    #: order.  A sharded ``CollectSink`` merge restores input order from
+    #: input positions, so it refuses pipelines with any stage that may
+    #: drop tuples; ``False`` (may drop) is the default.
+    one_output_per_input: bool = False
+
     def __init__(self) -> None:
         self._downstream: Operator | None = None
         self._obs: OperatorMetrics | None = None
@@ -300,6 +306,7 @@ class Project(Operator):
     """Keeps only the named attributes."""
 
     partition_key = ANY_PARTITION
+    one_output_per_input = True
 
     def __init__(self, names: Sequence[str]) -> None:
         super().__init__()
@@ -329,6 +336,7 @@ class Derive(Operator):
     """Adds a computed attribute ``name = fn(tuple)``."""
 
     partition_key = ANY_PARTITION
+    one_output_per_input = True
 
     def __init__(
         self, name: str, fn: Callable[[UncertainTuple], object]

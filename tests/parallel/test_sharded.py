@@ -26,6 +26,7 @@ from repro.errors import ParallelError, StreamError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.parallel import (
+    ShardedResult,
     WorkerPool,
     partition_indices,
     run_sharded,
@@ -35,6 +36,7 @@ from repro.streams.engine import Pipeline
 from repro.streams.groupby import GroupedAggregate
 from repro.streams.join import TagSide, WindowJoin
 from repro.streams.operators import (
+    ANY_PARTITION,
     CollectSink,
     CountingSink,
     Derive,
@@ -122,6 +124,15 @@ class _Passthrough(Operator):
         self.emit_many(tuples)
 
 
+class _StatelessFilter(Operator):
+    """Stateless, but undeclared on its output count: may drop tuples."""
+
+    partition_key = ANY_PARTITION
+
+    def process_many(self, tuples):
+        self.emit_many([tup for tup in tuples if tup.value("seq") % 3])
+
+
 class _NeverStarts(WorkerPool):
     """A 2-worker pool that fails the test if any shard is dispatched."""
 
@@ -159,6 +170,16 @@ class TestStableKeyHash:
             == stable_key_hash(np.float64(1.0))
         )
         assert stable_key_hash(("a", 2)) == stable_key_hash(("a", 2.0))
+        # Keys read off a NumPy array are NumPy scalars; their reprs
+        # differ from the equal Python values' under NumPy 2.
+        assert stable_key_hash(np.str_("a")) == stable_key_hash("a")
+        assert (
+            stable_key_hash(np.bool_(True))
+            == stable_key_hash(True)
+            == stable_key_hash(1)
+        )
+        assert stable_key_hash(np.bool_(False)) == stable_key_hash(0)
+        assert stable_key_hash((np.str_("a"), 1)) == stable_key_hash(("a", 1))
 
 
 class TestPartitionIndices:
@@ -212,26 +233,40 @@ class TestWorkerCountEquivalence:
                 f"stateless sink diverged at n_workers={workers}"
             )
 
-    def test_mixed_type_keys_match_run_batched(self, pools):
-        # Equal keys of different types (1, 1.0, np.int64(1)) are one
-        # group; sharding them apart used to return another answer.
+    @pytest.mark.parametrize(
+        "kinds, n_sensors",
+        [
+            ((int, float, np.int64), 6),
+            ((lambda s: f"s{s}", lambda s: np.str_(f"s{s}")), 6),
+            ((bool, np.bool_, int), 2),
+        ],
+        ids=["int-float-np.int64", "str-np.str_", "bool-np.bool_-int"],
+    )
+    def test_mixed_type_keys_match_run_batched(self, pools, kinds, n_sensors):
+        # Equal keys of different types (1, 1.0, np.int64(1); "s1",
+        # np.str_("s1"); True, np.True_, 1) are one group; sharding them
+        # apart used to return another answer.
         tuples = [
             UncertainTuple(
                 {**tup.attributes, "sensor": kind(tup.value("sensor"))},
                 tup.probability,
                 tup.timestamp,
             )
-            for tup, kind in zip(_tuples(), [int, float, np.int64] * 40)
+            for tup, kind in zip(
+                _tuples(n_sensors=n_sensors), kinds * 120
+            )
         ]
         expected = _element_bytes(
             _grouped_pipeline().run_batched(tuples, 32).results
         )
-        for workers in WORKER_COUNTS:
-            sink = _grouped_pipeline().run_sharded(
-                tuples, "sensor", pools[workers]
-            )
+        # In-process 3- and 8-shard runs too: a repr-based hash of
+        # np.bool_ happens to agree with bool's modulo 2 and 4.
+        shard_pools = [pools[w] for w in WORKER_COUNTS]
+        shard_pools += [InProcessPool(3), InProcessPool(8)]
+        for pool in shard_pools:
+            sink = _grouped_pipeline().run_sharded(tuples, "sensor", pool)
             assert _element_bytes(sink.results) == expected, (
-                f"mixed-type keys diverged at n_workers={workers}"
+                f"mixed-type keys diverged at n_workers={pool.n_workers}"
             )
 
     def test_grouped_partition_by_matches_run_batched(self, pools):
@@ -287,26 +322,60 @@ class TestSinkAndMetricsMerge:
         assert snapshot["eq.runs"]["value"] == 2
         assert snapshot["eq.run_seconds"]["count"] == 2
 
-    def test_interleave_requires_one_to_one(self, pools):
-        tuples = _tuples(20)
-        pipeline = Pipeline([Select(_keep_even), CollectSink()])
+    def test_interleave_requires_one_to_one(self):
+        # The backstop behind the up-front check: a shard whose output
+        # count differs from its input count cannot be put back in order.
+        tuples = _tuples(3)
+        result = ShardedResult(
+            sink_states=[("collect", tuples[:1]), ("collect", [])],
+            snapshots=[None, None],
+            shards=[[0, 2], [1]],
+            total=3,
+            trace_snapshots=[None, None],
+            telemetry_snapshots=[None, None],
+        )
         with pytest.raises(ParallelError, match="one output per input"):
-            pipeline.run_sharded(tuples, "sensor", pools[1])
+            result.merged_results()
 
-    def test_filter_into_collect_sink_raises_and_merges_nothing(self, pools):
+    @pytest.mark.parametrize(
+        "make_filter",
+        [
+            lambda: Select(_keep_even),
+            lambda: ProbabilisticFilter(_half),
+            lambda: SignificanceFilter(_above_40),
+            _StatelessFilter,
+        ],
+        ids=["Select", "ProbabilisticFilter", "SignificanceFilter",
+             "undeclared-count"],
+    )
+    def test_filter_into_collect_sink_refused_before_dispatch(
+        self, pools, make_filter
+    ):
         # A filtering stage came back in shard order, silently; now the
-        # merge refuses and leaves the sink and registry untouched.
+        # pipeline is refused before any shard is dispatched, and leaves
+        # the sink and registry untouched.  Counting it still works.
         tuples = _tuples(40)
         registry = MetricsRegistry()
         pipeline = Pipeline(
-            [Select(_keep_even), CollectSink()], registry=registry
+            [
+                make_filter(),
+                GroupedAggregate("sensor", "reading", 8),
+                CollectSink(),
+            ],
+            registry=registry,
         )
         with pytest.raises(ParallelError, match="one output per input"):
-            pipeline.run_sharded(tuples, partition_by="sensor", pool=pools[2])
+            pipeline.run_sharded(tuples, "sensor", _NeverStarts())
         assert pipeline.sink.results == []
         assert registry.snapshot()["pipeline.tuples"]["value"] == 0
-        counted = Pipeline([Select(_keep_even), CountingSink()])
-        assert counted.run_sharded(tuples, "sensor", pools[2]).count == 20
+        expected = Pipeline([make_filter(), CountingSink()]).run_batched(
+            tuples, 16
+        )
+        counted = Pipeline([make_filter(), CountingSink()])
+        assert (
+            counted.run_sharded(tuples, "sensor", pools[2]).count
+            == expected.count
+        )
 
     def test_unmergeable_sink_rejected(self):
         pipeline = Pipeline([Derive("twice", _double_seq)])
@@ -326,6 +395,22 @@ def _start_fails(*args, **kwargs):
     raise OSError("no semaphores here")
 
 
+class _SpawnFails:
+    """An executor that constructs, then fails to start its processes."""
+
+    def __init__(self, *args, **kwargs):
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        if self.submitted > 1:
+            raise RuntimeError("can't start new thread")
+        raise OSError(11, "Resource temporarily unavailable")
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
 class TestUnpicklableFallback:
     def test_parallel_degrades_with_warning(self, monkeypatch):
         # A pool that cannot start runs the same shards in-process, with
@@ -342,6 +427,35 @@ class TestUnpicklableFallback:
             sink = _grouped_pipeline().run_sharded(tuples, "sensor", pool)
         assert pool.serial
         assert _element_bytes(sink.results) == expected
+
+    def test_spawn_failure_on_submit_degrades_with_warning(
+        self, monkeypatch
+    ):
+        # The spawn executor starts its processes on the first submit,
+        # so start-up failures surface there, not in the constructor.
+        import repro.parallel.pool as pool_module
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", _SpawnFails)
+        tuples = _tuples(24)
+        expected = _element_bytes(
+            _grouped_pipeline().run_batched(tuples, 32).results
+        )
+        pool = WorkerPool(2)
+        with pytest.warns(UserWarning, match="running serially"):
+            sink = _grouped_pipeline().run_sharded(tuples, "sensor", pool)
+        assert pool.serial
+        assert _element_bytes(sink.results) == expected
+
+    def test_task_errors_propagate(self):
+        # A task's own exception is not a start-up failure: it reaches
+        # the caller and the pool stays parallel.
+        pool = WorkerPool(2)
+        try:
+            with pytest.raises(ZeroDivisionError):
+                pool.map_indexed(divmod, [(1, 1), (1, 0)])
+            assert not pool.serial
+        finally:
+            pool.close()
 
     def test_no_fallback_raises(self):
         # An unpicklable pipeline raises before any worker starts; there
@@ -426,6 +540,9 @@ def _stateful_operators():
         "GroupedAggregate-chunked-ttl": lambda: GroupedAggregate(
             "sensor", "reading", 8, synopsis="chunked", expire_after=16
         ),
+        "GroupedAggregate-flush-only": lambda: GroupedAggregate(
+            "sensor", "reading", 8, emit_every=False
+        ),
         "GroupedAggregate-other-key": lambda: GroupedAggregate(
             "seq", "reading", 8
         ),
@@ -477,6 +594,27 @@ class TestRefusalMatrix:
         assert registry.snapshot()["pipeline.runs"]["value"] == 0
 
 
+    def test_flush_only_groupby_refused_with_unique_keys(self, pools):
+        # Flush-only GROUP BY emits each group at flush, sorted by key.
+        # With every key once, each shard emits one output per input,
+        # so a merge by input position would pass its count check and
+        # still return another order than run_batched.
+        tuples = [
+            UncertainTuple({**tup.attributes, "sensor": f"k{99 - i}"})
+            for i, tup in enumerate(_tuples(24))
+        ]
+        for workers in WORKER_COUNTS:
+            pipeline = Pipeline(
+                [
+                    GroupedAggregate("sensor", "reading", 4, emit_every=False),
+                    CollectSink(),
+                ]
+            )
+            with pytest.raises(StreamError, match="whole stream"):
+                pipeline.run_sharded(tuples, "sensor", pools[workers])
+            assert pipeline.sink.results == []
+
+
 def _accepted_pipelines():
     """Keyed GROUP BY shapes with stateless stages, into both sinks."""
 
@@ -500,7 +638,7 @@ def _accepted_pipelines():
         "exact": grouped("exact"),
         "chunked": grouped("chunked"),
         "exact+derive+project": grouped("exact", derive, project),
-        "chunked+scale": grouped("chunked", scale),
+        "chunked+scale->count": grouped("chunked", scale, sink=CountingSink),
         "exact+select->count": grouped("exact", select, sink=CountingSink),
         "chunked+select->count": grouped(
             "chunked", select, sink=CountingSink
