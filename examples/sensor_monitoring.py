@@ -17,6 +17,7 @@ from repro import (
     FieldStats,
     GaussianLearner,
     MTest,
+    Observer,
     Pipeline,
     SignificanceFilter,
     SlidingGaussianAverage,
@@ -56,24 +57,30 @@ def main() -> None:
         field = FieldStats.from_dfsized(tup.dfsized("avg"))
         return MTest(field, ">", ALERT_THRESHOLD, 0.05)
 
-    alert_filter = SignificanceFilter(
-        alert_predicate, alpha1=0.05, alpha2=0.05
-    )
+    observer = Observer()
     pipeline = Pipeline(
         [
             Derive("temperature", learn),   # QP: learn from raw readings
             SlidingGaussianAverage("temperature", WINDOW),
             Derive("accuracy", attach_accuracy),
-            alert_filter,                   # controlled-error alerting
+            SignificanceFilter(             # controlled-error alerting
+                alert_predicate, alpha1=0.05, alpha2=0.05
+            ),
             CollectSink(),
-        ]
+        ],
+        observer=observer,
     )
     sink = pipeline.run(tuples)
+    decisions = {
+        name.rsplit(".", 1)[-1]: observer.metrics.get(name).value
+        for name in observer.metrics.names()
+        if ".SignificanceFilter.decisions." in name
+    }
 
     print(f"stream items: {len(tuples)}, window: {WINDOW}")
     print(f"alert condition: window AVG > {ALERT_THRESHOLD} deg "
           f"(coupled mTest, alpha1 = alpha2 = 5%)")
-    print(f"decisions: {dict((k.value, v) for k, v in alert_filter.decisions.items())}")
+    print(f"decisions: {decisions}")
     print(f"alerts raised: {len(sink.results)}")
 
     if sink.results:

@@ -146,6 +146,9 @@ from repro.obs import (
     Timer,
     Histogram,
     MetricsRegistry,
+    Observer,
+    TelemetryConfig,
+    TraceConfig,
     operator_rows,
 )
 from repro.parallel import WorkerPool, available_cpus
@@ -192,6 +195,6 @@ __all__ = [
     "StreamDatabase", "ContinuousQuery",
     "save_database", "load_database",
     "Counter", "Gauge", "Timer", "Histogram", "MetricsRegistry",
-    "operator_rows",
+    "Observer", "TraceConfig", "TelemetryConfig", "operator_rows",
     "WorkerPool", "available_cpus",
 ]

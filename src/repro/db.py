@@ -28,6 +28,7 @@ from repro.learning.base import Learner
 from repro.learning.histogram_learner import HistogramLearner
 from repro.learning.registry import make_learner
 from repro.learning.weighted import WeightedLearner
+from repro.obs.instrument import Observer
 from repro.obs.metrics import MetricsRegistry
 from repro.query.executor import ExecutorConfig, QueryExecutor, ResultTuple
 from repro.query.multiquery import MultiQueryEngine
@@ -65,6 +66,11 @@ class StreamDatabase:
     additionally columnarizes the batch and screens residual predicates
     vectorized.  ``False`` keeps the naive one-full-pipeline-per-query
     loop — the determinism oracle the shared path is byte-identical to.
+
+    Everything the database records goes into one ``observer``
+    (default: a metrics-only :class:`~repro.obs.instrument.Observer`);
+    an observer built with ``frames=`` cuts frames as tuples are
+    dispatched to the standing queries.
     """
 
     def __init__(
@@ -72,6 +78,7 @@ class StreamDatabase:
         config: ExecutorConfig | None = None,
         max_tuples_per_stream: int = 100_000,
         shared_subplans: bool = True,
+        observer: Observer | None = None,
     ) -> None:
         if max_tuples_per_stream < 1:
             raise StreamError(
@@ -81,8 +88,8 @@ class StreamDatabase:
         self.config = config if config is not None else ExecutorConfig()
         self.max_tuples_per_stream = max_tuples_per_stream
         self.shared_subplans = shared_subplans
-        self.metrics = MetricsRegistry()
-        self._engine = MultiQueryEngine(self.metrics)
+        self.observer = observer if observer is not None else Observer()
+        self._engine = MultiQueryEngine(self.observer)
         self._streams: dict[str, _StreamState] = {}
         self._continuous: dict[str, ContinuousQuery] = {}
         self._cache_hits = self.metrics.counter(
@@ -95,6 +102,11 @@ class StreamDatabase:
             "multiquery.fanout_seconds",
             "batched shared-subplan execution time per insert_many call",
         )
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The observer's metrics registry."""
+        return self.observer.metrics
 
     # -- stream management ---------------------------------------------------
 

@@ -24,20 +24,15 @@ from repro.experiments.fig5_throughput import run_fig5c, run_fig5f
 from repro.experiments.harness import render_metrics_table
 from repro.obs.alerts import AlertLog, render_health_table
 from repro.obs.export import spans_to_json, write_chrome_trace
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.instrument import Observer
 from repro.obs.slo import parse_rule
-from repro.obs.timeseries import TelemetryRecorder
-from repro.obs.trace import TraceConfig, Tracer
+from repro.obs.timeseries import TelemetryConfig
+from repro.obs.trace import TraceConfig
 
 
-def _experiments(
-    quick: bool,
-    registry: MetricsRegistry | None = None,
-    tracer: Tracer | None = None,
-    telemetry: TelemetryRecorder | None = None,
-):
+def _experiments(quick: bool, observer: Observer | None = None):
     """(name, callable) pairs for every figure, scaled by --quick."""
-    obs = dict(registry=registry, tracer=tracer, telemetry=telemetry)
+    obs = dict(observer=observer)
     if quick:
         return [
             ("fig4abc", lambda: run_fig4(
@@ -99,26 +94,18 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated figure names (e.g. fig5d,fig5e)",
     )
     parser.add_argument(
-        "--metrics", action="store_true",
-        help="collect and print a per-stage observability breakdown "
-             "for the throughput figures (fig5c, fig5f)",
-    )
-    parser.add_argument(
-        "--trace", type=pathlib.Path, default=None, metavar="OUT.json",
-        help="record a span trace of the throughput figures' "
-             "instrumented passes (fig5c, fig5f) and export it as "
-             "Chrome trace-event JSON (loads in ui.perfetto.dev)",
-    )
-    parser.add_argument(
-        "--trace-provenance", action="store_true",
-        help="with --trace, also record per-result accuracy provenance "
-             "and write a strict-JSON span+provenance dump next to the "
-             "trace (OUT.provenance.json)",
+        "--observe", action="store_true",
+        help="observe the throughput figures' extra passes (fig5c, "
+             "fig5f) and print the per-stage breakdown; with --out, "
+             "also write metrics.txt, metrics.json, trace.json (Chrome "
+             "trace-event JSON for ui.perfetto.dev) and "
+             "trace.provenance.json (spans + accuracy provenance)",
     )
     parser.add_argument(
         "--slo", action="append", default=None, metavar="RULE",
-        help="evaluate an SLO rule over the throughput figures' "
-             "telemetry frames (fig5c, fig5f) and print the alert log "
+        help="record frames of the throughput figures' observed passes "
+             "(fig5c, fig5f), evaluate an SLO rule over them and print "
+             "the alert log "
              "as JSON lines; repeatable.  Rule grammar: "
              "'[operator:] signal agg <=|>= threshold', e.g. "
              "'ci_width p95 <= 0.5' or 'avg: de_facto_n p5 >= 30' "
@@ -131,8 +118,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.health and not args.slo:
         parser.error("--health requires at least one --slo RULE")
-    if args.trace_provenance and args.trace is None:
-        parser.error("--trace-provenance requires --trace OUT.json")
 
     selected = None
     if args.only:
@@ -141,18 +126,15 @@ def main(argv: list[str] | None = None) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
 
     rules = [parse_rule(text) for text in (args.slo or [])]
-    registry = MetricsRegistry() if args.metrics or args.slo else None
-    tracer = None
-    if args.trace is not None:
-        tracer = Tracer(TraceConfig(provenance=args.trace_provenance))
-    telemetry = None
-    if args.slo:
-        # SLO telemetry rides on the metrics registry: frames are deltas
-        # of its snapshots, cut at tuple-count boundaries.
-        telemetry = TelemetryRecorder(registry=registry)
-    for name, runner in _experiments(
-        args.quick, registry, tracer, telemetry
-    ):
+    observer = None
+    if args.observe or args.slo:
+        # --slo turns frames on; frames diff the observer's metrics,
+        # cut at tuple-count boundaries.
+        observer = Observer(
+            trace=TraceConfig() if args.observe else None,
+            frames=TelemetryConfig() if args.slo else None,
+        )
+    for name, runner in _experiments(args.quick, observer):
         if selected is not None and name not in selected:
             continue
         started = time.perf_counter()
@@ -163,51 +145,58 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[{name}: {elapsed:.1f}s]\n")
         if args.out is not None:
             (args.out / f"{name}.txt").write_text(table + "\n")
-    if args.metrics and registry is not None and len(registry):
-        breakdown = render_metrics_table(registry)
-        print(breakdown)
-        if args.out is not None:
-            (args.out / "metrics.txt").write_text(breakdown + "\n")
-            (args.out / "metrics.json").write_text(
-                registry.to_json(indent=2) + "\n"
-            )
-    if telemetry is not None:
-        provenance = tracer.provenance if tracer is not None else None
-        log = AlertLog()
-        log.evaluate(telemetry.series, rules, provenance=provenance)
-        jsonl = log.to_jsonl()
-        print(
-            f"[slo: {len(telemetry.series)} frames, {len(rules)} rules, "
-            f"{len(log)} transitions]"
-        )
-        if jsonl:
-            print(jsonl, end="")
-        health = (
-            render_health_table(telemetry.series, rules, log)
-            if args.health
-            else None
-        )
-        if health is not None:
-            print(health)
-        if args.out is not None:
-            (args.out / "slo_alerts.jsonl").write_text(jsonl)
-            (args.out / "slo_frames.json").write_text(
-                telemetry.to_json(indent=2) + "\n"
-            )
-            if health is not None:
-                (args.out / "slo_health.txt").write_text(health + "\n")
-    if tracer is not None and len(tracer):
-        write_chrome_trace(tracer, str(args.trace))
-        print(f"[trace: {len(tracer)} spans -> {args.trace}]")
-        if args.trace_provenance:
-            provenance_path = args.trace.with_suffix(".provenance.json")
-            provenance_path.write_text(spans_to_json(tracer) + "\n")
-            print(
-                f"[provenance: "
-                f"{len(tracer.provenance) if tracer.provenance else 0} "
-                f"records -> {provenance_path}]"
-            )
+    if args.observe and len(observer.metrics):
+        _report_observer(observer, args.out)
+    if args.slo:
+        _report_slo(observer, rules, args.health, args.out)
     return 0
+
+
+def _report_observer(observer: Observer, out: pathlib.Path | None) -> None:
+    """Print the per-stage breakdown; with ``out``, write every export."""
+    breakdown = render_metrics_table(observer.metrics)
+    print(breakdown)
+    tracer = observer.tracer
+    print(
+        f"[observe: {len(tracer)} spans, {len(tracer.provenance)} "
+        f"provenance records]"
+    )
+    if out is None:
+        return
+    (out / "metrics.txt").write_text(breakdown + "\n")
+    (out / "metrics.json").write_text(
+        observer.metrics.to_json(indent=2) + "\n"
+    )
+    write_chrome_trace(tracer, str(out / "trace.json"))
+    (out / "trace.provenance.json").write_text(spans_to_json(tracer) + "\n")
+
+
+def _report_slo(
+    observer: Observer,
+    rules: list,
+    health: bool,
+    out: pathlib.Path | None,
+) -> None:
+    """Evaluate the SLO rules over the observer's frames and report."""
+    frames, tracer = observer.frames, observer.tracer
+    provenance = None if tracer is None else tracer.provenance
+    log = AlertLog()
+    log.evaluate(frames.series, rules, provenance=provenance)
+    jsonl = log.to_jsonl()
+    print(
+        f"[slo: {len(frames.series)} frames, {len(rules)} rules, "
+        f"{len(log)} transitions]"
+    )
+    if jsonl:
+        print(jsonl, end="")
+    table = render_health_table(frames.series, rules, log) if health else None
+    if table is not None:
+        print(table)
+    if out is not None:
+        (out / "slo_alerts.jsonl").write_text(jsonl)
+        (out / "slo_frames.json").write_text(frames.to_json(indent=2) + "\n")
+        if table is not None:
+            (out / "slo_health.txt").write_text(table + "\n")
 
 
 if __name__ == "__main__":

@@ -40,10 +40,8 @@ from repro.core.predicates import FieldStats, MdTest, MTest, PTest
 from repro.distributions.gaussian import GaussianDistribution
 from repro.experiments.harness import render_table
 from repro.learning.gaussian_learner import GaussianLearner
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.instrument import Observer
 from repro.obs.provenance import lineage_from_operands
-from repro.obs.timeseries import TelemetryRecorder
-from repro.obs.trace import Tracer
 from repro.streams.columnar import (
     EXACT_SIZE,
     ArrayColumn,
@@ -548,12 +546,10 @@ def _measure_all(
     configurations: "dict[str, tuple]",
     tuples: Sequence[UncertainTuple],
     repeats: int,
-    registry: MetricsRegistry | None,
+    observer: Observer | None,
     figure: str,
-    tracer: Tracer | None = None,
-    telemetry: TelemetryRecorder | None = None,
 ) -> ThroughputResult:
-    """Measure every configuration; with a registry, also record the
+    """Measure every configuration; with an observer, also record the
     per-stage breakdown of each one under ``{figure}.{config slug}``.
 
     A configuration value is ``(factory, batch_size)``; a ``None``
@@ -566,10 +562,8 @@ def _measure_all(
             tuples,
             repeats,
             batch_size=batch_size,
-            registry=registry,
-            metrics_prefix=f"{figure}.{_slug(name)}",
-            tracer=tracer,
-            telemetry=telemetry,
+            observer=observer,
+            prefix=f"{figure}.{_slug(name)}",
             # Batched configurations run end-to-end columnar (converted
             # once, outside the timed region); the per-tuple
             # baseline (one-row batches) keeps the tuple-list layout.
@@ -642,9 +636,7 @@ def run_fig5c(
     n_items: int = 4000,
     repeats: int = 3,
     batch_size: int = BATCH_SIZE,
-    registry: MetricsRegistry | None = None,
-    tracer: Tracer | None = None,
-    telemetry: TelemetryRecorder | None = None,
+    observer: Observer | None = None,
     target_ci_width: float | None = None,
     target_relative_width: float | None = None,
 ) -> ThroughputResult:
@@ -652,10 +644,11 @@ def run_fig5c(
 
     Each configuration is measured twice: on the per-tuple path
     (``Pipeline.run``, one-row batches) and on the vectorized batched path
-    (``Pipeline.run_batched``, suffix "(batched)").  ``registry``
+    (``Pipeline.run_batched``, suffix "(batched)").  ``observer``
     additionally collects a per-stage breakdown (tuples in/out, wall
-    time, interval widths) from one instrumented pass per
-    configuration, under metric prefix ``fig5c.{configuration}``.
+    time, interval widths; spans and frames when it holds them) from
+    one observed pass per configuration, under prefix
+    ``fig5c.{configuration}``.
 
     A width target (``target_ci_width`` / ``target_relative_width``)
     adds "bootstrap adaptive" configurations that run the same
@@ -672,10 +665,8 @@ def run_fig5c(
         configurations,
         tuples,
         repeats,
-        registry,
+        observer,
         "fig5c",
-        tracer=tracer,
-        telemetry=telemetry,
     )
 
 
@@ -806,9 +797,7 @@ def run_fig5f(
     n_items: int = 4000,
     repeats: int = 3,
     batch_size: int = BATCH_SIZE,
-    registry: MetricsRegistry | None = None,
-    tracer: Tracer | None = None,
-    telemetry: TelemetryRecorder | None = None,
+    observer: Observer | None = None,
 ) -> ThroughputResult:
     """Figure 5(f): significance-predicate overhead on stream throughput.
 
@@ -823,8 +812,6 @@ def run_fig5f(
         configurations,
         tuples,
         repeats,
-        registry,
+        observer,
         "fig5f",
-        tracer=tracer,
-        telemetry=telemetry,
     )

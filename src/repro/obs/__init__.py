@@ -1,50 +1,29 @@
-"""Opt-in observability for the stream engine (metrics + tracing).
+"""Observability for the stream engine and database: one :class:`Observer`.
 
-Attach a :class:`MetricsRegistry` to a pipeline and every operator
-records tuples in/out, wall time, batch sizes, and — for
-accuracy-producing operators — emitted confidence-interval widths and
-de facto sample sizes::
+Attach one observer, once.  It always records metrics — per operator
+tuples in/out, wall time, batch sizes and, for accuracy-producing
+operators, emitted confidence-interval widths and de facto sample
+sizes.  Spans with accuracy provenance and a frame series for SLO rules
+are options set at construction::
 
-    from repro.obs import MetricsRegistry
-    from repro.streams.engine import Pipeline
+    from repro.obs import Observer, TelemetryConfig, TraceConfig
 
-    registry = MetricsRegistry()
-    pipeline = Pipeline([...], registry=registry)
-    pipeline.run(source)
-    registry.snapshot()            # structured dict
-    registry.render_prometheus()   # text exposition format
-    registry.to_json(indent=2)     # strict JSON
-
-Attach a :class:`Tracer` the same way for per-stage/per-batch spans and
-per-result accuracy provenance, exportable to Perfetto::
-
-    from repro.obs import Tracer, explain, write_chrome_trace
-
-    tracer = Tracer()
-    pipeline = Pipeline([...], tracer=tracer)
+    observer = Observer(trace=TraceConfig(), frames=TelemetryConfig())
+    pipeline = Pipeline([...], observer=observer)   # or pipeline.attach()
     sink = pipeline.run(source)
-    write_chrome_trace(tracer, "trace.json")   # open in ui.perfetto.dev
-    print(explain(sink.results[-1], tracer))   # one result's lineage
 
-Attach a :class:`TelemetryRecorder` for SLO telemetry: fixed-interval
-frame series over every registry metric (keyed by stream position, not
-wall clock), declarative SLO rules with multi-window burn-rate
-evaluation, and a deterministic alert log::
+    observer.metrics.snapshot()                     # MetricsRegistry
+    write_chrome_trace(observer.tracer, "trace.json")
+    print(explain(sink.results[-1], observer.tracer))
+    AlertLog().evaluate(observer.frames.series, [parse_rule(
+        "ci_width p95 <= 0.5")])
 
-    from repro.obs import AlertLog, TelemetryRecorder, parse_rule
-
-    telemetry = TelemetryRecorder()
-    pipeline = Pipeline([...], telemetry=telemetry)
-    pipeline.run(source)
-    rules = [parse_rule("ci_width p95 <= 0.5")]
-    log = AlertLog()
-    log.evaluate(telemetry.series, rules)
-    print(log.to_jsonl())
-
-With none attached the hooks reduce to one attribute check per call
-and pipeline output is unchanged — see docs/OBSERVABILITY.md,
-docs/TRACING.md and docs/MONITORING.md for the model and the overhead
-guarantees.
+``StreamDatabase(observer=...)``, ``measure_throughput(observer=...)``
+and ``run_fig5c``/``run_fig5f`` take the same handle, and a sharded run
+folds each shard's observer home with one :meth:`Observer.merge`.  With
+no observer attached each operator hook is one attribute check and the
+output is unchanged — see docs/OBSERVABILITY.md, docs/TRACING.md and
+docs/MONITORING.md.
 """
 
 from repro.obs.alerts import AlertEvent, AlertLog, render_health_table
@@ -62,7 +41,8 @@ from repro.obs.instrument import (
     INTERVAL_WIDTH_BUCKETS,
     SAMPLE_SIZE_BUCKETS,
     SYNOPSIS_ERROR_BUCKETS,
-    OperatorMetrics,
+    Observer,
+    OperatorObserver,
     operator_rows,
 )
 from repro.obs.metrics import (
@@ -99,7 +79,7 @@ from repro.obs.timeseries import (
     TelemetryConfig,
     TelemetryRecorder,
 )
-from repro.obs.trace import OperatorTrace, Span, TraceConfig, Tracer
+from repro.obs.trace import Span, TraceConfig, Tracer
 
 __all__ = [
     "Counter",
@@ -107,7 +87,8 @@ __all__ = [
     "Timer",
     "Histogram",
     "MetricsRegistry",
-    "OperatorMetrics",
+    "Observer",
+    "OperatorObserver",
     "operator_rows",
     "exponential_buckets",
     "linear_buckets",
@@ -137,7 +118,6 @@ __all__ = [
     "TraceConfig",
     "Span",
     "Tracer",
-    "OperatorTrace",
     "ProvenanceRecord",
     "ProvenanceRecorder",
     "lineage_from_operands",

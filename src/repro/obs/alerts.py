@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 
-from repro.obs.metrics import prometheus_sample
+from repro.obs.metrics import jsonable, prometheus_sample
 from repro.obs.slo import (
     RuleEvaluation,
     SloRule,
@@ -66,17 +65,7 @@ class AlertEvent:
 
     def to_dict(self) -> dict[str, object]:
         state = dataclasses.asdict(self)
-        return _jsonable(state)  # type: ignore[return-value]
-
-
-def _jsonable(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_jsonable(v) for v in value]
-    return value
+        return jsonable(state)  # type: ignore[return-value]
 
 
 def _annotate(rule: SloRule, provenance) -> str | None:

@@ -28,6 +28,7 @@ import math
 from typing import TYPE_CHECKING
 
 from repro.errors import ObservabilityError
+from repro.obs.metrics import jsonable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.obs.trace import Span, Tracer
@@ -43,21 +44,6 @@ __all__ = [
 
 #: Trace-event phase codes we emit: complete events and metadata.
 _PHASES = ("X", "M")
-
-
-def _finite(value: object) -> object:
-    """Non-finite floats become None so strict JSON encoding succeeds."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def _sanitize(value: object) -> object:
-    if isinstance(value, dict):
-        return {str(k): _sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
-    return _finite(value)
 
 
 def _shard_pids(spans: "list[Span]") -> dict[str, int]:
@@ -147,7 +133,7 @@ def chrome_trace_events(tracer: "Tracer") -> list[dict[str, object]]:
                 "tid": tid,
                 "ts": (start - origin) * 1e6,
                 "dur": duration * 1e6,
-                "args": _sanitize(args),
+                "args": jsonable(args),
             }
         )
     return events
@@ -193,7 +179,7 @@ def spans_to_json(tracer: "Tracer", deterministic: bool = False) -> str:
     else:
         payload = tracer.snapshot()
     return json.dumps(
-        _sanitize(payload), allow_nan=False, indent=2, sort_keys=True
+        jsonable(payload), allow_nan=False, indent=2, sort_keys=True
     )
 
 

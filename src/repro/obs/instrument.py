@@ -1,13 +1,13 @@
-"""Per-operator instrumentation bundles and snapshot helpers.
+"""The :class:`Observer` handle, per-operator handles and snapshot helpers.
 
-:class:`OperatorMetrics` is the object an :class:`~repro.streams.operators.Operator`
-holds when a :class:`~repro.obs.metrics.MetricsRegistry` is attached to
-its pipeline.  It pre-registers every metric the operator hooks update,
-so the hot path does plain attribute access — no dict lookups per tuple.
+An :class:`Observer` is attached once to a pipeline or database.  Each
+operator of an observed pipeline then holds one :class:`OperatorObserver`,
+which pre-registers every metric the operator hooks update, so the hot
+path does plain attribute access — no dict lookups per tuple.
 
 The metric names are hierarchical: ``{operator id}.{metric}``, where the
 operator id is ``{prefix}.{index:02d}.{ClassName}`` as assigned by
-:meth:`Pipeline.attach_metrics`.  :func:`operator_rows` groups a registry
+:meth:`Pipeline.attach`.  :func:`operator_rows` groups a registry
 snapshot back into one row per operator for tabular reporting
 (:func:`repro.experiments.harness.render_metrics_table`).
 """
@@ -15,14 +15,15 @@ snapshot back into one row per operator for tabular reporting
 from __future__ import annotations
 
 import math
+from time import perf_counter
 
 from repro.core.accuracy import AccuracyInfo
 from repro.core.analytic import mean_interval
 from repro.core.dfsample import DfSized
-from repro.obs.metrics import (
-    MetricsRegistry,
-    exponential_buckets,
-)
+from repro.errors import ObservabilityError
+from repro.obs.metrics import MetricsRegistry, exponential_buckets
+from repro.obs.timeseries import TelemetryConfig, TelemetryRecorder
+from repro.obs.trace import Span, TraceConfig, Tracer
 
 __all__ = [
     "BATCH_SIZE_BUCKETS",
@@ -31,7 +32,8 @@ __all__ = [
     "ROLLING_DRIFT_BUCKETS",
     "SYNOPSIS_ERROR_BUCKETS",
     "DRAWS_USED_BUCKETS",
-    "OperatorMetrics",
+    "Observer",
+    "OperatorObserver",
     "operator_rows",
 ]
 
@@ -55,18 +57,85 @@ SYNOPSIS_ERROR_BUCKETS = exponential_buckets(1e-6, 10.0**0.5, 16)
 DRAWS_USED_BUCKETS = exponential_buckets(8.0, 2.0, 12)
 
 
-class OperatorMetrics:
-    """Everything one operator records: counts, timings, distributions.
+class Observer:
+    """The one observability handle a pipeline or database records into.
+
+    It always holds a :class:`~repro.obs.metrics.MetricsRegistry`
+    (:attr:`metrics`).  ``trace`` adds a :class:`~repro.obs.trace.Tracer`
+    (:attr:`tracer`: run/stage/batch spans, plus accuracy provenance when
+    the config asks for it); ``frames`` adds a
+    :class:`~repro.obs.timeseries.TelemetryRecorder` (:attr:`frames`)
+    built on :attr:`metrics`, so frames always diff the registry the
+    operators write to.  Either part is ``None`` when its config is.
+
+    :meth:`snapshot` / :meth:`merge` ship an observer across a process
+    boundary: a sharded run records each shard into a worker observer
+    and merges the snapshots home in shard order.
+    """
+
+    def __init__(
+        self,
+        trace: TraceConfig | None = None,
+        frames: TelemetryConfig | None = None,
+    ) -> None:
+        self.frames = None if frames is None else TelemetryRecorder(frames)
+        self.metrics = (
+            MetricsRegistry() if self.frames is None else self.frames.registry
+        )
+        self.tracer = None if trace is None else Tracer(trace)
+
+    def snapshot(self) -> dict[str, object]:
+        """Plain-dict state of every part, for shipping across processes."""
+        tracer, frames = self.tracer, self.frames
+        return {
+            "metrics": self.metrics.snapshot(),
+            "spans": None if tracer is None else tracer.snapshot(),
+            "frames": None if frames is None else frames.snapshot(),
+        }
+
+    def merge(self, snapshot: dict[str, object]) -> None:
+        """Fold another observer's :meth:`snapshot` into this one.
+
+        The order is fixed: metrics merge, then the frame series folds
+        and re-baselines against the merged registry (so the next local
+        frame does not count the merged-in history), then spans.  Call
+        once per shard, in shard order.
+        """
+        for part, mine in (("spans", self.tracer), ("frames", self.frames)):
+            if (snapshot.get(part) is None) != (mine is None):
+                raise ObservabilityError(
+                    f"observer snapshot and observer disagree on {part}: "
+                    f"build both from the same configs"
+                )
+        self.metrics.merge_snapshot(snapshot["metrics"])  # type: ignore[arg-type]
+        if self.frames is not None:
+            self.frames.merge_snapshot(snapshot["frames"])  # type: ignore[arg-type]
+            self.frames.resync()
+        if self.tracer is not None:
+            self.tracer.merge_spans(snapshot["spans"])  # type: ignore[arg-type]
+
+
+class OperatorObserver:
+    """Everything one operator records: counts, timings, distributions,
+    and — when the observer traces — its stage and batch spans.
+
+    The operator hooks call :meth:`receive_many`, :meth:`emit_many` and
+    :meth:`flush` only when an observer is attached; every metric is
+    pre-registered so the hot path does plain attribute access.  The
+    stage span's ``tuples_in``/``tuples_out``/``calls``/``seconds`` are
+    the per-run deltas of the same counters and timers.
 
     ``accuracy_attribute`` enables the interval-width/sample-size
-    histograms: each emitted tuple's attribute of that name is inspected
-    — an :class:`AccuracyInfo` contributes its mean-interval width
-    directly, while a :class:`DfSized` distribution with a usable sample
-    size contributes its Lemma-2 mean interval at ``confidence``.
+    histograms (and provenance records): each emitted tuple's attribute
+    of that name is inspected — an :class:`AccuracyInfo` contributes its
+    mean-interval width directly, while a :class:`DfSized` distribution
+    with a usable sample size contributes its Lemma-2 mean interval at
+    ``confidence``.
     """
 
     __slots__ = (
         "name",
+        "index",
         "tuples_in",
         "tuples_out",
         "batch_seconds",
@@ -82,20 +151,29 @@ class OperatorMetrics:
         "rolling_resums",
         "rolling_drift",
         "memory",
-        "state_bytes",
+        "tracer",
+        "stage_span",
+        "_stage_base",
         "_registry",
     )
 
     def __init__(
         self,
-        registry: MetricsRegistry,
+        observer: Observer,
         name: str,
+        index: int = 0,
         accuracy_attribute: str | None = None,
         confidence: float = 0.95,
         rolling: bool = False,
         memory: bool = False,
     ) -> None:
+        registry = observer.metrics
         self.name = name
+        self.index = index
+        self.tracer = observer.tracer
+        self.stage_span: Span | None = None
+        self._stage_base = (0, 0, 0, 0.0)
+        self._registry = registry
         self.tuples_in = registry.counter(
             f"{name}.tuples_in", "tuples received by the operator"
         )
@@ -163,23 +241,112 @@ class OperatorMetrics:
         else:
             self.rolling_resums = None
             self.rolling_drift = None
-        # The state gauge is created lazily on the first report so a
-        # registry snapshot distinguishes "never reported" (no gauge,
-        # rendered as '-') from "reported zero bytes".
         self.memory = memory
-        self.state_bytes = None
-        self._registry = registry if memory else None
+
+    # -- run lifecycle (driven by Pipeline) -----------------------------
+
+    def _stage_counts(self) -> tuple[int, int, int, float]:
+        batch = self.batch_seconds
+        return (
+            self.tuples_in.value,
+            self.tuples_out.value,
+            batch.count,
+            batch.total + self.flush_seconds.total,
+        )
+
+    def start_stage(self, run_span: Span) -> None:
+        """Open this operator's stage span for one pipeline run."""
+        self._stage_base = self._stage_counts()
+        self.stage_span = self.tracer.begin(  # type: ignore[union-attr]
+            self.name,
+            kind="stage",
+            parent=run_span,
+            attrs={"stage_index": self.index},
+        )
+
+    def end_stage(self) -> None:
+        """Close the stage span as a summary: duration = inclusive time."""
+        span = self.stage_span
+        if span is None:
+            return
+        tuples_in, tuples_out, calls, seconds = (
+            now - base
+            for now, base in zip(self._stage_counts(), self._stage_base)
+        )
+        self.tracer.end(  # type: ignore[union-attr]
+            span,
+            end=span.start + seconds,
+            tuples_in=tuples_in,
+            tuples_out=tuples_out,
+            calls=calls,
+            batches=calls,
+        )
+        self.stage_span = None
+
+    # -- hot-path hooks (driven by Operator) ----------------------------
+
+    def receive_many(self, operator, tuples) -> None:
+        """Run ``operator.process_many(tuples)``, recording the call."""
+        size = len(tuples)
+        self.tuples_in.inc(size)
+        self.batch_sizes.observe(size)
+        tracer = self.tracer
+        span = None
+        if tracer is not None:
+            out_before = self.tuples_out.value
+            span = tracer.begin_batch(
+                f"{self.name}.batch",
+                parent=self.stage_span,
+                attrs={"stage_index": self.index, "batch_size": size},
+            )
+        start = perf_counter()
+        try:
+            operator.process_many(tuples)
+        finally:
+            self.batch_seconds.record(perf_counter() - start)
+            if span is not None:
+                tracer.end(span, emitted=self.tuples_out.value - out_before)
+
+    def emit_many(self, operator, tuples) -> None:
+        """Count an emitted batch; record its accuracy and provenance."""
+        self.tuples_out.inc(len(tuples))
+        if self.accuracy_attribute is None:
+            return
+        observe = self.observe_accuracy
+        for tup in tuples:
+            observe(tup)
+        tracer = self.tracer
+        if tracer is not None and tracer.provenance is not None:
+            record = tracer.provenance.record
+            for tup in tuples:
+                record(self, operator, tup)
+
+    def flush(self, operator) -> None:
+        """Run ``operator.on_flush()`` timed; sample its retained state."""
+        start = perf_counter()
+        try:
+            operator.on_flush()
+        finally:
+            self.flush_seconds.record(perf_counter() - start)
+        if self.memory:
+            retained = operator.state_bytes()
+            if retained is not None:
+                self.record_state_bytes(retained)
+
+    def counter(self, metric: str, help: str = ""):
+        """The operator's own ``{name}.{metric}`` counter (get-or-create)."""
+        return self._registry.counter(f"{self.name}.{metric}", help)
 
     def record_state_bytes(self, value: float) -> None:
-        """Sample the operator's retained bytes (creates the gauge)."""
-        gauge = self.state_bytes
-        if gauge is None:
-            gauge = self._registry.gauge(
-                f"{self.name}.state.bytes",
-                "approximate retained operator state, sampled on flush",
-            )
-            self.state_bytes = gauge
-        gauge.set(value)
+        """Sample the operator's retained bytes.
+
+        The gauge is created on the first report, so a snapshot tells
+        "never reported" (no gauge, rendered as '-') from zero bytes.
+        """
+        self._registry.gauge(
+            f"{self.name}.state.bytes",
+            "approximate retained operator state, sampled on flush",
+        ).set(value)
 
     def observe_accuracy(self, tup) -> None:
         """Record interval width + sample size of one emitted tuple.
@@ -240,7 +407,7 @@ def operator_rows(
     """Group a registry snapshot into one summary row per operator.
 
     Recognises the ``{operator id}.{metric}`` names written by
-    :class:`OperatorMetrics` and derives selectivity (out/in) plus
+    :class:`OperatorObserver` and derives selectivity (out/in) plus
     self-time: in a linear push pipeline each operator's timers include
     all downstream work, so ``self = inclusive - next stage's inclusive``
     for adjacent stages of the same pipeline prefix.

@@ -54,6 +54,21 @@ def gauge_folds_by_sum(name: str) -> bool:
     return name.endswith(SUMMED_GAUGE_SUFFIXES)
 
 
+def jsonable(value: object) -> object:
+    """``value`` with non-finite floats turned into ``None``, recursively.
+
+    Every strict-JSON export in :mod:`repro.obs` encodes through this
+    with ``allow_nan=False`` (RFC 8259 has no NaN or Infinity).
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    return value
+
+
 def exponential_buckets(
     start: float, factor: float, count: int
 ) -> tuple[float, ...]:
@@ -475,18 +490,8 @@ class MetricsRegistry:
 
     def to_json(self, indent: int | None = None) -> str:
         """The snapshot as strict JSON (non-finite values become null)."""
-
-        def _jsonable(value: object) -> object:
-            if isinstance(value, float) and not math.isfinite(value):
-                return None
-            if isinstance(value, dict):
-                return {k: _jsonable(v) for k, v in value.items()}
-            if isinstance(value, list):
-                return [_jsonable(v) for v in value]
-            return value
-
         return json.dumps(
-            _jsonable(self.snapshot()), indent=indent, allow_nan=False
+            jsonable(self.snapshot()), indent=indent, allow_nan=False
         )
 
     def render_prometheus(self) -> str:

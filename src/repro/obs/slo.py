@@ -15,7 +15,7 @@ Rule grammar (one rule per string)::
     Sliding: ci_width p95 <= 1.0 # only operators matching 'Sliding'
 
 Signals map to the accuracy histograms recorded by
-:class:`~repro.obs.instrument.OperatorMetrics` (``ci_width`` ->
+:class:`~repro.obs.instrument.OperatorObserver` (``ci_width`` ->
 ``*.interval_width``, ``de_facto_n`` -> ``*.sample_size``,
 ``synopsis_error`` -> ``*.synopsis_error``, ``draws_used`` ->
 ``*.draws_used``).  Aggregations are computed per frame from the

@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 
 from repro.errors import ObservabilityError
-from repro.obs.metrics import MetricsRegistry, gauge_folds_by_sum
+from repro.obs.metrics import MetricsRegistry, gauge_folds_by_sum, jsonable
 
 __all__ = [
     "TelemetryConfig",
@@ -303,38 +302,21 @@ class FrameSeries:
         return [frame.deterministic_dict() for frame in self.frames]
 
 
-def _jsonable(value: object) -> object:
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 class TelemetryRecorder:
     """Cuts fixed-interval frames from a registry as the stream advances.
 
-    The recorder owns (or wraps) the registry it diffs.  Attach it to a
-    pipeline via ``Pipeline(..., telemetry=recorder)`` or
-    :meth:`Pipeline.attach_telemetry`; the pipeline calls
-    :meth:`advance` per pushed tuple/batch and :meth:`finalize` at
-    end-of-run to close the trailing partial frame.  In sharded
-    execution every worker records into a private recorder and the
-    parent folds the shipped series frame-by-frame in shard order
-    (:meth:`merge_snapshot`).
+    The recorder owns the registry it diffs; an
+    :class:`~repro.obs.instrument.Observer` built with ``frames=`` uses
+    that registry as its metrics, so the frames see everything the
+    operators record.  The observed pipeline calls :meth:`advance` per
+    pushed batch and :meth:`finalize` at end-of-run to close the
+    trailing partial frame.  A sharded run folds each worker's series
+    frame-by-frame in shard order (:meth:`merge_snapshot`).
     """
 
-    def __init__(
-        self,
-        config: TelemetryConfig | None = None,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, config: TelemetryConfig | None = None) -> None:
         self.config = config if config is not None else TelemetryConfig()
-        self.registry = (
-            registry if registry is not None else MetricsRegistry()
-        )
+        self.registry = MetricsRegistry()
         self.series = FrameSeries(self.config.capacity)
         self.position = 0
         self._frame_start = 0
@@ -379,8 +361,7 @@ class TelemetryRecorder:
 
         Frames fold by index: counter/timer/histogram deltas sum, state
         gauges sum, other gauges take the last-merged shard's value —
-        call in shard order, exactly like
-        :meth:`MetricsRegistry.merge_snapshot`.
+        ``Observer.merge`` calls it in shard order.
         """
         if int(state["frame_interval"]) != self.config.frame_interval:  # type: ignore[arg-type]
             raise ObservabilityError(
@@ -395,9 +376,9 @@ class TelemetryRecorder:
     def resync(self) -> None:
         """Re-baseline against the registry's current cumulative state.
 
-        Call after folding external snapshots into :attr:`registry`
-        (e.g. the post-shard metrics merge) so the next locally-cut
-        frame measures only new activity, not the merged history.
+        ``Observer.merge`` calls it after folding a snapshot into
+        :attr:`registry`, so the next locally-cut frame measures only
+        new activity, not the merged history.
         """
         self._baseline = self.registry.snapshot()
 
@@ -405,16 +386,9 @@ class TelemetryRecorder:
         self, deterministic: bool = False, indent: int | None = None
     ) -> str:
         """The series as strict JSON (non-finite floats become null)."""
-        frames = (
-            self.series.deterministic_view()
-            if deterministic
-            else self.series.to_dicts()
-        )
-        payload = {
-            "frame_interval": self.config.frame_interval,
-            "dropped": self.series.dropped,
-            "frames": frames,
-        }
+        payload = self.snapshot()
+        if deterministic:
+            payload["frames"] = self.series.deterministic_view()
         return json.dumps(
-            _jsonable(payload), indent=indent, allow_nan=False
+            jsonable(payload), indent=indent, allow_nan=False
         )

@@ -1,9 +1,8 @@
-"""Opt-in span tracing for the stream engine.
+"""Span tracing for the stream engine.
 
-A :class:`Tracer` attaches to a :class:`~repro.streams.engine.Pipeline`
-exactly like a :class:`~repro.obs.metrics.MetricsRegistry`: with no
-tracer attached every hook is a single attribute check and the execution
-paths are unchanged; with one attached the engine records
+A :class:`Tracer` is the optional span part of an
+:class:`~repro.obs.instrument.Observer` (``Observer(trace=TraceConfig())``).
+With it, an observed pipeline records
 
 * one **run span** per ``run()``/``run_batched()`` call,
 * one **stage span** per operator per run (tuples in/out, call counts,
@@ -27,10 +26,8 @@ worker processes or in-process; only the wall-clock ``start``/``end``
 fields differ, and :meth:`Tracer.deterministic_view` excludes exactly
 those.
 
-:meth:`Tracer.snapshot` / :meth:`Tracer.merge_spans` mirror the
-``MetricsRegistry.snapshot`` / ``merge_snapshot`` contract: workers
-serialize plain dicts home with the shard's sink state and the parent
-folds them in shard order.
+:meth:`Tracer.snapshot` / :meth:`Tracer.merge_spans` are the span part
+of ``Observer.snapshot`` / ``Observer.merge``.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from time import perf_counter
 from repro.errors import ObservabilityError
 from repro.obs.provenance import ProvenanceRecorder
 
-__all__ = ["TraceConfig", "Span", "Tracer", "OperatorTrace"]
+__all__ = ["TraceConfig", "Span", "Tracer"]
 
 #: Span kinds the engine emits; exporters may rely on this vocabulary.
 SPAN_KINDS = ("run", "stage", "batch", "shard")
@@ -160,9 +157,8 @@ class Span:
 class Tracer:
     """Records spans (and provenance) for one process's pipeline runs.
 
-    One tracer per process: the parent attaches its tracer to the
-    pipeline; sharded execution builds a private per-worker tracer with
-    shard label ``shard{i}`` and merges the snapshots home.
+    One tracer per observer: sharded execution builds a worker observer
+    whose tracer has shard label ``shard{i}`` and merges it home.
     """
 
     def __init__(
@@ -188,16 +184,14 @@ class Tracer:
     # Span lifecycle
     # ------------------------------------------------------------------
 
-    def begin(
+    def _open(
         self,
+        seq: int,
         name: str,
-        kind: str = "run",
-        parent: Span | None = None,
-        attrs: dict[str, object] | None = None,
+        kind: str,
+        parent: Span | None,
+        attrs: dict[str, object] | None,
     ) -> Span:
-        """Open a structural span (always retained, never sampled out)."""
-        seq = self._seq
-        self._seq += 1
         span = Span(
             span_id=_stable_id(self.config.seed, self.shard, seq),
             parent_id=parent.span_id if parent is not None else None,
@@ -210,6 +204,18 @@ class Tracer:
         )
         self._spans.append(span)
         return span
+
+    def begin(
+        self,
+        name: str,
+        kind: str = "run",
+        parent: Span | None = None,
+        attrs: dict[str, object] | None = None,
+    ) -> Span:
+        """Open a structural span (always retained, never sampled out)."""
+        seq = self._seq
+        self._seq += 1
+        return self._open(seq, name, kind, parent, attrs)
 
     def begin_batch(
         self,
@@ -235,18 +241,7 @@ class Tracer:
         ):
             return None
         self._batch_spans += 1
-        span = Span(
-            span_id=_stable_id(config.seed, self.shard, seq),
-            parent_id=parent.span_id if parent is not None else None,
-            name=name,
-            kind="batch",
-            shard=self.shard,
-            seq=seq,
-            start=perf_counter(),
-            attrs=dict(attrs) if attrs else {},
-        )
-        self._spans.append(span)
-        return span
+        return self._open(seq, name, "batch", parent, attrs)
 
     def end(
         self,
@@ -293,9 +288,7 @@ class Tracer:
     def merge_spans(self, snapshot: dict[str, object]) -> None:
         """Fold another tracer's :meth:`snapshot` into this one.
 
-        Same contract as ``MetricsRegistry.merge_snapshot``: workers
-        record into private tracers, ship snapshots home with the
-        shard's sink state, and the parent merges them in shard order.
+        Called by ``Observer.merge`` once per shard, in shard order.
         Merged spans keep their worker-assigned IDs and shard labels
         (IDs cannot collide: the shard label is part of the ID).
         """
@@ -333,98 +326,3 @@ class Tracer:
                 "(TraceConfig(provenance=True) enables it)"
             )
         return self.provenance.explain(tup)
-
-
-class OperatorTrace:
-    """Per-operator trace handle, the tracing analogue of
-    :class:`~repro.obs.instrument.OperatorMetrics`.
-
-    Holds the operator's stage span for the current run plus the
-    counters written into it at close; the hot-path hooks touch only
-    plain attributes.
-    """
-
-    __slots__ = (
-        "tracer",
-        "name",
-        "index",
-        "accuracy_attribute",
-        "stage_span",
-        "tuples_in",
-        "tuples_out",
-        "calls",
-        "batches",
-        "seconds",
-    )
-
-    def __init__(
-        self,
-        tracer: Tracer,
-        name: str,
-        index: int = 0,
-        accuracy_attribute: str | None = None,
-    ) -> None:
-        self.tracer = tracer
-        self.name = name
-        self.index = index
-        self.accuracy_attribute = accuracy_attribute
-        self.stage_span: Span | None = None
-        self.tuples_in = 0
-        self.tuples_out = 0
-        self.calls = 0
-        self.batches = 0
-        self.seconds = 0.0
-
-    # -- run lifecycle (driven by Pipeline) -----------------------------
-
-    def start_stage(self, run_span: Span | None) -> None:
-        """Open this operator's stage span for one pipeline run."""
-        self.tuples_in = 0
-        self.tuples_out = 0
-        self.calls = 0
-        self.batches = 0
-        self.seconds = 0.0
-        self.stage_span = self.tracer.begin(
-            self.name,
-            kind="stage",
-            parent=run_span,
-            attrs={"stage_index": self.index},
-        )
-
-    def end_stage(self) -> None:
-        """Close the stage span as a summary: duration = inclusive time."""
-        span = self.stage_span
-        if span is None:
-            return
-        self.tracer.end(
-            span,
-            end=span.start + self.seconds,
-            tuples_in=self.tuples_in,
-            tuples_out=self.tuples_out,
-            calls=self.calls,
-            batches=self.batches,
-        )
-        self.stage_span = None
-
-    # -- hot-path hooks (driven by Operator) ----------------------------
-
-    def begin_batch(self, size: int) -> Span | None:
-        self.tuples_in += size
-        self.calls += 1
-        self.batches += 1
-        return self.tracer.begin_batch(
-            f"{self.name}.batch",
-            parent=self.stage_span,
-            attrs={"stage_index": self.index, "batch_size": size},
-        )
-
-    def end_batch(self, span: Span | None, emitted: int) -> None:
-        if span is not None:
-            self.tracer.end(span, emitted=emitted)
-
-    def on_emit_many(self, operator: object, tuples: object) -> None:
-        self.tuples_out += len(tuples)  # type: ignore[arg-type]
-        recorder = self.tracer.provenance
-        if recorder is not None and self.accuracy_attribute is not None:
-            for tup in tuples:  # type: ignore[attr-defined]
-                recorder.record(self, operator, tup)

@@ -3,8 +3,8 @@
 ``run_sharded`` hash-partitions the input stream by one attribute,
 runs each shard through the pipeline in a worker process
 (``Pipeline.run_batched`` inside the worker, so the vectorised kernels
-still apply), and merges the per-shard sinks — plus per-worker metrics,
-trace and telemetry snapshots — back into the parent.
+still apply), and merges the per-shard sinks — plus one observer
+snapshot per shard — back into the parent.
 
 Contract (see ``docs/PARALLELISM.md``)
 --------------------------------------
@@ -25,7 +25,7 @@ call raises:
   emitted a different count raises the same at merge time.
   ``CountingSink`` counts sum.
 
-The pipeline is pickled once with its observers detached; workers and
+The pipeline is pickled once with its observer detached; workers and
 the in-process serial path unpickle that same payload.
 """
 
@@ -40,8 +40,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ParallelError, StreamError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import TelemetryConfig, TelemetryRecorder
+from repro.obs.instrument import Observer
+from repro.obs.timeseries import TelemetryConfig
 from repro.obs.trace import TraceConfig, Tracer
 from repro.parallel.pool import WorkerPool
 from repro.streams.columnar import (
@@ -179,22 +179,16 @@ def _check_partition(pipeline: "Pipeline", partition_by: object) -> None:
 
 
 def pipeline_payload(pipeline: "Pipeline") -> bytes:
-    """The pipeline pickled with its metrics, tracer and telemetry detached.
+    """The pipeline pickled with its observer detached.
 
-    Observers are re-attached to ``pipeline`` afterwards, so it keeps
+    The observer is re-attached to ``pipeline`` afterwards, so it keeps
     recording; the payload never carries registry, tracer or recorder
     objects (rolling kernels unbind their metric handles on detach).
     Raises :class:`ParallelError` when the pipeline cannot pickle.
     """
-    registry, prefix = pipeline.registry, pipeline.metrics_prefix
-    tracer, trace_prefix = pipeline.tracer, pipeline.trace_prefix
-    telemetry = pipeline.telemetry
-    if telemetry is not None:
-        pipeline.detach_telemetry()
-    if registry is not None:
-        pipeline.detach_metrics()
-    if tracer is not None:
-        pipeline.detach_trace()
+    observer, prefix = pipeline.observer, pipeline.prefix
+    if observer is not None:
+        pipeline.detach()
     try:
         return pickle.dumps(pipeline)
     except Exception as exc:  # noqa: BLE001 - any pickling failure
@@ -202,94 +196,76 @@ def pipeline_payload(pipeline: "Pipeline") -> bytes:
             f"pipeline is not picklable for sharded execution: {exc}"
         ) from exc
     finally:
-        if registry is not None:
-            pipeline.attach_metrics(registry, prefix)
-        if tracer is not None:
-            pipeline.attach_trace(tracer, trace_prefix)
-        if telemetry is not None:
-            pipeline.attach_telemetry(telemetry, prefix)
+        if observer is not None:
+            pipeline.attach(observer, prefix)
 
 
 def _run_shard(
     payload: bytes,
     shard_source: "list[UncertainTuple] | ColumnarPayload",
     batch_size: int,
-    metrics_prefix: str | None,
-    trace_config: TraceConfig | None,
-    trace_prefix: str,
-    trace_shard: str,
-    telemetry_config: TelemetryConfig | None,
-) -> tuple[tuple[str, object], dict | None, dict | None, dict | None]:
+    observe: "tuple[str, TraceConfig | None, TelemetryConfig | None] | None",
+    shard: str,
+) -> tuple[tuple[str, object], dict | None]:
     """Pool task: unpickle the pipeline and run one shard through it.
 
     ``shard_source`` is a :class:`ColumnarPayload` on the columnar
     transport (column blocks, possibly shared-memory handles), or a
     tuple list for non-uniform layouts.  Returns ``(sink_state,
-    metrics_snapshot, trace_snapshot, telemetry_snapshot)``, all plain
-    picklable values; a ``CollectSink`` that stayed columnar comes back
-    as ``("collect-columnar", ColumnarPayload)`` so the return trip
-    ships column blocks too.  When tracing, the worker builds a private
-    :class:`Tracer` with shard label ``trace_shard`` (``shard{i}``) and
-    the parent's :class:`TraceConfig` — span IDs depend only on
-    ``(config.seed, shard label, seq)``, so the snapshot is identical
-    whether this runs in a pool worker or in-process.
+    observer_snapshot)``, both plain picklable values; a ``CollectSink``
+    that stayed columnar comes back as ``("collect-columnar",
+    ColumnarPayload)`` so the return trip ships column blocks too.
+
+    ``observe`` is the parent observer's ``(prefix, trace config, frames
+    config)``, or ``None`` when the parent is not observed.  The worker
+    builds a fresh :class:`Observer` from it whose tracer has shard label
+    ``shard`` (``shard{i}``): span IDs depend only on ``(config.seed,
+    shard label, seq)``, so the snapshot is identical whether this runs
+    in a pool worker or in-process.
     """
     pipeline = pickle.loads(payload)
     if isinstance(shard_source, ColumnarPayload):
         shard_source = ColumnarBatch.from_payload(shard_source)
-    registry = None
-    if metrics_prefix is not None:
-        registry = MetricsRegistry()
-        pipeline.attach_metrics(registry, prefix=metrics_prefix)
-    tracer = None
-    if trace_config is not None:
-        tracer = Tracer(trace_config, shard=trace_shard)
-        pipeline.attach_trace(tracer, prefix=trace_prefix)
-    telemetry = None
-    if telemetry_config is not None:
-        # Telemetry implies a registry on the parent, so metrics_prefix
-        # is set here too; the recorder wraps this worker's registry and
-        # its frames are keyed by this shard's local stream position.
-        telemetry = TelemetryRecorder(telemetry_config, registry)
-        pipeline.attach_telemetry(
-            telemetry, prefix=metrics_prefix or "pipeline"
-        )
+    observer = None
+    if observe is not None:
+        prefix, trace_config, frames_config = observe
+        observer = Observer(frames=frames_config)
+        if trace_config is not None:
+            observer.tracer = Tracer(trace_config, shard=shard)
+        pipeline.attach(observer, prefix)
     sink = pipeline.run_batched(shard_source, batch_size)
-    snapshots = (
-        registry.snapshot() if registry is not None else None,
-        tracer.snapshot() if tracer is not None else None,
-        telemetry.snapshot() if telemetry is not None else None,
-    )
+    snapshot = observer.snapshot() if observer is not None else None
     if isinstance(sink, CountingSink):
-        return (("count", sink.count), *snapshots)
+        return ("count", sink.count), snapshot
     collected = sink.columnar_result()
     if collected is not None:
         # Workers never create shm segments (the parent owns segment
         # lifetimes) — plain ndarrays still cross the boundary as one
         # buffer per column, not one pickle per tuple.
         out_payload, _ = collected.to_payload(use_shm=False)
-        return (("collect-columnar", out_payload), *snapshots)
-    return (("collect", list(sink.results)), *snapshots)
+        return ("collect-columnar", out_payload), snapshot
+    return ("collect", list(sink.results)), snapshot
 
 
 class ShardedResult:
-    """Per-shard sink states + observer snapshots, with merge helpers."""
+    """Per-shard sink states + observer snapshots, with merge helpers.
+
+    ``snapshots`` holds one ``Observer.snapshot()`` per shard in shard
+    order (empty when the pipeline is not observed);
+    ``Pipeline.run_sharded`` folds each with one ``Observer.merge``.
+    """
 
     def __init__(
         self,
         sink_states: list[tuple[str, object]],
-        snapshots: list[dict | None],
+        snapshots: list[dict],
         shards: list[list[int]],
         total: int,
-        trace_snapshots: list[dict | None],
-        telemetry_snapshots: list[dict | None],
     ) -> None:
         self.sink_states = sink_states
         self.snapshots = snapshots
         self.shards = shards
         self.total = total
-        self.trace_snapshots = trace_snapshots
-        self.telemetry_snapshots = telemetry_snapshots
 
     def merged_count(self) -> int:
         """Summed CountingSink counts across shards."""
@@ -349,34 +325,6 @@ class ShardedResult:
                 slots[position] = tup
         return slots  # type: ignore[return-value]
 
-    def merge_metrics(self, registry: MetricsRegistry) -> None:
-        """Fold every worker snapshot into ``registry``, in shard order."""
-        for snapshot in self.snapshots:
-            if snapshot is not None:
-                registry.merge_snapshot(snapshot)
-
-    def merge_trace(self, tracer: Tracer) -> None:
-        """Fold every worker trace snapshot into ``tracer``, shard order."""
-        for snapshot in self.trace_snapshots:
-            if snapshot is not None:
-                tracer.merge_spans(snapshot)
-
-    def merge_telemetry(self, recorder: TelemetryRecorder) -> None:
-        """Fold worker frame series into ``recorder``, in shard order.
-
-        Frames fold by index — shard-local stream positions line up
-        because every shard cuts frames at the same ``frame_interval``
-        boundaries — so the merged series is a function of the stream
-        and the pool's worker count.  Call *after*
-        :meth:`merge_metrics`: the recorder is re-baselined against the
-        post-merge registry so a later serial run does not re-count the
-        merged-in deltas.
-        """
-        for snapshot in self.telemetry_snapshots:
-            if snapshot is not None:
-                recorder.merge_snapshot(snapshot)
-        recorder.resync()
-
 
 def run_sharded(
     pipeline: "Pipeline",
@@ -402,15 +350,15 @@ def run_sharded(
         source if isinstance(source, ColumnarBatch) else list(source)
     )
     shards = partition_indices(tuples, pool.n_workers, partition_by)
-    metrics_prefix = (
-        pipeline.metrics_prefix if pipeline.registry is not None else None
-    )
-    trace_config = (
-        pipeline.tracer.config if pipeline.tracer is not None else None
-    )
-    telemetry_config = (
-        pipeline.telemetry.config if pipeline.telemetry is not None else None
-    )
+    observer = pipeline.observer
+    observe = None
+    if observer is not None:
+        tracer, frames = observer.tracer, observer.frames
+        observe = (
+            pipeline.prefix,
+            None if tracer is None else tracer.config,
+            None if frames is None else frames.config,
+        )
 
     # The columnar transport: partition by fancy-indexing columns, ship
     # column blocks (shared memory for large ones, unless the shards
@@ -434,11 +382,8 @@ def run_sharded(
                     payload,
                     shard_source,
                     batch_size,
-                    metrics_prefix,
-                    trace_config,
-                    pipeline.trace_prefix,
+                    observe,
                     f"shard{shard_index}",
-                    telemetry_config,
                 )
             )
         outcomes = pool.map_indexed(_run_shard, tasks)
@@ -449,10 +394,8 @@ def run_sharded(
             owner.release()
 
     return ShardedResult(
-        sink_states=[state for state, _, _, _ in outcomes],
-        snapshots=[snapshot for _, snapshot, _, _ in outcomes],
+        sink_states=[state for state, _ in outcomes],
+        snapshots=[snap for _, snap in outcomes if snap is not None],
         shards=shards,
         total=len(tuples),
-        trace_snapshots=[trace for _, _, trace, _ in outcomes],
-        telemetry_snapshots=[t for _, _, _, t in outcomes],
     )

@@ -75,7 +75,7 @@ from repro.core.coupled import (
     m_test_verdicts,
 )
 from repro.distributions.gaussian import tail_probabilities
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.instrument import Observer
 from repro.query.executor import QueryExecutor, ResidualOutcome, ResultTuple
 from repro.query.expressions import Column, Literal
 from repro.query.parser import CompareCondition, SignificanceCondition
@@ -543,10 +543,11 @@ class MultiQueryEngine:
     StreamDatabase`.
     """
 
-    def __init__(self, metrics: "MetricsRegistry | None" = None) -> None:
-        if metrics is None:
-            metrics = MetricsRegistry()
-        self.metrics = metrics
+    def __init__(self, observer: Observer | None = None) -> None:
+        if observer is None:
+            observer = Observer()
+        self.observer = observer
+        self.metrics = metrics = observer.metrics
         self._entries: dict[str, _Entry] = {}
         self._groups: dict[tuple, _PlanGroup] = {}
         self._query_sets: dict[str, _QuerySet] = {}
@@ -564,29 +565,6 @@ class MultiQueryEngine:
             "shared-prefix attempts abandoned because the prefix "
             "needed randomness",
         )
-        self.telemetry = None
-
-    def attach_telemetry(self, recorder) -> "object":
-        """Cut telemetry frames as tuples are dispatched to queries.
-
-        ``recorder`` must wrap this engine's own metrics registry —
-        frames are deltas of registry snapshots, so a recorder over a
-        different registry would record empty frames while the
-        ``multiquery.*`` counters advance unobserved.
-        """
-        if recorder.registry is not self.metrics:
-            from repro.errors import ObservabilityError
-
-            raise ObservabilityError(
-                "telemetry recorder must wrap the engine's metrics "
-                "registry (build it with TelemetryRecorder(config, "
-                "registry=engine.metrics))"
-            )
-        self.telemetry = recorder
-        return recorder
-
-    def detach_telemetry(self) -> None:
-        self.telemetry = None
 
     # -- registry ----------------------------------------------------------
 
@@ -728,8 +706,8 @@ class MultiQueryEngine:
             if result is not None:
                 self._record_result(entry)
                 yield entry.handle, result
-        if self.telemetry is not None:
-            self.telemetry.advance(1)
+        if self.observer.frames is not None:
+            self.observer.frames.advance(1)
 
     def _record_result(self, entry: _Entry) -> None:
         entry.results_counter.inc()
@@ -782,8 +760,8 @@ class MultiQueryEngine:
             for _order, entry, _result in row:
                 self._record_result(entry)
             out.append([(entry.handle, result) for _o, entry, result in row])
-        if self.telemetry is not None:
-            self.telemetry.advance(len(tuples))
+        if self.observer.frames is not None:
+            self.observer.frames.advance(len(tuples))
         return out
 
     def _columnar_eligible(

@@ -3,12 +3,13 @@
 A :class:`Pipeline` chains operators into a linear push pipeline, runs a
 tuple source through it, and flushes buffered state at end-of-stream.
 
-Passing a :class:`~repro.obs.metrics.MetricsRegistry` (``registry=`` or
-:meth:`Pipeline.attach_metrics`) turns on per-operator observability:
-each operator records tuples in/out, wall time, batch sizes, and —
-for accuracy-producing operators — emitted confidence-interval widths;
-the pipeline itself records runs, tuples pushed, and end-to-end wall
-time.  With no registry the execution paths are unchanged.
+Attaching an :class:`~repro.obs.instrument.Observer` (``observer=`` or
+:meth:`Pipeline.attach`) turns on per-operator observability: each
+operator records tuples in/out, wall time, batch sizes, and — for
+accuracy-producing operators — emitted confidence-interval widths; the
+pipeline itself records runs, tuples pushed, and end-to-end wall time,
+plus spans and frames when the observer holds them.  With no observer
+the execution paths are unchanged.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from time import perf_counter
 from typing import TYPE_CHECKING
 
 from repro.errors import StreamError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import TelemetryRecorder
-from repro.obs.trace import Span, Tracer
+from repro.obs.instrument import Observer
+from repro.obs.trace import Span
 from repro.streams.columnar import ColumnarBatch, as_columnar
 from repro.streams.operators import CountingSink, Operator
 from repro.streams.tuples import UncertainTuple
@@ -52,134 +52,67 @@ class Pipeline:
     def __init__(
         self,
         operators: Sequence[Operator],
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        telemetry: TelemetryRecorder | None = None,
+        observer: Observer | None = None,
     ) -> None:
         if not operators:
             raise StreamError("pipeline needs at least one operator")
         self.operators = list(operators)
         for upstream, downstream in zip(self.operators, self.operators[1:]):
             upstream.connect(downstream)
-        self.registry: MetricsRegistry | None = None
-        self._metrics_prefix = "pipeline"
-        self.tracer: Tracer | None = None
-        self._trace_prefix = "pipeline"
-        self.telemetry: TelemetryRecorder | None = None
-        if registry is not None:
-            self.attach_metrics(registry)
-        if tracer is not None:
-            self.attach_trace(tracer)
-        if telemetry is not None:
-            self.attach_telemetry(telemetry)
+        self.observer: Observer | None = None
+        self.prefix = "pipeline"
+        self._run_metrics = None
+        if observer is not None:
+            self.attach(observer)
 
-    def attach_metrics(
-        self, registry: MetricsRegistry, prefix: str = "pipeline"
-    ) -> MetricsRegistry:
-        """Record this pipeline's execution into ``registry``.
+    def attach(self, observer: Observer, prefix: str = "pipeline") -> Observer:
+        """Record this pipeline's execution into ``observer``.
 
-        Operators get metric names ``{prefix}.{index:02d}.{ClassName}.*``
-        so a registry shared across pipelines (or across configurations
-        of the same experiment) keeps every stage distinguishable.
+        Operators get metric and stage-span names
+        ``{prefix}.{index:02d}.{ClassName}``, so an observer shared across
+        pipelines (or across configurations of the same experiment) keeps
+        every stage distinguishable.
         """
-        self.registry = registry
-        self._metrics_prefix = prefix
+        self.observer = observer
+        self.prefix = prefix
         for index, op in enumerate(self.operators):
             name = f"{prefix}.{index:02d}.{type(op).__name__.lstrip('_')}"
-            op.attach_metrics(registry, name)
-        self._runs = registry.counter(
-            f"{prefix}.runs", "completed run()/run_batched() calls"
+            op.attach(observer, name, index)
+        registry = observer.metrics
+        self._run_metrics = (
+            registry.counter(
+                f"{prefix}.runs", "completed run()/run_batched() calls"
+            ),
+            registry.counter(
+                f"{prefix}.tuples", "source tuples pushed into the pipeline"
+            ),
+            registry.timer(
+                f"{prefix}.run_seconds", "end-to-end wall time per run"
+            ),
         )
-        self._tuples_pushed = registry.counter(
-            f"{prefix}.tuples", "source tuples pushed into the pipeline"
-        )
-        self._run_seconds = registry.timer(
-            f"{prefix}.run_seconds", "end-to-end wall time per run"
-        )
-        return registry
+        return observer
 
-    def detach_metrics(self) -> None:
-        """Stop recording metrics on this pipeline and its operators."""
-        self.registry = None
+    def detach(self) -> None:
+        """Stop recording on this pipeline and its operators."""
+        self.observer = None
+        self._run_metrics = None
         for op in self.operators:
-            op.detach_metrics()
-        for attribute in ("_runs", "_tuples_pushed", "_run_seconds"):
-            if hasattr(self, attribute):
-                delattr(self, attribute)
-
-    def attach_trace(
-        self, tracer: Tracer, prefix: str = "pipeline"
-    ) -> Tracer:
-        """Record this pipeline's spans into ``tracer``.
-
-        Stage spans get the same ``{prefix}.{index:02d}.{ClassName}``
-        names as metrics, so traces and metric tables line up.
-        """
-        self.tracer = tracer
-        self._trace_prefix = prefix
-        for index, op in enumerate(self.operators):
-            name = f"{prefix}.{index:02d}.{type(op).__name__.lstrip('_')}"
-            op.attach_trace(tracer, name, index)
-        return tracer
-
-    def detach_trace(self) -> None:
-        """Stop recording spans on this pipeline and its operators."""
-        self.tracer = None
-        for op in self.operators:
-            op.detach_trace()
-
-    def attach_telemetry(
-        self, recorder: TelemetryRecorder, prefix: str = "pipeline"
-    ) -> TelemetryRecorder:
-        """Cut frame-series telemetry from this pipeline's execution.
-
-        Telemetry rides on metrics: if the recorder wraps a different
-        registry than the one currently attached (or none is attached),
-        the recorder's registry is attached under ``prefix`` — so an
-        attached recorder always observes this pipeline's own metrics.
-        The run loops then advance the recorder's stream position per
-        pushed tuple/batch and finalize the trailing frame at
-        end-of-run.  With no recorder attached the execution paths are
-        untouched (telemetry is only ever consulted on the instrumented
-        branch that an attached registry already selects).
-        """
-        self.telemetry = recorder
-        if self.registry is not recorder.registry:
-            self.attach_metrics(recorder.registry, prefix)
-        return recorder
-
-    def detach_telemetry(self) -> None:
-        """Stop cutting frames (the metrics registry stays attached)."""
-        self.telemetry = None
+            op.detach()
 
     def _begin_run(self, mode: str) -> Span:
         """Open the run span and every operator's stage span."""
-        span = self.tracer.begin(
-            f"{self._trace_prefix}.{mode}", kind="run"
+        span = self.observer.tracer.begin(
+            f"{self.prefix}.{mode}", kind="run"
         )
         for op in self.operators:
-            handle = op._trace
-            if handle is not None:
-                handle.start_stage(span)
+            op._obs.start_stage(span)
         return span
 
     def _end_run(self, span: Span, count: int) -> None:
         """Close every stage span (as inclusive-time summaries) + run."""
         for op in self.operators:
-            handle = op._trace
-            if handle is not None:
-                handle.end_stage()
-        self.tracer.end(span, tuples=count)
-
-    @property
-    def metrics_prefix(self) -> str:
-        """Metric-name prefix from the last :meth:`attach_metrics` call."""
-        return self._metrics_prefix
-
-    @property
-    def trace_prefix(self) -> str:
-        """Span-name prefix from the last :meth:`attach_trace` call."""
-        return self._trace_prefix
+            op._obs.end_stage()
+        self.observer.tracer.end(span, tuples=count)
 
     @property
     def head(self) -> Operator:
@@ -252,14 +185,14 @@ class Pipeline:
             batches = _chunked(source, batch_size)
         head = self.head
         receive = head.receive_many
-        registry = self.registry
-        tracer = self.tracer
-        telemetry = self.telemetry
-        if registry is None and tracer is None and telemetry is None:
+        observer = self.observer
+        if observer is None:
             for batch in batches:
                 receive(batch)
             head.flush()
             return self.sink
+        tracer = observer.tracer
+        frames = observer.frames
         run_span = self._begin_run(mode) if tracer is not None else None
         count = 0
         start = perf_counter()
@@ -267,18 +200,18 @@ class Pipeline:
             for batch in batches:
                 receive(batch)
                 count += len(batch)
-                if telemetry is not None:
-                    telemetry.advance(len(batch))
+                if frames is not None:
+                    frames.advance(len(batch))
             head.flush()
-            if registry is not None:
-                self._run_seconds.record(perf_counter() - start)
-                self._tuples_pushed.inc(count)
-                self._runs.inc()
+            runs, tuples_pushed, run_seconds = self._run_metrics
+            run_seconds.record(perf_counter() - start)
+            tuples_pushed.inc(count)
+            runs.inc()
         finally:
             # A run that raises still closes its spans and cuts its
-            # trailing telemetry frame.
-            if telemetry is not None:
-                telemetry.finalize()
+            # trailing frame.
+            if frames is not None:
+                frames.finalize()
             if tracer is not None:
                 self._end_run(run_span, count)
         return self.sink
@@ -294,12 +227,12 @@ class Pipeline:
 
         The input is hash-partitioned by the ``partition_by`` attribute
         into one shard per pool worker; each shard runs through this
-        pipeline (pickled once, observers detached) via
-        :meth:`run_batched` in a worker process.  The per-shard sinks —
-        plus per-worker metrics, trace and telemetry snapshots, when
-        attached — merge back into *this* pipeline's sink and
-        observers, so the sink contents equal :meth:`run_batched`'s
-        element for element at any worker count.
+        pipeline (pickled once, observer detached) via
+        :meth:`run_batched` in a worker process.  The per-shard sinks
+        merge back into *this* pipeline's sink, and each shard's
+        observer snapshot into its observer (one ``Observer.merge`` per
+        shard, in shard order), so the sink contents equal
+        :meth:`run_batched`'s element for element at any worker count.
 
         Otherwise the call raises instead:
 
@@ -328,12 +261,7 @@ class Pipeline:
             # process_many stores the merged chunk as received, keeping
             # a columnar merge columnar in the parent sink.
             sink.process_many(result.merged_results())
-        if self.registry is not None:
-            result.merge_metrics(self.registry)
-        if self.telemetry is not None:
-            # After merge_metrics: merge_telemetry re-baselines the
-            # recorder against the post-merge cumulative registry.
-            result.merge_telemetry(self.telemetry)
-        if self.tracer is not None:
-            result.merge_trace(self.tracer)
+        if self.observer is not None:
+            for snapshot in result.snapshots:
+                self.observer.merge(snapshot)
         return sink

@@ -21,7 +21,6 @@ import abc
 import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from time import perf_counter
 
 import numpy as np
 
@@ -34,9 +33,7 @@ from repro.core.dfsample import DfSized
 from repro.core.predicates import SignificancePredicate
 from repro.distributions.gaussian import GaussianDistribution
 from repro.errors import StreamError
-from repro.obs.instrument import OperatorMetrics
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import OperatorTrace, Tracer
+from repro.obs.instrument import Observer, OperatorObserver
 from repro.streams.columnar import (
     EXACT_SIZE,
     ColumnarBatch,
@@ -74,12 +71,14 @@ class Operator(abc.ABC):
     """Base class: process batches, push results to the downstream operator.
 
     Entry points (:meth:`receive_many`, :meth:`emit_many`, :meth:`flush`)
-    double as observability hooks: when a
-    :class:`~repro.obs.metrics.MetricsRegistry` is attached (via
-    :meth:`attach_metrics`, usually through ``Pipeline(registry=...)``)
-    they record tuples in/out, wall time per call, and batch sizes.  With
-    no registry attached each hook is a single attribute check, so the
-    uninstrumented hot path is unchanged.
+    double as observability hooks: when an
+    :class:`~repro.obs.instrument.Observer` is attached (via
+    :meth:`attach`, usually through ``Pipeline(observer=...)``) they
+    hand the call to the operator's
+    :class:`~repro.obs.instrument.OperatorObserver`, which records
+    tuples in/out, wall time, batch sizes and spans.  With none attached
+    each hook is a single attribute check, so the unobserved hot path is
+    unchanged.
 
     Subclasses implement :meth:`process_many` (one batch: a tuple list
     or a :class:`~repro.streams.columnar.ColumnarBatch`) and hand their
@@ -121,23 +120,23 @@ class Operator(abc.ABC):
 
     def __init__(self) -> None:
         self._downstream: Operator | None = None
-        self._obs: OperatorMetrics | None = None
-        self._trace: OperatorTrace | None = None
+        self._obs: OperatorObserver | None = None
 
     def connect(self, downstream: "Operator") -> "Operator":
         """Attach (and return) the downstream operator, enabling chaining."""
         self._downstream = downstream
         return downstream
 
-    def attach_metrics(
-        self, registry: MetricsRegistry, name: str | None = None
-    ) -> OperatorMetrics:
-        """Start recording this operator's metrics into ``registry``."""
+    def attach(
+        self, observer: Observer, name: str | None = None, index: int = 0
+    ) -> OperatorObserver:
+        """Start recording this operator into ``observer``."""
         if name is None:
             name = type(self).__name__.lstrip("_")
-        self._obs = OperatorMetrics(
-            registry,
+        self._obs = OperatorObserver(
+            observer,
             name,
+            index,
             self.accuracy_attribute,
             rolling=self.rolling_metrics,
             memory=self.memory_metrics,
@@ -145,29 +144,10 @@ class Operator(abc.ABC):
         self._sync_rolling_metrics()
         return self._obs
 
-    def detach_metrics(self) -> None:
-        """Stop recording metrics (already-recorded values are kept)."""
+    def detach(self) -> None:
+        """Stop recording (already-recorded values are kept)."""
         self._obs = None
         self._sync_rolling_metrics()
-
-    def attach_trace(
-        self, tracer: Tracer, name: str | None = None, index: int = 0
-    ) -> OperatorTrace:
-        """Start recording this operator's spans into ``tracer``.
-
-        Mirrors :meth:`attach_metrics`: the handle carries the stage
-        name/index and the ``accuracy_attribute`` feeding provenance.
-        """
-        if name is None:
-            name = type(self).__name__.lstrip("_")
-        self._trace = OperatorTrace(
-            tracer, name, index, self.accuracy_attribute
-        )
-        return self._trace
-
-    def detach_trace(self) -> None:
-        """Stop recording spans (already-recorded spans are kept)."""
-        self._trace = None
 
     def trace_lineage(self, tup: UncertainTuple) -> dict[str, object] | None:
         """Accuracy lineage of one *emitted* tuple, for provenance.
@@ -187,7 +167,7 @@ class Operator(abc.ABC):
         Operators with ``rolling_metrics = True`` override this to call
         ``set_metrics`` on each rolling state they hold — binding when
         ``self._obs`` is set, unbinding otherwise.  Unbinding matters:
-        sharded execution pickles the pipeline after detaching metrics
+        sharded execution pickles the pipeline after detaching its observer
         (:func:`~repro.parallel.sharded.pipeline_payload`), and kernel
         state must never drag registry objects into worker processes.
         """
@@ -198,42 +178,17 @@ class Operator(abc.ABC):
             return
         obs = self._obs
         if obs is not None:
-            obs.tuples_out.inc(len(tuples))
-            if obs.accuracy_attribute is not None:
-                observe = obs.observe_accuracy
-                for tup in tuples:
-                    observe(tup)
-        trace = self._trace
-        if trace is not None:
-            trace.on_emit_many(self, tuples)
+            obs.emit_many(self, tuples)
         if self._downstream is not None:
             self._downstream.receive_many(tuples)
 
     def receive_many(self, tuples: Sequence[UncertainTuple]) -> None:
         """Handle a batch of tuples (every ``Pipeline`` entry point)."""
         obs = self._obs
-        trace = self._trace
-        if obs is None and trace is None:
+        if obs is None:
             self.process_many(tuples)
-            return
-        if obs is not None:
-            obs.tuples_in.inc(len(tuples))
-            obs.batch_sizes.observe(len(tuples))
-        span = None
-        out_before = 0
-        if trace is not None:
-            out_before = trace.tuples_out
-            span = trace.begin_batch(len(tuples))
-        start = perf_counter()
-        try:
-            self.process_many(tuples)
-        finally:
-            elapsed = perf_counter() - start
-            if obs is not None:
-                obs.batch_seconds.record(elapsed)
-            if trace is not None:
-                trace.seconds += elapsed
-                trace.end_batch(span, trace.tuples_out - out_before)
+        else:
+            obs.receive_many(self, tuples)
 
     @abc.abstractmethod
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
@@ -246,23 +201,10 @@ class Operator(abc.ABC):
     def flush(self) -> None:
         """Propagate end-of-stream; override ``on_flush`` to drain state."""
         obs = self._obs
-        trace = self._trace
-        if obs is None and trace is None:
+        if obs is None:
             self.on_flush()
         else:
-            start = perf_counter()
-            try:
-                self.on_flush()
-            finally:
-                elapsed = perf_counter() - start
-                if obs is not None:
-                    obs.flush_seconds.record(elapsed)
-                if trace is not None:
-                    trace.seconds += elapsed
-            if obs is not None and obs.memory:
-                retained = self.state_bytes()
-                if retained is not None:
-                    obs.record_state_bytes(retained)
+            obs.flush(self)
         if self._downstream is not None:
             self._downstream.flush()
 
@@ -408,7 +350,11 @@ class SignificanceFilter(Operator):
 
     ``predicate_factory(tuple)`` binds the test to the tuple's fields; the
     coupled decision keeps TRUE tuples, drops FALSE ones, and treats UNSURE
-    per ``keep_unsure``.  Decisions are counted for observability.
+    per ``keep_unsure``.  ``decisions`` counts this instance's own
+    TRUE/FALSE/UNSURE outcomes; with an observer attached they also count
+    in the operator's ``decisions.{true,false,unsure}`` counters, which
+    fold home from the shards of ``Pipeline.run_sharded`` (the workers'
+    unpickled copies keep their own ``decisions``).
     """
 
     partition_key = ANY_PARTITION
@@ -428,16 +374,26 @@ class SignificanceFilter(Operator):
         self.decisions: Counter[ThreeValued] = Counter()
 
     def process_many(self, tuples: Sequence[UncertainTuple]) -> None:
-        out = []
-        for tup in tuples:
-            predicate = self.predicate_factory(tup)
-            value = coupled_tests(predicate, self.alpha1, self.alpha2).value
-            self.decisions[value] += 1
-            if value is ThreeValued.TRUE or (
-                value is ThreeValued.UNSURE and self.keep_unsure
-            ):
-                out.append(tup)
-        self.emit_many(out)
+        values = [
+            coupled_tests(
+                self.predicate_factory(tup), self.alpha1, self.alpha2
+            ).value
+            for tup in tuples
+        ]
+        self.decisions.update(values)
+        obs = self._obs
+        if obs is not None:
+            tally = Counter(values)
+            for value in ThreeValued:
+                obs.counter(f"decisions.{value.name.lower()}").inc(
+                    tally[value]
+                )
+        keep = {ThreeValued.TRUE}
+        if self.keep_unsure:
+            keep.add(ThreeValued.UNSURE)
+        self.emit_many(
+            [tup for tup, value in zip(tuples, values) if value in keep]
+        )
 
 
 class SlidingGaussianAverage(Operator):

@@ -206,9 +206,9 @@ class RollingWindowStats:
     * ``df_size`` — the window's minimum sample size.
 
     Set :attr:`resums_counter` / :attr:`drift_histogram` (done by the
-    operators' ``attach_metrics``) to surface drift-guard activity to
+    operators' ``attach``) to surface drift-guard activity to
     the observability layer; they must be detached before pickling or
-    deep-copying the owning operator (``Operator.detach_metrics`` does).
+    deep-copying the owning operator (``Operator.detach`` does).
     """
 
     __slots__ = (

@@ -14,9 +14,7 @@ import time
 from collections.abc import Callable, Sequence
 
 from repro.errors import StreamError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import TelemetryRecorder
-from repro.obs.trace import Tracer
+from repro.obs.instrument import Observer
 from repro.streams.columnar import as_columnar
 from repro.streams.engine import Pipeline
 from repro.streams.tuples import UncertainTuple
@@ -52,10 +50,8 @@ def measure_throughput(
     tuples: Sequence[UncertainTuple],
     repeats: int = 3,
     batch_size: int | None = None,
-    registry: MetricsRegistry | None = None,
-    metrics_prefix: str = "pipeline",
-    tracer: Tracer | None = None,
-    telemetry: TelemetryRecorder | None = None,
+    observer: Observer | None = None,
+    prefix: str = "pipeline",
     layout: str = "tuple",
 ) -> float:
     """Best-of-``repeats`` throughput of a pipeline over the given tuples.
@@ -66,13 +62,11 @@ def measure_throughput(
     per-tuple path (:meth:`Pipeline.run`, which pushes one-row
     batches).
 
-    ``registry`` requests a per-operator breakdown, ``tracer`` requests
-    a span trace (+ accuracy provenance), and ``telemetry`` requests a
-    frame series (SLO telemetry): after the timed repeats, one extra
-    *instrumented* pass runs a fresh pipeline with the registry, tracer,
-    and/or telemetry recorder attached (names under ``metrics_prefix``),
-    so the observability overhead never contaminates the reported
-    throughput.
+    ``observer`` requests a per-operator breakdown (plus spans and
+    frames when the observer holds them): after the timed repeats, one
+    extra *observed* pass runs a fresh pipeline with the observer
+    attached (names under ``prefix``), so the observability overhead
+    never contaminates the reported throughput.
 
     ``layout`` selects the batch representation fed to the pipeline:
     ``"tuple"`` (default) times the per-tuple list as-is, while
@@ -123,13 +117,8 @@ def measure_throughput(
             "faster than the clock resolution; use more tuples (or more "
             "repeats) to get a measurable elapsed time"
         )
-    if registry is not None or tracer is not None or telemetry is not None:
+    if observer is not None:
         pipeline = pipeline_factory()
-        if registry is not None:
-            pipeline.attach_metrics(registry, prefix=metrics_prefix)
-        if tracer is not None:
-            pipeline.attach_trace(tracer, prefix=metrics_prefix)
-        if telemetry is not None:
-            pipeline.attach_telemetry(telemetry, prefix=metrics_prefix)
+        pipeline.attach(observer, prefix)
         _run_once(pipeline)
     return best

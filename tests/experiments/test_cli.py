@@ -30,6 +30,30 @@ class TestCli:
         assert "Figure" not in capsys.readouterr().out
 
 
+class TestObserveFlag:
+    def test_observe_prints_breakdown_and_writes_every_export(
+        self, capsys, tmp_path
+    ):
+        from repro.obs.export import validate_chrome_trace
+
+        exit_code = main(
+            ["--quick", "--only", "fig5c", "--observe", "--out", str(tmp_path)]
+        )
+        assert exit_code == 0
+        out = capsys.readouterr().out
+        assert "Per-stage breakdown" in out
+        assert "fig5c.analytic.02.AnalyticAccuracy" in out
+        assert "fig5c.analytic.02.AnalyticAccuracy" in (
+            tmp_path / "metrics.txt"
+        ).read_text()
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert metrics["fig5c.analytic.runs"]["value"] == 1
+        trace = validate_chrome_trace((tmp_path / "trace.json").read_text())
+        assert trace["traceEvents"]
+        dump = json.loads((tmp_path / "trace.provenance.json").read_text())
+        assert dump["spans"] and dump["provenance"]
+
+
 class TestSloFlags:
     def test_slo_evaluates_rules_and_writes_artifacts(
         self, capsys, tmp_path

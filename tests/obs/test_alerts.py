@@ -4,6 +4,7 @@ import json
 import math
 
 from repro.core.accuracy import AccuracyInfo, ConfidenceInterval
+from repro.obs import Observer
 from repro.obs.alerts import AlertLog, render_health_table
 from repro.obs.provenance import ProvenanceRecord, ProvenanceRecorder
 from repro.obs.slo import parse_rule
@@ -11,7 +12,6 @@ from repro.obs.timeseries import (
     Frame,
     FrameSeries,
     TelemetryConfig,
-    TelemetryRecorder,
 )
 from repro.streams.engine import Pipeline
 from repro.streams.operators import CollectSink, Operator
@@ -245,10 +245,11 @@ class TestEndToEndBurst:
         # Acceptance example: a bursty stream degrades CI widths long
         # enough to burn both windows, then recovers; the ci_width rule
         # must fire AND resolve within one run.
-        recorder = TelemetryRecorder(TelemetryConfig(frame_interval=16))
+        observer = Observer(frames=TelemetryConfig(frame_interval=16))
+        recorder = observer.frames
         pipeline = Pipeline(
             [_BurstyAccuracy(64, 160), CollectSink()],
-            telemetry=recorder,
+            observer=observer,
         )
         tuples = [UncertainTuple({"x": float(i)}) for i in range(320)]
         pipeline.run(tuples)

@@ -16,6 +16,7 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.obs import Observer
 from repro.obs.trace import TraceConfig, Tracer
 from repro.streams.engine import Pipeline
 from repro.streams.operators import CollectSink, SlidingGaussianAverage
@@ -23,9 +24,11 @@ from repro.streams.tuples import UncertainTuple
 
 
 def _traced_tracer(n=30, batch_size=None, seed=0):
-    tracer = Tracer(TraceConfig(seed=seed))
+    observer = Observer(trace=TraceConfig(seed=seed))
+    tracer = observer.tracer
     pipeline = Pipeline(
-        [SlidingGaussianAverage("value", 8), CollectSink()], tracer=tracer
+        [SlidingGaussianAverage("value", 8), CollectSink()],
+        observer=observer,
     )
     tuples = [
         UncertainTuple(

@@ -13,7 +13,8 @@ from repro.obs.provenance import (
     ProvenanceRecorder,
     lineage_from_operands,
 )
-from repro.obs.trace import TraceConfig, Tracer
+from repro.obs.trace import TraceConfig
+from repro.obs import Observer
 from repro.obs import explain as obs_explain
 from repro.streams.engine import Pipeline
 from repro.streams.operators import (
@@ -84,9 +85,9 @@ def _join_tuples(n=5, left_n=30, right_n=12):
     ]
 
 
-def _run_join(tracer, tuples=None):
+def _run_join(observer, tuples=None):
     pipeline = Pipeline(
-        [_Theorem1Join("left", "right"), CollectSink()], tracer=tracer
+        [_Theorem1Join("left", "right"), CollectSink()], observer=observer
     )
     return pipeline.run(tuples if tuples is not None else _join_tuples())
 
@@ -125,8 +126,9 @@ class TestExplainTheorem1:
     whose sample size set the Lemma-3 de facto size."""
 
     def test_names_min_input_and_df_size(self):
-        tracer = Tracer()
-        sink = _run_join(tracer)
+        observer = Observer(trace=TraceConfig())
+        tracer = observer.tracer
+        sink = _run_join(observer)
         result = sink.results[0]
         accuracy = result.attributes["accuracy"]
         assert accuracy.sample_size == 12  # min(30, 12)
@@ -138,30 +140,32 @@ class TestExplainTheorem1:
         assert "method=analytic" in text
 
     def test_module_level_explain_helper(self):
-        tracer = Tracer()
-        sink = _run_join(tracer)
+        observer = Observer(trace=TraceConfig())
+        tracer = observer.tracer
+        sink = _run_join(observer)
         assert "Lemma 3" in obs_explain(sink.results[1], tracer)
 
     def test_explain_survives_cross_worker_merge(self):
         # After pickling, payload object identity is gone; lookup must
         # fall back to the content fingerprint.
-        worker = Tracer(TraceConfig(seed=7), shard="shard0")
+        worker = Observer(trace=TraceConfig(seed=7))
         sink = _run_join(worker)
         snapshot = json.loads(json.dumps(worker.snapshot()))
-        parent = Tracer(TraceConfig(seed=7))
-        parent.merge_spans(snapshot)
-        text = parent.explain(sink.results[0])
+        parent = Observer(trace=TraceConfig(seed=7))
+        parent.merge(snapshot)
+        text = parent.tracer.explain(sink.results[0])
         assert "set by input 'right'" in text
 
     def test_ci_width_chain_between_stages(self):
-        tracer = Tracer()
+        observer = Observer(trace=TraceConfig())
+        tracer = observer.tracer
         pipeline = Pipeline(
             [
                 SlidingGaussianAverage("left", 4, output="avg"),
                 _Theorem1Join("avg", "right"),
                 CollectSink(),
             ],
-            tracer=tracer,
+            observer=observer,
         )
         sink = pipeline.run(_join_tuples(8))
         text = tracer.explain(sink.results[-1])
@@ -173,8 +177,9 @@ class TestExplainTheorem1:
 
 class TestRecorder:
     def test_pipeline_records_one_record_per_emitted_tuple(self):
-        tracer = Tracer()
-        _run_join(tracer, _join_tuples(6))
+        observer = Observer(trace=TraceConfig())
+        tracer = observer.tracer
+        _run_join(observer, _join_tuples(6))
         assert len(tracer.provenance) == 6
         record = tracer.provenance.records[0]
         assert record.stage == "pipeline.00.Theorem1Join"
@@ -184,15 +189,17 @@ class TestRecorder:
         assert record.ci_width is not None and record.ci_width > 0.0
 
     def test_batched_and_per_tuple_records_identical(self):
-        per_tuple = Tracer(TraceConfig(seed=3))
-        batched = Tracer(TraceConfig(seed=3))
+        per_tuple_obs = Observer(trace=TraceConfig(seed=3))
+        per_tuple = per_tuple_obs.tracer
+        batched_obs = Observer(trace=TraceConfig(seed=3))
+        batched = batched_obs.tracer
         Pipeline(
             [_Theorem1Join("left", "right"), CollectSink()],
-            tracer=per_tuple,
+            observer=per_tuple_obs,
         ).run(_join_tuples(9))
         Pipeline(
             [_Theorem1Join("left", "right"), CollectSink()],
-            tracer=batched,
+            observer=batched_obs,
         ).run_batched(_join_tuples(9), batch_size=4)
         assert (
             per_tuple.provenance.deterministic_view()
@@ -202,9 +209,10 @@ class TestRecorder:
     def test_sampling_is_deterministic_and_keeps_out_seq(self):
         def run(rate):
             recorder = ProvenanceRecorder(seed=11, sample_rate=rate)
-            tracer = Tracer(TraceConfig(seed=11))
+            observer = Observer(trace=TraceConfig(seed=11))
+            tracer = observer.tracer
             tracer.provenance = recorder
-            _run_join(tracer, _join_tuples(50))
+            _run_join(observer, _join_tuples(50))
             return recorder
 
         full = run(1.0)
@@ -221,18 +229,20 @@ class TestRecorder:
             assert record.to_dict() == full_by_seq[record.out_seq]
 
     def test_max_records_cap(self):
-        tracer = Tracer(TraceConfig(max_records=3))
-        _run_join(tracer, _join_tuples(10))
+        observer = Observer(trace=TraceConfig(max_records=3))
+        tracer = observer.tracer
+        _run_join(observer, _join_tuples(10))
         assert len(tracer.provenance) == 3
 
     def test_tuples_without_accuracy_payload_skip_recording(self):
-        tracer = Tracer()
+        observer = Observer(trace=TraceConfig())
+        tracer = observer.tracer
         plain = [
             UncertainTuple(attributes={"left": 1.0, "right": 2.0},
                            timestamp=float(i))
             for i in range(4)
         ]
-        _run_join(tracer, plain)
+        _run_join(observer, plain)
         assert len(tracer.provenance) == 0
 
     def test_find_rejects_non_tuples(self):
@@ -240,13 +250,15 @@ class TestRecorder:
             ProvenanceRecorder().find(42)
 
     def test_explain_fallback_message(self):
-        tracer = Tracer()
+        observer = Observer(trace=TraceConfig())
+        tracer = observer.tracer
         tup = UncertainTuple(attributes={"x": 1.0}, timestamp=0.0)
         assert "no provenance recorded" in tracer.explain(tup)
 
     def test_record_roundtrip_dict(self):
-        tracer = Tracer()
-        _run_join(tracer)
+        observer = Observer(trace=TraceConfig())
+        tracer = observer.tracer
+        _run_join(observer)
         record = tracer.provenance.records[0]
         clone = ProvenanceRecord.from_dict(
             json.loads(json.dumps(record.to_dict()))
@@ -256,13 +268,14 @@ class TestRecorder:
     def test_bootstrap_records_r_n_and_drops(self):
         from repro.experiments.fig5_throughput import _BootstrapAccuracy
 
-        tracer = Tracer()
+        observer = Observer(trace=TraceConfig())
+        tracer = observer.tracer
         pipeline = Pipeline(
             [
                 _BootstrapAccuracy("left", resamples=20, seed=5),
                 CollectSink(),
             ],
-            tracer=tracer,
+            observer=observer,
         )
         sink = pipeline.run(_join_tuples(4))
         record = tracer.provenance.records[0]
@@ -275,8 +288,9 @@ class TestRecorder:
         assert "values_dropped=" in text
 
     def test_reset_clears_identity_index(self):
-        tracer = Tracer()
-        sink = _run_join(tracer)
+        observer = Observer(trace=TraceConfig())
+        tracer = observer.tracer
+        sink = _run_join(observer)
         tracer.provenance.reset()
         assert len(tracer.provenance) == 0
         assert tracer.provenance.find(sink.results[0]) == []
@@ -286,7 +300,8 @@ class TestAdaptiveProvenance:
     def test_explain_shows_draws_used_and_rounds(self):
         from repro.experiments.fig5_throughput import _BootstrapAccuracy
 
-        tracer = Tracer()
+        observer = Observer(trace=TraceConfig())
+        tracer = observer.tracer
         pipeline = Pipeline(
             [
                 _BootstrapAccuracy(
@@ -295,7 +310,7 @@ class TestAdaptiveProvenance:
                 ),
                 CollectSink(),
             ],
-            tracer=tracer,
+            observer=observer,
         )
         sink = pipeline.run(_join_tuples(4))
         record = tracer.provenance.records[0]
@@ -309,7 +324,8 @@ class TestAdaptiveProvenance:
     def test_record_dict_roundtrips_draw_fields(self):
         from repro.experiments.fig5_throughput import _BootstrapAccuracy
 
-        tracer = Tracer()
+        observer = Observer(trace=TraceConfig())
+        tracer = observer.tracer
         Pipeline(
             [
                 _BootstrapAccuracy(
@@ -317,7 +333,7 @@ class TestAdaptiveProvenance:
                 ),
                 CollectSink(),
             ],
-            tracer=tracer,
+            observer=observer,
         ).run(_join_tuples(2))
         record = tracer.provenance.records[0]
         clone = ProvenanceRecord.from_dict(record.to_dict())

@@ -14,7 +14,7 @@ import numpy as np
 from repro.core.dfsample import DfSized
 from repro.distributions.gaussian import GaussianDistribution
 from repro.experiments.harness import render_metrics_table
-from repro.obs import MetricsRegistry, OperatorMetrics, operator_rows
+from repro.obs import Observer, OperatorObserver, operator_rows
 from repro.streams.engine import Pipeline
 from repro.streams.groupby import GroupedAggregate
 from repro.streams.operators import (
@@ -45,10 +45,11 @@ def _tuples(n=60, seed=3):
 
 class TestStateBytesGauge:
     def test_sampled_on_flush_for_memory_operators(self):
-        registry = MetricsRegistry()
+        observer = Observer()
+        registry = observer.metrics
         pipeline = Pipeline(
             [SlidingGaussianAverage("value", 8), CollectSink()],
-            registry=registry,
+            observer=observer,
         )
         pipeline.run(_tuples())
         snap = registry.snapshot()
@@ -57,9 +58,10 @@ class TestStateBytesGauge:
         assert gauge["value"] > 8 * 100
 
     def test_opt_out_operators_have_no_gauge(self):
-        registry = MetricsRegistry()
+        observer = Observer()
+        registry = observer.metrics
         pipeline = Pipeline(
-            [Select(lambda t: True), CollectSink()], registry=registry
+            [Select(lambda t: True), CollectSink()], observer=observer
         )
         pipeline.run(_tuples())
         assert not any(
@@ -67,7 +69,8 @@ class TestStateBytesGauge:
         )
 
     def test_folds_into_operator_row_not_a_phantom_stage(self):
-        registry = MetricsRegistry()
+        observer = Observer()
+        registry = observer.metrics
         pipeline = Pipeline(
             [
                 RollingLearnOperator(
@@ -75,7 +78,7 @@ class TestStateBytesGauge:
                 ),
                 CollectSink(),
             ],
-            registry=registry,
+            observer=observer,
         )
         pipeline.run(_tuples())
         rows = operator_rows(registry)
@@ -89,7 +92,8 @@ class TestStateBytesGauge:
         assert learn_row["state_bytes"] > 0
 
     def test_rendered_in_state_bytes_column(self):
-        registry = MetricsRegistry()
+        observer = Observer()
+        registry = observer.metrics
         pipeline = Pipeline(
             [
                 GroupedAggregate(
@@ -97,7 +101,7 @@ class TestStateBytesGauge:
                 ),
                 CollectSink(),
             ],
-            registry=registry,
+            observer=observer,
         )
         pipeline.run(_tuples())
         table = render_metrics_table(registry)
@@ -118,16 +122,17 @@ class TestStateBytesGauge:
         # Regression: in one table, a reporting operator shows its
         # bytes, a never-reporting one shows '-' (not a misleading 0),
         # and a reported zero is rendered as the digit 0.
-        registry = MetricsRegistry()
-        reporting = OperatorMetrics(registry, "p.00.Window", memory=True)
+        observer = Observer()
+        registry = observer.metrics
+        reporting = OperatorObserver(observer, "p.00.Window", memory=True)
         reporting.tuples_in.inc(4)
         reporting.tuples_out.inc(4)
         reporting.record_state_bytes(4096.0)
-        zeroed = OperatorMetrics(registry, "p.01.Drained", memory=True)
+        zeroed = OperatorObserver(observer, "p.01.Drained", memory=True)
         zeroed.tuples_in.inc(4)
         zeroed.tuples_out.inc(4)
         zeroed.record_state_bytes(0.0)
-        silent = OperatorMetrics(registry, "p.02.Sink", memory=True)
+        silent = OperatorObserver(observer, "p.02.Sink", memory=True)
         silent.tuples_in.inc(4)
         silent.tuples_out.inc(0)
         rows = {r["operator"]: r for r in operator_rows(registry)}
@@ -146,12 +151,13 @@ class TestStateBytesGauge:
         assert lines["Sink"].split()[-1] == "-"
 
     def test_state_bytes_column_is_right_aligned(self):
-        registry = MetricsRegistry()
-        wide = OperatorMetrics(registry, "p.00.Big", memory=True)
+        observer = Observer()
+        registry = observer.metrics
+        wide = OperatorObserver(observer, "p.00.Big", memory=True)
         wide.tuples_in.inc(1)
         wide.tuples_out.inc(1)
         wide.record_state_bytes(123456789.0)
-        narrow = OperatorMetrics(registry, "p.01.Small", memory=True)
+        narrow = OperatorObserver(observer, "p.01.Small", memory=True)
         narrow.tuples_in.inc(1)
         narrow.tuples_out.inc(1)
         narrow.record_state_bytes(7.0)
@@ -169,7 +175,8 @@ class TestStateBytesGauge:
         """The gauge can see the tentpole: sketches retain less."""
 
         def run(learner, **kwargs):
-            registry = MetricsRegistry()
+            observer = Observer()
+            registry = observer.metrics
             pipeline = Pipeline(
                 [
                     RollingLearnOperator(
@@ -180,7 +187,7 @@ class TestStateBytesGauge:
                     ),
                     CollectSink(),
                 ],
-                registry=registry,
+                observer=observer,
             )
             rng = np.random.default_rng(11)
             pipeline.run(

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.accuracy import AccuracyInfo, ConfidenceInterval
 from repro.errors import ObservabilityError
+from repro.obs import Observer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (
     Frame,
@@ -306,9 +307,10 @@ class TestRecorderMergeResync:
 
 class TestPipelineIntegration:
     def test_run_records_accuracy_histogram_deltas(self):
-        recorder = TelemetryRecorder(TelemetryConfig(frame_interval=8))
+        observer = Observer(frames=TelemetryConfig(frame_interval=8))
+        recorder = observer.frames
         pipeline = Pipeline(
-            [_WidthAccuracy([0.1]), CollectSink()], telemetry=recorder
+            [_WidthAccuracy([0.1]), CollectSink()], observer=observer
         )
         pipeline.run(_tuples(24))
         assert len(recorder.series) == 3
@@ -319,35 +321,35 @@ class TestPipelineIntegration:
             assert state["count"] == 8
 
     def test_run_batched_matches_run_frame_boundaries(self):
-        per_tuple = TelemetryRecorder(TelemetryConfig(frame_interval=8))
+        per_tuple_obs = Observer(frames=TelemetryConfig(frame_interval=8))
+        per_tuple = per_tuple_obs.frames
         Pipeline(
-            [_WidthAccuracy([0.1]), CollectSink()], telemetry=per_tuple
+            [_WidthAccuracy([0.1]), CollectSink()], observer=per_tuple_obs
         ).run(_tuples(20))
-        batched = TelemetryRecorder(TelemetryConfig(frame_interval=8))
+        batched_obs = Observer(frames=TelemetryConfig(frame_interval=8))
+        batched = batched_obs.frames
         Pipeline(
-            [_WidthAccuracy([0.1]), CollectSink()], telemetry=batched
+            [_WidthAccuracy([0.1]), CollectSink()], observer=batched_obs
         ).run_batched(_tuples(20), batch_size=4)
         spans = [(f.start, f.end) for f in per_tuple.series]
         assert spans == [(f.start, f.end) for f in batched.series]
 
     def test_telemetry_rides_on_existing_registry(self):
-        registry = MetricsRegistry()
-        recorder = TelemetryRecorder(
-            TelemetryConfig(frame_interval=8), registry=registry
-        )
+        observer = Observer(frames=TelemetryConfig(frame_interval=8))
+        recorder = observer.frames
+        assert recorder.registry is observer.metrics
         pipeline = Pipeline([_WidthAccuracy([0.1]), CollectSink()])
-        pipeline.attach_metrics(registry)
-        pipeline.attach_telemetry(recorder)
-        assert pipeline.registry is registry
+        pipeline.attach(observer)
         pipeline.run(_tuples(8))
         assert len(recorder.series) == 1
 
     def test_detach_telemetry_stops_frame_cutting(self):
-        recorder = TelemetryRecorder(TelemetryConfig(frame_interval=4))
+        observer = Observer(frames=TelemetryConfig(frame_interval=4))
+        recorder = observer.frames
         pipeline = Pipeline(
-            [_WidthAccuracy([0.1]), CollectSink()], telemetry=recorder
+            [_WidthAccuracy([0.1]), CollectSink()], observer=observer
         )
-        pipeline.detach_telemetry()
+        pipeline.detach()
         pipeline.run(_tuples(8))
         assert len(recorder.series) == 0
 
@@ -355,12 +357,10 @@ class TestPipelineIntegration:
         # Sharded workers unpickle a detached payload (each builds a
         # private recorder); the original must keep its attachment for
         # the post-merge fold.
-        recorder = TelemetryRecorder(TelemetryConfig(frame_interval=4))
+        observer = Observer(frames=TelemetryConfig(frame_interval=4))
         pipeline = Pipeline(
-            [_WidthAccuracy([0.1]), CollectSink()], telemetry=recorder
+            [_WidthAccuracy([0.1]), CollectSink()], observer=observer
         )
         clone = pickle.loads(pipeline_payload(pipeline))
-        assert clone.telemetry is None
-        assert clone.registry is None
-        assert pipeline.telemetry is recorder
-        assert pipeline.registry is recorder.registry
+        assert clone.observer is None
+        assert pipeline.observer is observer

@@ -8,6 +8,7 @@ import pytest
 from repro.core.dfsample import DfSized
 from repro.distributions.gaussian import GaussianDistribution
 from repro.errors import ObservabilityError
+from repro.obs import Observer
 from repro.obs.trace import (
     Span,
     TraceConfig,
@@ -40,11 +41,10 @@ def _tuples(n=40, window_sizes=(10, 12, 14)):
     ]
 
 
-def _pipeline(tracer=None, registry=None):
+def _pipeline(observer=None):
     return Pipeline(
         [SlidingGaussianAverage("value", 8), CollectSink()],
-        registry=registry,
-        tracer=tracer,
+        observer=observer,
     )
 
 
@@ -184,8 +184,9 @@ class TestTracer:
 
 class TestPipelineWiring:
     def test_run_records_run_and_stage_spans(self):
-        tracer = Tracer()
-        sink = _pipeline(tracer).run(_tuples())
+        observer = Observer(trace=TraceConfig())
+        tracer = observer.tracer
+        sink = _pipeline(observer).run(_tuples())
         assert len(sink.results) == 40
         kinds = [span.kind for span in tracer.spans]
         assert kinds.count("run") == 1
@@ -199,8 +200,9 @@ class TestPipelineWiring:
         assert stage.name == "pipeline.00.SlidingGaussianAverage"
 
     def test_run_records_one_batch_span_per_row(self):
-        tracer = Tracer(TraceConfig(max_spans=10))
-        _pipeline(tracer).run(_tuples())
+        observer = Observer(trace=TraceConfig(max_spans=10))
+        tracer = observer.tracer
+        _pipeline(observer).run(_tuples())
         batches = [s for s in tracer.spans if s.kind == "batch"]
         # Capped by max_spans like any batch span; each holds one row.
         assert len(batches) == 10
@@ -219,9 +221,10 @@ class TestPipelineWiring:
                 super().process_many(tuples)
 
         for batch_size in (1, 4):
-            tracer = Tracer()
+            observer = Observer(trace=TraceConfig())
+            tracer = observer.tracer
             pipeline = Pipeline(
-                [OneShotBomb("value", 8), CollectSink()], tracer=tracer
+                [OneShotBomb("value", 8), CollectSink()], observer=observer
             )
             with pytest.raises(RuntimeError, match="injected failure"):
                 pipeline.run_batched(_tuples(), batch_size)
@@ -237,8 +240,9 @@ class TestPipelineWiring:
             assert all(span.end is not None for span in tracer.spans)
 
     def test_run_batched_records_batch_spans(self):
-        tracer = Tracer()
-        _pipeline(tracer).run_batched(_tuples(), batch_size=16)
+        observer = Observer(trace=TraceConfig())
+        tracer = observer.tracer
+        _pipeline(observer).run_batched(_tuples(), batch_size=16)
         batches = [s for s in tracer.spans if s.kind == "batch"]
         assert len(batches) == 6  # ceil(40/16)=3 batches x 2 stages
         sizes = [
@@ -251,46 +255,53 @@ class TestPipelineWiring:
 
     def test_output_identical_with_and_without_tracer(self):
         plain = _pipeline().run(_tuples()).results
-        traced = _pipeline(Tracer()).run(_tuples()).results
+        traced = _pipeline(Observer(TraceConfig())).run(_tuples()).results
         assert pickle.dumps(plain) == pickle.dumps(traced)
         plain_b = _pipeline().run_batched(_tuples(), 16).results
-        traced_b = _pipeline(Tracer()).run_batched(_tuples(), 16).results
+        traced_b = (
+            _pipeline(Observer(TraceConfig())).run_batched(_tuples(), 16)
+        ).results
         assert pickle.dumps(plain_b) == pickle.dumps(traced_b)
 
     def test_tracer_and_registry_coexist(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        tracer = Tracer()
-        sink = _pipeline(tracer, registry).run(_tuples())
+        observer = Observer(trace=TraceConfig())
+        tracer = observer.tracer
+        sink = _pipeline(observer).run(_tuples())
         assert len(sink.results) == 40
         # run + 2 stages + one one-row batch span per tuple per stage.
         assert len(tracer) == 3 + 2 * 40
-        assert registry.get("pipeline.tuples").value == 40
+        assert observer.metrics.get("pipeline.tuples").value == 40
+        # The stage span's counts are the stage's own counters.
+        stage = next(s for s in tracer.spans if s.kind == "stage")
+        counter = observer.metrics.get(f"{stage.name}.tuples_in")
+        assert stage.attrs["tuples_in"] == counter.value
 
     def test_detach_trace_stops_recording(self):
-        tracer = Tracer()
-        pipeline = _pipeline(tracer)
-        pipeline.detach_trace()
+        observer = Observer(trace=TraceConfig())
+        tracer = observer.tracer
+        pipeline = _pipeline(observer)
+        pipeline.detach()
         pipeline.run(_tuples())
         assert len(tracer) == 0
 
     def test_pristine_clone_has_no_tracer(self):
         # The sharded payload is pickled with the tracer detached.
-        tracer = Tracer()
-        pipeline = _pipeline(tracer)
+        observer = Observer(trace=TraceConfig())
+        tracer = observer.tracer
+        pipeline = _pipeline(observer)
         clone = pickle.loads(pipeline_payload(pipeline))
-        assert clone.tracer is None
-        assert all(op._trace is None for op in clone.operators)
+        assert clone.observer is None
+        assert all(op._obs is None for op in clone.operators)
         # The original is re-attached and still records.
-        assert pipeline.tracer is tracer
+        assert pipeline.observer is observer
         pipeline.run(_tuples())
         assert len(tracer) == 3 + 2 * 40
 
     def test_two_runs_share_one_tracer(self):
-        tracer = Tracer()
+        observer = Observer(trace=TraceConfig())
+        tracer = observer.tracer
         pipeline = Pipeline(
-            [WindowAggregate("value", 4), CollectSink()], tracer=tracer
+            [WindowAggregate("value", 4), CollectSink()], observer=observer
         )
         pipeline.run(_tuples(10))
         pipeline.run(_tuples(10))
@@ -299,9 +310,10 @@ class TestPipelineWiring:
         assert runs[0].span_id != runs[1].span_id
 
     def test_trace_names_follow_prefix(self):
-        tracer = Tracer()
+        observer = Observer(trace=TraceConfig())
+        tracer = observer.tracer
         pipeline = _pipeline()
-        pipeline.attach_trace(tracer, prefix="fig9.case")
+        pipeline.attach(observer, prefix="fig9.case")
         pipeline.run(_tuples(5))
         assert tracer.spans[0].name == "fig9.case.run"
         assert tracer.spans[1].name.startswith("fig9.case.00.")
@@ -309,7 +321,8 @@ class TestPipelineWiring:
     def test_deterministic_view_stable_across_runs(self):
         views = []
         for _ in range(2):
-            tracer = Tracer(TraceConfig(seed=4))
-            _pipeline(tracer).run_batched(_tuples(), 16)
+            observer = Observer(trace=TraceConfig(seed=4))
+            tracer = observer.tracer
+            _pipeline(observer).run_batched(_tuples(), 16)
             views.append(json.dumps(tracer.deterministic_view()))
         assert views[0] == views[1]

@@ -23,8 +23,7 @@ from repro.core.dfsample import DfSized
 from repro.core.predicates import FieldStats, MTest
 from repro.distributions.gaussian import GaussianDistribution
 from repro.errors import ParallelError, StreamError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs import Observer, TraceConfig
 from repro.parallel import (
     ShardedResult,
     WorkerPool,
@@ -311,11 +310,11 @@ class TestSinkAndMetricsMerge:
 
     def test_merged_metrics_counters(self, pools):
         tuples = _tuples(80)
-        registry = MetricsRegistry()
+        observer = Observer()
         pipeline = _stateless_pipeline()
-        pipeline.attach_metrics(registry, prefix="eq")
+        pipeline.attach(observer, prefix="eq")
         pipeline.run_sharded(tuples, "sensor", pools[2])
-        snapshot = registry.snapshot()
+        snapshot = observer.metrics.snapshot()
         # Every source tuple was pushed exactly once, across all shards.
         assert snapshot["eq.tuples"]["value"] == 80
         # One run_batched per shard, one shard per worker.
@@ -328,11 +327,9 @@ class TestSinkAndMetricsMerge:
         tuples = _tuples(3)
         result = ShardedResult(
             sink_states=[("collect", tuples[:1]), ("collect", [])],
-            snapshots=[None, None],
+            snapshots=[],
             shards=[[0, 2], [1]],
             total=3,
-            trace_snapshots=[None, None],
-            telemetry_snapshots=[None, None],
         )
         with pytest.raises(ParallelError, match="one output per input"):
             result.merged_results()
@@ -355,14 +352,15 @@ class TestSinkAndMetricsMerge:
         # pipeline is refused before any shard is dispatched, and leaves
         # the sink and registry untouched.  Counting it still works.
         tuples = _tuples(40)
-        registry = MetricsRegistry()
+        observer = Observer()
+        registry = observer.metrics
         pipeline = Pipeline(
             [
                 make_filter(),
                 GroupedAggregate("sensor", "reading", 8),
                 CollectSink(),
             ],
-            registry=registry,
+            observer=observer,
         )
         with pytest.raises(ParallelError, match="one output per input"):
             pipeline.run_sharded(tuples, "sensor", _NeverStarts())
@@ -577,13 +575,11 @@ class TestRefusalMatrix:
     @pytest.mark.parametrize("partition_by", [None, "sensor", "reading"])
     def test_refused_before_any_worker_starts(self, name, partition_by):
         make = _stateful_operators()[name]
-        registry = MetricsRegistry()
-        tracer = Tracer()
+        observer = Observer(trace=TraceConfig())
+        registry, tracer = observer.metrics, observer.tracer
         prefix = [TagSide("left")] if name == "WindowJoin" else []
         pipeline = Pipeline(
-            [*prefix, make(), CollectSink()],
-            registry=registry,
-            tracer=tracer,
+            [*prefix, make(), CollectSink()], observer=observer
         )
         before = pickle.dumps(pipeline)
         with pytest.raises(StreamError, match="partition_by"):

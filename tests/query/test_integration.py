@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.coupled import ThreeValued
 from repro.learning.histogram_learner import HistogramLearner
+from repro.obs import Observer
 from repro.query.executor import ExecutorConfig, run_query
 from repro.streams.engine import Pipeline
 from repro.streams.operators import CollectSink, Derive, SignificanceFilter
@@ -185,8 +186,15 @@ class TestStreamToQueryBridge:
             )
 
         sig = SignificanceFilter(factory, 0.05, 0.05)
-        sink = Pipeline([sig, CollectSink()]).run(tuples)
-        total = sum(sig.decisions.values())
-        assert total == 4
+        observer = Observer()
+        Pipeline([sig, CollectSink()], observer=observer).run(tuples)
+        decisions = {
+            value: observer.metrics.get(
+                f"pipeline.00.SignificanceFilter.decisions."
+                f"{value.name.lower()}"
+            ).value
+            for value in ThreeValued
+        }
+        assert sum(decisions.values()) == 4
         # Large samples decide; the 3-observation tuple mostly cannot.
-        assert sig.decisions[ThreeValued.TRUE] >= 1
+        assert decisions[ThreeValued.TRUE] >= 1

@@ -10,6 +10,8 @@ guard.
 import numpy as np
 import pytest
 
+from repro.db import StreamDatabase
+from repro.obs import Observer, TelemetryConfig
 from repro.query.executor import ExecutorConfig, QueryExecutor
 from repro.query.multiquery import (
     MTestConjunct,
@@ -276,9 +278,9 @@ def _gaussian_tuple(mean):
     )
 
 
-def _shared_engine():
+def _shared_engine(observer=None):
     """Two queries sharing a prefix group plus one solo query."""
-    engine = MultiQueryEngine()
+    engine = MultiQueryEngine(observer)
     cfg = ExecutorConfig()
     engine.add(
         "q0", "s",
@@ -357,28 +359,12 @@ class TestResultAttribution:
 
 
 class TestEngineTelemetry:
-    def _recorder(self, engine, interval=2):
-        from repro.obs.timeseries import TelemetryConfig, TelemetryRecorder
-
-        return engine.attach_telemetry(
-            TelemetryRecorder(
-                TelemetryConfig(frame_interval=interval),
-                registry=engine.metrics,
-            )
-        )
-
-    def test_recorder_over_foreign_registry_is_rejected(self):
-        from repro.errors import ObservabilityError
-        from repro.obs.timeseries import TelemetryRecorder
-
-        engine = _shared_engine()
-        with pytest.raises(ObservabilityError, match="engine's metrics"):
-            engine.attach_telemetry(TelemetryRecorder())
-        assert engine.telemetry is None
+    def _recorder(self, interval=2):
+        observer = Observer(frames=TelemetryConfig(frame_interval=interval))
+        return _shared_engine(observer), observer.frames
 
     def test_iter_results_advances_one_position_per_tuple(self):
-        engine = _shared_engine()
-        recorder = self._recorder(engine, interval=2)
+        engine, recorder = self._recorder(interval=2)
         for mean in (5.0, -5.0, 5.0, 5.0):
             list(engine.iter_results("s", _gaussian_tuple(mean)))
         assert recorder.position == 4
@@ -392,8 +378,7 @@ class TestEngineTelemetry:
         ] == [1, 2]
 
     def test_execute_batch_advances_by_batch_size(self):
-        engine = _shared_engine()
-        recorder = self._recorder(engine, interval=4)
+        engine, recorder = self._recorder(interval=4)
         engine.execute_batch(
             "s", [_gaussian_tuple(m) for m in (5.0, -5.0, 5.0)]
         )
@@ -404,10 +389,29 @@ class TestEngineTelemetry:
         assert recorder.position == 4
         assert len(recorder.series) == 1
 
-    def test_detach_stops_advancing(self):
-        engine = _shared_engine()
-        recorder = self._recorder(engine)
-        list(engine.iter_results("s", _gaussian_tuple(5.0)))
-        engine.detach_telemetry()
-        list(engine.iter_results("s", _gaussian_tuple(5.0)))
-        assert recorder.position == 1
+    def test_database_insert_many_cuts_multiquery_frames(self):
+        # StreamDatabase records into one observer: its standing-query
+        # dispatch advances the observer's frames, which diff the same
+        # registry the engine's multiquery.* counters live in.
+        observer = Observer(frames=TelemetryConfig(frame_interval=4))
+        db = StreamDatabase(observer=observer)
+        db.create_stream("s")
+        results = []
+        for i in range(2):
+            db.register_continuous(
+                f"q{i}", "SELECT a FROM s WHERE a > 1 PROB 0.5",
+                results.append,
+            )
+        means = (5.0, -5.0, 5.0, 5.0, 5.0, -5.0, 5.0, 5.0)
+        db.insert_many("s", [_gaussian_tuple(m) for m in means])
+        assert db.metrics is observer.metrics
+        frames = observer.frames.series.frames
+        assert [(f.start, f.end) for f in frames] == [(0, 8)]
+        counted = {
+            name: state["value"]
+            for name, state in frames[0].metrics.items()
+            if name.startswith("multiquery.") and state["type"] == "counter"
+        }
+        assert counted["multiquery.shared_hits"] > 0
+        assert counted["multiquery.query.q0.results"] == 6
+        assert len(results) == 12

@@ -10,7 +10,7 @@ import pytest
 from repro.core.dfsample import DfSized
 from repro.distributions.gaussian import GaussianDistribution
 from repro.experiments.harness import render_metrics_table
-from repro.obs import MetricsRegistry, operator_rows
+from repro.obs import Observer, operator_rows
 from repro.streams.engine import Pipeline
 from repro.streams.operators import (
     CollectSink,
@@ -42,7 +42,7 @@ def make_tuples(n, seed=0, mean=100.0, std=10.0):
     ]
 
 
-def build_pipeline(registry=None):
+def build_pipeline(observer=None):
     """A Fig 5-shaped chain: filter -> sliding AVG -> collect."""
     return Pipeline(
         [
@@ -50,7 +50,7 @@ def build_pipeline(registry=None):
             SlidingGaussianAverage("value", 8),
             CollectSink(),
         ],
-        registry=registry,
+        observer=observer,
     )
 
 
@@ -104,7 +104,7 @@ class TestIdentityWithoutRegistry:
     def test_sink_matches_with_registry_attached(self):
         tuples = make_tuples(90, seed=6)
         plain = build_pipeline()
-        observed = build_pipeline(registry=MetricsRegistry())
+        observed = build_pipeline(observer=Observer())
         plain.run(tuples)
         observed.run(tuples)
         assert renders(plain.sink) == renders(observed.sink)
@@ -112,7 +112,7 @@ class TestIdentityWithoutRegistry:
     def test_batched_sink_matches_with_registry_attached(self):
         tuples = make_tuples(90, seed=7)
         plain = build_pipeline()
-        observed = build_pipeline(registry=MetricsRegistry())
+        observed = build_pipeline(observer=Observer())
         plain.run_batched(tuples, 16)
         observed.run_batched(tuples, 16)
         assert renders(plain.sink) == renders(observed.sink)
@@ -120,8 +120,9 @@ class TestIdentityWithoutRegistry:
 
 class TestOperatorMetrics:
     def test_tuples_in_out_and_selectivity(self):
-        registry = MetricsRegistry()
-        pipeline = build_pipeline(registry=registry)
+        observer = Observer()
+        registry = observer.metrics
+        pipeline = build_pipeline(observer=observer)
         pipeline.run(make_tuples(100, seed=1))
         snap = registry.snapshot()
         assert snap["pipeline.00.Select.tuples_in"]["value"] == 100
@@ -138,8 +139,9 @@ class TestOperatorMetrics:
         assert select_row["selectivity"] == pytest.approx(0.9)
 
     def test_timers_record_every_call(self):
-        registry = MetricsRegistry()
-        pipeline = build_pipeline(registry=registry)
+        observer = Observer()
+        registry = observer.metrics
+        pipeline = build_pipeline(observer=observer)
         pipeline.run(make_tuples(40, seed=2))
         snap = registry.snapshot()
         # run() pushes one-row batches: one timed call per tuple.
@@ -154,8 +156,9 @@ class TestOperatorMetrics:
             assert flush["count"] == 1
 
     def test_batch_sizes_recorded_on_batched_path(self):
-        registry = MetricsRegistry()
-        pipeline = build_pipeline(registry=registry)
+        observer = Observer()
+        registry = observer.metrics
+        pipeline = build_pipeline(observer=observer)
         pipeline.run_batched(make_tuples(100, seed=3), 32)
         hist = registry.get("pipeline.00.Select.batch_size")
         assert hist.count == 4  # 32 + 32 + 32 + 4
@@ -165,8 +168,9 @@ class TestOperatorMetrics:
         assert "pipeline.00.Select.process_seconds" not in registry.snapshot()
 
     def test_interval_width_histogram_from_dfsized(self):
-        registry = MetricsRegistry()
-        pipeline = build_pipeline(registry=registry)
+        observer = Observer()
+        registry = observer.metrics
+        pipeline = build_pipeline(observer=observer)
         pipeline.run(make_tuples(50, seed=4))
         widths = registry.get(
             "pipeline.01.SlidingGaussianAverage.interval_width"
@@ -184,14 +188,15 @@ class TestOperatorMetrics:
     def test_interval_width_from_accuracy_info_operator(self):
         from repro.experiments.fig5_throughput import _AnalyticAccuracy
 
-        registry = MetricsRegistry()
+        observer = Observer()
+        registry = observer.metrics
         pipeline = Pipeline(
             [
                 WindowAggregate("value", 4, agg="avg"),
                 _AnalyticAccuracy("avg", confidence=0.9),
                 CollectSink(),
             ],
-            registry=registry,
+            observer=observer,
         )
         pipeline.run(make_tuples(30, seed=8))
         widths = registry.get("pipeline.01.AnalyticAccuracy.interval_width")
@@ -204,10 +209,11 @@ class TestOperatorMetrics:
         assert widths.sum == pytest.approx(total)
 
     def test_exact_valued_attributes_are_skipped(self):
-        registry = MetricsRegistry()
+        observer = Observer()
+        registry = observer.metrics
         pipeline = Pipeline(
             [WindowAggregate("item", 4, agg="count"), CollectSink()],
-            registry=registry,
+            observer=observer,
         )
         pipeline.run(make_tuples(20, seed=9))
         # count aggregate emits plain floats: nothing to measure
@@ -216,26 +222,29 @@ class TestOperatorMetrics:
         ).count == 0
 
     def test_detach_metrics_stops_recording(self):
-        registry = MetricsRegistry()
-        pipeline = build_pipeline(registry=registry)
+        observer = Observer()
+        registry = observer.metrics
+        pipeline = build_pipeline(observer=observer)
         pipeline.run(make_tuples(10, seed=10))
         before = registry.get("pipeline.00.Select.tuples_in").value
-        pipeline.detach_metrics()
+        pipeline.detach()
         pipeline.run(make_tuples(10, seed=11))
         assert registry.get("pipeline.00.Select.tuples_in").value == before
 
     def test_default_operator_name_used_without_pipeline(self):
-        registry = MetricsRegistry()
+        observer = Observer()
+        registry = observer.metrics
         sink = CountingSink()
-        sink.attach_metrics(registry)
+        sink.attach(observer)
         sink.receive_many([UncertainTuple({"x": 1.0})])
         assert registry.get("CountingSink.tuples_in").value == 1
 
 
 class TestPipelineMetrics:
     def test_run_counters_and_timer(self):
-        registry = MetricsRegistry()
-        pipeline = build_pipeline(registry=registry)
+        observer = Observer()
+        registry = observer.metrics
+        pipeline = build_pipeline(observer=observer)
         pipeline.run(make_tuples(25, seed=12))
         pipeline.run_batched(make_tuples(25, seed=13), 8)
         snap = registry.snapshot()
@@ -244,19 +253,21 @@ class TestPipelineMetrics:
         assert snap["pipeline.run_seconds"]["count"] == 2
 
     def test_prefix_keeps_pipelines_distinguishable(self):
-        registry = MetricsRegistry()
+        observer = Observer()
+        registry = observer.metrics
         first = build_pipeline()
         second = build_pipeline()
-        first.attach_metrics(registry, prefix="a")
-        second.attach_metrics(registry, prefix="b")
+        first.attach(observer, "a")
+        second.attach(observer, "b")
         first.run(make_tuples(5, seed=14))
         second.run(make_tuples(7, seed=15))
         assert registry.get("a.00.Select.tuples_in").value == 5
         assert registry.get("b.00.Select.tuples_in").value == 7
 
     def test_render_metrics_table_lists_every_stage(self):
-        registry = MetricsRegistry()
-        pipeline = build_pipeline(registry=registry)
+        observer = Observer()
+        registry = observer.metrics
+        pipeline = build_pipeline(observer=observer)
         pipeline.run(make_tuples(30, seed=16))
         table = render_metrics_table(registry)
         for name in ("Select", "SlidingGaussianAverage", "CollectSink"):
@@ -266,13 +277,14 @@ class TestPipelineMetrics:
 class TestThroughputIntegration:
     def test_measure_throughput_collects_metrics(self):
         tuples = make_tuples(300, seed=17)
-        registry = MetricsRegistry()
+        observer = Observer()
+        registry = observer.metrics
         rate = measure_throughput(
             build_pipeline,
             tuples,
             repeats=1,
-            registry=registry,
-            metrics_prefix="probe",
+            observer=observer,
+            prefix="probe",
         )
         assert rate > 0.0
         assert registry.get("probe.00.Select.tuples_in").value == 300
@@ -294,8 +306,9 @@ class TestBatchInstrumentation:
             def process_many(self, tuples):
                 self.emit_many([tup for tup in tuples for _ in range(2)])
 
-        registry = MetricsRegistry()
-        pipeline = Pipeline([Doubler(), CollectSink()], registry=registry)
+        observer = Observer()
+        registry = observer.metrics
+        pipeline = Pipeline([Doubler(), CollectSink()], observer=observer)
         pipeline.run_batched(
             [UncertainTuple({"x": float(i)}) for i in range(6)], 3
         )

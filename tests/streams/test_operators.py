@@ -9,6 +9,7 @@ from repro.core.predicates import FieldStats, MTest
 from repro.distributions.gaussian import GaussianDistribution
 from repro.errors import StreamError
 from repro.learning.gaussian_learner import GaussianLearner
+from repro.obs import Observer
 from repro.streams.engine import Pipeline
 from repro.streams.operators import (
     CollectSink,
@@ -107,19 +108,34 @@ class TestSignificanceFilter:
             {"speed": DfSized(GaussianDistribution(mean, 25.0), n)}
         )
 
+    @staticmethod
+    def _decisions(observer):
+        return {
+            value: observer.metrics.get(
+                f"pipeline.00.SignificanceFilter.decisions."
+                f"{value.name.lower()}"
+            ).value
+            for value in ThreeValued
+        }
+
     def test_keeps_true_drops_false(self):
         op = SignificanceFilter(self._factory)
-        pipe = Pipeline([op, CollectSink()])
+        observer = Observer()
+        pipe = Pipeline([op, CollectSink()], observer=observer)
         sink = pipe.run([self._tuple(80.0), self._tuple(20.0)])
         assert len(sink.results) == 1
-        assert op.decisions[ThreeValued.TRUE] == 1
-        assert op.decisions[ThreeValued.FALSE] == 1
+        assert self._decisions(observer) == {
+            ThreeValued.TRUE: 1,
+            ThreeValued.FALSE: 1,
+            ThreeValued.UNSURE: 0,
+        }
 
     def test_unsure_policy(self):
         marginal = self._tuple(50.5)
         dropped = SignificanceFilter(self._factory, keep_unsure=False)
-        Pipeline([dropped, CollectSink()]).run([marginal])
-        assert dropped.decisions[ThreeValued.UNSURE] == 1
+        observer = Observer()
+        Pipeline([dropped, CollectSink()], observer=observer).run([marginal])
+        assert self._decisions(observer)[ThreeValued.UNSURE] == 1
 
         kept = SignificanceFilter(self._factory, keep_unsure=True)
         sink = Pipeline([kept, CollectSink()]).run([marginal])

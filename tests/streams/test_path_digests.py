@@ -30,8 +30,7 @@ from repro.experiments.fig5_throughput import (
     fig5f_pipelines,
     make_stream,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs import Observer, TelemetryConfig, TraceConfig
 from repro.streams.engine import Pipeline
 from repro.streams.groupby import GroupedAggregate
 from repro.streams.join import TagSide, WindowJoin
@@ -274,8 +273,7 @@ MODES = {
 
 
 def _observe(pipe):
-    pipe.attach_metrics(MetricsRegistry())
-    pipe.attach_trace(Tracer())
+    pipe.attach(Observer(trace=TraceConfig(), frames=TelemetryConfig(8)))
     return pipe
 
 
@@ -386,6 +384,8 @@ def test_scenarios_emit_something():
 
 def test_significance_scenarios_reach_every_outcome():
     operators, source = SCENARIOS["batched.significance_unsure"]
-    (op,) = operators()
-    Pipeline([op, CollectSink()]).run(source())
-    assert set(op.decisions) == set(ThreeValued)
+    observer = Observer()
+    Pipeline([*operators(), CollectSink()], observer=observer).run(source())
+    for value in ThreeValued:
+        name = f"pipeline.00.SignificanceFilter.decisions.{value.name.lower()}"
+        assert observer.metrics.get(name).value > 0, value

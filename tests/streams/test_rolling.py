@@ -18,7 +18,7 @@ from repro.distributions.gaussian import GaussianDistribution
 from repro.errors import StreamError
 from repro.learning.gaussian_learner import GaussianLearner
 from repro.learning.kde_learner import KdeLearner
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import MetricsRegistry, Observer
 from repro.parallel import pipeline_payload
 from repro.streams.engine import Pipeline
 from repro.streams.operators import (
@@ -395,7 +395,8 @@ class TestRollingLearnOperator:
 
 class TestRollingObservability:
     def test_resum_metrics_surface_per_operator(self):
-        registry = MetricsRegistry()
+        observer = Observer()
+        registry = observer.metrics
         tuples = [
             UncertainTuple(
                 {"x": DfSized(GaussianDistribution(float(i), 1.0), 30)}
@@ -408,7 +409,7 @@ class TestRollingObservability:
                 CollectSink(),
             ]
         )
-        pipe.attach_metrics(registry, prefix="roll")
+        pipe.attach(observer, "roll")
         pipe.run(tuples)
         snapshot = registry.snapshot()
         name = "roll.00.WindowAggregate.rolling"
@@ -416,7 +417,8 @@ class TestRollingObservability:
         assert snapshot[f"{name}.drift"]["count"] == (200 - 8) // 50
 
     def test_learn_operator_binds_state_metrics(self):
-        registry = MetricsRegistry()
+        observer = Observer()
+        registry = observer.metrics
         tuples = [
             UncertainTuple({"obs": float(i % 13)}) for i in range(120)
         ]
@@ -428,7 +430,7 @@ class TestRollingObservability:
                 CollectSink(),
             ]
         )
-        pipe.attach_metrics(registry, prefix="learn")
+        pipe.attach(observer, "learn")
         pipe.run(tuples)
         snapshot = registry.snapshot()
         name = "learn.00.RollingLearnOperator.rolling"
@@ -438,7 +440,7 @@ class TestRollingObservability:
         # The sharded payload pickles operators with metrics detached;
         # kernel state must not drag registry objects along
         # (set_metrics(None, None) on detach).
-        registry = MetricsRegistry()
+        observer = Observer()
         pipe = Pipeline(
             [
                 SlidingGaussianAverage("x", 4),
@@ -447,7 +449,7 @@ class TestRollingObservability:
                 CollectSink(),
             ]
         )
-        pipe.attach_metrics(registry, prefix="p")
+        pipe.attach(observer, "p")
         payload = pipeline_payload(pipe)
         assert b"MetricsRegistry" not in payload
         clone = pickle.loads(payload)
