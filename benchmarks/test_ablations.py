@@ -23,7 +23,6 @@ from repro.core.bootstrap import (
     classical_bootstrap_accuracy,
 )
 from repro.core.coupled import ThreeValued, coupled_tests
-from repro.core.effective import exponential_weights
 from repro.core.predicates import FieldStats, MTest
 from repro.experiments.harness import render_table
 from repro.learning.weighted import WeightedLearner

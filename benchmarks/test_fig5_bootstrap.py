@@ -11,7 +11,6 @@ Shape assertions (see EXPERIMENTS.md for the deviation discussion):
   method's (the analytic chi-square interval relies on normality).
 """
 
-import pytest
 
 from benchmarks.conftest import save_result
 from repro.experiments.fig5_bootstrap import run_fig5a, run_fig5b

@@ -11,7 +11,6 @@ Shape assertions per the paper:
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import save_result
 from repro.experiments.fig5_power import run_fig5g, run_fig5h

@@ -10,7 +10,6 @@ Shape assertions per the paper:
   n; the UNSURE count decreases as n grows.
 """
 
-import pytest
 
 from benchmarks.conftest import save_result
 from repro.experiments.fig5_predicates import run_fig5d, run_fig5e

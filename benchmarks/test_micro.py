@@ -6,7 +6,6 @@ the stream engine performs for every tuple: interval computation,
 bootstrapping, hypothesis testing, learning, and sliding aggregation.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.analytic import distribution_accuracy

@@ -25,7 +25,6 @@ CI smoke runs.
 
 import json
 import os
-import resource
 import subprocess
 import sys
 import time

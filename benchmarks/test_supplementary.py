@@ -1,6 +1,5 @@
 """Benchmarks for the supplementary experiments (beyond the paper's figures)."""
 
-import pytest
 
 from benchmarks.conftest import save_result
 from repro.experiments.supplementary import (

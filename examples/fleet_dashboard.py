@@ -84,7 +84,7 @@ def main() -> None:
     delay_tuples = db.query("SELECT segment_id, delay FROM roads")
     join = WindowJoin("road_id", window_size=200)
     join_sink = CollectSink()
-    pipe = Pipeline([join, join_sink])
+    Pipeline([join, join_sink])  # wires join -> join_sink
     left_tag, right_tag = TagSide("left"), TagSide("right")
     left_tag.connect(join)
     right_tag.connect(join)

@@ -173,7 +173,10 @@ def proportion_interval_wald(
         raise AccuracyError(f"proportion must be in [0,1], got {p}")
     z = _z_upper((1.0 - confidence) / 2.0)
     half = z * np.sqrt(p * (1.0 - p) / n)
-    return ConfidenceInterval(p - half, p + half, confidence).clamped(0.0, 1.0)
+    # Python floats, as the batch kernel's rows come out.
+    return ConfidenceInterval(
+        float(p - half), float(p + half), confidence
+    ).clamped(0.0, 1.0)
 
 
 def proportion_interval_wilson(
@@ -193,7 +196,9 @@ def proportion_interval_wilson(
     half = z * np.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
     denom = 1.0 + z2 / n
     return ConfidenceInterval(
-        (center - half) / denom, (center + half) / denom, confidence
+        float((center - half) / denom),
+        float((center + half) / denom),
+        confidence,
     ).clamped(0.0, 1.0)
 
 
@@ -213,7 +218,8 @@ def bin_height_interval(
 # compute the same intervals for a whole vector of bins (or a whole batch
 # of stream tuples) in one NumPy pass.  They must stay element-wise
 # identical to the scalar path — tests/core/test_vectorized_kernels.py
-# enforces agreement to 1e-12 including the dispatch boundaries.
+# enforces agreement to 1e-12 including the dispatch boundaries, and
+# exact agreement in value and type for the Lemma-1 tuple intervals.
 # ---------------------------------------------------------------------------
 
 def proportion_intervals_wald(

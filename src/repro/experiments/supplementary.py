@@ -69,7 +69,6 @@ def run_tuple_probability_coverage(
     interval, and check whether the interval covers the road's *true*
     threshold probability (from the segment's closed-form lognormal).
     """
-    rng = np.random.default_rng(seed)
     sim = CarTelSimulator(60, seed=seed)
     segments = sim.pick_segments(min(trials, 60))
     miss_rates: list[float] = []
@@ -134,7 +133,6 @@ def run_confidence_sweep(
     trials: int = 300,
 ) -> ConfidenceSweep:
     """The requested-confidence dial on road-delay mean intervals."""
-    rng = np.random.default_rng(seed)
     sim = CarTelSimulator(60, seed=seed)
     segments = sim.pick_segments(40)
 

@@ -23,7 +23,8 @@ For each input tuple the executor:
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import islice
 
 import numpy as np
 
@@ -63,6 +64,12 @@ from repro.query.parser import (
     SignificanceCondition,
 )
 from repro.query.planner import CompiledQuery, compile_query
+from repro.query.residual import (
+    ResidualOutcome,
+    decide_rows,
+    kernel_conjuncts,
+    merge_fallback,
+)
 from repro.streams.tuples import Schema, UncertainTuple
 
 __all__ = [
@@ -73,6 +80,11 @@ __all__ = [
 ]
 
 _ACCURACY_METHODS = ("analytic", "bootstrap", "none")
+
+#: Buffered rows columnarized at a time when ``execute`` decides a
+#: kernel-shaped WHERE clause in arrays: the arrays of one read stay
+#: this small however long the stream buffer is.
+_CHUNK_ROWS = 4096
 
 
 @dataclasses.dataclass
@@ -186,26 +198,6 @@ class _ConditionOutcome:
     probability: float
     sizes: tuple[int | None, ...]
     decisions: tuple[ThreeValued, ...]
-
-
-@dataclasses.dataclass
-class ResidualOutcome:
-    """Result of a plan's residual stage (WHERE conjuncts) on one tuple.
-
-    Everything here is per-query: the membership probability after the
-    conjunct factors, the contributing de facto sample sizes, and the
-    significance-test decisions.  ``ctx`` is the evaluation context the
-    conjuncts ran under, reused by :meth:`QueryExecutor.finalize_result`
-    for the ORDER BY sort key so expression evaluation order matches the
-    monolithic :meth:`QueryExecutor.execute_one` exactly; outcomes the
-    multi-query engine decides in arrays carry ``None`` (their queries
-    have no ORDER BY).
-    """
-
-    probability: float
-    sizes: tuple[int | None, ...]
-    decisions: tuple[ThreeValued, ...]
-    ctx: EvalContext | None
 
 
 class QueryExecutor:
@@ -510,14 +502,19 @@ class QueryExecutor:
     ) -> ResultTuple:
         """Assemble a :class:`ResultTuple` from residual + prefix output."""
         return self._result(
-            tup, outcome, attributes, accuracy, self._sort_key(outcome)
+            tup, outcome, attributes, accuracy, self._sort_key(tup, outcome)
         )
 
-    def _sort_key(self, outcome: ResidualOutcome) -> float | None:
+    def _sort_key(
+        self, tup: UncertainTuple, outcome: ResidualOutcome
+    ) -> float | None:
         """Expected value of the ORDER BY expression (may draw values)."""
         if self.query.order_by is None:
             return None
-        return self.query.order_by.evaluate(outcome.ctx).distribution.mean()
+        ctx = outcome.ctx
+        if ctx is None:  # decided in arrays, which drew nothing
+            ctx = EvalContext(tup, self._rng, self.config.mc_samples)
+        return self.query.order_by.evaluate(ctx).distribution.mean()
 
     def _result(
         self,
@@ -734,6 +731,42 @@ class QueryExecutor:
             if result is not None:
                 yield result
 
+    def _scalar_matches(
+        self, tuples: Iterable[UncertainTuple]
+    ) -> Iterator[tuple[UncertainTuple, ResidualOutcome]]:
+        for tup in tuples:
+            outcome = self.residual_outcome(tup)
+            if outcome is not None:
+                yield tup, outcome
+
+    def _matches(
+        self, tuples: Iterable[UncertainTuple]
+    ) -> Iterator[tuple[UncertainTuple, ResidualOutcome]]:
+        """The tuples WHERE keeps, with their outcomes, in arrival order.
+
+        A kernel-shaped WHERE clause is decided in arrays
+        (:mod:`repro.query.residual`), ``_CHUNK_ROWS`` tuples at a
+        time.  Rows the kernels leave, and chunks that are not
+        kernel-typed, run the scalar residual when the iteration reaches
+        them, so per-row work and errors keep the scalar loop's order.
+        """
+        kernel = kernel_conjuncts(self.query)
+        if not kernel:  # no WHERE clause, or not a kernel shape
+            yield from self._scalar_matches(tuples)
+            return
+        keep_unsure = self.config.keep_unsure
+        rest = iter(tuples)
+        while chunk := list(islice(rest, _CHUNK_ROWS)):
+            decided = decide_rows(kernel, chunk, keep_unsure)
+            if decided is None:
+                yield from self._scalar_matches(chunk)
+                continue
+            hits, fallback = decided
+            for b, outcome in merge_fallback(
+                hits, fallback, lambda b: self.residual_outcome(chunk[b])
+            ):
+                yield chunk[b], outcome
+
     def execute(
         self, tuples: Iterable[UncertainTuple]
     ) -> list[ResultTuple]:
@@ -745,7 +778,8 @@ class QueryExecutor:
         descending.  Accuracy and probability intervals are computed
         after the cut, for the returned rows only — except bootstrap
         accuracy, which draws from the generator and so runs per tuple
-        in arrival order.
+        in arrival order.  A kernel-shaped WHERE clause is decided in
+        arrays (see :meth:`_matches`) with the same results.
         """
         if self.query.is_aggregate:
             return self._execute_aggregate(tuples)
@@ -753,14 +787,17 @@ class QueryExecutor:
         # tuple's values runs before the cut, in arrival order.
         deferred = self.config.accuracy_method != "bootstrap"
         rows = []
-        for tup in tuples:
-            outcome = self.residual_outcome(tup)
-            if outcome is None:
-                continue
+        for tup, outcome in self._matches(tuples):
             attributes = self._project(tup)
             accuracy = None if deferred else self._accuracy(attributes)
             rows.append(
-                (tup, outcome, attributes, accuracy, self._sort_key(outcome))
+                (
+                    tup,
+                    outcome,
+                    attributes,
+                    accuracy,
+                    self._sort_key(tup, outcome),
+                )
             )
         if self.query.order_by is not None:
             rows.sort(

@@ -31,18 +31,14 @@ tuple.  The mechanism is conservative:
   (bootstrap accuracy, MC expression arithmetic) trips the guard
   *before any state mutates*, and the member falls back to its private
   prefix on its own generator — exactly the naive consumption sequence.
-* The batch path decides residuals in arrays only with the scalar's own
-  arithmetic.  A residual made of ``column op literal`` inequalities, or
-  of one ``mTest`` on a column, is decided by the array twins of the
-  scalar code (:func:`repro.distributions.gaussian.tail_probabilities`,
-  :func:`repro.core.coupled.m_test_verdicts`), which equal it bit for
-  bit per row, so each emitted probability is the float the scalar path
-  would emit.  A NumPy screen in z-space first cuts the (query, row)
-  pairs that cannot match, with a conservative band.  Rows outside the
-  kernels' domain — non-finite values, and for ``mTest`` exact sample
-  sizes, ``n < 2`` and zero variance — run the member's own scalar
-  ``residual_outcome``, which decides or raises exactly as naive
-  execution does.
+* The batch path decides kernel-shaped residuals in arrays with the
+  kernels of :mod:`repro.query.residual` (shared with one-shot
+  ``QueryExecutor.execute``), which equal the scalar code bit for bit
+  per row.  For single-conjunct threshold members, a NumPy screen in
+  z-space first cuts the (query, row) pairs that cannot match, with a
+  conservative band.  Rows outside the kernels' domain run the
+  member's own scalar ``residual_outcome``, which decides or raises
+  exactly as naive execution does.
 
 Batch-path caveats (documented divergences on *error* paths only):
 executor errors surface before any of that batch's callbacks, and a
@@ -54,7 +50,6 @@ batched dispatch observe the batch mid-flight.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 
 import numpy as np
@@ -68,32 +63,29 @@ from repro.core.analytic import (
     accuracy_from_moments,
     distribution_accuracy,
 )
-from repro.core.coupled import (
-    UNDECIDED,
-    VERDICTS,
-    ThreeValued,
-    m_test_verdicts,
-)
 from repro.distributions.gaussian import tail_probabilities
 from repro.obs.instrument import Observer
-from repro.query.executor import QueryExecutor, ResidualOutcome, ResultTuple
-from repro.query.expressions import Column, Literal
-from repro.query.parser import CompareCondition, SignificanceCondition
+from repro.query.executor import QueryExecutor, ResultTuple
+from repro.query.expressions import Column
 from repro.query.planner import prefix_fingerprint
-from repro.streams.columnar import (
-    EXACT_SIZE,
-    ColumnarBatch,
-    FloatColumn,
-    GaussianDfColumn,
-    IntColumn,
-    as_columnar,
+from repro.query.residual import (
+    SUPPORTED_COLUMNS,
+    ColumnView,
+    MTestConjunct,
+    ResidualOutcome,
+    VecConjunct,
+    decide_single,
+    kernel_conjuncts,
+    merge_fallback,
+    vectorizable_conjuncts,
 )
+from repro.streams.columnar import ColumnarBatch, as_columnar
 from repro.streams.tuples import UncertainTuple
 
 __all__ = [
     "MultiQueryEngine",
     "PrefixNeedsRng",
-    "kernel_conjuncts",
+    # Re-exported: perfbench's layer spans import it from here.
     "vectorizable_conjuncts",
 ]
 
@@ -121,9 +113,6 @@ class _GuardRng:
 
 _GUARD = _GuardRng()
 
-_FLIP = {">": "<", ">=": "<=", "<": ">", "<=": ">="}
-_VEC_OPS = frozenset(_FLIP)
-
 #: Conservative z-space slack of the candidate screen.  The screen must
 #: never reject a row the exact kernel would accept; ``erfc``/``erfcinv``
 #: round-off lives many orders of magnitude inside this band wherever
@@ -145,121 +134,6 @@ _UNDERFLOW_Z = 38.0
 
 #: Cells of one (spec, row) screen comparison block.
 _SCREEN_CELLS = 4_000_000
-
-_TRUE = VERDICTS.index(ThreeValued.TRUE)
-_UNSURE = VERDICTS.index(ThreeValued.UNSURE)
-
-
-@dataclasses.dataclass(frozen=True)
-class VecConjunct:
-    """One vectorizable WHERE conjunct, normalized to column-vs-constant.
-
-    ``op`` is the effective inequality applied to the *column's*
-    distribution (flipped when the literal was on the left), matching
-    ``predicate_probability``'s fast path.  ``threshold`` is the PROB
-    tau, or ``None`` for bare possible-world semantics.
-    """
-
-    column: str
-    op: str
-    constant: float
-    threshold: float | None
-
-    @property
-    def gt_like(self) -> bool:
-        return self.op in (">", ">=")
-
-
-@dataclasses.dataclass(frozen=True)
-class MTestConjunct:
-    """A WHERE ``mTest(column, op, constant, alpha1[, alpha2])`` call."""
-
-    column: str
-    op: str
-    constant: float
-    alpha1: float
-    alpha2: float | None
-
-
-def vectorizable_conjuncts(compiled) -> "tuple[VecConjunct, ...] | None":
-    """The residual as column-vs-literal inequalities, or None.
-
-    A residual is screenable by the vectorized batch path when every
-    conjunct is a plain comparison between one column and one literal
-    under an inequality operator — the shape of the paper's
-    probability-threshold workloads.  Significance predicates, OR/NOT
-    trees, equality comparisons, and expression arithmetic all return
-    None.
-    """
-    if compiled.is_aggregate or compiled.order_by is not None:
-        return None
-    specs: list[VecConjunct] = []
-    for conj in compiled.conjuncts:
-        if not isinstance(conj, CompareCondition):
-            return None
-        comp = conj.comparison
-        if comp.op not in _VEC_OPS:
-            return None
-        left, right = comp.left, comp.right
-        if isinstance(left, Column) and isinstance(right, Literal):
-            specs.append(
-                VecConjunct(
-                    left.name, comp.op, float(right.value), conj.threshold
-                )
-            )
-        elif isinstance(left, Literal) and isinstance(right, Column):
-            specs.append(
-                VecConjunct(
-                    right.name,
-                    _FLIP[comp.op],
-                    float(left.value),
-                    conj.threshold,
-                )
-            )
-        else:
-            return None
-    return tuple(specs)
-
-
-def kernel_conjuncts(
-    compiled,
-) -> "tuple[VecConjunct, ...] | tuple[MTestConjunct] | None":
-    """The residual in a shape the batch kernels decide, or None.
-
-    Either the :func:`vectorizable_conjuncts` inequalities, or a single
-    ``mTest`` on a column with valid significance levels (invalid
-    levels raise on every row, which the scalar path reports).  The
-    rest runs the scalar residual per member, still sharing the prefix.
-    """
-    specs = vectorizable_conjuncts(compiled)
-    if (
-        specs is not None
-        or compiled.is_aggregate
-        or compiled.order_by is not None
-        or len(compiled.conjuncts) != 1
-    ):
-        return specs
-    cond = compiled.conjuncts[0]
-    if (
-        isinstance(cond, SignificanceCondition)
-        and cond.kind == "mtest"
-        and isinstance(cond.expr_x, Column)
-        and cond.op in ("<", ">", "<>")
-        and all(
-            alpha is None or 0.0 < alpha < 1.0
-            for alpha in (cond.alpha1, cond.alpha2)
-        )
-    ):
-        return (
-            MTestConjunct(
-                cond.expr_x.name,
-                cond.op,
-                float(cond.constant),
-                cond.alpha1,
-                cond.alpha2,
-            ),
-        )
-    return None
 
 
 def _candidate_z_bound(spec: VecConjunct) -> float:
@@ -284,40 +158,6 @@ def _candidate_z_bound(spec: VecConjunct) -> float:
     if not np.isfinite(t):
         return np.inf if t > 0 else -np.inf
     return t + _Z_SLACK
-
-
-_SUPPORTED_COLUMNS = (FloatColumn, IntColumn, GaussianDfColumn)
-
-
-class _ColumnView:
-    """One batch column as the arrays the residual kernels read.
-
-    Deterministic (Float/Int) columns are zero-variance with exact
-    sample sizes.  ``covered`` marks the rows the tail kernel decides:
-    a non-finite value makes the scalar path raise, so it runs there.
-    """
-
-    __slots__ = ("mu", "sigma2", "spread", "sizes", "n", "covered")
-
-    def __init__(self, column) -> None:
-        if isinstance(column, GaussianDfColumn):
-            self.mu = column.mu
-            self.sigma2 = column.sigma2
-            self.n = column.sizes
-            self.sizes = [
-                None if size == EXACT_SIZE else size
-                for size in column.sizes.tolist()
-            ]
-        else:
-            self.mu = np.asarray(column.data, dtype=np.float64)
-            self.sigma2 = np.zeros(len(self.mu), dtype=np.float64)
-            self.n = None  # no sampled values: mTest raises on every row
-            self.sizes = [None] * len(self.mu)
-        # The screen's ``c - mu <= bound * spread`` degenerates on
-        # zero-variance rows to the loose step ``c <= mu`` (gt-like) /
-        # ``c >= mu`` (lt-like), a superset of the exact step.
-        self.spread = np.sqrt(2.0 * self.sigma2)
-        self.covered = np.isfinite(self.mu) & np.isfinite(self.sigma2)
 
 
 class _Bucket:
@@ -370,14 +210,17 @@ class _Bucket:
             dtype=np.float64,
         )
 
-    def screen(self, view: _ColumnView) -> tuple[np.ndarray, np.ndarray]:
+    def screen(self, view: ColumnView) -> tuple[np.ndarray, np.ndarray]:
         """Candidate ``(spec, row)`` pairs, spec-major, over covered rows.
 
         A superset of the matches: the exact kernel decides each pair.
         """
         rows = np.flatnonzero(view.covered)
         mu = view.mu[rows]
-        spread = view.spread[rows]
+        # ``c - mu <= bound * spread`` degenerates on zero-variance rows
+        # to the loose step ``c <= mu`` (gt-like) / ``c >= mu``
+        # (lt-like), a superset of the exact step.
+        spread = np.sqrt(2.0 * view.sigma2[rows])
         n_specs = len(self.consts)
         chunk = max(1, _SCREEN_CELLS // max(len(rows), 1))
         spec_parts, row_parts = [], []
@@ -784,7 +627,7 @@ class MultiQueryEngine:
                     col for _alias, col in group.select_cols
                 )
             ok = all(
-                isinstance(batch.column(n), _SUPPORTED_COLUMNS)
+                isinstance(batch.column(n), SUPPORTED_COLUMNS)
                 for n in needed
             )
         gate[id(group)] = ok
@@ -801,22 +644,22 @@ class MultiQueryEngine:
         """Row-ordered ``(row, outcome)`` matches of each kernel member.
 
         Keyed by ``id(entry)``; members absent from the result run the
-        scalar path.  Kernel outcomes carry no evaluation context:
-        kernel residuals have no ORDER BY, the only reader of it.
+        scalar path.  Kernel outcomes carry no evaluation context; an
+        ORDER BY key builds its own when the result is finalized.
         """
         probabilities = batch.probabilities
         if not isinstance(probabilities, np.ndarray):
             # Not every membership probability is a float: the scalar
             # path keeps their own types in the emitted probability.
             return {}
-        views: dict[str, "_ColumnView | None"] = {}
+        views: dict[str, "ColumnView | None"] = {}
 
-        def view(name: str) -> "_ColumnView | None":
+        def view(name: str) -> "ColumnView | None":
             if name not in views:
                 column = batch.column(name)
                 views[name] = (
-                    _ColumnView(column)
-                    if isinstance(column, _SUPPORTED_COLUMNS)
+                    ColumnView(column)
+                    if isinstance(column, SUPPORTED_COLUMNS)
                     else None
                 )
             return views[name]
@@ -842,8 +685,11 @@ class MultiQueryEngine:
                 for spec, column in zip(entry.kernel, columns)
             ):
                 continue
-            hits, covered = self._decide_single(
-                entry, columns, probabilities
+            hits, covered = decide_single(
+                entry.kernel,
+                columns,
+                probabilities,
+                entry.executor.config.keep_unsure,
             )
             decided[id(entry)] = self._with_fallback(
                 entry, hits, np.flatnonzero(~covered).tolist(), tuples
@@ -853,7 +699,7 @@ class MultiQueryEngine:
     @staticmethod
     def _decide_bucket(
         bucket: _Bucket,
-        column: _ColumnView,
+        column: ColumnView,
         probabilities: np.ndarray,
         decided: dict,
     ) -> None:
@@ -885,79 +731,23 @@ class MultiQueryEngine:
                 decided[id(entry)].append((b, outcome))
 
     @staticmethod
-    def _decide_single(
-        entry: _Entry,
-        columns: "list[_ColumnView]",
-        probabilities: np.ndarray,
-    ) -> "tuple[list[tuple[int, ResidualOutcome]], np.ndarray]":
-        """One member's matches over every row, and the rows decided."""
-        keep_unsure = entry.executor.config.keep_unsure
-        covered = np.ones(len(probabilities), dtype=bool)
-        keep = np.ones(len(probabilities), dtype=bool)
-        probability = probabilities
-        size_columns: list[list] = []
-        code_columns: list[list] = []
-        for spec, column in zip(entry.kernel, columns):
-            covered &= column.covered
-            if isinstance(spec, VecConjunct):
-                q = tail_probabilities(
-                    column.mu, column.sigma2, spec.op, spec.constant
-                )
-                keep &= (
-                    q > 0.0 if spec.threshold is None
-                    else q >= spec.threshold
-                )
-                probability = probability * q
-                size_columns.append(column.sizes)
-            else:
-                codes = m_test_verdicts(
-                    column.mu,
-                    np.sqrt(column.sigma2),
-                    column.n,
-                    spec.op,
-                    spec.constant,
-                    spec.alpha1,
-                    spec.alpha2,
-                )
-                covered &= codes != UNDECIDED
-                keep &= (codes == _TRUE) | (
-                    (codes == _UNSURE) & keep_unsure
-                )
-                code_columns.append(codes.tolist())
-        keep &= covered & (probability > 0.0)
-        values = probability.tolist()
-        hits = [
-            (
-                b,
-                ResidualOutcome(
-                    values[b],
-                    tuple(sizes[b] for sizes in size_columns),
-                    tuple(VERDICTS[codes[b]] for codes in code_columns),
-                    None,
-                ),
-            )
-            for b in np.flatnonzero(keep).tolist()
-        ]
-        return hits, covered
-
-    @staticmethod
     def _with_fallback(
         entry: _Entry,
         hits: "list[tuple[int, ResidualOutcome]]",
         fallback: "list[int]",
         tuples: list[UncertainTuple],
     ) -> "list[tuple[int, ResidualOutcome]]":
-        """Merge the scalar residual of the rows the kernels left."""
+        """Merge the scalar residual of the rows the kernels left.
+
+        These conjuncts never sample, so the member's own RNG is
+        untouched, exactly as in naive execution.
+        """
         if not fallback:
             return hits
-        # These conjuncts never sample, so the member's own RNG is
-        # untouched, exactly as in naive execution.
-        extra = []
-        for b in fallback:
-            outcome = entry.executor.residual_outcome(tuples[b])
-            if outcome is not None:
-                extra.append((b, outcome))
-        return sorted(hits + extra, key=lambda hit: hit[0])
+        residual = entry.executor.residual_outcome
+        return list(
+            merge_fallback(hits, fallback, lambda b: residual(tuples[b]))
+        )
 
     # -- prefixes and results of decided members ----------------------------
 

@@ -1,6 +1,5 @@
 """Tests for the basic (reflected) bootstrap interval variant."""
 
-import numpy as np
 import pytest
 
 from repro.core.bootstrap import bootstrap_accuracy_info

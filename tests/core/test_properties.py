@@ -12,7 +12,7 @@ Invariants checked:
 """
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.analytic import (

@@ -11,10 +11,11 @@ must match them element-wise (within 1e-12), including:
 * the per-row chunk statistics and percentile intervals of the
   bootstrap batch kernel.
 
-The residual kernels the multi-query engine decides standing queries
-with are held to a stricter bar: the Gaussian tail probability and the
-mTest verdicts must equal their scalar twins bit for bit on every row,
-because the engine emits their values as they are.
+The residual kernels that decide WHERE clauses in arrays are held to a
+stricter bar: the Gaussian tail probability and the mTest verdicts must
+equal their scalar twins bit for bit on every row, because the query
+paths emit their values as they are.  So must the Lemma-1 tuple
+probability intervals, in value and in type.
 """
 
 import pickle
@@ -321,6 +322,32 @@ class TestBatchedAccuracyInfo:
             ref = tuple_probability_interval(p, 40, 0.9)
             assert abs(tpi.interval.low - ref.interval.low) <= TOL
             assert abs(tpi.interval.high - ref.interval.high) <= TOL
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 29, 40, 1000])
+    def test_tuple_probability_intervals_equal_scalar_exactly(self, n):
+        # Value and type: both paths hand out Python floats, including
+        # where the clamp picks 0.0 or 1.0, and on both sides of the
+        # Wald/Wilson boundary n*p = WALD_VALIDITY_COUNT.
+        edge = WALD_VALIDITY_COUNT / n
+        probabilities = [
+            0.0, 1e-300, 0.05, 0.5, 0.73, 1.0 - 1e-16, 1.0,
+            *(
+                p for p in (
+                    np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)
+                )
+                if p <= 1.0
+            ),
+        ]
+        probabilities = [float(p) for p in probabilities]
+        batch = tuple_probability_intervals(probabilities, n, 0.95)
+        for p, tpi in zip(probabilities, batch):
+            ref = tuple_probability_interval(p, n, 0.95)
+            for bound in ("low", "high"):
+                got = getattr(tpi.interval, bound)
+                want = getattr(ref.interval, bound)
+                assert type(got) is float and type(want) is float, (p, n)
+                assert got == want, (p, n, bound)
+            assert pickle.dumps(tpi) == pickle.dumps(ref), (p, n)
 
 
 class TestPercentileIntervals:

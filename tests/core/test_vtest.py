@@ -1,6 +1,5 @@
 """Tests for the vTest variance-test extension."""
 
-import numpy as np
 import pytest
 from scipy import stats
 

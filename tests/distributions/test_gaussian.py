@@ -1,6 +1,5 @@
 """Tests for the Gaussian distribution and its closed-form arithmetic."""
 
-import numpy as np
 import pytest
 from scipy import stats
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.dfsample import DfSized
 from repro.distributions.gaussian import GaussianDistribution
-from repro.errors import ParseError, QueryError
+from repro.errors import QueryError
 from repro.query.executor import ExecutorConfig, QueryExecutor, run_query
 from repro.query.parser import parse_query
 from repro.query.planner import compile_query

@@ -1,6 +1,5 @@
 """Tests for the streaming execute_iter API and histogram quantiles."""
 
-import numpy as np
 import pytest
 
 from repro.core.dfsample import DfSized

@@ -1,11 +1,9 @@
 """Tests for accuracy-aware query execution."""
 
-import numpy as np
 import pytest
 
 from repro.core.coupled import ThreeValued
 from repro.core.dfsample import DfSized
-from repro.distributions.base import Deterministic
 from repro.distributions.gaussian import GaussianDistribution
 from repro.errors import QueryError
 from repro.learning.histogram_learner import HistogramLearner

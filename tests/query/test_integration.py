@@ -14,9 +14,8 @@ from repro.learning.histogram_learner import HistogramLearner
 from repro.obs import Observer
 from repro.query.executor import ExecutorConfig, run_query
 from repro.streams.engine import Pipeline
-from repro.streams.operators import CollectSink, Derive, SignificanceFilter
-from repro.streams.tuples import Schema, UncertainTuple
-from repro.workloads.cartel import CarTelSimulator
+from repro.streams.operators import CollectSink, SignificanceFilter
+from repro.streams.tuples import UncertainTuple
 
 
 def _learn_road_tuples(sim, sizes, learner=None, rng=None):
@@ -83,15 +82,6 @@ class TestExample9Significance:
         threshold = 0.85 * true_mean
         sizes = {sid: 200}
         dense = _learn_road_tuples(small_sim, sizes)[0]
-        sparse_obs = small_sim.observations(sid, 4)
-        sparse = UncertainTuple(
-            {
-                "road_id": -1.0,
-                "delay": HistogramLearner(bucket_count=8)
-                .learn(sparse_obs)
-                .as_dfsized(),
-            }
-        )
         query = (
             f"SELECT road_id FROM roads "
             f"WHERE mTest(delay, '>', {threshold:.2f}, 0.05)"

@@ -14,16 +14,18 @@ from repro.db import StreamDatabase
 from repro.obs import Observer, TelemetryConfig
 from repro.query.executor import ExecutorConfig, QueryExecutor
 from repro.query.multiquery import (
-    MTestConjunct,
     MultiQueryEngine,
     PrefixNeedsRng,
     _candidate_z_bound,
     _GuardRng,
+)
+from repro.query.planner import compile_query
+from repro.query.residual import (
+    MTestConjunct,
     VecConjunct,
     kernel_conjuncts,
     vectorizable_conjuncts,
 )
-from repro.query.planner import compile_query
 
 
 def _specs(text: str):
@@ -58,12 +60,16 @@ class TestVectorizableConjuncts:
             "SELECT a FROM s WHERE a + b > 5",  # expression arithmetic
             "SELECT a FROM s WHERE mTest(a, '>', 0, 0.05)",
             "SELECT a FROM s WHERE a > 1 OR b > 2",
-            "SELECT a FROM s WHERE a > 1 ORDER BY a",
             "SELECT AVG(a) FROM s",
         ],
     )
     def test_non_vectorizable_shapes(self, text):
         assert _specs(text) is None
+
+    def test_order_by_keeps_the_kernel_shape(self):
+        # The sort key is evaluated per matched row, after the residual.
+        specs = _specs("SELECT a FROM s WHERE a > 1 ORDER BY a DESC LIMIT 3")
+        assert specs == (VecConjunct("a", ">", 1.0, None),)
 
 
 class TestKernelConjuncts:
@@ -84,13 +90,18 @@ class TestKernelConjuncts:
         specs = self._kernel("SELECT a FROM s WHERE mTest(a, '>', 0, 0.05)")
         assert specs == (MTestConjunct("a", ">", 0.0, 0.05, None),)
 
+    def test_mtest_with_order_by(self):
+        specs = self._kernel(
+            "SELECT a FROM s WHERE mTest(a, '>', 0, 0.05) ORDER BY a"
+        )
+        assert specs == (MTestConjunct("a", ">", 0.0, 0.05, None),)
+
     @pytest.mark.parametrize(
         "text",
         [
             "SELECT a FROM s WHERE mTest(a + b, '>', 0, 0.05)",
             "SELECT a FROM s WHERE mTest(a, '>', 0, 0.05) AND a > 1",
             "SELECT a FROM s WHERE mTest(a, '>', 0, 1.5, 0.05)",
-            "SELECT a FROM s WHERE mTest(a, '>', 0, 0.05) ORDER BY a",
             "SELECT a FROM s WHERE vTest(a, '>', 1, 0.05)",
             "SELECT a FROM s WHERE mdTest(a, b, '>', 0, 0.05)",
             "SELECT a FROM s WHERE a = 5",

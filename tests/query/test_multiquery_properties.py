@@ -14,8 +14,9 @@ insert order (one-at-a-time and batched), the shared path must produce
 Query shapes deliberately cover every dispatch class: vectorizable
 threshold residuals (both operand orders, PROB thresholds at the
 saturation edges 1e-300 and 1), single and coupled mTest residuals
-(``keep_unsure`` on and off), scalar residuals (equality, OR trees,
-ORDER BY sort keys), star and aliased projections, zero-variance and
+(``keep_unsure`` on and off), the same kernel shapes under ORDER BY
+(column and Monte-Carlo sort keys), scalar residuals (equality, OR
+trees), star and aliased projections, zero-variance and
 exact-sample-size fields, sample sizes on both sides of the t/z cutoff,
 sub-unit membership probabilities, and per-query config overrides that
 split fingerprint groups.
@@ -32,6 +33,8 @@ from repro.db import StreamDatabase
 from repro.distributions.gaussian import GaussianDistribution
 from repro.errors import ReproError
 from repro.query.executor import ExecutorConfig
+from repro.query.planner import compile_query
+from repro.query.residual import kernel_conjuncts
 from repro.streams.tuples import UncertainTuple
 
 _SELECTS = (
@@ -209,3 +212,63 @@ def test_identical_queries_full_prefix_share(batch):
     assert naive_error is None and error is None
     assert matches == naive_matches
     assert events == naive_events
+
+
+# Kernel-shaped WHERE clauses with ORDER BY: the batch path decides them
+# in arrays and each result's sort key builds its own evaluation context.
+_ORDERED_WHERES = (
+    "WHERE a > {c1} PROB {tau}",
+    "WHERE {c1} < a PROB {tau}",
+    "WHERE a >= {c1} PROB {tau} AND c > {c2}",
+    "WHERE b < {c1}",
+    "WHERE mTest(a, '>', {c1}, 0.05, 0.05)",
+    "WHERE mTest(a, '<>', {c1}, 0.05)",
+)
+
+# (ORDER BY clause; ``a * a`` draws Monte-Carlo values per result)
+_ORDERS = ("ORDER BY a", "ORDER BY b DESC", "ORDER BY c", "ORDER BY a * a")
+
+# Seeded throughout: a Monte-Carlo sort key must draw the same values
+# on the naive and the shared path.
+_SEEDED_CONFIGS = (
+    None,
+    ExecutorConfig(confidence=0.8, seed=1),
+    ExecutorConfig(accuracy_method="none", seed=2),
+    ExecutorConfig(keep_unsure=True, seed=3),
+    ExecutorConfig(
+        accuracy_method="bootstrap",
+        seed=5,
+        mc_samples=32,
+        bootstrap_resamples=4,
+    ),
+)
+
+
+@st.composite
+def ordered_query_mixes(draw):
+    count = draw(st.integers(min_value=1, max_value=5))
+    queries = []
+    for _ in range(count):
+        # A negative constant parses as unary minus, not a literal.
+        where = draw(st.sampled_from(_ORDERED_WHERES)).format(
+            c1=draw(st.integers(min_value=0, max_value=6)),
+            c2=draw(st.integers(min_value=0, max_value=6)),
+            tau=draw(st.sampled_from(_TAUS)),
+        )
+        text = (
+            f"SELECT {draw(st.sampled_from(_SELECTS))} FROM t {where} "
+            f"{draw(st.sampled_from(_ORDERS))}"
+        )
+        queries.append((text, draw(st.sampled_from(_SEEDED_CONFIGS))))
+    return queries
+
+
+@settings(max_examples=30, deadline=None)
+@given(queries=ordered_query_mixes(), batch=tuple_batches(sampled=True))
+def test_order_by_standing_queries_byte_identical_to_naive(queries, batch):
+    for text, _config in queries:
+        assert kernel_conjuncts(compile_query(text)) is not None
+    naive = _run(queries, batch, False, False)
+    assert naive[2] is None
+    assert _run(queries, batch, True, False) == naive
+    assert _run(queries, batch, True, True) == naive

@@ -11,10 +11,11 @@ from repro.core.dfsample import DfSized
 from repro.db import StreamDatabase
 from repro.distributions.gaussian import GaussianDistribution
 from repro.distributions.histogram import HistogramDistribution
-from repro.errors import ParseError, QueryError, SchemaError
+from repro.errors import DistributionError, ParseError, QueryError, SchemaError
 from repro.query.executor import ExecutorConfig, QueryExecutor, run_query
 from repro.query.parser import parse_query
 from repro.query.planner import compile_query
+from repro.query.residual import kernel_conjuncts
 from repro.streams.tuples import Schema, UncertainTuple
 
 
@@ -297,3 +298,219 @@ class TestErrorOrder:
         assert len(db.query("SELECT id FROM s ORDER BY v DESC LIMIT 1")) == 1
         with pytest.raises(SchemaError, match="no attribute 'x'"):
             db.query("SELECT id, x FROM s ORDER BY v DESC LIMIT 1")
+
+
+# -- kernel-shaped WHERE clauses decided in arrays ---------------------------
+
+def _kernel_stream(seed, flaw, n=40):
+    """Rows the residual kernels decide, plus one kind of row they leave.
+
+    ``flaw`` picks what the scalar residual keeps: ``"nan"`` / ``"inf"``
+    values in the float column ``x`` (the scalar raises there), exact
+    sample sizes and single observations in ``g`` (``mTest`` raises),
+    zero-variance ``g`` (``mTest`` decides with an infinite statistic),
+    mixed int/float ``k`` and non-float membership probabilities
+    (the whole chunk is scalar).
+    """
+    rng = np.random.default_rng(seed)
+    tuples = []
+    for i in range(n):
+        sigma2 = float(rng.uniform(0.1, 4.0))
+        size = int(rng.choice([2, 5, 12, 29, 30, 31, 200]))
+        x = float(rng.normal(0.5, 2.0))
+        k = int(rng.integers(-3, 8))
+        probability = float(rng.choice([1.0, 0.9, 0.6, 0.3]))
+        flawed = i % 7 == 3
+        if flawed and flaw in ("nan", "inf"):
+            x = float(flaw)
+        elif flawed and flaw == "exact":
+            size = None
+        elif flawed and flaw == "single":
+            size = 1
+        elif flawed and flaw == "zero_variance":
+            sigma2 = 0.0
+        elif flawed and flaw == "mixed_int":
+            k = float(k)
+        elif flawed and flaw == "probability":
+            probability = 1 if i % 2 else np.float64(probability)
+        tuples.append(
+            UncertainTuple(
+                {
+                    "id": float(i),
+                    "g": DfSized(
+                        GaussianDistribution(
+                            float(rng.normal(1.0, 2.0)), sigma2
+                        ),
+                        size,
+                    ),
+                    "w": DfSized(
+                        GaussianDistribution(float(rng.normal(1.0, 0.5)), 0.5),
+                        12,
+                    ),
+                    "x": x,
+                    "k": k,
+                },
+                probability,
+            )
+        )
+    return tuples
+
+
+_FLAWS = [
+    "clean", "nan", "inf", "exact", "single", "zero_variance", "mixed_int",
+    "probability",
+]
+
+# Every WHERE clause here has a kernel shape (``kernel_conjuncts``).
+_KERNEL_QUERIES = [
+    "SELECT id, g FROM s WHERE g > 1 {order} {limit}",
+    "SELECT id, g FROM s WHERE g > 0.5 PROB 0.4 {order} {limit}",
+    "SELECT * FROM s WHERE 2 > g PROB 0.3 {order} {limit}",
+    "SELECT id, g FROM s WHERE g >= 0 PROB 0.2 AND x < 2 {order} {limit}",
+    "SELECT id, x, k FROM s WHERE x <= 1 AND k > 0 {order} {limit}",
+    "SELECT id, k FROM s WHERE k > 2 PROB 0.5 {order} {limit}",
+    "SELECT id, g FROM s WHERE mTest(g, '>', 0, 0.05, 0.05) {order} {limit}",
+    "SELECT id, g FROM s WHERE mTest(g, '<>', 1, 0.05) {order} {limit}",
+]
+# (ORDER BY clause, whether its key draws Monte-Carlo values)
+_KERNEL_ORDERS = ["", "ORDER BY g DESC", "ORDER BY id", "ORDER BY g * w"]
+
+
+def _outcome(run):
+    """Pickled results, or the exception type and message."""
+    try:
+        return [pickle.dumps(r) for r in run()]
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return (type(exc), str(exc))
+
+
+class TestKernelDecidedWhere:
+    @pytest.mark.parametrize("order", _KERNEL_ORDERS)
+    @pytest.mark.parametrize("query", _KERNEL_QUERIES)
+    @pytest.mark.parametrize("flaw", _FLAWS)
+    def test_byte_identical_to_per_tuple_oracle(
+        self, flaw, query, order, monkeypatch
+    ):
+        # Chunks of 6 rows: fallback rows fall on both sides of chunk
+        # boundaries.
+        monkeypatch.setattr(executor_module, "_CHUNK_ROWS", 6)
+        tuples = _kernel_stream(len(query) + len(order) + len(flaw), flaw)
+        for limit in ("", "LIMIT 3"):
+            text = query.format(order=order, limit=limit)
+            assert kernel_conjuncts(compile_query(text))
+            for method in ("analytic", "bootstrap"):
+                config = ExecutorConfig(
+                    seed=3, accuracy_method=method, mc_samples=64
+                )
+                executor = QueryExecutor(text, config=config)
+                oracle = QueryExecutor(text, config=config)
+
+                got = _outcome(lambda: executor.execute(tuples))
+                expected = _outcome(
+                    lambda: _per_tuple_oracle(oracle, tuples)
+                )
+
+                assert got == expected, (limit, method)
+                assert (
+                    executor._rng.bit_generator.state
+                    == oracle._rng.bit_generator.state
+                )
+
+    @pytest.mark.parametrize("query", _KERNEL_QUERIES)
+    def test_kernels_decide_clean_rows(self, query, monkeypatch):
+        text = query.format(order="ORDER BY g DESC", limit="LIMIT 5")
+        tuples = _kernel_stream(1, "clean")
+        executor = QueryExecutor(text, config=ExecutorConfig(seed=0))
+        calls = []
+        original = executor.residual_outcome
+        monkeypatch.setattr(
+            executor,
+            "residual_outcome",
+            lambda tup: calls.append(tup) or original(tup),
+        )
+        expected = _per_tuple_oracle(
+            QueryExecutor(text, config=ExecutorConfig(seed=0)), tuples
+        )
+        assert [pickle.dumps(r) for r in executor.execute(tuples)] == [
+            pickle.dumps(r) for r in expected
+        ]
+        assert calls == []
+
+    def test_histogram_values_stay_scalar(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("histogram rows reached the kernels")
+
+        monkeypatch.setattr(executor_module, "merge_fallback", refuse)
+        text = "SELECT id, h FROM s WHERE h > 0.5 PROB 0.2 ORDER BY h"
+        tuples = _mixed_stream(seed=4)
+        config = ExecutorConfig(seed=1)
+        assert [
+            pickle.dumps(r)
+            for r in QueryExecutor(text, config=config).execute(tuples)
+        ] == [
+            pickle.dumps(r)
+            for r in _per_tuple_oracle(QueryExecutor(text, config=config),
+                                       tuples)
+        ]
+
+    def test_database_read_matches_oracle(self):
+        db = StreamDatabase(config=ExecutorConfig(seed=2))
+        db.create_stream("s")
+        tuples = _kernel_stream(5, "zero_variance", n=60)
+        db.insert_many("s", tuples)
+        text = (
+            "SELECT id, g FROM s WHERE g > 0.5 PROB 0.6 "
+            "ORDER BY g DESC LIMIT 7"
+        )
+        expected = _per_tuple_oracle(
+            QueryExecutor(text, config=ExecutorConfig(seed=2)), tuples
+        )
+        assert [pickle.dumps(r) for r in db.query(text)] == [
+            pickle.dumps(r) for r in expected
+        ]
+
+
+class TestKernelErrorOrder:
+    """Rows the kernels leave run their residual in arrival order."""
+
+    def _stream(self, broken_row, missing):
+        tuples = _kernel_stream(9, "nan", n=12)  # x is NaN in row 3
+        tup = tuples[broken_row]
+        attributes = dict(tup.attributes)
+        del attributes[missing]
+        tuples[broken_row] = tup.with_attributes(attributes)
+        return tuples
+
+    @pytest.mark.parametrize(
+        "text, missing",
+        [
+            # SELECT needs k, which row 1 lacks.
+            ("SELECT id, k FROM s WHERE x < 100 ORDER BY id", "k"),
+            # The ORDER BY key needs k, which row 1 lacks.
+            ("SELECT id FROM s WHERE x < 100 ORDER BY k DESC", "k"),
+            # Projection and key are fine: row 3's residual raises.
+            ("SELECT id FROM s WHERE x < 100 ORDER BY g LIMIT 1", "w"),
+            # Row 1 lacks the WHERE column itself.
+            ("SELECT id FROM s WHERE x < 100 ORDER BY g", "x"),
+        ],
+    )
+    @pytest.mark.parametrize("chunk", [2, 4096])
+    def test_same_error_as_per_tuple_oracle(
+        self, text, missing, chunk, monkeypatch
+    ):
+        assert kernel_conjuncts(compile_query(text))
+        monkeypatch.setattr(executor_module, "_CHUNK_ROWS", chunk)
+        tuples = self._stream(1, missing)
+        got = _outcome(lambda: QueryExecutor(text).execute(tuples))
+        expected = _outcome(
+            lambda: _per_tuple_oracle(QueryExecutor(text), tuples)
+        )
+        assert isinstance(expected, tuple)
+        assert got == expected
+
+    def test_later_projection_error_waits_for_earlier_residual(self):
+        # Row 3's residual raises before row 5's projection does.
+        tuples = self._stream(5, "k")
+        text = "SELECT id, k FROM s WHERE x < 100"
+        with pytest.raises(DistributionError):
+            QueryExecutor(text).execute(tuples)

@@ -11,7 +11,6 @@ from repro.errors import CallbackError, ReproError, SchemaError, StreamError
 from repro.streams.engine import Pipeline
 from repro.streams.operators import (
     CollectSink,
-    Derive,
     Operator,
     SlidingGaussianAverage,
 )

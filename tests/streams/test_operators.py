@@ -1,6 +1,5 @@
 """Tests for the stream operators and pipeline engine."""
 
-import numpy as np
 import pytest
 
 from repro.core.coupled import ThreeValued

@@ -1,6 +1,5 @@
 """Property-based tests for stream pipeline invariants."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,6 +1,5 @@
 """Tests for the StreamDatabase facade."""
 
-import numpy as np
 import pytest
 
 from repro.core.coupled import ThreeValued

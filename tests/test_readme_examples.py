@@ -3,7 +3,6 @@
 import re
 import pathlib
 
-import pytest
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
