@@ -370,8 +370,8 @@ class KllSketch:
         ``meta`` is int64: ``[k, n, coin_lo, coin_hi, rank_error,
         n_levels, len(level_0), ...]`` followed by the min/max as two
         float64 values reinterpreted; ``items`` is one float64 array of
-        the level buffers concatenated bottom-up.  Suitable for
-        shared-memory transport — no per-item Python objects cross.
+        the level buffers concatenated bottom-up, so no per-item
+        Python objects remain.
         """
         lengths = [len(buf) for buf in self._levels]
         extrema = np.asarray(

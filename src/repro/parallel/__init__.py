@@ -8,9 +8,7 @@ or raises before any shard runs:
   operator's partition key first and ships one pickled payload
   (:func:`pipeline_payload`) (``repro.parallel.sharded``);
 * :class:`WorkerPool` — the caller-owned, reusable pool with serial
-  fallback it rides on (``repro.parallel.pool``);
-* :func:`share_array` / :func:`attach_array` — the shared-memory
-  transport for large column blocks (``repro.parallel.shm``).
+  fallback it rides on (``repro.parallel.pool``).
 
 See ``docs/PARALLELISM.md`` for the worker model and the contract.
 """
@@ -23,7 +21,6 @@ from repro.parallel.sharded import (
     run_sharded,
     stable_key_hash,
 )
-from repro.parallel.shm import SharedArray, SharedSpec, attach_array, share_array
 
 __all__ = [
     "available_cpus",
@@ -33,8 +30,4 @@ __all__ = [
     "pipeline_payload",
     "run_sharded",
     "stable_key_hash",
-    "SharedArray",
-    "SharedSpec",
-    "attach_array",
-    "share_array",
 ]

@@ -44,11 +44,7 @@ from repro.obs.instrument import Observer
 from repro.obs.timeseries import TelemetryConfig
 from repro.obs.trace import TraceConfig, Tracer
 from repro.parallel.pool import WorkerPool
-from repro.streams.columnar import (
-    ColumnarBatch,
-    ColumnarPayload,
-    as_columnar,
-)
+from repro.streams.columnar import ColumnarBatch, as_columnar
 from repro.streams.operators import (
     ANY_PARTITION,
     CollectSink,
@@ -202,19 +198,20 @@ def pipeline_payload(pipeline: "Pipeline") -> bytes:
 
 def _run_shard(
     payload: bytes,
-    shard_source: "list[UncertainTuple] | ColumnarPayload",
+    shard_source: "list[UncertainTuple] | ColumnarBatch",
     batch_size: int,
     observe: "tuple[str, TraceConfig | None, TelemetryConfig | None] | None",
     shard: str,
 ) -> tuple[tuple[str, object], dict | None]:
     """Pool task: unpickle the pipeline and run one shard through it.
 
-    ``shard_source`` is a :class:`ColumnarPayload` on the columnar
-    transport (column blocks, possibly shared-memory handles), or a
-    tuple list for non-uniform layouts.  Returns ``(sink_state,
-    observer_snapshot)``, both plain picklable values; a ``CollectSink``
-    that stayed columnar comes back as ``("collect-columnar",
-    ColumnarPayload)`` so the return trip ships column blocks too.
+    ``shard_source`` is the shard's :class:`ColumnarBatch`, or a tuple
+    list for non-uniform layouts; the pool pickles either one, and a
+    batch crosses as one buffer per column.  Returns ``(sink_state,
+    observer_snapshot)``, both plain picklable values: ``("count",
+    n)`` or ``("collect", results)``, where ``results`` is the
+    ``CollectSink``'s :class:`ColumnarBatch` when it stayed columnar and
+    its tuple list otherwise.
 
     ``observe`` is the parent observer's ``(prefix, trace config, frames
     config)``, or ``None`` when the parent is not observed.  The worker
@@ -224,8 +221,6 @@ def _run_shard(
     in a pool worker or in-process.
     """
     pipeline = pickle.loads(payload)
-    if isinstance(shard_source, ColumnarPayload):
-        shard_source = ColumnarBatch.from_payload(shard_source)
     observer = None
     if observe is not None:
         prefix, trace_config, frames_config = observe
@@ -238,13 +233,9 @@ def _run_shard(
     if isinstance(sink, CountingSink):
         return ("count", sink.count), snapshot
     collected = sink.columnar_result()
-    if collected is not None:
-        # Workers never create shm segments (the parent owns segment
-        # lifetimes) — plain ndarrays still cross the boundary as one
-        # buffer per column, not one pickle per tuple.
-        out_payload, _ = collected.to_payload(use_shm=False)
-        return ("collect-columnar", out_payload), snapshot
-    return ("collect", list(sink.results)), snapshot
+    if collected is None:
+        collected = list(sink.results)
+    return ("collect", collected), snapshot
 
 
 class ShardedResult:
@@ -285,14 +276,7 @@ class ShardedResult:
         cross-shard schema mismatch) degrades the whole merge to the
         materialized tuple-list form.
         """
-        per_shard: list[object] = []
-        all_columnar = True
-        for kind, value in self.sink_states:  # type: ignore[misc]
-            if kind == "collect-columnar":
-                per_shard.append(ColumnarBatch.from_payload(value))
-            else:
-                per_shard.append(value)
-                all_columnar = False
+        per_shard = [value for _, value in self.sink_states]
         uneven = [
             f"shard {s}: {len(results)} out / {len(indices)} in"
             for s, (results, indices) in enumerate(
@@ -307,7 +291,7 @@ class ShardedResult:
                 + " (collect a filtering pipeline with run_batched, or "
                 "count it with a CountingSink)"
             )
-        if all_columnar:
+        if all(isinstance(results, ColumnarBatch) for results in per_shard):
             try:
                 return ColumnarBatch.interleave(
                     per_shard, self.shards, self.total
@@ -360,38 +344,23 @@ def run_sharded(
             None if frames is None else frames.config,
         )
 
-    # The columnar transport: partition by fancy-indexing columns, ship
-    # column blocks (shared memory for large ones, unless the shards
-    # will run in-process anyway) instead of pickling tuples one by
-    # one.  Non-uniform layouts keep the tuple-list path.
+    # Partition a columnar source by fancy-indexing its columns, so each
+    # task pickles one buffer per column instead of one object per
+    # tuple.  Non-uniform layouts ship tuple lists.
     batch = as_columnar(tuples)
-    use_shm = batch is not None and not pool.serial
-    owners: list = []
-    tasks = []
-    try:
-        for shard_index, indices in enumerate(shards):
-            if batch is not None:
-                shard_source, shard_owners = batch.take(indices).to_payload(
-                    use_shm=use_shm
-                )
-                owners.extend(shard_owners)
-            else:
-                shard_source = [tuples[i] for i in indices]
-            tasks.append(
-                (
-                    payload,
-                    shard_source,
-                    batch_size,
-                    observe,
-                    f"shard{shard_index}",
-                )
-            )
-        outcomes = pool.map_indexed(_run_shard, tasks)
-    finally:
-        # Workers copy out of the segments before returning, so the
-        # parent can unlink as soon as every task has completed.
-        for owner in owners:
-            owner.release()
+    tasks = [
+        (
+            payload,
+            [tuples[i] for i in indices]
+            if batch is None
+            else batch.take(indices),
+            batch_size,
+            observe,
+            f"shard{shard_index}",
+        )
+        for shard_index, indices in enumerate(shards)
+    ]
+    outcomes = pool.map_indexed(_run_shard, tasks)
 
     return ShardedResult(
         sink_states=[state for state, _ in outcomes],

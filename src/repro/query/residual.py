@@ -42,7 +42,7 @@ from repro.distributions.gaussian import (
     GaussianDistribution,
     tail_probabilities,
 )
-from repro.query.expressions import Column, EvalContext, Literal
+from repro.query.expressions import Column, EvalContext, Literal, UnaryOp
 from repro.query.parser import CompareCondition, SignificanceCondition
 
 # Private intra-package import: the strict inference that keeps
@@ -122,15 +122,32 @@ class MTestConjunct:
     alpha2: float | None
 
 
+def _constant(expr) -> float | None:
+    """The float a literal or a negated literal compares as, or None.
+
+    The parser reads ``-1`` as ``UnaryOp('neg', Literal(1.0))``.  A
+    negated non-finite literal raises in the scalar path, so it is not
+    a constant here.
+    """
+    if isinstance(expr, Literal):
+        return float(expr.value)
+    if isinstance(expr, UnaryOp) and expr.op == "neg":
+        value = _constant(expr.operand)
+        if value is not None and np.isfinite(value):
+            return -value
+    return None
+
+
 def vectorizable_conjuncts(compiled) -> "tuple[VecConjunct, ...] | None":
-    """The residual as column-vs-literal inequalities, or None.
+    """The residual as column-vs-constant inequalities, or None.
 
     A residual is decided in arrays when every conjunct is a plain
-    comparison between one column and one literal under an inequality
-    operator — the shape of the paper's probability-threshold
-    workloads.  Significance predicates, OR/NOT trees, equality
-    comparisons, expression arithmetic and aggregates return None.
-    ORDER BY does not matter: the sort key is evaluated per matched row.
+    comparison between one column and one literal (possibly negated)
+    under an inequality operator — the shape of the paper's
+    probability-threshold workloads.  Significance predicates, OR/NOT
+    trees, equality comparisons, expression arithmetic and aggregates
+    return None.  ORDER BY does not matter: the sort key is evaluated
+    per matched row.
     """
     if compiled.is_aggregate:
         return None
@@ -142,19 +159,18 @@ def vectorizable_conjuncts(compiled) -> "tuple[VecConjunct, ...] | None":
         if comp.op not in _VEC_OPS:
             return None
         left, right = comp.left, comp.right
-        if isinstance(left, Column) and isinstance(right, Literal):
+        if isinstance(left, Column) and (
+            constant := _constant(right)
+        ) is not None:
             specs.append(
-                VecConjunct(
-                    left.name, comp.op, float(right.value), conj.threshold
-                )
+                VecConjunct(left.name, comp.op, constant, conj.threshold)
             )
-        elif isinstance(left, Literal) and isinstance(right, Column):
+        elif isinstance(right, Column) and (
+            constant := _constant(left)
+        ) is not None:
             specs.append(
                 VecConjunct(
-                    right.name,
-                    _FLIP[comp.op],
-                    float(left.value),
-                    conj.threshold,
+                    right.name, _FLIP[comp.op], constant, conj.threshold
                 )
             )
         else:

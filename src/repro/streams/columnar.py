@@ -30,14 +30,9 @@ which is what lets the sharded determinism contract survive the
 columnar refactor.  Exactness is why inference is deliberately strict:
 a value only lands in a typed column when its round trip is the
 identity (``type(x) is float``, not ``isinstance`` — a ``np.float64``
-would come back as a different pickle).
-
-Transport (:meth:`ColumnarBatch.to_payload` /
-:meth:`ColumnarBatch.from_payload`) flattens a batch into its numeric
-blocks so the sharded executor can ship them through the
-:mod:`repro.parallel.shm` shared-memory transport as
-:class:`~repro.parallel.shm.SharedSpec` handles instead of pickled
-tuple lists.
+would come back as a different pickle).  A pickled batch carries one
+buffer per numeric column, which is how the sharded executor ships
+shards to its workers and their sinks back.
 """
 
 from __future__ import annotations
@@ -53,7 +48,6 @@ from repro.streams.tuples import UncertainTuple
 
 __all__ = [
     "ColumnarBatch",
-    "ColumnarPayload",
     "FloatColumn",
     "IntColumn",
     "GaussianDfColumn",
@@ -62,10 +56,6 @@ __all__ = [
     "EXACT_SIZE",
     "as_columnar",
 ]
-
-#: Numeric blocks smaller than this are pickled directly; shared-memory
-#: segments only pay off once the copy they avoid is non-trivial.
-SHM_MIN_BYTES = 4096
 
 #: Sentinel in a :class:`GaussianDfColumn` size column for a ``None``
 #: (exact / effectively infinite) sample size.
@@ -100,13 +90,6 @@ class FloatColumn:
 
     def slice(self, a: int, b: int) -> "FloatColumn":
         return FloatColumn(self.data[a:b])
-
-    def export(self) -> tuple[object, list[np.ndarray], object]:
-        return None, [self.data], None
-
-    @staticmethod
-    def restore(meta: object, arrays: list[np.ndarray], objects: object):
-        return FloatColumn(arrays[0])
 
     @staticmethod
     def concat(parts: "list[FloatColumn]") -> "FloatColumn":
@@ -150,13 +133,6 @@ class IntColumn:
 
     def slice(self, a: int, b: int) -> "IntColumn":
         return IntColumn(self.data[a:b])
-
-    def export(self) -> tuple[object, list[np.ndarray], object]:
-        return None, [self.data], None
-
-    @staticmethod
-    def restore(meta: object, arrays: list[np.ndarray], objects: object):
-        return IntColumn(arrays[0])
 
     @staticmethod
     def concat(parts: "list[IntColumn]") -> "IntColumn":
@@ -217,13 +193,6 @@ class GaussianDfColumn:
         return GaussianDfColumn(
             self.mu[a:b], self.sigma2[a:b], self.sizes[a:b]
         )
-
-    def export(self) -> tuple[object, list[np.ndarray], object]:
-        return None, [self.mu, self.sigma2, self.sizes], None
-
-    @staticmethod
-    def restore(meta: object, arrays: list[np.ndarray], objects: object):
-        return GaussianDfColumn(arrays[0], arrays[1], arrays[2])
 
     @staticmethod
     def concat(parts: "list[GaussianDfColumn]") -> "GaussianDfColumn":
@@ -287,13 +256,6 @@ class ArrayColumn:
     def slice(self, a: int, b: int) -> "ArrayColumn":
         return ArrayColumn(self.matrix[a:b])
 
-    def export(self) -> tuple[object, list[np.ndarray], object]:
-        return None, [self.matrix], None
-
-    @staticmethod
-    def restore(meta: object, arrays: list[np.ndarray], objects: object):
-        return ArrayColumn(arrays[0])
-
     @staticmethod
     def concat(parts: "list[ArrayColumn]") -> "ArrayColumn":
         widths = {p.matrix.shape[1] for p in parts}
@@ -351,13 +313,6 @@ class ObjectColumn:
     def slice(self, a: int, b: int) -> "ObjectColumn":
         return ObjectColumn(self.data[a:b])
 
-    def export(self) -> tuple[object, list[np.ndarray], object]:
-        return None, [], self.data
-
-    @staticmethod
-    def restore(meta: object, arrays: list[np.ndarray], objects: object):
-        return ObjectColumn(objects)
-
     @staticmethod
     def concat(parts: "list[ObjectColumn]") -> "ObjectColumn":
         data: list = []
@@ -382,12 +337,6 @@ class ObjectColumn:
             for a, b in zip(self.data, other.data)
         )
 
-
-_COLUMN_TYPES = {
-    cls.kind: cls
-    for cls in (FloatColumn, IntColumn, GaussianDfColumn, ArrayColumn,
-                ObjectColumn)
-}
 
 Column = (
     FloatColumn | IntColumn | GaussianDfColumn | ArrayColumn | ObjectColumn
@@ -461,45 +410,6 @@ def _scalar_column(values: list) -> "np.ndarray | list":
     if all(type(v) is float for v in values):
         return _as_f8(values)
     return values
-
-
-class ColumnarPayload:
-    """Flattened, picklable form of a batch for the IPC boundary.
-
-    Numeric blocks are either ndarrays (pickled — one buffer copy each)
-    or :class:`~repro.parallel.shm.SharedSpec` handles into shared
-    memory; object columns and non-float probability/timestamp lists
-    ride as pickled Python objects.  Build with
-    :meth:`ColumnarBatch.to_payload`, rebuild with
-    :meth:`ColumnarBatch.from_payload`.
-    """
-
-    __slots__ = (
-        "length", "names", "kinds", "metas", "counts", "blocks",
-        "objects", "prob", "ts",
-    )
-
-    def __init__(
-        self,
-        length: int,
-        names: tuple[str, ...],
-        kinds: tuple[str, ...],
-        metas: tuple[object, ...],
-        counts: tuple[int, ...],
-        blocks: list,
-        objects: dict[str, object],
-        prob: object,
-        ts: object,
-    ) -> None:
-        self.length = length
-        self.names = names
-        self.kinds = kinds
-        self.metas = metas
-        self.counts = counts
-        self.blocks = blocks
-        self.objects = objects
-        self.prob = prob
-        self.ts = ts
 
 
 class ColumnarBatch(Sequence):
@@ -851,107 +761,6 @@ class ColumnarBatch(Sequence):
             f"{n}:{type(self._columns[n]).kind}" for n in self._names
         )
         return f"ColumnarBatch({self._length} rows; {kinds})"
-
-    # -- IPC transport -------------------------------------------------------
-
-    def to_payload(
-        self, use_shm: bool = True
-    ) -> "tuple[ColumnarPayload, list]":
-        """Flatten for the IPC boundary.
-
-        Numeric blocks of at least :data:`SHM_MIN_BYTES` are published
-        as shared-memory segments (:class:`SharedSpec` handles) when
-        ``use_shm``; smaller blocks and object columns pickle directly.
-        Returns ``(payload, owners)`` — the caller must ``release()``
-        every owner after the consuming tasks have finished (the parent
-        owns segment lifetimes; see :mod:`repro.parallel.shm`).
-        """
-        from repro.parallel.shm import share_array
-
-        owners: list = []
-        blocks: list = []
-        kinds: list[str] = []
-        metas: list[object] = []
-        counts: list[int] = []
-        objects: dict[str, object] = {}
-
-        def ship(array: np.ndarray) -> object:
-            if use_shm and array.nbytes >= SHM_MIN_BYTES:
-                shared = share_array(array)
-                if shared is not None:
-                    owners.append(shared)
-                    return shared.spec
-            return array
-
-        for name in self._names:
-            column = self._columns[name]
-            meta, arrays, obj = column.export()
-            kinds.append(type(column).kind)
-            metas.append(meta)
-            counts.append(len(arrays))
-            blocks.extend(ship(a) for a in arrays)
-            if obj is not None:
-                objects[name] = obj
-        prob = (
-            ship(self._prob)
-            if isinstance(self._prob, np.ndarray)
-            else self._prob
-        )
-        ts = (
-            ship(self._ts) if isinstance(self._ts, np.ndarray) else self._ts
-        )
-        payload = ColumnarPayload(
-            self._length,
-            self._names,
-            tuple(kinds),
-            tuple(metas),
-            tuple(counts),
-            blocks,
-            objects,
-            prob,
-            ts,
-        )
-        return payload, owners
-
-    @classmethod
-    def from_payload(cls, payload: ColumnarPayload) -> "ColumnarBatch":
-        """Rebuild a batch on the worker side of the IPC boundary.
-
-        Shared-memory blocks are copied out (one ``memcpy`` per column)
-        and the segments closed immediately, so the parent can unlink
-        them as soon as every task has completed.
-        """
-        from repro.parallel.shm import SharedSpec, attach_array
-
-        def load(block: object) -> np.ndarray:
-            if isinstance(block, SharedSpec):
-                view, segment = attach_array(block)
-                array = np.array(view, copy=True)
-                del view
-                segment.close()
-                return array
-            return block  # a plain (pickled) ndarray
-
-        blocks = iter(payload.blocks)
-        columns: dict[str, Column] = {}
-        for name, kind, meta, count in zip(
-            payload.names, payload.kinds, payload.metas, payload.counts
-        ):
-            arrays = [load(next(blocks)) for _ in range(count)]
-            columns[name] = _COLUMN_TYPES[kind].restore(
-                meta, arrays, payload.objects.get(name)
-            )
-        prob = (
-            load(payload.prob)
-            if isinstance(payload.prob, (SharedSpec, np.ndarray))
-            else payload.prob
-        )
-        ts = (
-            load(payload.ts)
-            if isinstance(payload.ts, (SharedSpec, np.ndarray))
-            else payload.ts
-        )
-        return cls(payload.length, payload.names, columns, prob, ts)
 
 
 def as_columnar(

@@ -1,7 +1,7 @@
 """Byte-identical sinks for the columnar sharded transport.
 
-Shipping shards as columnar shared-memory payloads instead of pickled
-tuple lists changes *nothing* about sink contents: the sharded run
+Shipping shards as pickled :class:`ColumnarBatch` columns instead of
+pickled tuple lists changes *nothing* about sink contents: the sharded run
 equals ``run_batched`` (per-element ``pickle.dumps``) at 1, 2, and 4
 workers, on the Fig 5(c) learning + accuracy stages around a keyed
 :class:`GroupedAggregate` and on a plain keyed GROUP BY, and equals the
@@ -87,9 +87,8 @@ def _element_bytes(results):
 
 class TestFig5cWorkload:
     def test_worker_count_invariant(self, pools):
-        # The 240x20 points matrix is large enough per shard to cross
-        # the shared-memory threshold, so multi-worker rounds exercise
-        # the SharedSpec transport end to end.
+        # Multi-worker rounds ship each shard's 20-point matrix as one
+        # pickled column and bring the sinks back as batches.
         tuples = _fig5c_stream(240, seed=11)
         expected = _element_bytes(
             _fig5c_pipeline().run_batched(tuples, 32).results

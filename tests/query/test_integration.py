@@ -80,16 +80,20 @@ class TestExample9Significance:
         sid = small_sim.segment_ids()[0]
         true_mean = small_sim.true_mean(sid)
         threshold = 0.85 * true_mean
-        sizes = {sid: 200}
-        dense = _learn_road_tuples(small_sim, sizes)[0]
+        dense = _learn_road_tuples(small_sim, {sid: 200})[0]
+        sparse = _learn_road_tuples(small_sim, {sid: 4})[0]
+        sparse = sparse.with_attributes({**sparse.attributes, "road_id": -1.0})
         query = (
             f"SELECT road_id FROM roads "
             f"WHERE mTest(delay, '>', {threshold:.2f}, 0.05)"
         )
-        dense_results = run_query(
-            query, [dense], config=ExecutorConfig(seed=0)
+        results = run_query(
+            query, [dense, sparse], config=ExecutorConfig(seed=0)
         )
-        assert len(dense_results) == 1  # large sample: significant
+        # Large sample: significant.  Four reports of the same road are
+        # too few for the same test to reject the null hypothesis.
+        returned = [r.value("road_id").distribution.value for r in results]
+        assert returned == [float(sid)]
 
     def test_coupled_query_three_outcomes(self, small_sim):
         sid = small_sim.segment_ids()[1]

@@ -90,6 +90,24 @@ class TestKernelConjuncts:
         specs = self._kernel("SELECT a FROM s WHERE mTest(a, '>', 0, 0.05)")
         assert specs == (MTestConjunct("a", ">", 0.0, 0.05, None),)
 
+    @pytest.mark.parametrize(
+        "text, spec",
+        [
+            # The parser reads -1 as UnaryOp('neg', Literal(1.0)).
+            (
+                "SELECT a FROM s WHERE a > -1 PROB 0.5",
+                VecConjunct("a", ">", -1.0, 0.5),
+            ),
+            (
+                "SELECT a FROM s WHERE -1 < a PROB 0.5",
+                VecConjunct("a", ">", -1.0, 0.5),
+            ),
+            ("SELECT a FROM s WHERE a <= --2", VecConjunct("a", "<=", 2.0, None)),
+        ],
+    )
+    def test_negated_literal_is_a_constant(self, text, spec):
+        assert self._kernel(text) == (spec,)
+
     def test_mtest_with_order_by(self):
         specs = self._kernel(
             "SELECT a FROM s WHERE mTest(a, '>', 0, 0.05) ORDER BY a"
@@ -105,6 +123,9 @@ class TestKernelConjuncts:
             "SELECT a FROM s WHERE vTest(a, '>', 1, 0.05)",
             "SELECT a FROM s WHERE mdTest(a, b, '>', 0, 0.05)",
             "SELECT a FROM s WHERE a = 5",
+            "SELECT a FROM s WHERE -a > 1",
+            # neg(inf) raises on every row in the scalar path.
+            "SELECT a FROM s WHERE a > -1e999",
         ],
     )
     def test_scalar_shapes(self, text):

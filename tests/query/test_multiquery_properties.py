@@ -249,10 +249,10 @@ def ordered_query_mixes(draw):
     count = draw(st.integers(min_value=1, max_value=5))
     queries = []
     for _ in range(count):
-        # A negative constant parses as unary minus, not a literal.
+        # A negative constant parses as unary minus of a literal.
         where = draw(st.sampled_from(_ORDERED_WHERES)).format(
-            c1=draw(st.integers(min_value=0, max_value=6)),
-            c2=draw(st.integers(min_value=0, max_value=6)),
+            c1=draw(st.integers(min_value=-3, max_value=6)),
+            c2=draw(st.integers(min_value=-3, max_value=6)),
             tau=draw(st.sampled_from(_TAUS)),
         )
         text = (

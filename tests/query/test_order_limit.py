@@ -369,6 +369,7 @@ _KERNEL_QUERIES = [
     "SELECT id, g FROM s WHERE g >= 0 PROB 0.2 AND x < 2 {order} {limit}",
     "SELECT id, x, k FROM s WHERE x <= 1 AND k > 0 {order} {limit}",
     "SELECT id, k FROM s WHERE k > 2 PROB 0.5 {order} {limit}",
+    "SELECT id, g FROM s WHERE -1 < g PROB 0.4 AND x > -0.5 {order} {limit}",
     "SELECT id, g FROM s WHERE mTest(g, '>', 0, 0.05, 0.05) {order} {limit}",
     "SELECT id, g FROM s WHERE mTest(g, '<>', 1, 0.05) {order} {limit}",
 ]

@@ -196,24 +196,30 @@ class TestColumnOps:
 
 
 class TestPayloadTransport:
-    @pytest.mark.parametrize("use_shm", [False, True])
-    def test_payload_roundtrip(self, use_shm):
-        batch = ColumnarBatch.from_tuples(_mixed_tuples(64))
-        payload, owners = batch.to_payload(use_shm=use_shm)
-        try:
-            restored = ColumnarBatch.from_payload(
-                pickle.loads(pickle.dumps(payload))
-            )
-        finally:
-            for owner in owners:
-                owner.release()
-        assert restored == batch
+    """A shard crosses the pool as the pickled batch itself."""
 
-    def test_small_blocks_never_use_shm(self):
-        batch = ColumnarBatch.from_tuples(_mixed_tuples(4))
-        payload, owners = batch.to_payload(use_shm=True)
-        assert owners == []
-        assert all(isinstance(b, np.ndarray) for b in payload.blocks)
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_payload_roundtrip(self, sliced):
+        batch = ColumnarBatch.from_tuples(_mixed_tuples(64))
+        if sliced:
+            # A worker's sink can hold a zero-copy slice of its shard.
+            batch = batch.slice(5, 40)
+        assert pickle.loads(pickle.dumps(batch)) == batch
+
+    def test_list_valued_probabilities_and_timestamps_roundtrip(self):
+        # Non-float probabilities and timestamps stay Python lists.
+        tuples = [
+            UncertainTuple({"v": float(i)}, probability=1, timestamp=i)
+            for i in range(6)
+        ]
+        batch = ColumnarBatch.from_tuples(tuples)
+        assert isinstance(batch.probabilities, list)
+        assert isinstance(batch.timestamps, list)
+        restored = pickle.loads(pickle.dumps(batch))
+        assert restored == batch
+        assert [pickle.dumps(t) for t in restored] == [
+            pickle.dumps(t) for t in tuples
+        ]
 
 
 class TestOperatorFastPaths:
