@@ -59,13 +59,15 @@ class ContinuousQuery:
 class StreamDatabase:
     """A single-process accuracy-aware uncertain stream database.
 
-    ``shared_subplans`` selects how standing queries are dispatched.
-    With the default ``True``, registered plans are grouped by their
-    accuracy-bearing prefix fingerprint (:mod:`repro.query.multiquery`)
-    and each group's prefix runs once per tuple; ``insert_many``
-    additionally columnarizes the batch and screens residual predicates
-    vectorized.  ``False`` keeps the naive one-full-pipeline-per-query
-    loop — the determinism oracle the shared path is byte-identical to.
+    Every insert goes through :meth:`insert_many`, and
+    ``shared_subplans`` selects how it dispatches to the standing
+    queries.  With the default ``True``, the batch runs through the
+    engine of :mod:`repro.query.multiquery`: registered plans are
+    grouped by their accuracy-bearing prefix fingerprint, each group's
+    prefix runs once per tuple, and residual predicates are decided
+    vectorized over the columnarized batch.  ``False`` keeps the naive
+    one-full-pipeline-per-query loop — the determinism oracle the
+    shared path is byte-identical to.
 
     Everything the database records goes into one ``observer``
     (default: a metrics-only :class:`~repro.obs.instrument.Observer`);
@@ -175,19 +177,10 @@ class StreamDatabase:
     ) -> None:
         """Insert one tuple (mappings become probability-1 tuples).
 
-        Every standing query on the stream sees the tuple even when an
-        earlier query's callback raises; the first callback failure is
-        re-raised as :class:`~repro.errors.CallbackError` after the
-        dispatch completes.
+        A one-row :meth:`insert_many`: the same validation, dispatch
+        and error rules apply.
         """
-        state = self._state(name)
-        if not isinstance(tup, UncertainTuple):
-            tup = UncertainTuple(dict(tup))
-        if state.schema is not None:
-            state.schema.validate(tup)
-        state.tuples.append(tup)
-        state.inserted += 1
-        self._dispatch_one(name, tup)
+        self.insert_many(name, [tup])
 
     def _iter_naive(self, name: str, tup: UncertainTuple):
         """The per-query reference loop: every pipeline in full."""
@@ -196,28 +189,6 @@ class StreamDatabase:
                 result = cq.executor.execute_one(tup)
                 if result is not None:
                     yield cq, result
-
-    def _dispatch_one(self, name: str, tup: UncertainTuple) -> None:
-        """Fan one tuple out to its standing queries, fault-isolated."""
-        if self.shared_subplans:
-            pairs = self._engine.iter_results(name, tup)
-        else:
-            pairs = self._iter_naive(name, tup)
-        first_error: Exception | None = None
-        first_name = ""
-        for cq, result in pairs:
-            cq.matches += 1
-            try:
-                cq.callback(result)
-            except Exception as exc:  # noqa: BLE001 - isolate subscribers
-                if first_error is None:
-                    first_error, first_name = exc, cq.name
-        if first_error is not None:
-            raise CallbackError(
-                f"callback of continuous query {first_name!r} raised "
-                f"{type(first_error).__name__}: {first_error}",
-                first_name,
-            ) from first_error
 
     def insert_many(
         self,
@@ -228,13 +199,17 @@ class StreamDatabase:
 
         Validation is atomic: the whole batch is checked against the
         stream schema before any tuple is buffered or dispatched.  With
-        standing queries registered and ``shared_subplans`` enabled,
-        the batch is columnarized and every shared-plan group's prefix
-        runs once per tuple (vectorized where the residuals allow),
-        with results emitted row by row in the naive callback order.
-        A raising callback still sees the rest of *its* tuple's
-        dispatch complete, then aborts the remaining rows with
-        :class:`~repro.errors.CallbackError`.
+        ``shared_subplans`` enabled the standing queries run on the
+        whole batch first (columnarized, each shared-plan group's
+        prefix once per tuple, residuals vectorized where they allow),
+        so an executor error surfaces before any tuple is buffered.
+        The naive loop instead runs every query on a tuple as that
+        tuple is emitted.  Either way rows are buffered and emitted one
+        by one in the naive callback order.  Every standing query sees
+        its row's results even when an earlier callback raises; the
+        first callback failure is then re-raised as
+        :class:`~repro.errors.CallbackError`, leaving the failing row
+        buffered and the later rows neither buffered nor emitted.
         """
         state = self._state(name)
         batch = [
@@ -250,34 +225,30 @@ class StreamDatabase:
             buffer.extend(batch)
             state.inserted += len(batch)
             return len(batch)
-        if self.shared_subplans and len(batch) >= 2:
+        if self.shared_subplans:
             start = time.perf_counter()
             rows = self._engine.execute_batch(name, batch)
             self._fanout_timer.record(time.perf_counter() - start)
-            first_error: Exception | None = None
-            first_name = ""
-            for tup, row in zip(batch, rows):
-                buffer.append(tup)
-                state.inserted += 1
-                for cq, result in row:
-                    cq.matches += 1
-                    try:
-                        cq.callback(result)
-                    except Exception as exc:  # noqa: BLE001
-                        if first_error is None:
-                            first_error, first_name = exc, cq.name
-                if first_error is not None:
-                    raise CallbackError(
-                        f"callback of continuous query {first_name!r} "
-                        f"raised {type(first_error).__name__}: "
-                        f"{first_error}",
-                        first_name,
-                    ) from first_error
-            return len(batch)
-        for tup in batch:
+        else:
+            rows = (self._iter_naive(name, tup) for tup in batch)
+        for tup, row in zip(batch, rows):
             buffer.append(tup)
             state.inserted += 1
-            self._dispatch_one(name, tup)
+            first_error: Exception | None = None
+            first_name = ""
+            for cq, result in row:
+                cq.matches += 1
+                try:
+                    cq.callback(result)
+                except Exception as exc:  # noqa: BLE001 - isolate subscribers
+                    if first_error is None:
+                        first_error, first_name = exc, cq.name
+            if first_error is not None:
+                raise CallbackError(
+                    f"callback of continuous query {first_name!r} raised "
+                    f"{type(first_error).__name__}: {first_error}",
+                    first_name,
+                ) from first_error
         return len(batch)
 
     def ingest_observations(
@@ -302,6 +273,12 @@ class StreamDatabase:
         a road's speed limit).  Groups with fewer than
         ``min_observations`` readings are skipped (their accuracy would
         be undefined); returns the number of tuples produced.
+
+        Every group is learned before anything is inserted, and the
+        learned tuples enter in one :meth:`insert_many` call: a record
+        or learner error leaves the stream unchanged, and the standing
+        queries see the tuples under that method's dispatch and error
+        rules.
 
         Passing ``age`` (a record column holding each observation's age)
         together with ``half_life`` enables the paper's §VII weighted
@@ -336,7 +313,7 @@ class StreamDatabase:
                 raise SchemaError(f"record {record!r} lacks {age!r}")
             groups.setdefault(record[group_by], []).append(record)
 
-        produced = 0
+        learned: list[UncertainTuple] = []
         for group_key in sorted(groups, key=str):
             members = groups[group_key]
             if len(members) < min_observations:
@@ -358,9 +335,8 @@ class StreamDatabase:
             }
             for attr in carry:
                 attributes[attr] = members[0].get(attr)
-            self.insert(name, UncertainTuple(attributes))
-            produced += 1
-        return produced
+            learned.append(UncertainTuple(attributes))
+        return self.insert_many(name, learned)
 
     # -- querying ---------------------------------------------------------------
 
@@ -398,10 +374,17 @@ class StreamDatabase:
         Identical query texts (modulo whitespace) share one compiled
         plan object through the plan cache, and plans whose prefix
         fingerprints match land in the same shared-plan group.
+        Aggregate queries need the whole stream, so they are refused
+        here; run them with :meth:`query`.
         """
         if name in self._continuous:
             raise QueryError(f"continuous query {name!r} already exists")
         compiled = self._compile(text)
+        if compiled.is_aggregate:
+            raise QueryError(
+                f"continuous query {name!r} is an aggregate query; "
+                "aggregate queries need the whole stream, use query()"
+            )
         self._state(compiled.source)  # source must exist
         cq = ContinuousQuery(
             name=name,

@@ -348,6 +348,5 @@ def load_database(
     for name, decoded in parsed:
         if name not in db.streams():
             db.create_stream(name)
-        for tup in decoded:
-            db.insert(name, tup)
+        db.insert_many(name, decoded)
     return db

@@ -40,12 +40,13 @@ tuple.  The mechanism is conservative:
   member's own scalar ``residual_outcome``, which decides or raises
   exactly as naive execution does.
 
-Batch-path caveats (documented divergences on *error* paths only):
-executor errors surface before any of that batch's callbacks, and a
-callback that raises stops emission for later rows after their
-executors already ran (per-tuple RNG state may advance past the failing
-row).  Reentrant callbacks that insert into the same stream during a
-batched dispatch observe the batch mid-flight.
+Every insert, one tuple or many, runs here as a batch.  The documented
+divergences are on *error* paths only: executor errors surface before
+any of that batch's callbacks, and a callback that raises stops
+emission for later rows after their executors already ran (per-tuple
+RNG state may advance past the failing row).  Reentrant callbacks that
+insert into the same stream during a batched dispatch observe the
+batch mid-flight.
 """
 
 from __future__ import annotations
@@ -380,7 +381,7 @@ class _PlanGroup:
 class MultiQueryEngine:
     """Groups standing queries by prefix fingerprint and executes them.
 
-    The engine owns no streams and fires no callbacks: it yields
+    The engine owns no streams and fires no callbacks: it returns
     ``(handle, ResultTuple)`` pairs in registration order and leaves
     buffering, match counting and fan-out to :class:`repro.db.
     StreamDatabase`.
@@ -518,47 +519,17 @@ class MultiQueryEngine:
         attributes, accuracy = executor.evaluate_prefix(tup)
         return attributes, accuracy
 
-    # -- single-tuple dispatch (StreamDatabase.insert) ---------------------
+    # -- dispatch (StreamDatabase.insert_many) -----------------------------
 
     def iter_results(self, source: str, tup: UncertainTuple):
-        """Yield ``(handle, result)`` per matching query, in order.
-
-        Lazy on purpose: the caller interleaves callbacks between
-        members exactly like the naive dispatch loop.  Aggregate
-        standing queries raise mid-iteration, as ``execute_one`` always
-        has.
-        """
-        cache: dict = {}
-        for entry in self._query_set(source).members:
-            executor = entry.executor
-            group = entry.group
-            if group is None or len(group.entries) < 2:
-                result = executor.execute_one(tup)
-            else:
-                if executor.query.is_aggregate:
-                    executor.execute_one(tup)  # raises QueryError
-                outcome = executor.residual_outcome(tup)
-                if outcome is None:
-                    continue
-                attributes, accuracy = self._group_product(
-                    group, (id(group),), tup, entry, cache
-                )
-                result = executor.finalize_result(
-                    tup, outcome, dict(attributes), dict(accuracy)
-                )
-            if result is not None:
-                self._record_result(entry)
-                yield entry.handle, result
-        if self.observer.frames is not None:
-            self.observer.frames.advance(1)
+        """``(handle, result)`` pairs of one tuple: a one-row batch."""
+        return iter(self.execute_batch(source, [tup])[0])
 
     def _record_result(self, entry: _Entry) -> None:
         entry.results_counter.inc()
         group = entry.group
         if group is not None:
             group.results_counter.inc()
-
-    # -- batched dispatch (StreamDatabase.insert_many) ---------------------
 
     def execute_batch(
         self, source: str, tuples: list[UncertainTuple]

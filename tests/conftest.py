@@ -19,9 +19,13 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def small_sim() -> CarTelSimulator:
-    """A small road network shared across tests (read-only use)."""
+    """A small road network, fresh per test.
+
+    The simulator draws observations from one generator, so a shared
+    instance would make each test's data depend on the tests before it.
+    """
     return CarTelSimulator(n_segments=60, seed=7)
 
 

@@ -173,20 +173,20 @@ def _run(queries, batch, shared, batched):
 @given(queries=query_mixes(), batch=tuple_batches())
 def test_shared_subplans_byte_identical_to_naive(queries, batch):
     naive = _run(queries, batch, False, False)
-    # Per-tuple shared dispatch: identical events, matches, and error
-    # (same type, same message, raised at the same point).
-    assert _run(queries, batch, True, False) == naive
-    events, matches, error = _run(queries, batch, True, True)
     naive_events, naive_matches, naive_error = naive
-    if naive_error is None:
-        assert (events, matches, error) == naive
-    else:
-        # Documented batch-path divergence: executor errors surface
-        # before any of the batch's emissions, so the event stream
-        # stops early — but an error must still be raised and no
-        # spurious emissions may appear.
-        assert error is not None
-        assert events == naive_events[: len(events)]
+    # Per-tuple inserts are one-row batches, so both shared runs obey
+    # the batch path's rules.
+    for batched in (False, True):
+        events, matches, error = _run(queries, batch, True, batched)
+        if naive_error is None:
+            assert (events, matches, error) == naive
+        else:
+            # Documented batch-path divergence: executor errors surface
+            # before any of the batch's emissions, so the event stream
+            # stops early — but an error must still be raised and no
+            # spurious emissions may appear.
+            assert error is not None
+            assert events == naive_events[: len(events)]
 
 
 @settings(max_examples=30, deadline=None)

@@ -102,6 +102,25 @@ class TestDatabaseFailures:
         # The tuple was buffered before the callback ran.
         assert db.count("s") == 1
 
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_failing_callback_stops_the_batch_at_its_row(self, shared):
+        db = StreamDatabase(shared_subplans=shared)
+        db.create_stream("s")
+        seen = []
+
+        def explode_on_two(result):
+            seen.append(result.value("x").distribution.mean())
+            if seen[-1] == 2.0:
+                raise RuntimeError("callback failure")
+
+        db.register_continuous("boom", "SELECT x FROM s", explode_on_two)
+        with pytest.raises(CallbackError):
+            db.insert_many("s", [{"x": 1.0}, {"x": 2.0}, {"x": 3.0}])
+        # The failing row is buffered; the rows after it are not.
+        assert seen == [1.0, 2.0]
+        assert db.count("s") == 2
+        assert db.stats("s")["inserted"] == 2
+
     def test_bad_record_aborts_ingest_before_any_insert(self):
         db = StreamDatabase()
         db.create_stream("s")

@@ -3,8 +3,16 @@
 import pytest
 
 from repro.core.coupled import ThreeValued
+from repro.core.dfsample import DfSized
 from repro.db import StreamDatabase
-from repro.errors import QueryError, SchemaError, StreamError
+from repro.distributions.gaussian import GaussianDistribution
+from repro.errors import (
+    AccuracyError,
+    LearningError,
+    QueryError,
+    SchemaError,
+    StreamError,
+)
 from repro.learning.gaussian_learner import GaussianLearner
 from repro.query.executor import ExecutorConfig
 from repro.streams.tuples import Schema, UncertainTuple
@@ -117,6 +125,31 @@ class TestIngestObservations:
                 "roads", [{"oops": 1}], group_by="road_id", value="delay",
             )
 
+    def test_learner_error_leaves_stream_unchanged(self, db):
+        class FailsOnSecondGroup(GaussianLearner):
+            calls = 0
+
+            def learn(self, sample):
+                self.calls += 1
+                if self.calls == 2:
+                    raise LearningError("second group")
+                return super().learn(sample)
+
+        db.create_stream("roads")
+        hits = []
+        db.register_continuous("all", "SELECT delay FROM roads", hits.append)
+        records = [_report(road, float(d)) for road in (1, 2, 3)
+                   for d in (10.0, 12.0, 14.0)]
+        with pytest.raises(LearningError):
+            db.ingest_observations(
+                "roads", records, group_by="road_id", value="delay",
+                learner=FailsOnSecondGroup(),
+            )
+        # The first group was learned, but nothing was inserted.
+        assert db.count("roads") == 0
+        assert db.stats("roads")["inserted"] == 0
+        assert hits == []
+
 
 class TestQuery:
     def test_query_routes_to_named_stream(self, db, rng):
@@ -192,6 +225,44 @@ class TestContinuousQueries:
         assert hits == []
         with pytest.raises(QueryError):
             db.unregister_continuous("q")
+
+    def test_aggregate_query_refused_at_registration(self, db):
+        db.create_stream("s")
+        with pytest.raises(QueryError, match="aggregate"):
+            db.register_continuous(
+                "a", "SELECT AVG(x) FROM s", lambda r: None
+            )
+        assert db.continuous_queries() == []
+        assert db.stats("s")["watchers"] == []
+        db.insert("s", {"x": 1.0})
+        assert db.count("s") == 1
+
+    def test_executor_error_leaves_state_before_the_tuple(self, db):
+        # mTest raises on an exact-size field; on the shared path the
+        # error comes before any of that tuple's callbacks.
+        db.create_stream("s")
+        hits = []
+        everything = db.register_continuous(
+            "all", "SELECT x FROM s", hits.append
+        )
+        significant = db.register_continuous(
+            "m", "SELECT x FROM s WHERE mTest(x, '>', 0, 0.05, 0.05)",
+            hits.append,
+        )
+        sampled = {"x": DfSized(GaussianDistribution(5.0, 1.0), 20)}
+        db.insert("s", sampled)
+        db.insert("s", sampled)
+        before = (
+            db.count("s"), db.stats("s")["inserted"], list(hits),
+            everything.matches, significant.matches,
+        )
+        assert before[:2] == (2, 2) and len(before[2]) == 4
+        with pytest.raises(AccuracyError):
+            db.insert("s", {"x": 1.0})
+        assert (
+            db.count("s"), db.stats("s")["inserted"], hits,
+            everything.matches, significant.matches,
+        ) == before
 
     def test_drop_stream_removes_its_queries(self, db):
         db.create_stream("a")
