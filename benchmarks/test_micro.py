@@ -18,7 +18,7 @@ from repro.learning.gaussian_learner import GaussianLearner
 from repro.learning.histogram_learner import HistogramLearner
 from repro.query.executor import ExecutorConfig, QueryExecutor
 from repro.streams.engine import Pipeline
-from repro.streams.operators import CountingSink, SlidingGaussianAverage
+from repro.streams.operators import CountingSink, WindowAggregate
 from repro.streams.tuples import UncertainTuple
 
 
@@ -86,7 +86,7 @@ def test_micro_sliding_average_pipeline(benchmark, rng):
 
     def run() -> int:
         pipe = Pipeline(
-            [SlidingGaussianAverage("value", 100), CountingSink()]
+            [WindowAggregate("value", 100), CountingSink()]
         )
         pipe.run(tuples)
         return pipe.sink.count

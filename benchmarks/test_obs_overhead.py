@@ -48,7 +48,7 @@ from repro.streams.engine import Pipeline
 from repro.streams.operators import (
     CollectSink,
     CountingSink,
-    SlidingGaussianAverage,
+    WindowAggregate,
 )
 from repro.streams.throughput import measure_throughput
 
@@ -107,7 +107,7 @@ def _fig5c_pipeline(sink=CountingSink, observer=None) -> Pipeline:
     return Pipeline(
         [
             _LearnGaussian("points", "value"),
-            SlidingGaussianAverage("value", WINDOW_SIZE),
+            WindowAggregate("value", WINDOW_SIZE),
             _AnalyticAccuracy("avg"),
             sink(),
         ],

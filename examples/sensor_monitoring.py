@@ -20,8 +20,8 @@ from repro import (
     Observer,
     Pipeline,
     SignificanceFilter,
-    SlidingGaussianAverage,
     UncertainTuple,
+    WindowAggregate,
     distribution_accuracy,
 )
 
@@ -61,7 +61,7 @@ def main() -> None:
     pipeline = Pipeline(
         [
             Derive("temperature", learn),   # QP: learn from raw readings
-            SlidingGaussianAverage("temperature", WINDOW),
+            WindowAggregate("temperature", WINDOW),
             Derive("accuracy", attach_accuracy),
             SignificanceFilter(             # controlled-error alerting
                 alert_predicate, alpha1=0.05, alpha2=0.05

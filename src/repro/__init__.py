@@ -120,7 +120,6 @@ from repro.streams import (
     Derive,
     ProbabilisticFilter,
     SignificanceFilter,
-    SlidingGaussianAverage,
     WindowAggregate,
     RollingLearnOperator,
     RollingWindowStats,
@@ -186,7 +185,7 @@ __all__ = [
     "EmpiricalLearner", "KdeLearner", "WeightedLearner",
     "AttributeSpec", "Schema", "UncertainTuple", "Pipeline", "CountWindow",
     "Select", "Project", "Derive", "ProbabilisticFilter",
-    "SignificanceFilter", "SlidingGaussianAverage", "WindowAggregate",
+    "SignificanceFilter", "WindowAggregate",
     "RollingLearnOperator", "RollingWindowStats",
     "CollectSink", "CountingSink", "measure_throughput",
     "parse_query", "compile_query", "QueryExecutor", "ExecutorConfig",

@@ -54,7 +54,7 @@ from repro.streams.operators import (
     ANY_PARTITION,
     CountingSink,
     Operator,
-    SlidingGaussianAverage,
+    WindowAggregate,
 )
 from repro.streams.throughput import measure_throughput
 from repro.streams.tuples import UncertainTuple
@@ -564,10 +564,6 @@ def _measure_all(
             batch_size=batch_size,
             observer=observer,
             prefix=f"{figure}.{_slug(name)}",
-            # Batched configurations run end-to-end columnar (converted
-            # once, outside the timed region); the per-tuple
-            # baseline (one-row batches) keeps the tuple-list layout.
-            layout="columnar" if batch_size is not None else "tuple",
         )
     return ThroughputResult(label, throughputs)
 
@@ -579,7 +575,7 @@ def _fig5_pipeline(*stages: Callable[[], Operator]) -> Callable[[], Pipeline]:
         return Pipeline(
             [
                 _LearnGaussian("points", "value"),
-                SlidingGaussianAverage("value", WINDOW_SIZE),
+                WindowAggregate("value", WINDOW_SIZE),
                 *(stage() for stage in stages),
                 CountingSink(),
             ]

@@ -100,16 +100,6 @@ class HistogramSynopsis:
             raise LearningError("probabilities of an empty synopsis")
         return self.counts / self.n
 
-    def midpoint_moments(self) -> tuple[float, float]:
-        """(mean, biased variance) using bucket midpoints as values."""
-        if self.n == 0:
-            raise LearningError("moments of an empty synopsis")
-        midpoints = (self.edges[:-1] + self.edges[1:]) / 2.0
-        weights = self.counts / self.n
-        mean = float(np.dot(weights, midpoints))
-        variance = float(np.dot(weights, (midpoints - mean) ** 2))
-        return mean, variance
-
     # -- merge ---------------------------------------------------------------
 
     def merge(self, other: "HistogramSynopsis") -> "HistogramSynopsis":

@@ -24,7 +24,6 @@ from repro.streams.operators import (
     Derive,
     ProbabilisticFilter,
     SignificanceFilter,
-    SlidingGaussianAverage,
     WindowAggregate,
     TimeWindowAggregate,
     RollingLearnOperator,
@@ -59,7 +58,6 @@ __all__ = [
     "Derive",
     "ProbabilisticFilter",
     "SignificanceFilter",
-    "SlidingGaussianAverage",
     "WindowAggregate",
     "TimeWindowAggregate",
     "RollingLearnOperator",

@@ -358,6 +358,19 @@ class RollingWindowStats:
         # window of near-cancelling variances; variances are >= 0.
         return max(self._var_sum.value, 0.0)
 
+    def moments(self) -> tuple[float, float, int, int | None]:
+        """``(mean_sum, var_sum, count, df_size)`` in one call.
+
+        The inputs of a window avg/sum, read once per slide on the
+        operators' hot loops.
+        """
+        return (
+            self._mean_sum.value,
+            max(self._var_sum.value, 0.0),
+            len(self._entries),
+            self._sizes.minimum,
+        )
+
     @property
     def min_mean(self) -> float:
         if self._min is None:
@@ -574,6 +587,11 @@ class ChunkedWindowStats:
         return max(
             self._scaled(math.fsum(c.var_sum for c in self._chunks)), 0.0
         )
+
+    def moments(self) -> tuple[float, float, int, int | None]:
+        """``(mean_sum, var_sum, count, df_size)``, as
+        :meth:`RollingWindowStats.moments`."""
+        return self.mean_sum, self.var_sum, self.count, self.df_size
 
     def _scaled(self, retained_sum: float) -> float:
         if self.pending == 0:

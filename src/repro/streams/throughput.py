@@ -52,28 +52,23 @@ def measure_throughput(
     batch_size: int | None = None,
     observer: Observer | None = None,
     prefix: str = "pipeline",
-    layout: str = "tuple",
 ) -> float:
     """Best-of-``repeats`` throughput of a pipeline over the given tuples.
 
     A fresh pipeline is built per repeat so windowed state never carries
     over between timing runs.  ``batch_size`` selects the batched
-    execution path (:meth:`Pipeline.run_batched`); ``None`` measures the
-    per-tuple path (:meth:`Pipeline.run`, which pushes one-row
-    batches).
+    execution path (:meth:`Pipeline.run_batched`) over a source
+    columnarized (:class:`~repro.streams.columnar.ColumnarBatch`) once,
+    *outside* the timed region, when its layout allows — so the number
+    reflects columnar execution rather than conversion cost.  ``None``
+    measures the per-tuple path (:meth:`Pipeline.run`, which pushes
+    one-row batches) over the tuple list as-is.
 
     ``observer`` requests a per-operator breakdown (plus spans and
     frames when the observer holds them): after the timed repeats, one
     extra *observed* pass runs a fresh pipeline with the observer
     attached (names under ``prefix``), so the observability overhead
     never contaminates the reported throughput.
-
-    ``layout`` selects the batch representation fed to the pipeline:
-    ``"tuple"`` (default) times the per-tuple list as-is, while
-    ``"columnar"`` converts the source to a
-    :class:`~repro.streams.columnar.ColumnarBatch` once, *outside* the
-    timed region, so the measurement reflects columnar execution
-    rather than conversion cost.
 
     Raises :class:`StreamError` when no repeat produced a measurable
     elapsed time (tiny tuple lists on coarse clocks) — a successful call
@@ -83,18 +78,8 @@ def measure_throughput(
         raise StreamError(f"repeats must be >= 1, got {repeats}")
     if not tuples:
         raise StreamError("cannot measure throughput over zero tuples")
-    if layout not in ("tuple", "columnar"):
-        raise StreamError(
-            f"layout must be 'tuple' or 'columnar', got {layout!r}"
-        )
-    if layout == "columnar":
-        columnar = as_columnar(tuples)
-        if columnar is None:
-            raise StreamError(
-                "layout='columnar' requires a uniform-layout tuple "
-                "source; this one cannot be columnarized"
-            )
-        tuples = columnar
+    if batch_size is not None:
+        tuples = as_columnar(tuples) or tuples
 
     def _run_once(pipeline: Pipeline) -> None:
         if batch_size is None:

@@ -19,7 +19,7 @@ from repro.obs.export import (
 from repro.obs import Observer
 from repro.obs.trace import TraceConfig, Tracer
 from repro.streams.engine import Pipeline
-from repro.streams.operators import CollectSink, SlidingGaussianAverage
+from repro.streams.operators import CollectSink, WindowAggregate
 from repro.streams.tuples import UncertainTuple
 
 
@@ -27,7 +27,7 @@ def _traced_tracer(n=30, batch_size=None, seed=0):
     observer = Observer(trace=TraceConfig(seed=seed))
     tracer = observer.tracer
     pipeline = Pipeline(
-        [SlidingGaussianAverage("value", 8), CollectSink()],
+        [WindowAggregate("value", 8), CollectSink()],
         observer=observer,
     )
     tuples = [

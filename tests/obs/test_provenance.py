@@ -20,7 +20,7 @@ from repro.streams.engine import Pipeline
 from repro.streams.operators import (
     CollectSink,
     Operator,
-    SlidingGaussianAverage,
+    WindowAggregate,
 )
 from repro.streams.tuples import UncertainTuple
 
@@ -161,7 +161,7 @@ class TestExplainTheorem1:
         tracer = observer.tracer
         pipeline = Pipeline(
             [
-                SlidingGaussianAverage("left", 4, output="avg"),
+                WindowAggregate("left", 4, output="avg"),
                 _Theorem1Join("avg", "right"),
                 CollectSink(),
             ],
@@ -170,7 +170,7 @@ class TestExplainTheorem1:
         sink = pipeline.run(_join_tuples(8))
         text = tracer.explain(sink.results[-1])
         assert "through this stage" in text
-        assert text.index("SlidingGaussianAverage") < text.index(
+        assert text.index("WindowAggregate") < text.index(
             "Theorem1Join"
         )
 

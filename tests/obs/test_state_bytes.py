@@ -21,7 +21,7 @@ from repro.streams.operators import (
     CollectSink,
     RollingLearnOperator,
     Select,
-    SlidingGaussianAverage,
+    WindowAggregate,
 )
 from repro.streams.tuples import UncertainTuple
 
@@ -48,12 +48,12 @@ class TestStateBytesGauge:
         observer = Observer()
         registry = observer.metrics
         pipeline = Pipeline(
-            [SlidingGaussianAverage("value", 8), CollectSink()],
+            [WindowAggregate("value", 8), CollectSink()],
             observer=observer,
         )
         pipeline.run(_tuples())
         snap = registry.snapshot()
-        gauge = snap["pipeline.00.SlidingGaussianAverage.state.bytes"]
+        gauge = snap["pipeline.00.WindowAggregate.state.bytes"]
         # 8 buffered window members at ~120 bytes apiece, plus overhead.
         assert gauge["value"] > 8 * 100
 

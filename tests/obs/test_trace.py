@@ -20,7 +20,6 @@ from repro.parallel import pipeline_payload
 from repro.streams.engine import Pipeline
 from repro.streams.operators import (
     CollectSink,
-    SlidingGaussianAverage,
     WindowAggregate,
 )
 from repro.streams.tuples import UncertainTuple
@@ -43,7 +42,7 @@ def _tuples(n=40, window_sizes=(10, 12, 14)):
 
 def _pipeline(observer=None):
     return Pipeline(
-        [SlidingGaussianAverage("value", 8), CollectSink()],
+        [WindowAggregate("value", 8), CollectSink()],
         observer=observer,
     )
 
@@ -197,7 +196,7 @@ class TestPipelineWiring:
         assert stage.parent_id == run_span.span_id
         assert stage.attrs["tuples_in"] == 40
         assert stage.attrs["tuples_out"] == 40
-        assert stage.name == "pipeline.00.SlidingGaussianAverage"
+        assert stage.name == "pipeline.00.WindowAggregate"
 
     def test_run_records_one_batch_span_per_row(self):
         observer = Observer(trace=TraceConfig(max_spans=10))
@@ -211,7 +210,7 @@ class TestPipelineWiring:
         assert stage.attrs["batches"] == stage.attrs["calls"] == 40
 
     def test_failed_run_closes_every_span(self):
-        class OneShotBomb(SlidingGaussianAverage):
+        class OneShotBomb(WindowAggregate):
             armed = True
 
             def process_many(self, tuples):

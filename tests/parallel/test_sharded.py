@@ -45,7 +45,6 @@ from repro.streams.operators import (
     RollingLearnOperator,
     Select,
     SignificanceFilter,
-    SlidingGaussianAverage,
     TimeWindowAggregate,
     WindowAggregate,
 )
@@ -292,7 +291,7 @@ class TestWorkerCountEquivalence:
         for workers in WORKER_COUNTS:
             pipeline = Pipeline(
                 [
-                    SlidingGaussianAverage("reading", window_size=10),
+                    WindowAggregate("reading", window_size=10),
                     CollectSink(),
                 ]
             )
@@ -520,9 +519,6 @@ def _stateful_operators():
     from repro.experiments.fig5_throughput import _BootstrapAccuracy
 
     return {
-        "SlidingGaussianAverage": lambda: SlidingGaussianAverage(
-            "reading", 10
-        ),
         "WindowAggregate": lambda: WindowAggregate("reading", 10),
         "WindowAggregate-min": lambda: WindowAggregate(
             "reading", 10, agg="min"

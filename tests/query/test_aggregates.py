@@ -179,7 +179,7 @@ class TestExecution:
     def test_matches_sliding_window_operator(self):
         """The SQL AVG agrees with the stream operator's closed form."""
         from repro.streams.engine import Pipeline
-        from repro.streams.operators import CollectSink, SlidingGaussianAverage
+        from repro.streams.operators import CollectSink, WindowAggregate
 
         tuples = _tuples([5.0, 15.0, 25.0], n=20)
         sql = run_query(
@@ -187,7 +187,7 @@ class TestExecution:
             config=ExecutorConfig(seed=0),
         )[0].value("m").distribution
         sink = Pipeline(
-            [SlidingGaussianAverage("v", 10), CollectSink()]
+            [WindowAggregate("v", 10), CollectSink()]
         ).run(tuples)
         stream = sink.results[-1].value("avg").distribution
         assert sql.mean() == pytest.approx(stream.mean())

@@ -28,7 +28,6 @@ from repro.streams.operators import (
     Project,
     RollingLearnOperator,
     Select,
-    SlidingGaussianAverage,
     WindowAggregate,
 )
 from repro.streams.tuples import UncertainTuple
@@ -60,7 +59,7 @@ def windowed_pipeline() -> Pipeline:
         [
             Derive("y", lambda t: t.dfsized("x").distribution.mean() * 2.0),
             Select(lambda t: t.value("y") > -6.0),
-            SlidingGaussianAverage("x", 7),
+            WindowAggregate("x", 7),
             WindowAggregate("avg", 5, agg="avg", output="wavg"),
             GroupedAggregate(
                 "g", "wavg", 4, agg="sum", output="gsum", emit_every=False
@@ -77,7 +76,7 @@ def emitting_pipeline() -> Pipeline:
             ProbabilisticFilter(
                 lambda t: 0.9 if t.value("g") != 1 else 0.4, threshold=0.3
             ),
-            SlidingGaussianAverage("x", 5),
+            WindowAggregate("x", 5),
             Project(["g", "avg"]),
             WindowAggregate("avg", 3, agg="max", output="peak"),
             CollectSink(),

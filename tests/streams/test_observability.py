@@ -17,7 +17,6 @@ from repro.streams.operators import (
     CountingSink,
     Operator,
     Select,
-    SlidingGaussianAverage,
     WindowAggregate,
 )
 from repro.streams.throughput import measure_throughput
@@ -47,7 +46,7 @@ def build_pipeline(observer=None):
     return Pipeline(
         [
             Select(lambda t: t.value("item") % 10 != 0.0),
-            SlidingGaussianAverage("value", 8),
+            WindowAggregate("value", 8),
             CollectSink(),
         ],
         observer=observer,
@@ -128,7 +127,7 @@ class TestOperatorMetrics:
         assert snap["pipeline.00.Select.tuples_in"]["value"] == 100
         kept = snap["pipeline.00.Select.tuples_out"]["value"]
         assert kept == 90  # every 10th item dropped
-        assert snap["pipeline.01.SlidingGaussianAverage.tuples_in"][
+        assert snap["pipeline.01.WindowAggregate.tuples_in"][
             "value"
         ] == 90
         assert snap["pipeline.02.CollectSink.tuples_in"]["value"] == 90
@@ -150,7 +149,7 @@ class TestOperatorMetrics:
         assert timer["total_seconds"] >= 0.0
         # flush propagated through the whole chain exactly once
         for index, name in enumerate(
-            ["Select", "SlidingGaussianAverage", "CollectSink"]
+            ["Select", "WindowAggregate", "CollectSink"]
         ):
             flush = snap[f"pipeline.{index:02d}.{name}.flush_seconds"]
             assert flush["count"] == 1
@@ -173,10 +172,10 @@ class TestOperatorMetrics:
         pipeline = build_pipeline(observer=observer)
         pipeline.run(make_tuples(50, seed=4))
         widths = registry.get(
-            "pipeline.01.SlidingGaussianAverage.interval_width"
+            "pipeline.01.WindowAggregate.interval_width"
         )
         sizes = registry.get(
-            "pipeline.01.SlidingGaussianAverage.sample_size"
+            "pipeline.01.WindowAggregate.sample_size"
         )
         assert widths.count == 45  # one per emitted window result
         assert widths.sum > 0.0
@@ -270,7 +269,7 @@ class TestPipelineMetrics:
         pipeline = build_pipeline(observer=observer)
         pipeline.run(make_tuples(30, seed=16))
         table = render_metrics_table(registry)
-        for name in ("Select", "SlidingGaussianAverage", "CollectSink"):
+        for name in ("Select", "WindowAggregate", "CollectSink"):
             assert name in table
 
 

@@ -6,7 +6,7 @@ from repro.core.coupled import ThreeValued
 from repro.core.dfsample import DfSized
 from repro.core.predicates import FieldStats, MTest
 from repro.distributions.gaussian import GaussianDistribution
-from repro.errors import StreamError
+from repro.errors import DistributionError, StreamError
 from repro.learning.gaussian_learner import GaussianLearner
 from repro.obs import Observer
 from repro.streams.engine import Pipeline
@@ -18,7 +18,6 @@ from repro.streams.operators import (
     Project,
     Select,
     SignificanceFilter,
-    SlidingGaussianAverage,
     WindowAggregate,
 )
 from repro.streams.tuples import UncertainTuple
@@ -141,77 +140,6 @@ class TestSignificanceFilter:
         assert len(sink.results) == 1
 
 
-class TestSlidingGaussianAverage:
-    def _stream(self, rng, count=10, n=20):
-        learner = GaussianLearner()
-        return [
-            UncertainTuple(
-                {"value": learner.learn(rng.normal(100, 5, n)).as_dfsized()}
-            )
-            for _ in range(count)
-        ]
-
-    def test_exact_average_of_gaussians(self):
-        gaussians = [
-            GaussianDistribution(10, 4),
-            GaussianDistribution(20, 8),
-        ]
-        tuples = [
-            UncertainTuple({"value": DfSized(g, 20)}) for g in gaussians
-        ]
-        pipe = Pipeline([SlidingGaussianAverage("value", 5), CollectSink()])
-        sink = pipe.run(tuples)
-        last = sink.results[-1].value("avg")
-        assert last.distribution.mu == pytest.approx(15.0)
-        assert last.distribution.sigma2 == pytest.approx(3.0)  # 12/4
-        assert last.sample_size == 20
-
-    def test_window_slides(self, rng):
-        pipe = Pipeline([SlidingGaussianAverage("value", 3), CollectSink()])
-        sink = pipe.run(self._stream(rng, count=10))
-        assert len(sink.results) == 10
-
-    def test_incremental_matches_direct(self, rng):
-        tuples = self._stream(rng, count=50)
-        pipe = Pipeline([SlidingGaussianAverage("value", 8), CollectSink()])
-        sink = pipe.run(tuples)
-        # Recompute the last window directly.
-        members = [t.dfsized("value").distribution for t in tuples[-8:]]
-        direct = GaussianDistribution.average(members)
-        result = sink.results[-1].value("avg").distribution
-        assert result.mu == pytest.approx(direct.mu)
-        assert result.sigma2 == pytest.approx(direct.sigma2)
-
-    def test_min_sample_size_tracked_through_eviction(self):
-        sizes = [30, 10, 20, 25]
-        tuples = [
-            UncertainTuple(
-                {"value": DfSized(GaussianDistribution(0, 1), n)}
-            )
-            for n in sizes
-        ]
-        pipe = Pipeline([SlidingGaussianAverage("value", 2), CollectSink()])
-        sink = pipe.run(tuples)
-        # Window contents per step: [30], [30,10], [10,20], [20,25].
-        seen = [t.value("avg").sample_size for t in sink.results]
-        assert seen == [30, 10, 10, 20]
-
-    def test_emit_partial_false_waits_for_full_window(self, rng):
-        pipe = Pipeline(
-            [
-                SlidingGaussianAverage("value", 5, emit_partial=False),
-                CollectSink(),
-            ]
-        )
-        sink = pipe.run(self._stream(rng, count=7))
-        assert len(sink.results) == 3  # windows at items 5, 6, 7
-
-    def test_rejects_non_gaussian(self):
-        pipe = Pipeline([SlidingGaussianAverage("value", 2), CollectSink()])
-        with pytest.raises(StreamError):
-            pipe.run([UncertainTuple({"value": 3.0})])
-
-
 class TestWindowAggregate:
     def _tuples(self, means):
         return [
@@ -221,12 +149,67 @@ class TestWindowAggregate:
             for m in means
         ]
 
+    def _stream(self, rng, count=10, n=20):
+        learner = GaussianLearner()
+        return [
+            UncertainTuple(
+                {"value": learner.learn(rng.normal(100, 5, n)).as_dfsized()}
+            )
+            for _ in range(count)
+        ]
+
     def test_avg(self):
         pipe = Pipeline([WindowAggregate("v", 2, "avg"), CollectSink()])
         sink = pipe.run(self._tuples([2.0, 4.0]))
         result = sink.results[-1].value("avg")
         assert result.distribution.mean() == pytest.approx(3.0)
         assert result.sample_size == 10
+
+    def test_exact_average_of_gaussians(self):
+        gaussians = [
+            GaussianDistribution(10, 4),
+            GaussianDistribution(20, 8),
+        ]
+        tuples = [
+            UncertainTuple({"value": DfSized(g, 20)}) for g in gaussians
+        ]
+        pipe = Pipeline([WindowAggregate("value", 5), CollectSink()])
+        sink = pipe.run(tuples)
+        last = sink.results[-1].value("avg")
+        assert last.distribution.mu == pytest.approx(15.0)
+        assert last.distribution.sigma2 == pytest.approx(3.0)  # 12/4
+        assert last.sample_size == 20
+
+    def test_window_slides(self, rng):
+        pipe = Pipeline([WindowAggregate("value", 3), CollectSink()])
+        sink = pipe.run(self._stream(rng, count=10))
+        assert len(sink.results) == 10
+
+    def test_incremental_matches_direct(self, rng):
+        tuples = self._stream(rng, count=50)
+        # Recompute the last window directly.
+        members = [t.dfsized("value").distribution for t in tuples[-8:]]
+        direct = GaussianDistribution.average(members)
+        for batch_size in (1, 16):  # tuple lists, then columns
+            pipe = Pipeline([WindowAggregate("value", 8), CollectSink()])
+            sink = pipe.run_batched(tuples, batch_size)
+            result = sink.results[-1].value("avg").distribution
+            assert result.mu == pytest.approx(direct.mu)
+            assert result.sigma2 == pytest.approx(direct.sigma2)
+
+    def test_min_sample_size_tracked_through_eviction(self):
+        sizes = [30, 10, 20, 25]
+        tuples = [
+            UncertainTuple(
+                {"value": DfSized(GaussianDistribution(0, 1), n)}
+            )
+            for n in sizes
+        ]
+        pipe = Pipeline([WindowAggregate("value", 2), CollectSink()])
+        sink = pipe.run(tuples)
+        # Window contents per step: [30], [30,10], [10,20], [20,25].
+        seen = [t.value("avg").sample_size for t in sink.results]
+        assert seen == [30, 10, 10, 20]
 
     def test_sum(self):
         pipe = Pipeline([WindowAggregate("v", 3, "sum"), CollectSink()])
@@ -248,6 +231,14 @@ class TestWindowAggregate:
         result = sink.results[-1].value("avg")
         assert result.distribution.mean() == pytest.approx(4.0)
         assert result.sample_size is None  # exact inputs
+
+    @pytest.mark.parametrize("agg", ["avg", "sum"])
+    def test_non_finite_result_raises_canonical_error(self, agg):
+        tuples = self._tuples([1e308, 1e308])
+        for batch_size in (1, 2):  # tuple lists, then columns
+            pipe = Pipeline([WindowAggregate("v", 2, agg), CollectSink()])
+            with pytest.raises(DistributionError, match="finite"):
+                pipe.run_batched(tuples, batch_size)
 
     def test_rejects_unknown_aggregate(self):
         with pytest.raises(StreamError):

@@ -42,9 +42,8 @@ from repro.streams.operators import (
     RollingLearnOperator,
     Select,
     SignificanceFilter,
-    SlidingGaussianAverage,
-    TimeWindowAggregate,
     WindowAggregate,
+    TimeWindowAggregate,
 )
 from repro.streams.tuples import UncertainTuple
 
@@ -102,7 +101,7 @@ def _windowed():
     return [
         Derive("y", lambda t: t.dfsized("x").distribution.mean() * 2.0),
         Select(lambda t: t.value("y") > -6.0),
-        SlidingGaussianAverage("x", 7),
+        WindowAggregate("x", 7),
         WindowAggregate("avg", 5, agg="avg", output="wavg"),
         GroupedAggregate(
             "g", "wavg", 4, agg="sum", output="gsum", emit_every=False
@@ -115,7 +114,7 @@ def _emitting():
         ProbabilisticFilter(
             lambda t: 0.9 if t.value("g") != 1 else 0.4, threshold=0.3
         ),
-        SlidingGaussianAverage("x", 5),
+        WindowAggregate("x", 5),
         Project(["g", "avg"]),
         WindowAggregate("avg", 3, agg="max", output="peak"),
     ]
@@ -166,7 +165,7 @@ def _columnar():
 def _observed():
     return [
         Select(lambda t: t.value("x").distribution.mu > -4.0),
-        SlidingGaussianAverage("x", 8),
+        WindowAggregate("x", 8),
     ]
 
 

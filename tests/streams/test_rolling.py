@@ -24,11 +24,11 @@ from repro.streams.engine import Pipeline
 from repro.streams.operators import (
     CollectSink,
     RollingLearnOperator,
-    SlidingGaussianAverage,
     TimeWindowAggregate,
     WindowAggregate,
 )
 from repro.streams.rolling import (
+    ChunkedWindowStats,
     CompensatedSum,
     MinSizeTracker,
     RollingWindowStats,
@@ -198,6 +198,22 @@ class TestRollingWindowStats:
         assert stats.min_mean == stats.max_mean == 2.0
         assert stats.df_size is None
 
+    @pytest.mark.parametrize(
+        "make", [RollingWindowStats, lambda: ChunkedWindowStats(chunk_size=2)]
+    )
+    def test_moments_reads_the_accessors(self, make):
+        stats = make()
+        for i in range(9):
+            stats.push(float(i) - 4.0, 0.25 * i, None if i % 3 else 10 + i)
+            if stats.count > 5:
+                stats.evict_oldest()
+            assert stats.moments() == (
+                stats.mean_sum,
+                stats.var_sum,
+                stats.count,
+                stats.df_size,
+            )
+
     def test_evict_expired_uses_timestamps(self):
         stats = RollingWindowStats()
         for ts in (1.0, 2.0, 3.0, 4.0):
@@ -247,7 +263,7 @@ class TestDriftRegression:
         assert checkpoints > 10
         assert stats.resums > 0  # the guard actually fired along the way
 
-    def test_sliding_gaussian_average_operator_stays_exact(self):
+    def test_window_average_operator_stays_exact(self):
         # The pre-PR operator kept plain += / -= sums: after mixed-
         # magnitude churn the reported window average drifted.  Now the
         # emitted mean must match the from-scratch window average.
@@ -264,9 +280,7 @@ class TestDriftRegression:
         ]
         sink = Pipeline(
             [
-                SlidingGaussianAverage(
-                    "x", window_size, resum_interval=1000
-                ),
+                WindowAggregate("x", window_size, resum_interval=1000),
                 CollectSink(),
             ]
         ).run(tuples)
@@ -443,7 +457,7 @@ class TestRollingObservability:
         observer = Observer()
         pipe = Pipeline(
             [
-                SlidingGaussianAverage("x", 4),
+                WindowAggregate("x", 4),
                 TimeWindowAggregate("y", 1.0),
                 RollingLearnOperator("obs", window_size=4),
                 CollectSink(),
