@@ -9,9 +9,13 @@ sample size), which makes every slide O(1) amortized.
 This benchmark pits the shipped operators against ``_Legacy*`` copies
 of the pre-PR list-rebuild implementations on the same streams and
 asserts the speedup at ``window_size >= 256`` — where the O(window)
-term dominates — is at least 3x.  Results land in
+term dominates — is at least 3x.  The two arms run interleaved, one
+run of each per repeat (alternating which goes first), and the gate
+reads the median of the per-repeat ratios, so host load that drifts
+during the run moves both arms of a pair alike.  Results land in
 ``benchmarks/results/BENCH_windows.json`` as
-``{config, operator, window_size, tuples_per_sec}`` records.
+``{config, operator, window_size, tuples_per_sec}`` records (each arm's
+best repeat).
 
 ``WINDOW_SMOKE=1`` shrinks the workload and relaxes the assertion to
 "rolling is not slower" for CI smoke runs on noisy shared runners.
@@ -152,8 +156,17 @@ def _stream(n=N_ITEMS, seed=11):
     ]
 
 
-def _measure(factory, tuples):
-    return measure_throughput(factory, tuples, repeats=REPEATS)
+def _measure_pair(rolling_factory, legacy_factory, tuples):
+    """Best throughput of each arm and the median per-repeat ratio."""
+    rolling_runs, legacy_runs = [], []
+    for repeat in range(REPEATS):
+        arms = [(rolling_factory, rolling_runs), (legacy_factory, legacy_runs)]
+        if repeat % 2:
+            arms.reverse()
+        for factory, runs in arms:
+            runs.append(measure_throughput(factory, tuples, repeats=1))
+    ratios = [r / l for r, l in zip(rolling_runs, legacy_runs)]
+    return max(rolling_runs), max(legacy_runs), float(np.median(ratios))
 
 
 def test_window_throughput(results_dir):
@@ -203,8 +216,11 @@ def test_window_throughput(results_dir):
     for label, rolling_factory, legacy_factory, floor in cases:
         floors[label] = floor
         for window_size in WINDOW_SIZES:
-            rolling = _measure(rolling_factory(window_size), tuples)
-            legacy = _measure(legacy_factory(window_size), tuples)
+            rolling, legacy, speedup = _measure_pair(
+                rolling_factory(window_size),
+                legacy_factory(window_size),
+                tuples,
+            )
             records.append(
                 {
                     "config": "rolling",
@@ -221,13 +237,13 @@ def test_window_throughput(results_dir):
                     "tuples_per_sec": legacy,
                 }
             )
-            speedups[(label, window_size)] = rolling / legacy
+            speedups[(label, window_size)] = speedup
 
     (results_dir / "BENCH_windows.json").write_text(
         json.dumps(records, indent=1) + "\n"
     )
 
-    lines = ["operator                       window   speedup"]
+    lines = ["operator                       window   median speedup"]
     for (label, window_size), speedup in sorted(speedups.items()):
         lines.append(f"{label:<30} {window_size:>6}   {speedup:>6.2f}x")
     save_result(results_dir, "window_throughput", "\n".join(lines))

@@ -7,6 +7,7 @@
 * :mod:`repro.core.predicates` — mTest / mdTest / pTest (§IV-B).
 * :mod:`repro.core.coupled` — COUPLED-TESTS and three-valued logic (§IV-C).
 * :mod:`repro.core.power` — power functions of the tests.
+* :mod:`repro.core.aggregate` — possible-world COUNT/SUM/AVG moments.
 * :mod:`repro.core.effective` — weighted-sample extension (§VII future work).
 """
 

@@ -20,7 +20,14 @@ import numpy as np
 from repro.distributions.base import Distribution
 from repro.errors import DistributionError
 
-__all__ = ["HistogramDistribution"]
+__all__ = [
+    "HistogramDistribution",
+    "histogram_cdfs",
+    "histogram_means",
+    "histogram_tail_probabilities",
+    "histogram_variances",
+    "stack_histograms",
+]
 
 _PROB_TOLERANCE = 1e-9
 
@@ -187,3 +194,99 @@ class HistogramDistribution(Distribution):
             f"HistogramDistribution({self.bucket_count} buckets on "
             f"[{self.edges[0]:.4g}, {self.edges[-1]:.4g}))"
         )
+
+
+
+# -- array twins over stacked histograms --------------------------------------
+#
+# Each kernel reads ``k`` histograms of one bucket count ``b`` stacked
+# row-wise: ``edges`` is ``(k, b + 1)`` and ``probabilities`` ``(k, b)``.
+# Every row equals the scalar method bit for bit: the elementwise
+# arithmetic is the scalar's own, cumulative sums run left to right as
+# the scalar's ``np.cumsum`` does, and the per-row dot products go
+# through stacked ``matmul``, which reduces each row like ``np.dot``
+# does (``einsum`` and ``sum(axis=1)`` reorder the additions and differ
+# in the last bit).
+
+
+def stack_histograms(
+    dists: "Sequence[HistogramDistribution]",
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(edges, probabilities)`` matrices of histograms of one size."""
+    count = len(dists)
+    edges = np.concatenate([d.edges for d in dists]).reshape(count, -1)
+    probabilities = np.concatenate(
+        [d.probabilities for d in dists]
+    ).reshape(count, -1)
+    return edges, probabilities
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(a[i], b[i])`` for every row ``i``."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def histogram_means(
+    edges: np.ndarray, probabilities: np.ndarray
+) -> np.ndarray:
+    """:meth:`HistogramDistribution.mean` of every row."""
+    mids = (edges[:, :-1] + edges[:, 1:]) / 2.0
+    return _row_dots(mids, probabilities)
+
+
+def histogram_variances(
+    edges: np.ndarray,
+    probabilities: np.ndarray,
+    means: "np.ndarray | None" = None,
+) -> np.ndarray:
+    """:meth:`HistogramDistribution.variance` of every row.
+
+    ``means`` are the rows' :func:`histogram_means`, computed here when
+    not given.
+    """
+    lo = edges[:, :-1]
+    hi = edges[:, 1:]
+    second = (lo * lo + lo * hi + hi * hi) / 3.0
+    ex2 = _row_dots(second, probabilities)
+    if means is None:
+        means = histogram_means(edges, probabilities)
+    spread = ex2 - means * means
+    # Python's max(spread, 0.0) keeps ``spread`` unless 0.0 > spread.
+    return np.where(0.0 > spread, 0.0, spread)
+
+
+def histogram_cdfs(
+    edges: np.ndarray, probabilities: np.ndarray, x: float
+) -> np.ndarray:
+    """:meth:`HistogramDistribution.cdf` of every row at one point ``x``."""
+    count, buckets = probabilities.shape
+    # The scalar's _cum[i] for i < b: the mass below bucket i.
+    below = np.zeros((count, buckets))
+    np.cumsum(probabilities[:, :-1], axis=1, out=below[:, 1:])
+    # searchsorted(edges, x, side="right") - 1, clipped into the buckets.
+    i = np.clip((edges <= x).sum(axis=1) - 1, 0, buckets - 1)[:, None]
+    lo = np.take_along_axis(edges, i, axis=1)[:, 0]
+    hi = np.take_along_axis(edges, i + 1, axis=1)[:, 0]
+    with np.errstate(invalid="ignore"):
+        within = (x - lo) / (hi - lo)
+        values = (
+            np.take_along_axis(below, i, axis=1)[:, 0]
+            + within * np.take_along_axis(probabilities, i, axis=1)[:, 0]
+        )
+    values[x >= edges[:, -1]] = 1.0
+    values[x <= edges[:, 0]] = 0.0
+    return values
+
+
+def histogram_tail_probabilities(
+    edges: np.ndarray, probabilities: np.ndarray, op: str, c: float
+) -> np.ndarray:
+    """``P[X op c]`` of every row: the query layer's tail probability.
+
+    A histogram has no point mass, so ``prob_less`` is the cdf: ``>`` and
+    ``>=`` are ``1 - cdf``, ``<`` and ``<=`` the cdf itself.
+    """
+    if op not in (">", ">=", "<", "<="):
+        raise DistributionError(f"no tail probability for operator {op!r}")
+    cdf = histogram_cdfs(edges, probabilities, c)
+    return 1.0 - cdf if op in (">", ">=") else cdf

@@ -308,13 +308,27 @@ class OperatorObserver:
                 tracer.end(span, emitted=self.tuples_out.value - out_before)
 
     def emit_many(self, operator, tuples) -> None:
-        """Count an emitted batch; record its accuracy and provenance."""
+        """Count an emitted batch; record its accuracy and provenance.
+
+        The accuracy attribute is read as one column: a
+        :class:`~repro.streams.columnar.ColumnarBatch` (the only batch
+        with a ``column`` method) hands over its column values without
+        materializing rows.  Rows are materialized only for a tracer
+        that records provenance.
+        """
         self.tuples_out.inc(len(tuples))
-        if self.accuracy_attribute is None:
+        attribute = self.accuracy_attribute
+        if attribute is None:
             return
-        observe = self.observe_accuracy
-        for tup in tuples:
-            observe(tup)
+        column_of = getattr(tuples, "column", None)
+        if column_of is None:
+            values = [tup.attributes.get(attribute) for tup in tuples]
+        else:
+            column = column_of(attribute)
+            values = [None] * len(tuples) if column is None else column.values()
+        observe = self.observe_value
+        for value in values:
+            observe(value)
         tracer = self.tracer
         if tracer is not None and tracer.provenance is not None:
             record = tracer.provenance.record
@@ -349,7 +363,11 @@ class OperatorObserver:
         ).set(value)
 
     def observe_accuracy(self, tup) -> None:
-        """Record interval width + sample size of one emitted tuple.
+        """Record interval width + sample size of one emitted tuple."""
+        self.observe_value(tup.attributes.get(self.accuracy_attribute))
+
+    def observe_value(self, value) -> None:
+        """Record interval width + sample size of one accuracy value.
 
         An accuracy record whose mean-interval width is missing or
         non-finite (``keep_unsure`` passthroughs carry intervals with
@@ -358,7 +376,6 @@ class OperatorObserver:
         counter instead of raising from ``Histogram.observe`` or being
         silently skipped.
         """
-        value = tup.attributes.get(self.accuracy_attribute)
         if isinstance(value, AccuracyInfo):
             interval = value.mean
             width = None if interval is None else interval.length

@@ -23,6 +23,7 @@ For each input tuple the executor:
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 
@@ -33,6 +34,7 @@ from repro.core.analytic import (
     distribution_accuracy,
     tuple_probability_interval,
 )
+from repro.core.aggregate import accumulate_moments, aggregate_moments
 from repro.core.adaptive import (
     DEFAULT_GROWTH,
     DEFAULT_INITIAL_RESAMPLES,
@@ -54,7 +56,7 @@ from repro.distributions.empirical import EmpiricalDistribution
 from repro.distributions.gaussian import GaussianDistribution
 from repro.distributions.histogram import HistogramDistribution
 from repro.errors import QueryError
-from repro.query.expressions import EvalContext
+from repro.query.expressions import Column, EvalContext
 from repro.query.parser import (
     AndCondition,
     CompareCondition,
@@ -65,7 +67,9 @@ from repro.query.parser import (
 )
 from repro.query.planner import CompiledQuery, compile_query
 from repro.query.residual import (
+    ColumnView,
     ResidualOutcome,
+    chunk_view,
     decide_rows,
     kernel_conjuncts,
     merge_fallback,
@@ -85,6 +89,9 @@ _ACCURACY_METHODS = ("analytic", "bootstrap", "none")
 #: kernel-shaped WHERE clause in arrays: the arrays of one read stay
 #: this small however long the stream buffer is.
 _CHUNK_ROWS = 4096
+
+#: Ints in this range convert to a finite float.
+_INT64 = 2**63
 
 
 @dataclasses.dataclass
@@ -578,86 +585,96 @@ class QueryExecutor:
         """SELECT AVG/SUM/COUNT(...) [GROUP BY key] over the input.
 
         Possible-world moment semantics with independent tuple
-        memberships B_i ~ Bernoulli(p_i) and field values X_i:
+        memberships (:mod:`repro.core.aggregate`): COUNT and SUM are
+        exact, AVG is SUM / E[COUNT] with variance scaled by
+        E[COUNT]^2 — exact when every p_i = 1, a documented first-order
+        approximation otherwise.
 
-        * COUNT: E = sum(p_i),  Var = sum(p_i (1 - p_i))   (exact)
-        * SUM:   E = sum(p_i mu_i),
-                 Var = sum(p_i (sigma_i^2 + mu_i^2) - p_i^2 mu_i^2) (exact)
-        * AVG:   SUM / E[COUNT] with variance scaled by E[COUNT]^2 —
-                 exact when every p_i = 1, a documented first-order
-                 approximation otherwise.
+        The WHERE matches come from :meth:`_chunks`, the evaluator of
+        every read.  Each match contributes its probability, group and
+        the (mean, variance, sample size) of every aggregated value:
+        from the chunk's column view for a plain column whose view
+        covers the chunk, else by evaluating the expression on the row
+        (with the context its residual ran under, so Monte-Carlo draws
+        keep their order).  Group keys, expressions and errors run row
+        by row in arrival order.
 
         Each output field is a Gaussian (CLT across the window) carrying
         the minimum contributing de facto sample size (Lemma 3).  With
         GROUP BY, one row per group is emitted in sorted key order (the
-        key appears in the output under its attribute name); groups with
-        no qualifying tuples produce no row.
+        key appears in the output under its attribute name, as first
+        seen); groups with no qualifying tuples produce no row.
         """
         items = list(zip(self.query.select_items, self.query.aggregates))
         group_by = self.query.group_by
-
-        class _Acc:
-            __slots__ = (
-                "exp_sum", "var_sum", "size_min", "exp_count",
-                "var_count", "condition_sizes", "qualified",
-            )
-
-            def __init__(acc) -> None:
-                acc.exp_sum = [0.0] * len(items)
-                acc.var_sum = [0.0] * len(items)
-                acc.size_min: list[int | None] = [None] * len(items)
-                acc.exp_count = 0.0
-                acc.var_count = 0.0
-                acc.condition_sizes: list[int] = []
-                acc.qualified = 0
-
-        groups: dict[object, _Acc] = {}
-
-        for tup in tuples:
-            ctx = EvalContext(tup, self._rng, self.config.mc_samples)
-            probability = tup.probability
-            keep = True
-            condition_sizes: list[int] = []
-            for conjunct in self.query.conjuncts:
-                outcome = self._evaluate_condition(conjunct, ctx)
-                if not outcome.qualifies:
-                    keep = False
-                    break
-                probability *= outcome.probability
-                condition_sizes.extend(
-                    size for size in outcome.sizes if size is not None
+        exprs = [expr for (expr, _alias), _agg in items]
+        columns = [
+            expr.name if isinstance(expr, Column) else None for expr in exprs
+        ]
+        keys: dict[object, int] = {}  # first-seen key -> group index
+        groups: list[int] = []
+        probabilities: list = []
+        condition_sizes: list = []
+        means: list[list] = [[] for _ in items]
+        variances: list[list] = [[] for _ in items]
+        sizes: list[list] = [[] for _ in items]
+        names = {name for name in columns if name is not None}
+        for chunk, matches, views in self._chunks(tuples, names):
+            # The views that hold every row of the chunk; the other
+            # aggregates are evaluated per matching row.
+            covering: list[ColumnView | None] = []
+            for name in columns:
+                view = None if name is None else views[name]
+                covering.append(
+                    view if view is not None and view.covered.all() else None
                 )
-            if not keep or probability <= 0.0:
-                continue
-            key = (
-                self._group_key(tup, group_by)
-                if group_by is not None else None
-            )
-            acc = groups.get(key)
-            if acc is None:
-                acc = groups[key] = _Acc()
-            acc.qualified += 1
-            acc.exp_count += probability
-            acc.var_count += probability * (1.0 - probability)
-            acc.condition_sizes.extend(condition_sizes)
-            for i, ((expr, _alias), _agg) in enumerate(items):
-                value = expr.evaluate(ctx)
-                mu = value.distribution.mean()
-                sigma2 = value.distribution.variance()
-                acc.exp_sum[i] += probability * mu
-                acc.var_sum[i] += (
-                    probability * (sigma2 + mu * mu)
-                    - probability * probability * mu * mu
-                )
-                if value.sample_size is not None:
-                    acc.size_min[i] = (
-                        value.sample_size if acc.size_min[i] is None
-                        else min(acc.size_min[i], value.sample_size)
+            per_row = [i for i, view in enumerate(covering) if view is None]
+            rows: list[int] = []
+            for b, outcome in matches:
+                tup = chunk[b]
+                key = None
+                if group_by is not None:
+                    key = tup.attributes.get(group_by)
+                    if type(key) not in (int, float, str):
+                        key = self._group_key(tup, group_by)
+                groups.append(keys.setdefault(key, len(keys)))
+                rows.append(b)
+                probabilities.append(outcome.probability)
+                condition_sizes.append(
+                    min(
+                        (size for size in outcome.sizes if size is not None),
+                        default=None,
                     )
+                    if outcome.sizes else None
+                )
+                ctx = outcome.ctx
+                for i in per_row:
+                    if ctx is None:  # decided in arrays, which drew nothing
+                        ctx = EvalContext(
+                            tup, self._rng, self.config.mc_samples
+                        )
+                    value = exprs[i].evaluate(ctx)
+                    means[i].append(value.distribution.mean())
+                    variances[i].append(value.distribution.variance())
+                    sizes[i].append(value.sample_size)
+            for i, view in enumerate(covering):
+                if view is not None:
+                    means[i].extend(view.mu[rows].tolist())
+                    variances[i].extend(view.sigma2[rows].tolist())
+                    sizes[i].extend(view.sizes[b] for b in rows)
 
+        moments = accumulate_moments(
+            np.asarray(groups, dtype=np.intp),
+            len(keys),
+            np.asarray(probabilities, dtype=np.float64),
+            [np.asarray(mu, dtype=np.float64) for mu in means],
+            [np.asarray(s2, dtype=np.float64) for s2 in variances],
+            sizes,
+            condition_sizes,
+        )
         results: list[ResultTuple] = []
-        for key in sorted(groups, key=str):
-            acc = groups[key]
+        for key in sorted(keys, key=str):
+            g = keys[key]
             attributes: dict[str, DfSized] = {}
             if group_by is not None:
                 if isinstance(key, str):
@@ -668,27 +685,14 @@ class QueryExecutor:
                         Deterministic(float(key)), None  # type: ignore[arg-type]
                     )
             for i, ((_expr, alias), agg) in enumerate(items):
-                if agg == "count":
-                    dist = GaussianDistribution(
-                        acc.exp_count, acc.var_count
-                    )
-                    size = (
-                        min(acc.condition_sizes)
-                        if acc.condition_sizes else None
-                    )
-                elif agg == "sum":
-                    dist = GaussianDistribution(
-                        acc.exp_sum[i], max(acc.var_sum[i], 0.0)
-                    )
-                    size = acc.size_min[i]
-                else:  # avg
-                    dist = GaussianDistribution(
-                        acc.exp_sum[i] / acc.exp_count,
-                        max(acc.var_sum[i], 0.0)
-                        / (acc.exp_count * acc.exp_count),
-                    )
-                    size = acc.size_min[i]
-                attributes[alias] = DfSized(dist, size)
+                mean, variance = aggregate_moments(agg, moments, i, g)
+                size = (
+                    moments.condition_size[g] if agg == "count"
+                    else moments.size_min[i][g]
+                )
+                attributes[alias] = DfSized(
+                    GaussianDistribution(mean, variance), size
+                )
 
             accuracy: dict[str, AccuracyInfo] = {}
             if self.config.accuracy_method != "none":
@@ -731,41 +735,55 @@ class QueryExecutor:
             if result is not None:
                 yield result
 
-    def _scalar_matches(
-        self, tuples: Iterable[UncertainTuple]
-    ) -> Iterator[tuple[UncertainTuple, ResidualOutcome]]:
-        for tup in tuples:
-            outcome = self.residual_outcome(tup)
-            if outcome is not None:
-                yield tup, outcome
+    def _chunks(
+        self, tuples: Iterable[UncertainTuple], names: "Iterable[str]"
+    ) -> Iterator[
+        tuple[
+            list[UncertainTuple],
+            Iterator[tuple[int, ResidualOutcome]],
+            "dict[str, ColumnView | None]",
+        ]
+    ]:
+        """The input in chunks, each with its WHERE matches and views.
 
-    def _matches(
-        self, tuples: Iterable[UncertainTuple]
-    ) -> Iterator[tuple[UncertainTuple, ResidualOutcome]]:
-        """The tuples WHERE keeps, with their outcomes, in arrival order.
-
-        A kernel-shaped WHERE clause is decided in arrays
-        (:mod:`repro.query.residual`), ``_CHUNK_ROWS`` tuples at a
-        time.  Rows the kernels leave, and chunks that are not
-        kernel-typed, run the scalar residual when the iteration reaches
-        them, so per-row work and errors keep the scalar loop's order.
+        Yields ``(chunk, matches, views)`` per ``_CHUNK_ROWS`` tuples.
+        ``matches`` are the ``(row, outcome)`` pairs WHERE keeps, in
+        arrival order.  A kernel-shaped WHERE clause is decided in
+        arrays (:mod:`repro.query.residual`); rows the kernels leave,
+        and chunks that are not kernel-typed, run the scalar residual
+        when the iteration reaches them, so per-row work and errors keep
+        the scalar loop's order.  Consume ``matches`` before the next
+        chunk.  ``views`` maps each of ``names`` to the chunk's
+        :class:`~repro.query.residual.ColumnView` of that column, or
+        None where it is not kernel-typed; building one never raises.
         """
         kernel = kernel_conjuncts(self.query)
-        if not kernel:  # no WHERE clause, or not a kernel shape
-            yield from self._scalar_matches(tuples)
-            return
         keep_unsure = self.config.keep_unsure
         rest = iter(tuples)
         while chunk := list(islice(rest, _CHUNK_ROWS)):
-            decided = decide_rows(kernel, chunk, keep_unsure)
+            views: dict[str, ColumnView | None] = {}
+            decided = (
+                None if kernel is None
+                else decide_rows(kernel, chunk, keep_unsure, views)
+            )
             if decided is None:
-                yield from self._scalar_matches(chunk)
-                continue
-            hits, fallback = decided
-            for b, outcome in merge_fallback(
-                hits, fallback, lambda b: self.residual_outcome(chunk[b])
-            ):
-                yield chunk[b], outcome
+                matches = self._scalar_matches(chunk)
+            else:
+                hits, fallback = decided
+                matches = merge_fallback(
+                    hits, fallback, lambda b: self.residual_outcome(chunk[b])
+                )
+            yield chunk, matches, {
+                name: chunk_view(views, chunk, name) for name in names
+            }
+
+    def _scalar_matches(
+        self, chunk: list[UncertainTuple]
+    ) -> Iterator[tuple[int, ResidualOutcome]]:
+        for b, tup in enumerate(chunk):
+            outcome = self.residual_outcome(tup)
+            if outcome is not None:
+                yield b, outcome
 
     def execute(
         self, tuples: Iterable[UncertainTuple]
@@ -779,43 +797,94 @@ class QueryExecutor:
         after the cut, for the returned rows only — except bootstrap
         accuracy, which draws from the generator and so runs per tuple
         in arrival order.  A kernel-shaped WHERE clause is decided in
-        arrays (see :meth:`_matches`) with the same results.
+        arrays (see :meth:`_chunks`) with the same results.
+
+        An ORDER BY on a plain column takes its keys from the chunk's
+        column view where the view covers the row.  A matched row whose
+        SELECT list is plain columns that cannot fail to project
+        (:func:`_projects_safely`) is projected after the cut when
+        accuracy is deferred; any other row is projected in the row
+        pass, so errors keep arrival order.
         """
         if self.query.is_aggregate:
             return self._execute_aggregate(tuples)
         # Everything that may draw from the generator or raise on a
         # tuple's values runs before the cut, in arrival order.
         deferred = self.config.accuracy_method != "bootstrap"
-        rows = []
-        for tup, outcome in self._matches(tuples):
-            attributes = self._project(tup)
-            accuracy = None if deferred else self._accuracy(attributes)
-            rows.append(
-                (
-                    tup,
-                    outcome,
-                    attributes,
-                    accuracy,
-                    self._sort_key(tup, outcome),
+        order_by = self.query.order_by
+        key_column = order_by.name if isinstance(order_by, Column) else None
+        selected = [
+            expr.name
+            for expr, _alias in self.query.select_items
+            if isinstance(expr, Column)
+        ]
+        late = (
+            deferred
+            and not self.query.star
+            and len(selected) == len(self.query.select_items)
+        )
+        rows = []  # [tup, outcome, attributes, accuracy, sort key]
+        for chunk, matches, views in self._chunks(
+            tuples, () if key_column is None else (key_column,)
+        ):
+            view = None if key_column is None else views[key_column]
+            keyed_rows: list[list] = []  # rows whose key the view holds
+            keyed_at: list[int] = []
+            for b, outcome in matches:
+                tup = chunk[b]
+                attributes = (
+                    None
+                    if late and _projects_safely(tup.attributes, selected)
+                    else self._project(tup)
                 )
-            )
-        if self.query.order_by is not None:
+                accuracy = None if deferred else self._accuracy(attributes)
+                row = [tup, outcome, attributes, accuracy, None]
+                if view is not None and view.covered[b]:
+                    keyed_rows.append(row)
+                    keyed_at.append(b)
+                else:
+                    row[4] = self._sort_key(tup, outcome)
+                rows.append(row)
+            if keyed_at:
+                for row, key in zip(keyed_rows, view.mu[keyed_at].tolist()):
+                    row[4] = key
+        if order_by is not None:
             rows.sort(
-                key=lambda row: (row[-1] is None, row[-1]),
+                key=lambda row: (row[4] is None, row[4]),
                 reverse=self.query.descending,
             )
         if self.query.limit is not None:
             rows = rows[: self.query.limit]
-        return [
-            self._result(
-                tup,
-                outcome,
-                attributes,
-                self._accuracy(attributes) if accuracy is None else accuracy,
-                sort_key,
+        results = []
+        for tup, outcome, attributes, accuracy, sort_key in rows:
+            if attributes is None:
+                attributes = self._project(tup)
+            if accuracy is None:
+                accuracy = self._accuracy(attributes)
+            results.append(
+                self._result(tup, outcome, attributes, accuracy, sort_key)
             )
-            for tup, outcome, attributes, accuracy, sort_key in rows
-        ]
+        return results
+
+
+def _projects_safely(attributes: dict, names: "Sequence[str]") -> bool:
+    """Whether projecting the columns ``names`` of a row cannot raise.
+
+    A ``DfSized`` value projects as itself and a finite float or an
+    int64-range int as an exact value; anything else (a missing
+    attribute, text, a non-finite float) may raise, so such a row is
+    projected in arrival order.
+    """
+    for name in names:
+        value = attributes.get(name)
+        kind = type(value)
+        if not (
+            kind is DfSized
+            or (kind is float and math.isfinite(value))
+            or (kind is int and -_INT64 <= value < _INT64)
+        ):
+            return False
+    return True
 
 
 def run_query(

@@ -275,7 +275,11 @@ class _Entry:
         self.fingerprint = prefix_fingerprint(
             executor.query, executor.config
         )
-        self.kernel = kernel_conjuncts(executor.query)
+        # Aggregates need the whole stream: their batch path raises.
+        self.kernel = (
+            None if executor.query.is_aggregate
+            else kernel_conjuncts(executor.query)
+        )
         self.group: "_PlanGroup | None" = None
         self.results_counter = None  # set by MultiQueryEngine.add
 

@@ -8,15 +8,18 @@ facto sample sizes and the significance-test decisions (a
 scalar reference.
 
 When the residual has a kernel shape (:func:`kernel_conjuncts`) —
-``column op literal`` inequalities, or one ``mTest`` on a column — the
-rows are decided by the array twins of the scalar code
-(:func:`repro.distributions.gaussian.tail_probabilities`,
+no conjunct at all, ``column op literal`` inequalities, or one
+``mTest`` on a column — the rows are decided by the array twins of the
+scalar code (:func:`repro.distributions.gaussian.tail_probabilities`,
+:func:`repro.distributions.histogram.histogram_tail_probabilities`,
 :func:`repro.core.coupled.m_test_verdicts`), which equal it bit for bit
 per row, so each emitted probability is the float the scalar path
-would emit.  Rows outside the kernels' domain — non-finite values, and
-for ``mTest`` exact sample sizes, ``n < 2`` and zero variance — are
-left to the scalar residual, which decides or raises exactly as
-before.  The kernels never draw random values, so deciding a row in
+would emit.  A column is kernel-typed (:func:`column_view`) when it
+holds Python floats or ints, ``DfSized`` Gaussians, or ``DfSized``
+histograms of one bucket count.  Rows outside the kernels' domain —
+non-finite values, and for ``mTest`` exact sample sizes, ``n < 2`` and
+zero variance — are left to the scalar residual, which decides or
+raises exactly as before.  The kernels never draw random values, so deciding a row in
 arrays leaves every generator untouched.
 
 Both :meth:`QueryExecutor.execute` (one-shot reads over a stream
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import repeat
 
 import numpy as np
 
@@ -41,6 +45,13 @@ from repro.core.dfsample import DfSized
 from repro.distributions.gaussian import (
     GaussianDistribution,
     tail_probabilities,
+)
+from repro.distributions.histogram import (
+    HistogramDistribution,
+    histogram_means,
+    histogram_tail_probabilities,
+    histogram_variances,
+    stack_histograms,
 )
 from repro.query.expressions import Column, EvalContext, Literal, UnaryOp
 from repro.query.parser import CompareCondition, SignificanceCondition
@@ -58,15 +69,17 @@ from repro.streams.columnar import (
 from repro.streams.tuples import UncertainTuple
 
 __all__ = [
+    "ColumnView",
     "MTestConjunct",
     "ResidualOutcome",
     "VecConjunct",
+    "column_view",
     "kernel_conjuncts",
     "vectorizable_conjuncts",
 ]
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class ResidualOutcome:
     """Result of a plan's residual stage (WHERE conjuncts) on one tuple.
 
@@ -144,13 +157,13 @@ def vectorizable_conjuncts(compiled) -> "tuple[VecConjunct, ...] | None":
     A residual is decided in arrays when every conjunct is a plain
     comparison between one column and one literal (possibly negated)
     under an inequality operator — the shape of the paper's
-    probability-threshold workloads.  Significance predicates, OR/NOT
-    trees, equality comparisons, expression arithmetic and aggregates
-    return None.  ORDER BY does not matter: the sort key is evaluated
-    per matched row.
+    probability-threshold workloads.  No WHERE clause is the empty
+    tuple: every row with a positive membership probability matches.
+    Significance predicates, OR/NOT trees, equality comparisons and
+    expression arithmetic return None.  Neither ORDER BY nor
+    aggregation matters: both read the matched rows, and aggregates
+    take their WHERE matches from the same evaluator.
     """
-    if compiled.is_aggregate:
-        return None
     specs: list[VecConjunct] = []
     for conj in compiled.conjuncts:
         if not isinstance(conj, CompareCondition):
@@ -189,11 +202,7 @@ def kernel_conjuncts(
     rest runs the scalar residual.
     """
     specs = vectorizable_conjuncts(compiled)
-    if (
-        specs is not None
-        or compiled.is_aggregate
-        or len(compiled.conjuncts) != 1
-    ):
+    if specs is not None or len(compiled.conjuncts) != 1:
         return specs
     cond = compiled.conjuncts[0]
     if (
@@ -227,11 +236,15 @@ class ColumnView:
     Deterministic (Float/Int) columns are zero-variance with exact
     sample sizes.  ``covered`` marks the rows the tail kernel decides:
     a non-finite value makes the scalar path raise, so it runs there.
+    ``mu`` and ``sigma2`` equal each row's ``distribution.mean()`` and
+    ``variance()``.  A histogram view also keeps the stacked bucket
+    matrices ``(edges, probabilities)`` its tail kernel reads.
     """
 
-    __slots__ = ("mu", "sigma2", "sizes", "n", "covered")
+    __slots__ = ("mu", "sigma2", "sizes", "n", "covered", "histograms")
 
     def __init__(self, column) -> None:
+        self.histograms = None
         if isinstance(column, GaussianDfColumn):
             self.mu = column.mu
             self.sigma2 = column.sigma2
@@ -246,6 +259,58 @@ class ColumnView:
             self.n = None  # no sampled values: mTest raises on every row
             self.sizes = [None] * len(self.mu)
         self.covered = np.isfinite(self.mu) & np.isfinite(self.sigma2)
+
+    @classmethod
+    def of_histograms(cls, values: list) -> "ColumnView | None":
+        """The view of ``DfSized`` histograms of one bucket count, or None.
+
+        Sample sizes must be ``int`` or ``None`` (the size column is
+        ``int64``, as for Gaussians).
+        """
+        if {type(value) for value in values} != {DfSized}:
+            return None
+        dists = [value.distribution for value in values]
+        sizes = [value.sample_size for value in values]
+        if (
+            {type(dist) for dist in dists} != {HistogramDistribution}
+            or not {type(size) for size in sizes} <= {int, type(None)}
+            or len({len(dist.probabilities) for dist in dists}) != 1
+        ):
+            return None
+        try:
+            n = np.array(
+                [EXACT_SIZE if size is None else size for size in sizes],
+                dtype=np.int64,
+            )
+        except OverflowError:
+            return None
+        edges, probabilities = stack_histograms(dists)
+        view = cls.__new__(cls)
+        view.histograms = (edges, probabilities)
+        view.mu = histogram_means(edges, probabilities)
+        view.sigma2 = histogram_variances(edges, probabilities, view.mu)
+        view.sizes = sizes
+        view.n = n
+        view.covered = np.isfinite(view.mu) & np.isfinite(view.sigma2)
+        return view
+
+    def tail(self, op: str, c: float) -> np.ndarray:
+        """``P[X op c]`` per row, bit for bit the scalar tail probability."""
+        if self.histograms is None:
+            return tail_probabilities(self.mu, self.sigma2, op, c)
+        return histogram_tail_probabilities(*self.histograms, op, c)
+
+
+def column_view(values: list) -> "ColumnView | None":
+    """The kernel view of one column's values, or None if not kernel-typed.
+
+    A missing attribute reads as None: an object column, so the scalar
+    path raises its SchemaError.
+    """
+    column = _infer_column(values)
+    if isinstance(column, SUPPORTED_COLUMNS):
+        return ColumnView(column)
+    return ColumnView.of_histograms(values)
 
 
 def decide_single(
@@ -268,9 +333,7 @@ def decide_single(
     for spec, column in zip(kernel, columns):
         covered &= column.covered
         if isinstance(spec, VecConjunct):
-            q = tail_probabilities(
-                column.mu, column.sigma2, spec.op, spec.constant
-            )
+            q = column.tail(spec.op, spec.constant)
             keep &= (
                 q > 0.0 if spec.threshold is None
                 else q >= spec.threshold
@@ -291,18 +354,23 @@ def decide_single(
             keep &= (codes == _TRUE) | ((codes == _UNSURE) & keep_unsure)
             code_columns.append(codes.tolist())
     keep &= covered & (probability > 0.0)
-    values = probability.tolist()
+    rows = np.flatnonzero(keep).tolist()
+    values = probability[rows].tolist()
+    # Per matched row, the tuple of its sizes (one per tail conjunct)
+    # and of its decisions (one per mTest).
+    row_sizes = (
+        zip(*[[sizes[b] for b in rows] for sizes in size_columns])
+        if size_columns else repeat(())
+    )
+    row_decisions = (
+        zip(*[[VERDICTS[codes[b]] for b in rows] for codes in code_columns])
+        if code_columns else repeat(())
+    )
     hits = [
-        (
-            b,
-            ResidualOutcome(
-                values[b],
-                tuple(sizes[b] for sizes in size_columns),
-                tuple(VERDICTS[codes[b]] for codes in code_columns),
-                None,
-            ),
+        (b, ResidualOutcome(value, sizes, decisions, None))
+        for b, value, sizes, decisions in zip(
+            rows, values, row_sizes, row_decisions
         )
-        for b in np.flatnonzero(keep).tolist()
     ]
     return hits, covered
 
@@ -340,14 +408,29 @@ def _kernel_value(value: object) -> bool:
     kind = type(value)
     return kind is float or kind is int or (
         kind is DfSized
-        and type(value.distribution) is GaussianDistribution
+        and type(value.distribution)
+        in (GaussianDistribution, HistogramDistribution)
     )
+
+
+def chunk_view(
+    views: "dict[str, ColumnView | None]",
+    tuples: "Sequence[UncertainTuple]",
+    name: str,
+) -> "ColumnView | None":
+    """The :func:`column_view` of ``name`` over ``tuples``, cached in ``views``."""
+    if name not in views:
+        views[name] = column_view(
+            [tup.attributes.get(name) for tup in tuples]
+        )
+    return views[name]
 
 
 def decide_rows(
     kernel: "Sequence[VecConjunct | MTestConjunct]",
     tuples: "Sequence[UncertainTuple]",
     keep_unsure: bool,
+    views: "dict[str, ColumnView | None]",
 ) -> "tuple[list[tuple[int, ResidualOutcome]], list[int]] | None":
     """Kernel matches and scalar-fallback rows of a run of tuples.
 
@@ -355,7 +438,9 @@ def decide_rows(
     returns ``(hits, fallback)`` (both in row order), or ``None`` when
     the rows are not kernel-typed and the scalar residual must decide
     all of them.  The first row is checked before any array is built,
-    so a stream of, say, histogram values costs one type test.
+    so a stream of, say, text values costs one type test.  ``views``
+    caches the column views by name, so a caller reading the same
+    columns (sort keys, aggregate moments) builds each once.
     """
     first = tuples[0]
     if type(first.probability) is not float or not all(
@@ -368,21 +453,10 @@ def decide_rows(
         # Not every membership probability is a float: the scalar path
         # keeps their own types in the emitted probability.
         return None
-    views: dict[str, ColumnView] = {}
-    for spec in kernel:
-        if spec.column in views:
-            continue
-        # A missing attribute reads as None: an object column, so the
-        # scalar residual raises its SchemaError.
-        column = _infer_column(
-            [tup.attributes.get(spec.column) for tup in tuples]
-        )
-        if not isinstance(column, SUPPORTED_COLUMNS):
-            return None
-        views[spec.column] = ColumnView(column)
-    columns = [views[spec.column] for spec in kernel]
+    columns = [chunk_view(views, tuples, spec.column) for spec in kernel]
     if any(
-        isinstance(spec, MTestConjunct) and column.n is None
+        column is None
+        or (isinstance(spec, MTestConjunct) and column.n is None)
         for spec, column in zip(kernel, columns)
     ):
         return None

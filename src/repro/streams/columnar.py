@@ -412,13 +412,16 @@ def _scalar_column(values: list) -> "np.ndarray | list":
     return values
 
 
-class ColumnarBatch(Sequence):
+class ColumnarBatch:
     """One batch of uncertain tuples in struct-of-arrays layout.
 
     Construct with :meth:`from_tuples` (strict exact inference) or
     directly from columns (batch-aware operators building outputs).
     Behaves as an immutable ``Sequence[UncertainTuple]``; treat the
     underlying arrays as frozen — slices and ``take`` share buffers.
+    The class is registered as a ``Sequence`` rather than derived from
+    one, so ``isinstance(x, ColumnarBatch)`` — asked once per batch by
+    every operator — is a plain type check, not an ABC lookup.
     """
 
     __slots__ = ("_length", "_names", "_columns", "_prob", "_ts")
@@ -761,6 +764,9 @@ class ColumnarBatch(Sequence):
             f"{n}:{type(self._columns[n]).kind}" for n in self._names
         )
         return f"ColumnarBatch({self._length} rows; {kinds})"
+
+
+Sequence.register(ColumnarBatch)
 
 
 def as_columnar(

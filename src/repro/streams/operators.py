@@ -452,13 +452,18 @@ def _aggregate_value(stats: RollingWindowStats, agg: str) -> object:
 
 
 def _read_moments(
-    tuples: Sequence[UncertainTuple], attribute: str, columnar: bool
-) -> list[tuple[float, float, int | None]]:
+    tuples: Sequence[UncertainTuple],
+    attribute: str,
+    columnar: bool,
+    timestamps: bool = False,
+) -> list[tuple]:
     """Every row's ``(mean, variance, sample size)`` of one whole batch.
 
     Straight from a Gaussian column of a ``columnar`` batch (Gaussian
     ``mean()``/``variance()`` are ``mu``/``sigma2``), else from every
     row — so a bad row raises before the caller slides any window.
+    With ``timestamps`` each row also ends with the tuple's timestamp,
+    read in the same pass.
     """
     if columnar:
         column = tuples.gaussian_column(attribute)
@@ -466,14 +471,29 @@ def _read_moments(
             sizes = column.sizes.tolist()
             if EXACT_SIZE in sizes:
                 sizes = [None if n == EXACT_SIZE else n for n in sizes]
-            return list(
-                zip(column.mu.tolist(), column.sigma2.tolist(), sizes)
-            )
+            parts = [column.mu.tolist(), column.sigma2.tolist(), sizes]
+            if timestamps:
+                stamps = tuples.timestamps
+                parts.append(
+                    stamps.tolist() if isinstance(stamps, np.ndarray)
+                    else [tuples.timestamp(i) for i in range(len(tuples))]
+                )
+            return list(zip(*parts))
     rows = []
     for tup in tuples:
         field = tup.dfsized(attribute)
         dist = field.distribution
-        rows.append((dist.mean(), dist.variance(), field.sample_size))
+        if timestamps:
+            rows.append(
+                (
+                    dist.mean(),
+                    dist.variance(),
+                    field.sample_size,
+                    tup.timestamp,
+                )
+            )
+        else:
+            rows.append((dist.mean(), dist.variance(), field.sample_size))
     return rows
 
 
@@ -667,13 +687,12 @@ class TimeWindowAggregate(_SlidingAggregate):
     def _read(
         self, tuples: Sequence[UncertainTuple], columnar: bool
     ) -> list[tuple]:
-        rows = _read_moments(tuples, self.attribute, columnar)
-        if columnar and isinstance(tuples.timestamps, np.ndarray):
-            timestamps = tuples.timestamps.tolist()
-        else:
-            timestamps = [tup.timestamp for tup in tuples]
+        rows = _read_moments(
+            tuples, self.attribute, columnar, timestamps=True
+        )
         newest = self._stats.newest_timestamp
-        for i, ts in enumerate(timestamps):
+        for row in rows:
+            ts = row[3]
             if ts is None or math.isnan(ts):
                 raise StreamError(
                     f"TimeWindowAggregate needs timestamped tuples, got {ts}"
@@ -683,7 +702,6 @@ class TimeWindowAggregate(_SlidingAggregate):
                     f"timestamps must be non-decreasing: {ts} after {newest}"
                 )
             newest = ts
-            rows[i] += (ts,)
         return rows
 
     def _evict(self, row: tuple) -> None:

@@ -5,6 +5,8 @@ import math
 import pytest
 
 from repro.core.accuracy import AccuracyInfo, ConfidenceInterval
+from repro.core.dfsample import DfSized
+from repro.distributions.gaussian import GaussianDistribution
 from repro.errors import ObservabilityError
 from repro.experiments.harness import render_metrics_table
 from repro.obs import (
@@ -15,6 +17,7 @@ from repro.obs import (
     operator_rows,
 )
 from repro.obs.instrument import _stage_sort_key
+from repro.streams.columnar import ColumnarBatch
 from repro.streams.engine import Pipeline
 from repro.streams.operators import CollectSink, Select
 from repro.streams.tuples import UncertainTuple
@@ -239,3 +242,48 @@ class TestObserver:
     def test_merge_refuses_a_snapshot_of_other_parts(self, mine, theirs):
         with pytest.raises(ObservabilityError, match="disagree"):
             Observer(**mine).merge(Observer(**theirs).snapshot())
+
+
+class TestEmitManyReadsOneColumn:
+    """A batch's accuracy column is read once, without materializing
+    rows; the metrics must not depend on the batch's layout."""
+
+    def _rows(self):
+        rows = []
+        for i in range(12):
+            width = math.inf if i % 5 == 4 else 0.1 * (i + 1)
+            rows.append(
+                UncertainTuple(
+                    {
+                        "v": float(i),
+                        "accuracy": AccuracyInfo(
+                            mean=ConfidenceInterval(0.0, width, 0.95),
+                            variance=ConfidenceInterval(0.0, 1.0, 0.95),
+                            sample_size=4 + i,
+                        ),
+                        "g": DfSized(
+                            GaussianDistribution(float(i), 1.0 + i),
+                            None if i % 4 == 0 else 2 + i,
+                        ),
+                    },
+                    probability=1.0 - i / 24,
+                )
+            )
+        return rows
+
+    @pytest.mark.parametrize("attribute", ["accuracy", "g", "missing"])
+    def test_columnar_and_tuple_batches_snapshot_equal(self, attribute):
+        snapshots = []
+        for columnar in (False, True):
+            observer = Observer()
+            metrics = OperatorObserver(
+                observer, "p.00.Avg", accuracy_attribute=attribute
+            )
+            rows = self._rows()
+            batch = ColumnarBatch.from_tuples(rows) if columnar else rows
+            metrics.emit_many(None, batch)
+            metrics.emit_many(None, batch[:3] if columnar else rows[:3])
+            snapshots.append(observer.metrics.snapshot())
+        assert snapshots[0] == snapshots[1]
+        if attribute != "missing":
+            assert snapshots[0]["p.00.Avg.sample_size"]["count"] > 0

@@ -60,11 +60,17 @@ class TestVectorizableConjuncts:
             "SELECT a FROM s WHERE a + b > 5",  # expression arithmetic
             "SELECT a FROM s WHERE mTest(a, '>', 0, 0.05)",
             "SELECT a FROM s WHERE a > 1 OR b > 2",
-            "SELECT AVG(a) FROM s",
         ],
     )
     def test_non_vectorizable_shapes(self, text):
         assert _specs(text) is None
+
+    def test_aggregates_keep_their_where_shape(self):
+        # Aggregates read their matches from the same WHERE evaluator.
+        assert _specs("SELECT AVG(a) FROM s") == ()
+        assert _specs("SELECT SUM(a) FROM s WHERE a > 1 PROB 0.5") == (
+            VecConjunct("a", ">", 1.0, 0.5),
+        )
 
     def test_order_by_keeps_the_kernel_shape(self):
         # The sort key is evaluated per matched row, after the residual.

@@ -437,22 +437,24 @@ class TestKernelDecidedWhere:
         ]
         assert calls == []
 
-    def test_histogram_values_stay_scalar(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("histogram rows reached the kernels")
-
-        monkeypatch.setattr(executor_module, "merge_fallback", refuse)
+    def test_histogram_values_reach_the_kernels(self, monkeypatch):
         text = "SELECT id, h FROM s WHERE h > 0.5 PROB 0.2 ORDER BY h"
         tuples = _mixed_stream(seed=4)
         config = ExecutorConfig(seed=1)
-        assert [
-            pickle.dumps(r)
-            for r in QueryExecutor(text, config=config).execute(tuples)
-        ] == [
+        executor = QueryExecutor(text, config=config)
+        calls = []
+        original = executor.residual_outcome
+        monkeypatch.setattr(
+            executor,
+            "residual_outcome",
+            lambda tup: calls.append(tup) or original(tup),
+        )
+        assert [pickle.dumps(r) for r in executor.execute(tuples)] == [
             pickle.dumps(r)
             for r in _per_tuple_oracle(QueryExecutor(text, config=config),
                                        tuples)
         ]
+        assert calls == []
 
     def test_database_read_matches_oracle(self):
         db = StreamDatabase(config=ExecutorConfig(seed=2))

@@ -1,6 +1,7 @@
 """Unit tests for the struct-of-arrays columnar batch."""
 
 import pickle
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -142,6 +143,17 @@ class TestSequenceProtocol:
         assert dumps(batch.take([5, 0, 3])) == dumps(
             [tuples[5], tuples[0], tuples[3]]
         )
+
+    def test_registered_sequence_not_a_base_class(self):
+        batch = ColumnarBatch.from_tuples(_mixed_tuples())
+        assert isinstance(batch, Sequence)
+        assert not isinstance([], ColumnarBatch)
+        assert not isinstance(_mixed_tuples(1), ColumnarBatch)
+        assert Sequence not in type(batch).__mro__
+        tuples = list(reversed(batch))
+        assert [pickle.dumps(t) for t in tuples] == [
+            pickle.dumps(t) for t in reversed(_mixed_tuples())
+        ]
 
     def test_probability_and_timestamp_survive(self):
         batch = ColumnarBatch.from_tuples(_mixed_tuples())
