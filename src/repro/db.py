@@ -65,7 +65,7 @@ class StreamDatabase:
     engine of :mod:`repro.query.multiquery`: registered plans are
     grouped by their accuracy-bearing prefix fingerprint, each group's
     prefix runs once per tuple, and residual predicates are decided
-    vectorized over the columnarized batch.  ``False`` keeps the naive
+    vectorized over the batch's column views.  ``False`` keeps the naive
     one-full-pipeline-per-query loop — the determinism oracle the
     shared path is byte-identical to.
 
@@ -200,8 +200,8 @@ class StreamDatabase:
         Validation is atomic: the whole batch is checked against the
         stream schema before any tuple is buffered or dispatched.  With
         ``shared_subplans`` enabled the standing queries run on the
-        whole batch first (columnarized, each shared-plan group's
-        prefix once per tuple, residuals vectorized where they allow),
+        whole batch first (each shared-plan group's prefix once per
+        tuple, residuals vectorized where they allow),
         so an executor error surfaces before any tuple is buffered.
         The naive loop instead runs every query on a tuple as that
         tuple is emitted.  Either way rows are buffered and emitted one

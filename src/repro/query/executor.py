@@ -67,12 +67,12 @@ from repro.query.parser import (
 )
 from repro.query.planner import CompiledQuery, compile_query
 from repro.query.residual import (
+    ChunkViews,
     ColumnView,
     ResidualOutcome,
-    chunk_view,
     decide_rows,
     kernel_conjuncts,
-    merge_fallback,
+    row_matches,
 )
 from repro.streams.tuples import Schema, UncertainTuple
 
@@ -618,13 +618,12 @@ class QueryExecutor:
         means: list[list] = [[] for _ in items]
         variances: list[list] = [[] for _ in items]
         sizes: list[list] = [[] for _ in items]
-        names = {name for name in columns if name is not None}
-        for chunk, matches, views in self._chunks(tuples, names):
+        for chunk, matches, views in self._chunks(tuples):
             # The views that hold every row of the chunk; the other
             # aggregates are evaluated per matching row.
             covering: list[ColumnView | None] = []
             for name in columns:
-                view = None if name is None else views[name]
+                view = None if name is None else views.view(name)
                 covering.append(
                     view if view is not None and view.covered.all() else None
                 )
@@ -736,54 +735,33 @@ class QueryExecutor:
                 yield result
 
     def _chunks(
-        self, tuples: Iterable[UncertainTuple], names: "Iterable[str]"
+        self, tuples: Iterable[UncertainTuple]
     ) -> Iterator[
         tuple[
             list[UncertainTuple],
             Iterator[tuple[int, ResidualOutcome]],
-            "dict[str, ColumnView | None]",
+            ChunkViews,
         ]
     ]:
         """The input in chunks, each with its WHERE matches and views.
 
         Yields ``(chunk, matches, views)`` per ``_CHUNK_ROWS`` tuples.
         ``matches`` are the ``(row, outcome)`` pairs WHERE keeps, in
-        arrival order.  A kernel-shaped WHERE clause is decided in
-        arrays (:mod:`repro.query.residual`); rows the kernels leave,
-        and chunks that are not kernel-typed, run the scalar residual
-        when the iteration reaches them, so per-row work and errors keep
-        the scalar loop's order.  Consume ``matches`` before the next
-        chunk.  ``views`` maps each of ``names`` to the chunk's
-        :class:`~repro.query.residual.ColumnView` of that column, or
-        None where it is not kernel-typed; building one never raises.
+        arrival order (:func:`~repro.query.residual.row_matches`): a
+        kernel-shaped WHERE clause is decided in arrays, and the rows
+        the kernels leave run the scalar residual when the iteration
+        reaches them, so per-row work and errors keep the scalar loop's
+        order.  Consume ``matches`` before the next chunk.  ``views``
+        holds the chunk's column views, the WHERE columns' included.
         """
         kernel = kernel_conjuncts(self.query)
         keep_unsure = self.config.keep_unsure
         rest = iter(tuples)
         while chunk := list(islice(rest, _CHUNK_ROWS)):
-            views: dict[str, ColumnView | None] = {}
-            decided = (
-                None if kernel is None
-                else decide_rows(kernel, chunk, keep_unsure, views)
-            )
-            if decided is None:
-                matches = self._scalar_matches(chunk)
-            else:
-                hits, fallback = decided
-                matches = merge_fallback(
-                    hits, fallback, lambda b: self.residual_outcome(chunk[b])
-                )
-            yield chunk, matches, {
-                name: chunk_view(views, chunk, name) for name in names
-            }
-
-    def _scalar_matches(
-        self, chunk: list[UncertainTuple]
-    ) -> Iterator[tuple[int, ResidualOutcome]]:
-        for b, tup in enumerate(chunk):
-            outcome = self.residual_outcome(tup)
-            if outcome is not None:
-                yield b, outcome
+            views = ChunkViews(chunk)
+            decided = decide_rows(kernel, views, keep_unsure)
+            matches = row_matches(decided, chunk, self.residual_outcome)
+            yield chunk, matches, views
 
     def execute(
         self, tuples: Iterable[UncertainTuple]
@@ -824,10 +802,8 @@ class QueryExecutor:
             and len(selected) == len(self.query.select_items)
         )
         rows = []  # [tup, outcome, attributes, accuracy, sort key]
-        for chunk, matches, views in self._chunks(
-            tuples, () if key_column is None else (key_column,)
-        ):
-            view = None if key_column is None else views[key_column]
+        for chunk, matches, views in self._chunks(tuples):
+            view = None if key_column is None else views.view(key_column)
             keyed_rows: list[list] = []  # rows whose key the view holds
             keyed_at: list[int] = []
             for b, outcome in matches:

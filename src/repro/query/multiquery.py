@@ -31,14 +31,17 @@ tuple.  The mechanism is conservative:
   (bootstrap accuracy, MC expression arithmetic) trips the guard
   *before any state mutates*, and the member falls back to its private
   prefix on its own generator — exactly the naive consumption sequence.
-* The batch path decides kernel-shaped residuals in arrays with the
-  kernels of :mod:`repro.query.residual` (shared with one-shot
-  ``QueryExecutor.execute``), which equal the scalar code bit for bit
-  per row.  For single-conjunct threshold members, a NumPy screen in
-  z-space first cuts the (query, row) pairs that cannot match, with a
-  conservative band.  Rows outside the kernels' domain run the
-  member's own scalar ``residual_outcome``, which decides or raises
-  exactly as naive execution does.
+* The batch path takes each member's matches the way one-shot
+  ``QueryExecutor.execute`` does (:mod:`repro.query.residual`): one
+  :class:`~repro.query.residual.ChunkViews` per batch, kernel-shaped
+  residuals decided in arrays that equal the scalar code bit for bit
+  per row, histogram columns included, and the matches yielded in row
+  order.  For single-conjunct threshold members over a Gaussian or
+  deterministic column, a NumPy screen in z-space first cuts the
+  (query, row) pairs that cannot match, with a conservative band.
+  Rows outside the kernels' domain run the member's own scalar
+  ``residual_outcome`` when its iteration reaches them, so it decides,
+  draws or raises exactly as naive execution does.
 
 Every insert, one tuple or many, runs here as a batch.  The documented
 divergences are on *error* paths only: executor errors surface before
@@ -52,36 +55,33 @@ batch mid-flight.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 
 import numpy as np
 from scipy import special
 
-# Private intra-package import: _UNIQUE_DF_FAST_PATH guards the
-# memoized-table interval path (bitwise identical to the scalar
-# kernels).
-from repro.core.analytic import (
-    _UNIQUE_DF_FAST_PATH,
-    accuracy_from_moments,
-    distribution_accuracy,
-)
+from repro.core.analytic import accuracy_from_moments
 from repro.distributions.gaussian import tail_probabilities
 from repro.obs.instrument import Observer
 from repro.query.executor import QueryExecutor, ResultTuple
 from repro.query.expressions import Column
 from repro.query.planner import prefix_fingerprint
 from repro.query.residual import (
-    SUPPORTED_COLUMNS,
+    ChunkViews,
     ColumnView,
-    MTestConjunct,
     ResidualOutcome,
     VecConjunct,
-    decide_single,
+    decide_rows,
     kernel_conjuncts,
-    merge_fallback,
+    row_matches,
     vectorizable_conjuncts,
 )
-from repro.streams.columnar import ColumnarBatch, as_columnar
 from repro.streams.tuples import UncertainTuple
+
+# Not called here: perfbench wraps these two names in this module
+# (ROADMAP item 3 removes them).
+from repro.core.analytic import distribution_accuracy  # noqa: F401
+from repro.streams.columnar import as_columnar  # noqa: F401
 
 __all__ = [
     "MultiQueryEngine",
@@ -173,6 +173,7 @@ class _Bucket:
         "column",
         "op",
         "gt_like",
+        "specs",
         "members",
         "consts",
         "bounds",
@@ -189,6 +190,7 @@ class _Bucket:
         self.column = column
         self.op = op
         self.gt_like = op in (">", ">=")
+        self.specs = specs
         self.members = [by_spec[spec] for spec in specs]
         self.consts = np.array(
             [spec.constant for spec in specs], dtype=np.float64
@@ -210,6 +212,47 @@ class _Bucket:
             ],
             dtype=np.float64,
         )
+
+    def decide(self, views: ChunkViews) -> "list[tuple[list, Sequence]]":
+        """Per distinct spec, :func:`decide_rows`' ``(hits, fallback)``.
+
+        A Gaussian or deterministic column is screened first, then each
+        candidate pair is decided with the tail kernel.  Otherwise
+        :func:`decide_rows` decides each spec: over every row of a
+        histogram column, and over none where the kernels cannot read
+        the batch.
+        """
+        view = views.view(self.column)
+        probabilities = views.probabilities
+        if (
+            view is None
+            or probabilities is None
+            or view.histograms is not None
+        ):
+            return [decide_rows((spec,), views, False) for spec in self.specs]
+        spec_idx, row_idx = self.screen(view)
+        q = tail_probabilities(
+            view.mu[row_idx],
+            view.sigma2[row_idx],
+            self.op,
+            self.consts[spec_idx],
+        )
+        qualifies = np.where(
+            self.bare[spec_idx], q > 0.0, q >= self.taus[spec_idx]
+        )
+        probability = probabilities[row_idx] * q
+        keep = qualifies & (probability > 0.0)
+        hits: list[list] = [[] for _ in self.specs]
+        sizes = view.sizes
+        # Spec-major pairs: each spec's list comes out in row order.
+        for s, b, p in zip(
+            spec_idx[keep].tolist(),
+            row_idx[keep].tolist(),
+            probability[keep].tolist(),
+        ):
+            hits[s].append((b, ResidualOutcome(p, (sizes[b],), (), None)))
+        fallback = np.flatnonzero(~view.covered).tolist()
+        return [(spec_hits, fallback) for spec_hits in hits]
 
     def screen(self, view: ColumnView) -> tuple[np.ndarray, np.ndarray]:
         """Candidate ``(spec, row)`` pairs, spec-major, over covered rows.
@@ -486,43 +529,6 @@ class MultiQueryEngine:
             self._query_sets[source] = query_set
         return query_set
 
-    # -- shared prefix products --------------------------------------------
-
-    def _group_product(
-        self,
-        group: _PlanGroup,
-        key: tuple,
-        tup: UncertainTuple,
-        entry: _Entry,
-        cache: dict,
-    ) -> tuple[dict, dict]:
-        """The (attributes, accuracy) prefix product for one tuple.
-
-        Served from ``cache`` when another member already computed it
-        (a shared hit); otherwise attempted under the RNG guard.  A
-        guard trip marks the whole group non-shareable and the member
-        computes its private prefix on its own generator — the exact
-        draw sequence naive execution would have made, since the
-        guarded attempt consumed nothing.
-        """
-        product = cache.get(key)
-        if product is not None:
-            self._shared_hits.inc()
-            return product
-        executor = entry.executor
-        if group.rng_free is not False:
-            try:
-                product = executor.evaluate_prefix(tup, rng=_GUARD)
-            except PrefixNeedsRng:
-                group.rng_free = False
-                self._fallbacks.inc()
-            else:
-                group.rng_free = True
-                cache[key] = product
-                return product
-        attributes, accuracy = executor.evaluate_prefix(tup)
-        return attributes, accuracy
-
     # -- dispatch (StreamDatabase.insert_many) -----------------------------
 
     def iter_results(self, source: str, tup: UncertainTuple):
@@ -542,35 +548,51 @@ class MultiQueryEngine:
 
         Returns one list per input row of ``(handle, result)`` pairs in
         registration order — the caller emits row by row, preserving
-        the naive per-tuple callback order.
+        the naive per-tuple callback order.  Every kernel member is
+        decided first and the columnar prefix products of the rows they
+        matched are built; then each member's matches are emitted in
+        row order, the scalar residual running as the iteration reaches
+        a row the kernels left.
         """
         query_set = self._query_set(source)
         if not query_set.members:
             return [[] for _ in tuples]
+        views = ChunkViews(tuples)
+        decided: dict[_Entry, tuple[list, Sequence[int]]] = {}
+        for bucket in query_set.buckets:
+            for members, decision in zip(bucket.members, bucket.decide(views)):
+                for entry in members:
+                    decided[entry] = decision
+        for entry in query_set.singles:
+            decided[entry] = decide_rows(
+                entry.kernel, views, entry.executor.config.keep_unsure
+            )
+        built = self._build_products(query_set, decided, views)
+        cache: dict = {}
+        undecided = [], range(len(tuples))
         rows: list[list[tuple[int, _Entry, ResultTuple]]] = [
             [] for _ in tuples
         ]
-        batch = as_columnar(tuples)
-        cache: dict = {}
-        columnar_gate: dict[int, bool] = {}
-        decided = (
-            self._decide_residuals(query_set, batch, tuples)
-            if batch is not None
-            else {}
-        )
-        self._build_decided_products(
-            query_set, decided, batch, tuples, cache, columnar_gate
-        )
         for entry in query_set.members:
-            hits = decided.get(id(entry))
-            if hits is None:
-                self._run_scalar_member(
-                    entry, tuples, batch, cache, columnar_gate, rows
+            executor = entry.executor
+            decision = decided.get(entry)
+            if decision is None:
+                if executor.query.is_aggregate and tuples:
+                    executor.execute_one(tuples[0])  # raises QueryError
+                decision = undecided
+            elif not (decision[0] or decision[1]):
+                continue  # the kernels decided every row: no match
+            for b, outcome in row_matches(
+                decision, tuples, executor.residual_outcome
+            ):
+                tup = tuples[b]
+                attributes, accuracy = self._prefix(
+                    entry, b, tup, built, cache
                 )
-            elif hits:
-                self._emit_decided(
-                    entry, hits, tuples, batch, cache, columnar_gate, rows
+                result = executor.finalize_result(
+                    tup, outcome, attributes, accuracy
                 )
+                rows[b].append((entry.order, entry, result))
 
         out: list[list[tuple[object, ResultTuple]]] = []
         for row in rows:
@@ -582,285 +604,142 @@ class MultiQueryEngine:
             self.observer.frames.advance(len(tuples))
         return out
 
-    def _columnar_eligible(
+    # -- prefix products ---------------------------------------------------
+
+    def _prefix(
         self,
-        group: _PlanGroup,
-        batch: ColumnarBatch,
-        gate: dict[int, bool],
-    ) -> bool:
-        """Whether the group's prefix is computable from batch columns."""
-        ok = gate.get(id(group))
-        if ok is not None:
-            return ok
-        if not group.columnar_ok:
-            ok = False
-        else:
-            if group.star:
-                needed = batch.names
-            else:
-                needed = tuple(
-                    col for _alias, col in group.select_cols
-                )
-            ok = all(
-                isinstance(batch.column(n), SUPPORTED_COLUMNS)
-                for n in needed
-            )
-        gate[id(group)] = ok
-        return ok
-
-    # -- residuals decided in arrays ----------------------------------------
-
-    def _decide_residuals(
-        self,
-        query_set: _QuerySet,
-        batch: ColumnarBatch,
-        tuples: list[UncertainTuple],
-    ) -> "dict[int, list[tuple[int, ResidualOutcome]]]":
-        """Row-ordered ``(row, outcome)`` matches of each kernel member.
-
-        Keyed by ``id(entry)``; members absent from the result run the
-        scalar path.  Kernel outcomes carry no evaluation context; an
-        ORDER BY key builds its own when the result is finalized.
-        """
-        probabilities = batch.probabilities
-        if not isinstance(probabilities, np.ndarray):
-            # Not every membership probability is a float: the scalar
-            # path keeps their own types in the emitted probability.
-            return {}
-        views: dict[str, "ColumnView | None"] = {}
-
-        def view(name: str) -> "ColumnView | None":
-            if name not in views:
-                column = batch.column(name)
-                views[name] = (
-                    ColumnView(column)
-                    if isinstance(column, SUPPORTED_COLUMNS)
-                    else None
-                )
-            return views[name]
-
-        decided: dict[int, list[tuple[int, ResidualOutcome]]] = {}
-        for bucket in query_set.buckets:
-            column = view(bucket.column)
-            if column is None:
-                continue
-            self._decide_bucket(bucket, column, probabilities, decided)
-            fallback = np.flatnonzero(~column.covered).tolist()
-            if fallback:
-                for members in bucket.members:
-                    for entry in members:
-                        decided[id(entry)] = self._with_fallback(
-                            entry, decided[id(entry)], fallback, tuples
-                        )
-        for entry in query_set.singles:
-            columns = [view(spec.column) for spec in entry.kernel]
-            if any(
-                column is None
-                or (isinstance(spec, MTestConjunct) and column.n is None)
-                for spec, column in zip(entry.kernel, columns)
-            ):
-                continue
-            hits, covered = decide_single(
-                entry.kernel,
-                columns,
-                probabilities,
-                entry.executor.config.keep_unsure,
-            )
-            decided[id(entry)] = self._with_fallback(
-                entry, hits, np.flatnonzero(~covered).tolist(), tuples
-            )
-        return decided
-
-    @staticmethod
-    def _decide_bucket(
-        bucket: _Bucket,
-        column: ColumnView,
-        probabilities: np.ndarray,
-        decided: dict,
-    ) -> None:
-        """Screen, then decide each candidate pair with the tail kernel."""
-        spec_idx, row_idx = bucket.screen(column)
-        q = tail_probabilities(
-            column.mu[row_idx],
-            column.sigma2[row_idx],
-            bucket.op,
-            bucket.consts[spec_idx],
-        )
-        qualifies = np.where(
-            bucket.bare[spec_idx], q > 0.0, q >= bucket.taus[spec_idx]
-        )
-        probability = probabilities[row_idx] * q
-        keep = qualifies & (probability > 0.0)
-        for members in bucket.members:
-            for entry in members:
-                decided[id(entry)] = []
-        sizes = column.sizes
-        # Spec-major pairs: each member's list comes out in row order.
-        for s, b, p in zip(
-            spec_idx[keep].tolist(),
-            row_idx[keep].tolist(),
-            probability[keep].tolist(),
-        ):
-            outcome = ResidualOutcome(p, (sizes[b],), (), None)
-            for entry in bucket.members[s]:
-                decided[id(entry)].append((b, outcome))
-
-    @staticmethod
-    def _with_fallback(
         entry: _Entry,
-        hits: "list[tuple[int, ResidualOutcome]]",
-        fallback: "list[int]",
-        tuples: list[UncertainTuple],
-    ) -> "list[tuple[int, ResidualOutcome]]":
-        """Merge the scalar residual of the rows the kernels left.
+        b: int,
+        tup: UncertainTuple,
+        built: dict,
+        cache: dict,
+    ) -> tuple[dict, dict]:
+        """The (attributes, accuracy) prefix of one matched row.
 
-        These conjuncts never sample, so the member's own RNG is
-        untouched, exactly as in naive execution.
+        A member alone in its group outside the columnar pass runs its
+        private prefix.  Otherwise the product of ``(group, row)`` is
+        shared: the first result takes the columnar product in
+        ``built`` or computes one under the RNG guard, and every later
+        result is a shared hit from ``cache``.  A guard trip marks the
+        whole group non-shareable and the member computes its private
+        prefix on its own generator — the exact draw sequence naive
+        execution would have made, since the guarded attempt consumed
+        nothing.
         """
-        if not fallback:
-            return hits
-        residual = entry.executor.residual_outcome
-        return list(
-            merge_fallback(hits, fallback, lambda b: residual(tuples[b]))
-        )
+        group = entry.group
+        key = (id(group), b)
+        product = cache.get(key)
+        if product is not None:
+            self._shared_hits.inc()
+        else:
+            product = built.pop(key, None)
+            if product is None:
+                executor = entry.executor
+                if len(group.entries) < 2 or group.rng_free is False:
+                    return executor.evaluate_prefix(tup)
+                try:
+                    product = executor.evaluate_prefix(tup, rng=_GUARD)
+                except PrefixNeedsRng:
+                    group.rng_free = False
+                    self._fallbacks.inc()
+                    return executor.evaluate_prefix(tup)
+                group.rng_free = True
+            cache[key] = product
+        attributes, accuracy = product
+        return dict(attributes), dict(accuracy)
 
-    # -- prefixes and results of decided members ----------------------------
-
-    def _build_decided_products(
+    def _build_products(
         self,
         query_set: _QuerySet,
-        decided: dict,
-        batch: "ColumnarBatch | None",
-        tuples: list[UncertainTuple],
-        cache: dict,
-        columnar_gate: dict[int, bool],
-    ) -> None:
-        """Columnar prefix products for every row a decided member matched.
+        decided: "dict[_Entry, tuple[list, Sequence[int]]]",
+        views: ChunkViews,
+    ) -> dict:
+        """Columnar prefix products of every row a kernel hit, by group.
 
-        Every result beyond one per shared product rode a shared prefix
-        computation.
+        Only groups whose prefix reads the batch's Gaussian or
+        deterministic views (:meth:`_columnar_items`) are built.
         """
-        needed: dict[int, set] = {}
-        served: dict[int, int] = {}
-        groups: dict[int, _PlanGroup] = {}
+        needed: dict[_PlanGroup, set] = {}
         for entry in query_set.members:
-            hits = decided.get(id(entry))
-            if not hits or not self._columnar_eligible(
-                entry.group, batch, columnar_gate
-            ):
+            hits = decided[entry][0] if entry in decided else ()
+            if hits and entry.group.columnar_ok:
+                needed.setdefault(entry.group, set()).update(
+                    b for b, _ in hits
+                )
+        built: dict = {}
+        for group, row_set in needed.items():
+            items = self._columnar_items(group, views)
+            if items is None:
                 continue
-            gid = id(entry.group)
-            groups[gid] = entry.group
-            needed.setdefault(gid, set()).update(b for b, _ in hits)
-            served[gid] = served.get(gid, 0) + len(hits)
-        for gid, row_set in needed.items():
             row_ids = np.fromiter(
                 sorted(row_set), dtype=np.intp, count=len(row_set)
             )
-            self._build_columnar_products(
-                groups[gid], batch, tuples, row_ids, cache
-            )
-            self._shared_hits.inc(served[gid] - len(row_set))
+            self._build_columnar_products(group, items, views, row_ids, built)
+        return built
 
-    def _emit_decided(
-        self,
-        entry: _Entry,
-        hits: "list[tuple[int, ResidualOutcome]]",
-        tuples: list[UncertainTuple],
-        batch: ColumnarBatch,
-        cache: dict,
-        columnar_gate: dict[int, bool],
-        rows: list,
-    ) -> None:
-        """Results of a kernel-decided member, prefix work in row order.
+    @staticmethod
+    def _columnar_items(
+        group: _PlanGroup, views: ChunkViews
+    ) -> "list[tuple[str, str]] | None":
+        """The group's ``(alias, column)`` items if its views allow, else None.
 
-        A columnar group reads the products built for the batch; any
-        other prefix runs per matched row exactly as the scalar member
-        path would, so a private prefix draws from the member's own
-        generator in the naive row order.
+        Every selected column must be a Gaussian or deterministic view;
+        ``SELECT *`` also needs every row to carry the first row's
+        attribute names in the same order.
         """
-        executor = entry.executor
-        group = entry.group
-        gid = id(group)
-        columnar = self._columnar_eligible(group, batch, columnar_gate)
-        share = len(group.entries) >= 2
-        for b, outcome in hits:
-            tup = tuples[b]
-            if columnar:
-                attributes, accuracy = cache[(gid, b)]
-            elif share:
-                attributes, accuracy = self._group_product(
-                    group, (gid, b), tup, entry, cache
-                )
-            else:
-                result = executor.finalize_result(
-                    tup, outcome, *executor.evaluate_prefix(tup)
-                )
-                rows[b].append((entry.order, entry, result))
-                continue
-            result = executor.finalize_result(
-                tup, outcome, dict(attributes), dict(accuracy)
-            )
-            rows[b].append((entry.order, entry, result))
+        if group.star:
+            tuples = views.tuples
+            names = tuple(tuples[0].attributes)
+            if any(tuple(tup.attributes) != names for tup in tuples):
+                return None
+            items = [(name, name) for name in names]
+        else:
+            items = list(group.select_cols)
+        for _alias, name in items:
+            view = views.view(name)
+            if view is None or view.histograms is not None:
+                return None
+        return items
 
+    @staticmethod
     def _build_columnar_products(
-        self,
         group: _PlanGroup,
-        batch: ColumnarBatch,
-        tuples: list[UncertainTuple],
+        items: "list[tuple[str, str]]",
+        views: ChunkViews,
         row_ids: np.ndarray,
-        cache: dict,
+        built: dict,
     ) -> None:
         """Shared (attributes, accuracy) products for the needed rows.
 
         Attribute values come from the *original* tuples, so within a
         result the object graph (and hence its pickle bytes) aliases
-        exactly as the naive path's would.  Accuracy intervals are
-        computed by the vectorized Theorem-1 kernels, which are bitwise
-        identical to the scalar path while the memoized critical-value
-        table applies; batches with more than 16 distinct sample sizes
-        fall back to the scalar kernel per row.
+        exactly as the naive path's would.  Accuracy intervals come from
+        the vectorized Theorem-1 kernel, element-wise identical to the
+        scalar ``distribution_accuracy``.
         """
         gid = id(group)
-        confidence = group.entries[0].executor.config.confidence
-        method = group.entries[0].executor.config.accuracy_method
-        if group.star:
-            items = [(name, name) for name in batch.names]
-        else:
-            items = list(group.select_cols)
-        accuracy_rows: dict[int, dict] = {int(b): {} for b in row_ids}
-        if method != "none":
-            for alias, column_name in items:
-                column = batch.gaussian_column(column_name)
-                if column is None:
+        config = group.entries[0].executor.config
+        accuracy_rows: dict[int, dict] = {b: {} for b in row_ids.tolist()}
+        if config.accuracy_method != "none":
+            for alias, name in items:
+                view = views.view(name)
+                if view.n is None:
                     continue  # deterministic column: no accuracy
-                sizes = column.sizes[row_ids]
+                sizes = view.n[row_ids]
                 eligible = sizes >= 2
                 if not eligible.any():
                     continue
                 rows_el = row_ids[eligible]
-                ns = sizes[eligible]
-                if np.unique(ns).size <= _UNIQUE_DF_FAST_PATH:
-                    infos = accuracy_from_moments(
-                        column.mu[rows_el],
-                        column.sigma2[rows_el],
-                        ns,
-                        confidence,
-                    )
-                else:
-                    infos = tuple(
-                        distribution_accuracy(
-                            tuples[int(b)]
-                            .dfsized(column_name)
-                            .distribution,
-                            int(n),
-                            confidence,
-                        )
-                        for b, n in zip(rows_el, ns)
-                    )
+                infos = accuracy_from_moments(
+                    view.mu[rows_el],
+                    view.sigma2[rows_el],
+                    sizes[eligible],
+                    config.confidence,
+                )
                 for b, info in zip(rows_el.tolist(), infos):
                     accuracy_rows[b][alias] = info
-        for b in row_ids.tolist():
+        tuples = views.tuples
+        for b, accuracy in accuracy_rows.items():
             tup = tuples[b]
             if group.star:
                 attributes = {
@@ -868,51 +747,6 @@ class MultiQueryEngine:
                 }
             else:
                 attributes = {
-                    alias: tup.dfsized(col) for alias, col in items
+                    alias: tup.dfsized(name) for alias, name in items
                 }
-            cache[(gid, b)] = (attributes, accuracy_rows[b])
-
-    # -- scalar members ----------------------------------------------------
-
-    def _run_scalar_member(
-        self,
-        entry: _Entry,
-        tuples: list[UncertainTuple],
-        batch: "ColumnarBatch | None",
-        cache: dict,
-        columnar_gate: dict[int, bool],
-        rows: list,
-    ) -> None:
-        """Member-major scalar execution with per-row prefix sharing.
-
-        Iterating rows inside one member keeps that member's generator
-        consumption in row order — the same per-member sequence as the
-        naive row-major loop, because generators are private to each
-        query.
-        """
-        executor = entry.executor
-        group = entry.group
-        share = group is not None and len(group.entries) >= 2
-        if executor.query.is_aggregate and tuples:
-            executor.execute_one(tuples[0])  # raises QueryError
-        use_columnar_cache = (
-            group is not None
-            and batch is not None
-            and self._columnar_eligible(group, batch, columnar_gate)
-        )
-        for b, tup in enumerate(tuples):
-            if not share and not use_columnar_cache:
-                result = executor.execute_one(tup)
-                if result is not None:
-                    rows[b].append((entry.order, entry, result))
-                continue
-            outcome = executor.residual_outcome(tup)
-            if outcome is None:
-                continue
-            attributes, accuracy = self._group_product(
-                group, (id(group), b), tup, entry, cache
-            )
-            result = executor.finalize_result(
-                tup, outcome, dict(attributes), dict(accuracy)
-            )
-            rows[b].append((entry.order, entry, result))
+            built[(gid, b)] = (attributes, accuracy)

@@ -19,12 +19,16 @@ holds Python floats or ints, ``DfSized`` Gaussians, or ``DfSized``
 histograms of one bucket count.  Rows outside the kernels' domain —
 non-finite values, and for ``mTest`` exact sample sizes, ``n < 2`` and
 zero variance — are left to the scalar residual, which decides or
-raises exactly as before.  The kernels never draw random values, so deciding a row in
-arrays leaves every generator untouched.
+raises exactly as before.  The kernels never draw random values, so
+deciding a row in arrays leaves every generator untouched.
 
 Both :meth:`QueryExecutor.execute` (one-shot reads over a stream
 buffer) and :class:`repro.query.multiquery.MultiQueryEngine` (standing
-queries on ``insert_many``) decide their residuals here.
+queries on ``insert_many``) take their matches the same way: one
+:class:`ChunkViews` per run of rows builds each column view once,
+:func:`decide_rows` decides what the kernels can, and
+:func:`row_matches` yields the matches in row order, running the
+scalar residual on the other rows as the iteration reaches them.
 """
 
 from __future__ import annotations
@@ -227,9 +231,6 @@ def kernel_conjuncts(
     return None
 
 
-SUPPORTED_COLUMNS = (FloatColumn, IntColumn, GaussianDfColumn)
-
-
 class ColumnView:
     """One batch column as the arrays the residual kernels read.
 
@@ -308,7 +309,7 @@ def column_view(values: list) -> "ColumnView | None":
     path raises its SchemaError.
     """
     column = _infer_column(values)
-    if isinstance(column, SUPPORTED_COLUMNS):
+    if isinstance(column, (FloatColumn, IntColumn, GaussianDfColumn)):
         return ColumnView(column)
     return ColumnView.of_histograms(values)
 
@@ -375,34 +376,6 @@ def decide_single(
     return hits, covered
 
 
-def merge_fallback(
-    hits: "Iterable[tuple[int, ResidualOutcome]]",
-    fallback: "Iterable[int]",
-    residual: "Callable[[int], ResidualOutcome | None]",
-) -> "Iterator[tuple[int, ResidualOutcome]]":
-    """Row-ordered matches: the kernel ``hits`` plus the ``fallback`` rows.
-
-    Both inputs are in row order and disjoint.  ``residual(row)`` runs
-    the scalar residual of a fallback row only when the iteration
-    reaches that row, so a consumer that does per-row work between
-    matches sees the scalar loop's order of work and of errors.
-    """
-    pending = iter(fallback)
-    row = next(pending, None)
-    for b, outcome in hits:
-        while row is not None and row < b:
-            scalar = residual(row)
-            if scalar is not None:
-                yield row, scalar
-            row = next(pending, None)
-        yield b, outcome
-    while row is not None:
-        scalar = residual(row)
-        if scalar is not None:
-            yield row, scalar
-        row = next(pending, None)
-
-
 def _kernel_value(value: object) -> bool:
     """Whether a value can sit in a column the kernels read."""
     kind = type(value)
@@ -413,52 +386,91 @@ def _kernel_value(value: object) -> bool:
     )
 
 
-def chunk_view(
-    views: "dict[str, ColumnView | None]",
-    tuples: "Sequence[UncertainTuple]",
-    name: str,
-) -> "ColumnView | None":
-    """The :func:`column_view` of ``name`` over ``tuples``, cached in ``views``."""
-    if name not in views:
-        views[name] = column_view(
-            [tup.attributes.get(name) for tup in tuples]
-        )
-    return views[name]
+class ChunkViews:
+    """The kernel views of one run of tuples.
+
+    :meth:`view` is a column's :class:`ColumnView` over every row, built
+    once on first use, or None where the column is not kernel-typed.  A
+    row that lacks the attribute reads as None, so its column is not
+    kernel-typed.  The first row is checked before any list is built, so
+    a column of, say, text values costs one type test.
+    ``probabilities`` holds the membership probabilities as float64, or
+    is None when one is not a Python float: the scalar path keeps their
+    own types in the emitted probability.  Building a view never raises.
+    """
+
+    __slots__ = ("tuples", "probabilities", "_views")
+
+    def __init__(self, tuples: "Sequence[UncertainTuple]") -> None:
+        self.tuples = tuples
+        column = _scalar_column([tup.probability for tup in tuples])
+        self.probabilities = column if isinstance(column, np.ndarray) else None
+        self._views: dict[str, ColumnView | None] = {}
+
+    def view(self, name: str) -> "ColumnView | None":
+        views = self._views
+        if name not in views:
+            tuples = self.tuples
+            views[name] = (
+                column_view([tup.attributes.get(name) for tup in tuples])
+                if tuples and _kernel_value(tuples[0].attributes.get(name))
+                else None
+            )
+        return views[name]
 
 
 def decide_rows(
-    kernel: "Sequence[VecConjunct | MTestConjunct]",
-    tuples: "Sequence[UncertainTuple]",
+    kernel: "Sequence[VecConjunct | MTestConjunct] | None",
+    views: ChunkViews,
     keep_unsure: bool,
-    views: "dict[str, ColumnView | None]",
-) -> "tuple[list[tuple[int, ResidualOutcome]], list[int]] | None":
-    """Kernel matches and scalar-fallback rows of a run of tuples.
+) -> "tuple[list[tuple[int, ResidualOutcome]], Sequence[int]]":
+    """A residual's kernel matches over a chunk, and the rows it leaves.
 
-    Columnarizes only the WHERE columns and the probabilities, and
-    returns ``(hits, fallback)`` (both in row order), or ``None`` when
-    the rows are not kernel-typed and the scalar residual must decide
-    all of them.  The first row is checked before any array is built,
-    so a stream of, say, text values costs one type test.  ``views``
-    caches the column views by name, so a caller reading the same
-    columns (sort keys, aggregate moments) builds each once.
+    Returns ``(hits, fallback)``, both in row order; the ``fallback``
+    rows are the scalar residual's to decide.  Without a kernel shape
+    (``kernel`` is None), or over rows that are not kernel-typed, the
+    kernels decide nothing and every row falls back.
     """
-    first = tuples[0]
-    if type(first.probability) is not float or not all(
-        _kernel_value(first.attributes.get(spec.column))
-        for spec in kernel
-    ):
-        return None
-    probabilities = _scalar_column([tup.probability for tup in tuples])
-    if not isinstance(probabilities, np.ndarray):
-        # Not every membership probability is a float: the scalar path
-        # keeps their own types in the emitted probability.
-        return None
-    columns = [chunk_view(views, tuples, spec.column) for spec in kernel]
+    undecided = [], range(len(views.tuples))
+    probabilities = views.probabilities
+    if kernel is None or probabilities is None:
+        return undecided
+    columns = [views.view(spec.column) for spec in kernel]
     if any(
         column is None
         or (isinstance(spec, MTestConjunct) and column.n is None)
         for spec, column in zip(kernel, columns)
     ):
-        return None
+        return undecided
     hits, covered = decide_single(kernel, columns, probabilities, keep_unsure)
     return hits, np.flatnonzero(~covered).tolist()
+
+
+def row_matches(
+    decided: "tuple[Iterable[tuple[int, ResidualOutcome]], Iterable[int]]",
+    tuples: "Sequence[UncertainTuple]",
+    residual: "Callable[[UncertainTuple], ResidualOutcome | None]",
+) -> "Iterator[tuple[int, ResidualOutcome]]":
+    """Row-ordered ``(row, outcome)`` matches of a :func:`decide_rows` pair.
+
+    Yields the kernel hits and, between them, the fallback rows that
+    ``residual`` keeps.  ``residual`` runs on a fallback row only when
+    the iteration reaches that row, so a consumer that does per-row work
+    between matches sees the scalar loop's order of work, of generator
+    draws and of errors.
+    """
+    hits, fallback = decided
+    pending = iter(fallback)
+    row = next(pending, None)
+    for b, outcome in hits:
+        while row is not None and row < b:
+            scalar = residual(tuples[row])
+            if scalar is not None:
+                yield row, scalar
+            row = next(pending, None)
+        yield b, outcome
+    while row is not None:
+        scalar = residual(tuples[row])
+        if scalar is not None:
+            yield row, scalar
+        row = next(pending, None)

@@ -25,10 +25,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from repro.core.analytic import (
     SMALL_SAMPLE_MEAN_CUTOFF,
     WALD_VALIDITY_COUNT,
+    _chi2_upper,
+    _t_upper,
     accuracy_from_moments,
     accuracy_from_stats,
     bin_height_interval,
@@ -229,24 +232,56 @@ class TestMeanVarianceKernels:
 
 
 class TestBatchedAccuracyInfo:
-    def test_accuracy_from_moments_matches_distribution_accuracy(self):
+    @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("rows, largest", [(25, 200), (5000, 20_000)])
+    def test_accuracy_from_moments_matches_distribution_accuracy(
+        self, rows, largest, confidence
+    ):
+        # With more than 16 distinct sample sizes the batch takes its
+        # quantiles from array scipy calls, not the memoized table; the
+        # records still pickle like the scalar ones.
         rng = np.random.default_rng(7)
-        means = rng.normal(0, 50, 25)
-        variances = rng.uniform(0.01, 20, 25)
-        ns = rng.integers(2, 200, 25)
-        infos = accuracy_from_moments(means, variances, ns, 0.9)
+        means = rng.normal(0, 50, rows)
+        variances = rng.uniform(0.01, 20, rows)
+        ns = rng.integers(2, largest, rows)
+        ns[: rows // 2] = rng.integers(2, 60, rows // 2)  # t and z sides
+        assert len(np.unique(ns)) > 16
+        infos = accuracy_from_moments(means, variances, ns, confidence)
         for i, info in enumerate(infos):
             ref = distribution_accuracy(
                 GaussianDistribution(float(means[i]), float(variances[i])),
                 int(ns[i]),
-                0.9,
+                confidence,
             )
-            assert abs(info.mean.low - ref.mean.low) <= TOL
-            assert abs(info.mean.high - ref.mean.high) <= TOL
-            assert abs(info.variance.low - ref.variance.low) <= TOL
-            assert abs(info.variance.high - ref.variance.high) <= TOL
-            assert info.sample_size == ref.sample_size
+            assert pickle.dumps(info) == pickle.dumps(ref)
             assert info.method == "analytic"
+
+    @pytest.mark.parametrize(
+        "confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999]
+    )
+    def test_array_quantiles_equal_the_memoized_scalars(self, confidence):
+        # The two branches of the per-df table in mean_intervals and
+        # variance_intervals: array stdtrit/chdtri and the memoized
+        # scalar quantiles agree exactly at every df up to 19,999.
+        alpha_half = (1.0 - confidence) / 2.0
+        df = np.arange(1, 20_000)
+        scalar_t = _t_upper.__wrapped__
+        scalar_chi2 = _chi2_upper.__wrapped__
+        for array, scalar in (
+            (
+                special.stdtrit(df - 0.0, 1.0 - alpha_half),
+                [scalar_t(alpha_half, d) for d in df.tolist()],
+            ),
+            (
+                special.chdtri(df - 0.0, alpha_half),
+                [scalar_chi2(alpha_half, d) for d in df.tolist()],
+            ),
+            (
+                special.chdtri(df - 0.0, 1.0 - alpha_half),
+                [scalar_chi2(1.0 - alpha_half, d) for d in df.tolist()],
+            ),
+        ):
+            assert array.tolist() == scalar
 
     @pytest.mark.parametrize("n", [2, 7, 29, 30, 1000])
     def test_one_element_batch_is_byte_identical(self, n):

@@ -19,7 +19,12 @@ saturation edges 1e-300 and 1), single and coupled mTest residuals
 trees), star and aliased projections, zero-variance and
 exact-sample-size fields, sample sizes on both sides of the t/z cutoff,
 sub-unit membership probabilities, and per-query config overrides that
-split fingerprint groups.
+split fingerprint groups.  Histogram columns (one bucket count, or
+mixed bucket counts that leave the column to the scalar residual) get
+their own shapes: repeated ``(constant, threshold)`` bucket specs,
+``mTest``, and a two-conjunct single, over batches whose rows may
+lack an attribute and whose Gaussian column may carry more than 16
+distinct sample sizes.
 """
 
 import pickle
@@ -31,6 +36,7 @@ from hypothesis import strategies as st
 from repro.core.dfsample import DfSized
 from repro.db import StreamDatabase
 from repro.distributions.gaussian import GaussianDistribution
+from repro.distributions.histogram import HistogramDistribution
 from repro.errors import ReproError
 from repro.query.executor import ExecutorConfig
 from repro.query.planner import compile_query
@@ -97,13 +103,16 @@ def query_mixes(draw):
 
 @st.composite
 def tuple_batches(draw, sampled=False):
-    """Uniform batches; ``sampled`` keeps every ``a`` at ``n >= 2``.
+    """Gaussian batches; ``sampled`` keeps every ``a`` at ``n >= 2``.
 
     Without ``sampled``, single observations and exact sample sizes
     make every mTest residual raise somewhere in most batches.
     """
     count = draw(st.integers(min_value=1, max_value=12))
     seed = draw(st.integers(min_value=0, max_value=2**16))
+    # Some rows carry a Gaussian ``d`` the others lack: a non-uniform
+    # layout that only ``SELECT *`` reads.
+    extra = draw(st.booleans())
     rng = np.random.default_rng(seed)
     batch = []
     for _ in range(count):
@@ -117,19 +126,22 @@ def tuple_batches(draw, sampled=False):
             n = int(rng.choice([29, 30, 31, 1000]))
         if rng.random() < 0.15 and not sampled:
             n = None  # exact sample size: no accuracy attaches
+        attributes = {
+            "a": DfSized(
+                GaussianDistribution(float(rng.normal(1.0, 3.0)), sigma2),
+                n,
+            ),
+            "b": float(rng.normal(0.0, 3.0)),
+            "c": int(rng.integers(-5, 10)),
+        }
+        if extra and rng.random() < 0.5:
+            attributes["d"] = DfSized(
+                GaussianDistribution(float(rng.normal(0.0, 1.0)), 1.0),
+                int(rng.integers(2, 40)),
+            )
         batch.append(
             UncertainTuple(
-                {
-                    "a": DfSized(
-                        GaussianDistribution(
-                            float(rng.normal(1.0, 3.0)), sigma2
-                        ),
-                        n,
-                    ),
-                    "b": float(rng.normal(0.0, 3.0)),
-                    "c": int(rng.integers(-5, 10)),
-                },
-                probability=float(rng.uniform(0.4, 1.0)),
+                attributes, probability=float(rng.uniform(0.4, 1.0))
             )
         )
     return batch
@@ -272,3 +284,98 @@ def test_order_by_standing_queries_byte_identical_to_naive(queries, batch):
     assert naive[2] is None
     assert _run(queries, batch, True, False) == naive
     assert _run(queries, batch, True, True) == naive
+
+
+# Histogram WHERE shapes; constants and thresholds come from short lists
+# so that equal ``(constant, threshold)`` bucket specs recur.
+_HISTOGRAM_WHERES = (
+    "WHERE h > {c1} PROB {tau}",
+    "WHERE {c1} < h PROB {tau}",
+    "WHERE h <= {c1}",
+    "WHERE mTest(h, '>', {c1}, 0.05, 0.05)",
+    "WHERE mTest(h, '<>', {c1}, 0.1)",
+    "WHERE h <= {c1} AND a > {c2} PROB {tau}",
+    "WHERE h > {c1} PROB {tau} ORDER BY h",
+    "WHERE h = {c1}",
+)
+
+_HISTOGRAM_SELECTS = ("h, a", "*", "a", "b AS bee, h")
+
+
+@st.composite
+def histogram_query_mixes(draw):
+    count = draw(st.integers(min_value=1, max_value=6))
+    queries = []
+    for _ in range(count):
+        where = draw(st.sampled_from(_HISTOGRAM_WHERES)).format(
+            c1=draw(st.sampled_from((0, 1, 2, 3))),
+            c2=draw(st.sampled_from((-1, 1))),
+            tau=draw(st.sampled_from((0.25, 0.5, 0.9))),
+        )
+        text = f"SELECT {draw(st.sampled_from(_HISTOGRAM_SELECTS))} FROM t"
+        queries.append((f"{text} {where}", draw(st.sampled_from(_CONFIGS))))
+    return queries
+
+
+@st.composite
+def histogram_batches(draw):
+    """Rows with a histogram ``h``, a Gaussian ``a`` and floats ``b``/``c``.
+
+    Drawn per batch: whether ``h`` keeps one bucket count, whether some
+    rows lack ``c`` (a non-uniform layout), and whether some ``h`` have
+    exact or single-sample sizes (``mTest`` raises on those).  Half the
+    batches have 17 to 40 rows, with ``a`` sample sizes drawn from a
+    wide range, so most of them carry more than 16 distinct sizes.
+    """
+    count = draw(
+        st.integers(min_value=1, max_value=12)
+        | st.integers(min_value=17, max_value=40)
+    )
+    mixed = draw(st.booleans())
+    lacking = draw(st.booleans())
+    flawed = draw(st.booleans())
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    rng = np.random.default_rng(seed)
+    batch = []
+    for i in range(count):
+        buckets = int(rng.choice([3, 5])) if mixed else 5
+        edges = np.cumsum(rng.uniform(0.2, 1.5, buckets + 1)) - 1.0
+        size = int(rng.integers(2, 60))
+        if flawed and rng.random() < 0.2:
+            size = None if rng.random() < 0.5 else 1
+        attributes = {
+            "a": DfSized(
+                GaussianDistribution(
+                    float(rng.normal(1.0, 3.0)), float(rng.uniform(0.0, 9.0))
+                ),
+                int(rng.integers(2, 2000)),
+            ),
+            "h": DfSized(
+                HistogramDistribution(edges, rng.uniform(0.05, 1.0, buckets)),
+                size,
+            ),
+            "b": float(rng.normal(0.0, 3.0)),
+            "c": float(i),
+        }
+        if lacking and rng.random() < 0.3:
+            del attributes["c"]
+        batch.append(
+            UncertainTuple(
+                attributes, probability=float(rng.uniform(0.4, 1.0))
+            )
+        )
+    return batch
+
+
+@settings(max_examples=40, deadline=None)
+@given(queries=histogram_query_mixes(), batch=histogram_batches())
+def test_histogram_residuals_byte_identical_to_naive(queries, batch):
+    naive = _run(queries, batch, False, False)
+    naive_events, _naive_matches, naive_error = naive
+    for batched in (False, True):
+        events, matches, error = _run(queries, batch, True, batched)
+        if naive_error is None:
+            assert (events, matches, error) == naive
+        else:
+            assert error is not None
+            assert events == naive_events[: len(events)]
