@@ -38,6 +38,19 @@ from repro.streams.tuples import Schema, UncertainTuple
 __all__ = ["StreamDatabase", "ContinuousQuery"]
 
 
+def _readings(records: list[Mapping[str, object]], column: str) -> list[float]:
+    """One group's ``column`` readings as floats; SchemaError if ill-typed."""
+    readings = []
+    for record in records:
+        try:
+            readings.append(float(record[column]))  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            raise SchemaError(
+                f"record {record!r} has a non-numeric {column!r} reading"
+            ) from None
+    return readings
+
+
 @dataclasses.dataclass
 class _StreamState:
     schema: Schema | None
@@ -274,11 +287,14 @@ class StreamDatabase:
         ``min_observations`` readings are skipped (their accuracy would
         be undefined); returns the number of tuples produced.
 
-        Every group is learned before anything is inserted, and the
-        learned tuples enter in one :meth:`insert_many` call: a record
-        or learner error leaves the stream unchanged, and the standing
-        queries see the tuples under that method's dispatch and error
-        rules.
+        Every group's readings are read as floats first (a missing or
+        non-numeric reading raises :class:`SchemaError` naming the
+        record), then every group that reaches ``min_observations`` is
+        learned in one :meth:`Learner.learn_many` call, in the groups'
+        ``str`` order, and the learned tuples enter in one
+        :meth:`insert_many` call: a record or learner error leaves the
+        stream unchanged, and the standing queries see the tuples under
+        that method's dispatch and error rules.
 
         Passing ``age`` (a record column holding each observation's age)
         together with ``half_life`` enables the paper's §VII weighted
@@ -313,28 +329,28 @@ class StreamDatabase:
                 raise SchemaError(f"record {record!r} lacks {age!r}")
             groups.setdefault(record[group_by], []).append(record)
 
-        learned: list[UncertainTuple] = []
-        for group_key in sorted(groups, key=str):
-            members = groups[group_key]
-            if len(members) < min_observations:
-                continue
-            sample = [float(m[value]) for m in members]  # type: ignore[arg-type]
-            if weighted is not None:
-                ages = [float(m[age]) for m in members]  # type: ignore[arg-type,index]
+        keys = [
+            key for key in sorted(groups, key=str)
+            if len(groups[key]) >= min_observations
+        ]
+        samples = [_readings(groups[key], value) for key in keys]
+        if weighted is not None:
+            fields = []
+            for key, sample in zip(keys, samples):
+                ages = _readings(groups[key], age)  # type: ignore[arg-type]
                 fit = weighted.learn(sample, ages)
-                field = DfSized(
-                    fit.distribution,
-                    max(int(fit.effective_size), 2),
+                fields.append(
+                    DfSized(fit.distribution, max(int(fit.effective_size), 2))
                 )
-            else:
-                assert isinstance(learner, Learner)
-                field = learner.learn(sample).as_dfsized()
-            attributes: dict[str, object] = {
-                group_by: group_key,
-                value: field,
-            }
+        else:
+            assert isinstance(learner, Learner)
+            fields = learner.learn_many(samples)
+        learned: list[UncertainTuple] = []
+        for key, field in zip(keys, fields):
+            attributes: dict[str, object] = {group_by: key, value: field}
+            first = groups[key][0]
             for attr in carry:
-                attributes[attr] = members[0].get(attr)
+                attributes[attr] = first.get(attr)
             learned.append(UncertainTuple(attributes))
         return self.insert_many(name, learned)
 

@@ -26,6 +26,7 @@ __all__ = [
     "histogram_means",
     "histogram_tail_probabilities",
     "histogram_variances",
+    "histograms_from_counts",
     "stack_histograms",
 ]
 
@@ -196,7 +197,6 @@ class HistogramDistribution(Distribution):
         )
 
 
-
 # -- array twins over stacked histograms --------------------------------------
 #
 # Each kernel reads ``k`` histograms of one bucket count ``b`` stacked
@@ -290,3 +290,67 @@ def histogram_tail_probabilities(
         raise DistributionError(f"no tail probability for operator {op!r}")
     cdf = histogram_cdfs(edges, probabilities, c)
     return 1.0 - cdf if op in (">", ">=") else cdf
+
+
+def histograms_from_counts(
+    edges: "np.ndarray | Sequence[np.ndarray]", counts: np.ndarray
+) -> list[HistogramDistribution]:
+    """:meth:`HistogramDistribution.from_counts` of every row at once.
+
+    ``counts`` is a ``(k, b)`` matrix.  ``edges`` is a ``(k, b + 1)``
+    matrix, whose row views become the histograms' edges, or ``k``
+    arrays of ``b + 1`` edges, kept as given.  The rows are checked
+    together, under the conditions and with the messages of
+    ``from_counts``; each histogram's ``probabilities`` and ``_cum``
+    are then owning arrays bit-equal to the ones ``from_counts``
+    builds (the row sums and cumulative sums run as the 1-D ones do).
+    """
+    counts_arr = np.asarray(counts, dtype=float)
+    if np.any(counts_arr < 0):
+        raise DistributionError("counts must be non-negative")
+    rows = [np.asarray(row, dtype=float) for row in edges]
+    if len({row.shape for row in rows}) > 1:
+        raise DistributionError("edge rows must have one length")
+    edges_arr = (
+        np.asarray(rows) if rows else np.empty((0, counts_arr.shape[-1] + 1))
+    )
+    if edges_arr.ndim != 2 or counts_arr.ndim != 2:
+        raise DistributionError("edges and probabilities must be 1-D")
+    if len(edges_arr) != len(counts_arr):
+        raise DistributionError(
+            f"need one edge row per count row, got {len(edges_arr)} edge "
+            f"rows for {len(counts_arr)} count rows"
+        )
+    if edges_arr.shape[1] != counts_arr.shape[1] + 1:
+        raise DistributionError(
+            f"need len(edges) == len(probabilities) + 1, got "
+            f"{edges_arr.shape[1]} edges for {counts_arr.shape[1]} buckets"
+        )
+    if counts_arr.shape[1] == 0:
+        raise DistributionError("histogram needs at least one bucket")
+    if not (edges_arr[:, 1:] > edges_arr[:, :-1]).all():
+        raise DistributionError("edges must be strictly increasing")
+    if not np.isfinite(edges_arr[:, [0, -1]]).all():
+        raise DistributionError("edges must be finite")
+    # Non-negative counts pass __init__'s ``>= -tolerance`` check.
+    probs = np.maximum(counts_arr, 0.0)
+    totals = probs.sum(axis=1)
+    bad = np.flatnonzero(~((0 < totals) & (totals < math.inf)))
+    if bad.size:
+        raise DistributionError(
+            "bucket probabilities must not all be 0"
+            if totals[bad[0]] == 0
+            else "bucket probabilities must be finite"
+        )
+    probs /= totals[:, None]
+    cum = np.zeros((len(probs), probs.shape[1] + 1))
+    np.cumsum(probs, axis=1, out=cum[:, 1:])
+    cum[:, -1] = 1.0
+    out = []
+    for row_edges, row_probs, row_cum in zip(rows, probs, cum):
+        histogram = HistogramDistribution.__new__(HistogramDistribution)
+        histogram.edges = row_edges
+        histogram.probabilities = row_probs.copy()
+        histogram._cum = row_cum.copy()
+        out.append(histogram)
+    return out

@@ -79,6 +79,9 @@ class LearnedDistribution:
 class Learner(abc.ABC):
     """Learns a distribution from an iid sample of observations.
 
+    :meth:`learn_many` fits many samples at once and returns the
+    ``(distribution, sample size)`` pairs queries read; a learner may
+    override it with an array pass whose results equal :meth:`learn`'s.
     Besides the batch :meth:`learn`, a learner may support *incremental*
     fitting over a sliding window of observations through the
     ``partial_*`` hooks: :meth:`partial_begin` creates a rolling state
@@ -111,6 +114,14 @@ class Learner(abc.ABC):
     @abc.abstractmethod
     def learn(self, sample: "np.ndarray | list[float]") -> LearnedDistribution:
         """Fit a distribution to the sample; raises LearningError if unfit."""
+
+    def learn_many(self, samples: Sequence) -> list[DfSized]:
+        """``learn(sample).as_dfsized()`` of every sample, in order.
+
+        An error is :meth:`learn`'s, raised at the first sample it
+        rejects.
+        """
+        return [self.learn(sample).as_dfsized() for sample in samples]
 
     # -- incremental (sliding-window) hooks ---------------------------------
 

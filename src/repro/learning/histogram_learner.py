@@ -9,6 +9,7 @@ sample) and the learned one (from the small sample) share buckets.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections.abc import Sequence
 
@@ -16,12 +17,35 @@ import numpy as np
 
 from repro.core.accuracy import AccuracyInfo
 from repro.core.analytic import accuracy_from_moments, histograms_accuracy
-from repro.distributions.histogram import HistogramDistribution
-from repro.errors import LearningError
+from repro.core.dfsample import DfSized
+from repro.distributions.histogram import (
+    HistogramDistribution,
+    histograms_from_counts,
+)
+from repro.errors import DistributionError, LearningError
 from repro.learning.base import Learner, LearnedDistribution
 from repro.learning.partial import DEFAULT_RESUM_INTERVAL, PartialFitState
 
-__all__ = ["equi_width_edges", "equi_depth_edges", "HistogramLearner"]
+__all__ = [
+    "bucket_indices",
+    "equi_width_edges",
+    "equi_depth_edges",
+    "HistogramLearner",
+]
+
+
+def bucket_indices(values: np.ndarray, interior: np.ndarray) -> np.ndarray:
+    """Bucket of every value under ``np.histogram``'s rule, after clamping.
+
+    Buckets are half-open ``[e_i, e_{i+1})`` with the last one closed,
+    and values outside the edges clamp into the first or last bucket:
+    the bucket of ``x`` is the number of interior edges ``e_1 .. e_{b-1}``
+    that are ``<= x``.  ``interior`` is one sorted row shared by every
+    value, or one row per value (shape ``(len(values), b - 1)``).
+    """
+    if interior.ndim == 1:
+        return np.searchsorted(interior, values, side="right")
+    return (values[:, None] >= interior).sum(axis=1)
 
 
 class _HistogramPartial(PartialFitState):
@@ -50,18 +74,9 @@ class _HistogramPartial(PartialFitState):
         )
 
     def bin_index(self, x: float) -> int:
-        """Bucket of ``x`` under ``np.histogram`` semantics, after clamping.
-
-        Bins are half-open ``[e_i, e_{i+1})`` with the last bin closed;
-        out-of-range observations clamp into the first/last bin (same as
-        :meth:`HistogramLearner.learn` with explicit edges).
-        """
+        """Bucket of ``x``: :func:`bucket_indices`'s rule for one value."""
         edge_list = self._edge_list
-        index = bisect_right(edge_list, x) - 1
-        if index < 0:
-            return 0
-        last = len(edge_list) - 2
-        return last if index > last else index
+        return bisect_right(edge_list, x, 1, len(edge_list) - 1) - 1
 
 
 def equi_width_edges(
@@ -71,7 +86,9 @@ def equi_width_edges(
     """Evenly spaced bucket edges over the sample (or given) range.
 
     A degenerate range (all observations equal) is widened by one unit so
-    the histogram still has positive-width buckets.
+    the histogram still has positive-width buckets.  A range whose edges
+    would not be finite and strictly increasing (a span that overflows,
+    or one too narrow for its floats) raises :class:`LearningError`.
     """
     if bucket_count < 1:
         raise LearningError(f"bucket count must be >= 1, got {bucket_count}")
@@ -81,7 +98,15 @@ def equi_width_edges(
         lo, hi = value_range
     if hi <= lo:
         lo, hi = lo - 0.5, lo + 0.5
-    return np.linspace(lo, hi, bucket_count + 1)
+    if math.isfinite(float(hi) - float(lo)):
+        edges = np.linspace(lo, hi, bucket_count + 1)
+        if (edges[1:] > edges[:-1]).all():
+            return edges
+    raise LearningError(
+        f"cannot cut the range [{float(lo)!r}, {float(hi)!r}] into "
+        f"{bucket_count} equi-width buckets with finite, strictly "
+        f"increasing edges"
+    )
 
 
 def equi_depth_edges(sample: np.ndarray, bucket_count: int) -> np.ndarray:
@@ -131,25 +156,104 @@ class HistogramLearner(Learner):
             raise LearningError(
                 f"bucket count must be >= 1, got {bucket_count}"
             )
+        if edges is not None:
+            edges = np.asarray(edges, dtype=float)
+            if not (
+                edges.ndim == 1
+                and edges.size >= 2
+                and np.isfinite(edges).all()
+                and (edges[1:] > edges[:-1]).all()
+            ):
+                raise LearningError(
+                    "explicit edges must be at least two finite, strictly "
+                    "increasing values"
+                )
         self.bucket_count = bucket_count
         self.strategy = strategy
-        self.edges = None if edges is None else np.asarray(edges, dtype=float)
+        self.edges = edges
         self.value_range = value_range
+
+    def _edges(self, arr: np.ndarray) -> np.ndarray:
+        """The bucket edges ``learn`` cuts one validated sample into."""
+        fixed = self.fixed_edges()
+        if fixed is not None:
+            return fixed
+        if self.strategy == "equi_width":
+            return equi_width_edges(arr, self.bucket_count)
+        return equi_depth_edges(arr, self.bucket_count)
 
     def learn(self, sample: "np.ndarray | list[float]") -> LearnedDistribution:
         arr = self._validated(sample, minimum=1)
-        if self.edges is not None:
-            edges = self.edges
-        elif self.strategy == "equi_width":
-            edges = equi_width_edges(arr, self.bucket_count, self.value_range)
-        else:
-            edges = equi_depth_edges(arr, self.bucket_count)
-        clamped = np.clip(arr, edges[0], edges[-1])
-        counts, _ = np.histogram(clamped, bins=edges)
-        if counts.sum() == 0:
-            raise LearningError("no observations fell into any bucket")
+        edges = self._edges(arr)
+        counts = np.bincount(
+            bucket_indices(arr, edges[1:-1]), minlength=len(edges) - 1
+        )
         histogram = HistogramDistribution.from_counts(edges, counts)
         return LearnedDistribution(histogram, arr)
+
+    def learn_many(self, samples: Sequence) -> list[DfSized]:
+        """:meth:`learn` of every sample, counted in one array pass.
+
+        Each result equals ``learn(sample).as_dfsized()`` pickle for
+        pickle.  Equi-width edges of every sample come from one
+        ``np.linspace`` over the per-sample ranges; explicit edges and a
+        pinned ``value_range`` are shared; equi-depth edges are cut per
+        sample.  When the batch holds a sample ``learn`` would reject,
+        the samples are learned one by one, so the error is ``learn``'s,
+        raised at the first failing sample.
+        """
+        samples = list(samples)
+        try:
+            arrays = [np.asarray(s, dtype=float).ravel() for s in samples]
+        except (TypeError, ValueError):
+            return super().learn_many(samples)
+        if not arrays:
+            return []
+        sizes = [a.size for a in arrays]
+        values = np.concatenate(arrays)
+        if min(sizes) < 1 or not np.isfinite(values).all():
+            return super().learn_many(samples)
+        fixed = self.fixed_edges()
+        if fixed is not None:
+            rows = [fixed] * len(arrays)
+            if self.edges is None:  # a fresh linspace per sample, as learn
+                rows = list(np.tile(fixed, (len(arrays), 1)))
+        elif self.strategy == "equi_width":
+            matrix = self._equi_width_rows(values, sizes)
+            if matrix is None:
+                return super().learn_many(samples)
+            rows = list(matrix)
+        else:
+            rows = [equi_depth_edges(a, self.bucket_count) for a in arrays]
+        try:
+            histograms = _count_into(values, sizes, rows)
+        except DistributionError:
+            return super().learn_many(samples)
+        return [DfSized(h, size) for h, size in zip(histograms, sizes)]
+
+    def _equi_width_rows(
+        self, values: np.ndarray, sizes: list[int]
+    ) -> "np.ndarray | None":
+        """Every sample's :func:`equi_width_edges`, one row each, or None.
+
+        None when a row's span overflows (``equi_width_edges`` rejects
+        it).  A 2-D ``np.linspace`` takes its zero-step branch for every
+        row as soon as one row's step underflows to 0, which changes the
+        other rows' bits; such a row spans fewer float steps than it has
+        buckets, so its edges are not strictly increasing and the batch
+        is learned one sample at a time instead.
+        """
+        starts = np.cumsum([0] + sizes[:-1])
+        lo = np.minimum.reduceat(values, starts)
+        hi = np.maximum.reduceat(values, starts)
+        flat = hi <= lo
+        lo, hi = np.where(flat, lo - 0.5, lo), np.where(flat, lo + 0.5, hi)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(hi - lo).all():
+                return None
+        return np.ascontiguousarray(
+            np.linspace(lo, hi, self.bucket_count + 1, axis=1)
+        )
 
     # -- incremental hooks ---------------------------------------------------
 
@@ -234,3 +338,37 @@ class HistogramLearner(Learner):
         self, state: _HistogramPartial
     ) -> tuple[float, float, int]:
         return state.mean, state.variance, state.count
+
+
+def _count_into(
+    values: np.ndarray, sizes: list[int], rows: list[np.ndarray]
+) -> list[HistogramDistribution]:
+    """Histograms of consecutive samples, each counted into its edge row.
+
+    ``values`` holds the samples end to end, ``sizes[i]`` values for
+    ``rows[i]``.  Rows of one bucket count share one ``np.bincount``
+    over ``(sample, bucket)``; equi-depth rows may differ in count.
+    """
+    group = np.repeat(np.arange(len(rows)), sizes)
+    lengths = np.array([len(row) for row in rows])
+    out: list = [None] * len(rows)
+    for length in np.unique(lengths).tolist():
+        members = np.flatnonzero(lengths == length)
+        member_rows = [rows[i] for i in members.tolist()]
+        if members.size == len(rows):
+            local, member_values = group, values
+        else:
+            take = lengths[group] == length
+            local = np.searchsorted(members, group[take])
+            member_values = values[take]
+        buckets = length - 1
+        interior = np.asarray(member_rows)[:, 1:-1]
+        counts = np.bincount(
+            local * buckets + bucket_indices(member_values, interior[local]),
+            minlength=members.size * buckets,
+        ).reshape(members.size, buckets)
+        for i, histogram in zip(
+            members.tolist(), histograms_from_counts(member_rows, counts)
+        ):
+            out[i] = histogram
+    return out

@@ -60,7 +60,7 @@ from collections.abc import Sequence
 import numpy as np
 from scipy import special
 
-from repro.core.analytic import accuracy_from_moments
+from repro.core.analytic import accuracy_from_moments, histograms_accuracy
 from repro.distributions.gaussian import tail_probabilities
 from repro.obs.instrument import Observer
 from repro.query.executor import QueryExecutor, ResultTuple
@@ -683,9 +683,9 @@ class MultiQueryEngine:
     ) -> "list[tuple[str, str]] | None":
         """The group's ``(alias, column)`` items if its views allow, else None.
 
-        Every selected column must be a Gaussian or deterministic view;
-        ``SELECT *`` also needs every row to carry the first row's
-        attribute names in the same order.
+        Every selected column must have a view (Gaussian, deterministic,
+        or histograms of one bucket count); ``SELECT *`` also needs every
+        row to carry the first row's attribute names in the same order.
         """
         if group.star:
             tuples = views.tuples
@@ -695,10 +695,8 @@ class MultiQueryEngine:
             items = [(name, name) for name in names]
         else:
             items = list(group.select_cols)
-        for _alias, name in items:
-            view = views.view(name)
-            if view is None or view.histograms is not None:
-                return None
+        if any(views.view(name) is None for _alias, name in items):
+            return None
         return items
 
     @staticmethod
@@ -715,10 +713,12 @@ class MultiQueryEngine:
         result the object graph (and hence its pickle bytes) aliases
         exactly as the naive path's would.  Accuracy intervals come from
         the vectorized Theorem-1 kernel, element-wise identical to the
-        scalar ``distribution_accuracy``.
+        scalar ``distribution_accuracy``; a histogram column's Lemma-1
+        bins come from one ``histograms_accuracy`` pass over its rows.
         """
         gid = id(group)
         config = group.entries[0].executor.config
+        tuples = views.tuples
         accuracy_rows: dict[int, dict] = {b: {} for b in row_ids.tolist()}
         if config.accuracy_method != "none":
             for alias, name in items:
@@ -730,15 +730,25 @@ class MultiQueryEngine:
                 if not eligible.any():
                     continue
                 rows_el = row_ids[eligible]
+                bins = None
+                if view.histograms is not None:
+                    bins = histograms_accuracy(
+                        [
+                            tuples[b].attributes[name].distribution
+                            for b in rows_el.tolist()
+                        ],
+                        sizes[eligible].tolist(),
+                        config.confidence,
+                    )
                 infos = accuracy_from_moments(
                     view.mu[rows_el],
                     view.sigma2[rows_el],
                     sizes[eligible],
                     config.confidence,
+                    bins=bins,
                 )
                 for b, info in zip(rows_el.tolist(), infos):
                     accuracy_rows[b][alias] = info
-        tuples = views.tuples
         for b, accuracy in accuracy_rows.items():
             tup = tuples[b]
             if group.star:

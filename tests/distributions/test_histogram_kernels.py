@@ -1,5 +1,7 @@
 """The stacked-histogram kernels equal the scalar methods bit for bit."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.distributions.histogram import (
     histogram_means,
     histogram_tail_probabilities,
     histogram_variances,
+    histograms_from_counts,
     stack_histograms,
 )
 from repro.errors import DistributionError
@@ -100,3 +103,52 @@ def test_zero_variance_clamp_matches_scalar():
     assert histogram_variances(edges, probabilities).tolist() == [
         dists[1].variance()
     ]
+
+
+@pytest.mark.parametrize("buckets", [1, 2, 7, 8, 9, 17])
+def test_histograms_from_counts_equal_from_counts(buckets):
+    rng = np.random.default_rng(buckets)
+    edges = np.cumsum(rng.uniform(0.01, 5.0, (40, buckets + 1)), axis=1)
+    counts = rng.integers(0, 30, (40, buckets)).astype(float)
+    counts[:, 0] += 1
+    counts[::3] *= rng.uniform(0.1, 3.0, (14, buckets))  # non-integer weights
+    for source in (edges, list(edges)):
+        batch = histograms_from_counts(source, counts)
+        for row, got in zip(range(40), batch):
+            want = HistogramDistribution.from_counts(edges[row], counts[row])
+            assert pickle.dumps(got) == pickle.dumps(want)
+            assert got._cum.tolist() == want._cum.tolist()
+            assert got.edges.base is not None
+            assert got.probabilities.flags.owndata and got._cum.flags.owndata
+
+
+@pytest.mark.parametrize(
+    "edges, counts",
+    [
+        ([[0.0, 1.0, 2.0]], [[1.0, -1.0]]),
+        ([[0.0, 1.0, 2.0]], [[1.0, 1.0, 1.0]]),
+        ([[0.0, 1.0]], [[]]),
+        ([[0.0, 2.0, 1.0]], [[1.0, 1.0]]),
+        ([[0.0, np.nan, 1.0]], [[1.0, 1.0]]),
+        ([[-np.inf, 0.0, 1.0]], [[1.0, 1.0]]),
+        ([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]], [[1.0, 1.0], [0.0, 0.0]]),
+        ([[0.0, 1.0, 2.0]], [[np.inf, 1.0]]),
+        ([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]], [[np.inf, 1.0], [0.0, 0.0]]),
+    ],
+)
+def test_histograms_from_counts_raise_as_from_counts(edges, counts):
+    rows = [np.asarray(row, dtype=float) for row in edges]
+    with pytest.raises(DistributionError) as want:
+        for row_edges, row_counts in zip(rows, counts):
+            HistogramDistribution.from_counts(row_edges, row_counts)
+    with pytest.raises(DistributionError) as got:
+        histograms_from_counts(rows, np.array(counts, dtype=float))
+    assert str(got.value) == str(want.value)
+
+
+def test_histograms_from_counts_checks_the_batch_shape():
+    with pytest.raises(DistributionError, match="one edge row per count row"):
+        histograms_from_counts([[0.0, 1.0]], np.ones((2, 1)))
+    with pytest.raises(DistributionError, match="one length"):
+        histograms_from_counts([[0.0, 1.0], [0.0, 1.0, 2.0]], np.ones((2, 1)))
+    assert histograms_from_counts([], np.empty((0, 3))) == []

@@ -297,9 +297,17 @@ _HISTOGRAM_WHERES = (
     "WHERE h <= {c1} AND a > {c2} PROB {tau}",
     "WHERE h > {c1} PROB {tau} ORDER BY h",
     "WHERE h = {c1}",
+    "WHERE a > {c2} PROB {tau}",
 )
 
-_HISTOGRAM_SELECTS = ("h, a", "*", "a", "b AS bee, h")
+_HISTOGRAM_SELECTS = ("h, a", "*", "a", "b AS bee, h", "h", "h AS hist, c")
+
+# Analytic accuracy at three confidences selects histogram columns
+# through the columnar prefix products.
+_HISTOGRAM_CONFIGS = _CONFIGS + (
+    ExecutorConfig(confidence=0.9),
+    ExecutorConfig(confidence=0.99),
+)
 
 
 @st.composite
@@ -313,7 +321,9 @@ def histogram_query_mixes(draw):
             tau=draw(st.sampled_from((0.25, 0.5, 0.9))),
         )
         text = f"SELECT {draw(st.sampled_from(_HISTOGRAM_SELECTS))} FROM t"
-        queries.append((f"{text} {where}", draw(st.sampled_from(_CONFIGS))))
+        queries.append(
+            (f"{text} {where}", draw(st.sampled_from(_HISTOGRAM_CONFIGS)))
+        )
     return queries
 
 
@@ -323,7 +333,8 @@ def histogram_batches(draw):
 
     Drawn per batch: whether ``h`` keeps one bucket count, whether some
     rows lack ``c`` (a non-uniform layout), and whether some ``h`` have
-    exact or single-sample sizes (``mTest`` raises on those).  Half the
+    exact or single-sample sizes (``mTest`` raises on those) or edges so
+    wide that their variance overflows.  Half the
     batches have 17 to 40 rows, with ``a`` sample sizes drawn from a
     wide range, so most of them carry more than 16 distinct sizes.
     """
@@ -343,6 +354,8 @@ def histogram_batches(draw):
         size = int(rng.integers(2, 60))
         if flawed and rng.random() < 0.2:
             size = None if rng.random() < 0.5 else 1
+        if flawed and rng.random() < 0.1:
+            edges = edges * 1e160
         attributes = {
             "a": DfSized(
                 GaussianDistribution(

@@ -150,6 +150,46 @@ class TestIngestObservations:
         assert db.stats("roads")["inserted"] == 0
         assert hits == []
 
+    @pytest.mark.parametrize("bad", ["abc", None, [1.0]])
+    def test_ill_typed_reading_is_a_schema_error(self, db, bad):
+        db.create_stream("roads")
+        hits = []
+        db.register_continuous("all", "SELECT delay FROM roads", hits.append)
+        records = [_report(1, 10.0), _report(1, 12.0),
+                   _report(2, 11.0), _report(2, bad)]
+        with pytest.raises(SchemaError, match="non-numeric 'delay'") as info:
+            db.ingest_observations(
+                "roads", records, group_by="road_id", value="delay",
+            )
+        assert repr(bad) in str(info.value)
+        assert db.count("roads") == 0
+        assert hits == []
+
+    def test_ill_typed_age_is_a_schema_error(self, db):
+        db.create_stream("roads")
+        records = [dict(_report(1, 10.0), age=1.0),
+                   dict(_report(1, 12.0), age="old")]
+        with pytest.raises(SchemaError, match="non-numeric 'age'"):
+            db.ingest_observations(
+                "roads", records, group_by="road_id", value="delay",
+                age="age", half_life=5.0,
+            )
+        assert db.count("roads") == 0
+
+    @pytest.mark.parametrize(
+        "readings", [[1e17] * 3, [1e308, -1e308]], ids=["flat", "overflow"]
+    )
+    def test_unlearnable_range_leaves_stream_unchanged(self, db, readings):
+        db.create_stream("roads")
+        records = [_report(1, 10.0), _report(1, 12.0)] + [
+            _report(2, value) for value in readings
+        ]
+        with pytest.raises(LearningError, match="equi-width"):
+            db.ingest_observations(
+                "roads", records, group_by="road_id", value="delay",
+            )
+        assert db.count("roads") == 0
+
 
 class TestQuery:
     def test_query_routes_to_named_stream(self, db, rng):

@@ -13,6 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.query.executor as executor_module
 from repro.core.dfsample import DfSized
 from repro.db import StreamDatabase
 from repro.distributions.gaussian import GaussianDistribution
@@ -26,6 +27,7 @@ from repro.errors import (
 )
 from repro.query.executor import ExecutorConfig, QueryExecutor
 from repro.streams.tuples import Schema, UncertainTuple
+from repro.workloads.cartel import CarTelSimulator
 
 
 def _delay_tuples(seed: int, n: int) -> list[UncertainTuple]:
@@ -599,4 +601,66 @@ class TestHistogramStandingQueries:
         assert naive_calls == 3 * 200
         assert shared_calls == 0
         assert {i for i, _ in shared} == {0, 1, 2}
+        assert shared == naive
+
+
+class TestLearnedHistogramPrefix:
+    """Learned histogram columns get their accuracy in arrays on ingest.
+
+    Raw CarTel reports are learned into histograms and pass the
+    standing queries of the Figure-1 benchmark.  The naive loop runs
+    one scalar ``distribution_accuracy`` per result; the shared path
+    builds every matched row's Theorem-1 and Lemma-1 intervals in one
+    columnar pass per group, with byte-identical results.
+    """
+
+    QUERIES = [
+        "SELECT segment_id, delay FROM roads WHERE delay > 120 PROB 0.8",
+        "SELECT segment_id, delay FROM roads WHERE delay > 200 PROB 0.5",
+        "SELECT segment_id, delay FROM roads "
+        "WHERE mTest(delay, '>', 90, 0.05, 0.05)",
+        "SELECT segment_id, delay FROM roads WHERE speed_limit > 35",
+    ]
+
+    def _run(self, shared, monkeypatch):
+        calls = []
+        accuracy = executor_module.distribution_accuracy
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return accuracy(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "distribution_accuracy", counting)
+        db = StreamDatabase(shared_subplans=shared)
+        db.create_stream("roads")
+        events: list[tuple[int, bytes]] = []
+        for i, text in enumerate(self.QUERIES):
+            db.register_continuous(
+                f"q{i}",
+                text,
+                lambda r, i=i: events.append((i, pickle.dumps(r))),
+            )
+        sim = CarTelSimulator(n_segments=200, seed=7)
+        records = [
+            report.as_record()
+            for report in sim.report_stream(window_minutes=10, start_hour=8.0)
+        ]
+        produced = db.ingest_observations(
+            "roads",
+            records,
+            group_by="segment_id",
+            value="delay",
+            carry=("speed_limit",),
+            min_observations=5,
+        )
+        monkeypatch.setattr(executor_module, "distribution_accuracy", accuracy)
+        return events, len(calls), produced
+
+    def test_no_scalar_accuracy_on_learned_rows(self, monkeypatch):
+        naive, naive_calls, produced = self._run(False, monkeypatch)
+        shared, shared_calls, _ = self._run(True, monkeypatch)
+        assert produced > 20
+        assert {i for i, _ in naive} == {0, 1, 2, 3}
+        assert naive_calls == len(naive)
+        assert shared_calls == 0
         assert shared == naive
